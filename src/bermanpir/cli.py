@@ -2,7 +2,8 @@
 self-verification sweep, and end-to-end retrieval simulation.
 
 Exit codes: 0 success, 2 parse error, 3 unsupported pair or zero rate,
-4 verification failure, 5 schedule search failure.
+4 verification failure (including a broken protocol invariant), 5 schedule
+search failure.
 """
 
 from __future__ import annotations
@@ -14,15 +15,16 @@ import json
 import sys
 from fractions import Fraction
 
-from .berman import BermanParams
+from .berman import BermanParams, build
 from .checks import iter_verification_cases
 from .pir import (
+    ProtocolInvariantError,
     ScheduleNotFound,
     SchemeConfig,
     UnsupportedPair,
     ZeroRate,
     closed_form_triple,
-    derive_scheme,
+    derive_scheme,  # noqa: F401  benchmarks/tracer.py patches cli.derive_scheme
     run_retrieval,
     verify_privacy_rank,
 )
@@ -226,8 +228,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     transcript = run_retrieval(config, demand=0)
-    derived = derive_scheme(config)
-    privacy_ok = verify_privacy_rank(derived.retrieval_code, derived.t, seed=config.seed)
+    privacy_ok = verify_privacy_rank(build(config.retrieval), transcript.t, seed=config.seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(transcript.to_json())
@@ -237,7 +238,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "files": config.files,
         "seed": config.seed,
         "demand": transcript.demand,
-        "servers": derived.n_s,
+        "servers": config.storage.length,
         "t": transcript.t,
         "b": transcript.b,
         "S": transcript.s_iterations,
@@ -325,6 +326,9 @@ def main(argv: list[str] | None = None) -> int:
     except ScheduleNotFound as exc:
         sys.stderr.write(_error_json(exc))
         return EXIT_NO_SCHEDULE
+    except ProtocolInvariantError as exc:
+        sys.stderr.write(_error_json(exc))
+        return EXIT_VERIFY_FAILED
     except ValueError as exc:
         sys.stderr.write(_error_json(exc))
         return EXIT_PARSE

@@ -7,10 +7,11 @@ reduce a word against at most ``dim`` pivot rows.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns, nullspace_basis, row_reduce
+from .gf2 import BitMatrix, BitVector, LengthMismatch, nullspace_basis, row_reduce
+from .gf2 import invert_columns  # noqa: F401  benchmarks/tracer.py patches codes.invert_columns
 
 #: Enumeration guard for brute-force minimum distance (2^24 codewords).
 MAX_BRUTE_FORCE_DIM = 24
@@ -140,8 +141,3 @@ class LinearCode:
 
     def __str__(self) -> str:
         return f"[{self.length},{self.dimension}] code"
-
-
-def information_set_inverse(code: LinearCode, cols: Sequence[int]) -> BitMatrix:
-    """Inverse of the generator's ``cols`` submatrix (message recovery helper)."""
-    return invert_columns(code.generator, cols)

@@ -4,12 +4,21 @@ A vector stores all of its bits in a single Python integer (bit ``i`` of the
 word is coordinate ``i``), so vector addition is one XOR and Hamming weight
 is ``int.bit_count()``.  Matrices hold one word per row.  Everything is
 immutable; operations are pure functions and safe to share across threads.
+
+Bulk conversions go through NumPy: :func:`pack_bit_rows` packs a 0/1 array
+into row words with ``np.packbits``, and :meth:`BitMatrix.transpose` unpacks
+every row, transposes and repacks in one pass.  Matrix products use the
+"method of four Russians": the right operand's rows are grouped eight at a
+time, each group's 256 XOR combinations are tabulated once, and every output
+row is then one table lookup per group.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class LengthMismatch(ValueError):
@@ -22,6 +31,24 @@ class NoSolution(ValueError):
 
 class Singular(ValueError):
     """The selected square submatrix is not invertible."""
+
+
+def pack_bit_rows(bits: np.ndarray) -> tuple[int, ...]:
+    """Row words of a 2-D 0/1 array: entry ``[i, j]`` becomes bit ``j`` of word ``i``."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return tuple(
+        int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(packed.shape[0])
+    )
+
+
+def _unpack_bit_rows(words: Sequence[int], cols: int) -> np.ndarray:
+    """Inverse of :func:`pack_bit_rows`: a ``len(words) x cols`` uint8 array."""
+    width = (cols + 7) // 8
+    raw = b"".join(w.to_bytes(width, "little") for w in words)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -224,7 +251,9 @@ class BitMatrix:
         return BitMatrix(self.rows, len(cols), tuple(words))
 
     def transpose(self) -> BitMatrix:
-        return BitMatrix(self.cols, self.rows, tuple(self.column_word(j) for j in range(self.cols)))
+        """All columns at once: row ``j`` of the result is ``column_word(j)``."""
+        bits = _unpack_bit_rows(self.row_words, self.cols)
+        return BitMatrix(self.cols, self.rows, pack_bit_rows(bits.T))
 
     def left_mul(self, v: BitVector) -> BitVector:
         """Row vector times matrix: ``v @ self`` (length = cols)."""
@@ -251,14 +280,19 @@ class BitMatrix:
     def __matmul__(self, other: BitMatrix) -> BitMatrix:
         if self.cols != other.rows:
             raise LengthMismatch(f"{self.cols} != {other.rows}")
+        # Table t of each 8-row group g of ``other``: t[x] = XOR of the group's
+        # rows selected by the bits of x.
+        tables = []
+        for g in range(0, other.rows, 8):
+            table = [0]
+            for rw in other.row_words[g : g + 8]:
+                table += [x ^ rw for x in table]
+            tables.append((g, table))
         words = []
         for rw in self.row_words:
             w = 0
-            rest = rw
-            while rest:
-                k = (rest & -rest).bit_length() - 1
-                w ^= other.row_words[k]
-                rest &= rest - 1
+            for g, table in tables:
+                w ^= table[(rw >> g) & 0xFF]
             words.append(w)
         return BitMatrix(self.rows, other.cols, tuple(words))
 

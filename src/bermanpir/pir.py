@@ -33,7 +33,7 @@ import numpy as np
 
 from .berman import BermanParams, CodeKind, build, min_distance_formula
 from .codes import LinearCode, TooLarge
-from .gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns, solve
+from .gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns, pack_bit_rows, solve
 from .star import star_codes
 
 
@@ -57,23 +57,18 @@ class ShapeMismatch(ValueError):
     """File matrices do not have the scheme's b x k_C shape."""
 
 
+class ProtocolInvariantError(RuntimeError):
+    """A derived quantity or a protocol step broke an invariant the scheme guarantees."""
+
+
 def philox_generator(seed: int) -> np.random.Generator:
     """The project PRNG: Philox 4x64-10, keyed by one 64-bit seed."""
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _random_bits(rng: np.random.Generator, rows: int, cols: int) -> list[int]:
+def _random_bits(rng: np.random.Generator, rows: int, cols: int) -> tuple[int, ...]:
     """Row-major draw of ``rows`` words of ``cols`` fresh bits each."""
-    flat = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8) if cols else None
-    out = []
-    for i in range(rows):
-        w = 0
-        if cols:
-            for j in range(cols):
-                if flat[i, j]:
-                    w |= 1 << j
-        out.append(w)
-    return out
+    return pack_bit_rows(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +210,11 @@ def derive_scheme(config: SchemeConfig) -> SchemeDerived:
     if d_perp == 0:
         raise ZeroRate("the product code fills the whole space")
     if Fraction(d_perp, n_s) != r_pir:
-        raise AssertionError("constructed product dimension disagrees with the closed form")
+        raise ProtocolInvariantError("constructed product dimension disagrees with the closed form")
     if Fraction(c.dimension, n_s) != r_st:
-        raise AssertionError("constructed storage dimension disagrees with the closed form")
-    assert t == min_distance_formula(config.retrieval.dual) - 1
+        raise ProtocolInvariantError("constructed storage dimension disagrees with the closed form")
+    if t != min_distance_formula(config.retrieval.dual) - 1:
+        raise ProtocolInvariantError("closed-form t disagrees with the retrieval code's dual distance")
     k_c = c.dimension
     g = gcd(d_perp, k_c)
     b = d_perp // g
@@ -276,8 +272,8 @@ def _solve_schedule(
     scanned from a rotating start so assignments spread over the servers.
     """
     n_s = g_c.cols
-    g_cols = [g_c.column_word(j) for j in range(n_s)]
-    h_cols = [h.column_word(j) for j in range(n_s)]
+    g_cols = g_c.transpose().row_words
+    h_cols = h.transpose().row_words
 
     # Which stripe fills each slot, iteration by iteration.
     need = [k_c] * b
@@ -370,9 +366,9 @@ def encode_storage(derived: SchemeDerived, files: list[BitMatrix]) -> tuple[BitV
     for f in files:
         if (f.rows, f.cols) != (derived.b, derived.k_c):
             raise ShapeMismatch(f"files must be {derived.b} x {derived.k_c} bit matrices")
-    stacked = BitMatrix.stack(files)
-    encoded = stacked @ derived.storage_code.generator
-    return tuple(encoded.column(i) for i in range(derived.n_s))
+    encoded = BitMatrix.stack(files) @ derived.storage_code.generator
+    per_server = encoded.transpose()
+    return tuple(per_server.row(i) for i in range(derived.n_s))
 
 
 @dataclass(frozen=True)
@@ -393,19 +389,17 @@ def gen_queries(
     """Fresh uniform retrieval-code rows plus the iteration's embeddings.
 
     Every row of the random part is an independent uniform codeword of the
-    retrieval code (drawn as a uniform message times its generator, one
-    row-major batch per call).  The embedding part sets, for each assigned
-    (stripe, coordinate) pair of this iteration, bit ``coordinate`` on the
-    demanded file's stripe row.
+    retrieval code: one row-major batch of uniform messages per call, times
+    the generator as a single matrix product.  The embedding part sets, for
+    each assigned (stripe, coordinate) pair of this iteration, bit
+    ``coordinate`` on the demanded file's stripe row.
     """
     if not 0 <= demand < derived.config.files:
         raise ValueError("demand index out of range")
     plan = derived.schedule.iterations[iteration]
     rows = derived.config.files * derived.b
     g_d = derived.retrieval_code.generator
-    msgs = _random_bits(rng, rows, g_d.rows)
-    rand_words = [BitVector(g_d.rows, w) for w in msgs]
-    rand = BitMatrix.from_rows([g_d.left_mul(v) for v in rand_words], derived.n_s)
+    rand = BitMatrix(rows, g_d.rows, _random_bits(rng, rows, g_d.rows)) @ g_d
     embed_words = [0] * rows
     for stripe, coord in zip(plan.stripes, plan.coords):
         embed_words[derived.file_row(demand, stripe)] |= 1 << coord
@@ -422,9 +416,13 @@ def server_respond(stored_column: BitVector, query_column: BitVector) -> int:
 
 
 def respond_all(columns: tuple[BitVector, ...], queries: QueryMatrix) -> BitVector:
+    """Every server's answer; server ``i`` sees only column ``i`` of Q."""
+    if len(columns) != queries.q.cols:
+        raise LengthMismatch(f"{len(columns)} servers != {queries.q.cols} query columns")
+    per_server = queries.q.transpose()
     word = 0
     for i, col in enumerate(columns):
-        if server_respond(col, queries.column(i)):
+        if server_respond(col, per_server.row(i)):
             word |= 1 << i
     return BitVector(len(columns), word)
 
@@ -491,7 +489,7 @@ def verify_privacy_rank(
         raise ValueError("t cannot exceed the code length")
     if t == 0:
         return True
-    cols = [retrieval_code.generator.column_word(j) for j in range(n_s)]
+    cols = retrieval_code.generator.transpose().row_words
 
     def full_rank(subset: tuple[int, ...]) -> bool:
         basis: list[int] = []
@@ -517,7 +515,7 @@ def _worst_case_columns(retrieval_code: LinearCode, t: int, prefer: int, seed: i
     """A size-t coordinate set minimizing the projection rank (worst case
     for privacy), preferring sets that contain the ``prefer`` coordinate."""
     n_s = retrieval_code.length
-    cols = [retrieval_code.generator.column_word(j) for j in range(n_s)]
+    cols = retrieval_code.generator.transpose().row_words
 
     def rank_of(subset: tuple[int, ...]) -> int:
         basis: list[int] = []
@@ -707,19 +705,20 @@ def run_retrieval(config: SchemeConfig, demand: int, *, debug_checks: bool = Tru
 
     Draw order from the seeded Philox stream: first the M file matrices
     (row-major bits, file by file), then one query batch per iteration.
-    With ``debug_checks`` the response vector minus the embedded
-    contribution is asserted to lie in the product code every iteration.
+    With ``debug_checks`` every iteration checks that the response vector
+    minus the embedded contribution lies in the product code and that each
+    recovered bit equals the stored one; a failure, or an achieved rate that
+    strays from the derived one, raises :class:`ProtocolInvariantError`.
     """
     derived = derive_scheme(config)
     if not 0 <= demand < config.files:
         raise ValueError("demand index out of range")
     rng = philox_generator(config.seed)
     files = [
-        BitMatrix(derived.b, derived.k_c, tuple(_random_bits(rng, derived.b, derived.k_c)))
+        BitMatrix(derived.b, derived.k_c, _random_bits(rng, derived.b, derived.k_c))
         for _ in range(config.files)
     ]
     columns = encode_storage(derived, files)
-    encoded = BitMatrix.stack(files) @ derived.storage_code.generator
 
     records = []
     recovered: list[tuple[int, int, int]] = []
@@ -733,12 +732,16 @@ def run_retrieval(config: SchemeConfig, demand: int, *, debug_checks: bool = Tru
             plan = derived.schedule.iterations[it]
             embed_word = 0
             for stripe, coord in zip(plan.stripes, plan.coords):
-                if encoded.entry(derived.file_row(demand, stripe), coord):
+                if columns[coord].bit(derived.file_row(demand, stripe)):
                     embed_word |= 1 << coord
             residue = BitVector(derived.n_s, response.word ^ embed_word)
-            assert derived.product_code.contains(residue), "response residue left the product code"
+            if not derived.product_code.contains(residue):
+                raise ProtocolInvariantError(f"iteration {it}: response residue left the product code")
             for stripe, coord, bit in got:
-                assert bit == encoded.entry(derived.file_row(demand, stripe), coord)
+                if bit != columns[coord].bit(derived.file_row(demand, stripe)):
+                    raise ProtocolInvariantError(
+                        f"iteration {it}: recovered bit of stripe {stripe} at coordinate {coord} is wrong"
+                    )
         records.append(
             IterationRecord(
                 coords=derived.schedule.iterations[it].coords,
@@ -753,8 +756,8 @@ def run_retrieval(config: SchemeConfig, demand: int, *, debug_checks: bool = Tru
     rebuilt = reconstruct_file(derived, tuple(recovered))
     s_actual = len(derived.schedule.iterations)
     achieved = Fraction(derived.b * derived.k_c, s_actual * derived.n_s)
-    if s_actual == derived.s_iterations:
-        assert achieved == derived.r_pir, "achieved rate strayed from the derived rate"
+    if s_actual == derived.s_iterations and achieved != derived.r_pir:
+        raise ProtocolInvariantError("achieved rate strayed from the derived rate")
     return Transcript(
         config=config,
         demand=demand,

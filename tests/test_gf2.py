@@ -1,7 +1,8 @@
 """Word-packed GF(2) algebra: worked examples plus algebraic properties."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bermanpir.gf2 import (
@@ -12,6 +13,7 @@ from bermanpir.gf2 import (
     Singular,
     invert_columns,
     nullspace_basis,
+    pack_bit_rows,
     rank,
     row_reduce,
     solve,
@@ -25,6 +27,28 @@ def bit_matrices(draw, max_rows=6, max_cols=8):
     top = max((1 << cols) - 1, 0)
     words = draw(st.lists(st.integers(0, top), min_size=rows, max_size=rows))
     return BitMatrix(rows, cols, tuple(words))
+
+
+def transpose_reference(m):
+    """Transpose by one bit-by-bit column scan per column."""
+    return BitMatrix(m.cols, m.rows, tuple(m.column_word(j) for j in range(m.cols)))
+
+
+def matmul_reference(a, b):
+    """Product as an XOR of the rows of ``b`` selected by each row of ``a``."""
+    words = []
+    for rw in a.row_words:
+        w = 0
+        for k in range(a.cols):
+            if (rw >> k) & 1:
+                w ^= b.row_words[k]
+        words.append(w)
+    return BitMatrix(a.rows, b.cols, tuple(words))
+
+
+def random_matrix(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    return BitMatrix(rows, cols, pack_bit_rows(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)))
 
 
 class TestBitVector:
@@ -205,6 +229,37 @@ class TestInvertColumns:
         m = BitMatrix(n, n, tuple(words))
         cols = list(range(n))
         assert m @ invert_columns(m, cols) == BitMatrix.identity(n)
+
+
+class TestBulkKernels:
+    """The bulk transpose and the table product against their loop definitions."""
+
+    @given(bit_matrices(max_rows=70, max_cols=130))
+    @example(BitMatrix(0, 0, ()))
+    @example(BitMatrix(0, 9, ()))
+    @example(BitMatrix(5, 0, (0,) * 5))
+    @example(random_matrix(6, 13, 0))
+    @example(random_matrix(70, 129, 1))
+    def test_transpose_matches_column_scan(self, m):
+        t = m.transpose()
+        assert t == transpose_reference(m)
+        assert t.transpose() == m
+
+    @pytest.mark.parametrize("k", (0, 1, 8, 9, 70))
+    @given(rows=st.integers(0, 12), cols=st.integers(0, 80), seed=st.integers(0, 2**32 - 1))
+    def test_table_product_matches_row_xor(self, k, rows, cols, seed):
+        a = random_matrix(rows, k, seed)
+        b = random_matrix(k, cols, seed + 1)
+        assert a @ b == matmul_reference(a, b)
+
+    def test_table_product_shape_check(self):
+        with pytest.raises(LengthMismatch):
+            BitMatrix.zeros(2, 3) @ BitMatrix.zeros(2, 3)
+
+    def test_pack_bit_rows_little_endian(self):
+        bits = np.array([[1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 1, 1, 0, 0, 0, 0, 0, 0]], dtype=np.uint8)
+        assert pack_bit_rows(bits) == (0b1_0000_0001, 0b110)
+        assert pack_bit_rows(np.zeros((3, 0), dtype=np.uint8)) == (0, 0, 0)
 
 
 class TestSerialization:

@@ -1,20 +1,33 @@
 """Protocol machinery: scheme derivation, scheduling, encoding, queries,
 responses, decoding, reconstruction, privacy checks, end-to-end runs."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from bermanpir import cli, pir
 from bermanpir.berman import BermanParams, build
 from bermanpir.codes import TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns
 from bermanpir.pir import (
     Incomplete,
+    ProtocolInvariantError,
+    QueryMatrix,
     ScheduleNotFound,
     SchemeConfig,
     ShapeMismatch,
     UnsupportedPair,
     ZeroRate,
+    _random_bits,
     build_schedule,
     closed_form_triple,
     decode_iteration,
@@ -211,7 +224,48 @@ class TestQueries:
             assert d.retrieval_code.contains(q.random_part.row(i))
 
 
+class TestRandomBits:
+    @staticmethod
+    def reference(rng, rows, cols):
+        """Bit-by-bit packing of the same row-major uint8 draw."""
+        flat = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8) if cols else None
+        out = []
+        for i in range(rows):
+            w = 0
+            for j in range(cols):
+                if flat[i, j]:
+                    w |= 1 << j
+            out.append(w)
+        return tuple(out)
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 12), st.integers(0, 80))
+    def test_matches_bitwise_packing(self, seed, rows, cols):
+        packed, bitwise = philox_generator(seed), philox_generator(seed)
+        assert _random_bits(packed, rows, cols) == self.reference(bitwise, rows, cols)
+        # Both leave the stream at the same position.
+        assert packed.integers(0, 2**63) == bitwise.integers(0, 2**63)
+
+
 class TestRespond:
+    @given(
+        st.integers(0, 20),
+        st.integers(0, 70),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_respond_all_matches_per_server_loop(self, rows, n_s, seed):
+        rng = np.random.default_rng(seed)
+        columns = tuple(BitVector(rows, w) for w in _random_bits(rng, n_s, rows))
+        q = BitMatrix(rows, n_s, _random_bits(rng, rows, n_s))
+        expected = sum(server_respond(col, q.column(i)) << i for i, col in enumerate(columns))
+        assert respond_all(columns, QueryMatrix(q, q, q)) == BitVector(n_s, expected)
+
+    def test_respond_all_shape_check(self):
+        q = BitMatrix.zeros(2, 3)
+        with pytest.raises(LengthMismatch):
+            respond_all((BitVector.zeros(2),) * 4, QueryMatrix(q, q, q))
+        with pytest.raises(LengthMismatch):
+            respond_all((BitVector.zeros(5),) * 3, QueryMatrix(q, q, q))
+
     def test_zero_query(self):
         assert server_respond(BitVector.from01("1011"), BitVector.zeros(4)) == 0
 
@@ -397,8 +451,23 @@ class TestRunRetrieval:
         assert a.to_json() == b.to_json()
 
     def test_response_residue_checked(self):
-        # debug_checks exercises the in-simulator response-algebra assertion.
+        # debug_checks exercises the in-simulator response-algebra check.
         run_retrieval(cfg("DBer(3,0,3)", "Ber(3,1,3)", files=2, seed=11), 1, debug_checks=True)
+
+    @pytest.mark.parametrize(
+        "storage, retrieval, files, seed, demand, digest",
+        (
+            ("DBer(2,1,6)", "DBer(2,2,6)", 256, 0, 0,
+             "bedf485c16001ba1bdb88d498d22025778b047cfca1e57005ed0ae160a9bd942"),
+            ("DBer(2,0,8)", "DBer(2,1,8)", 2, 7, 1,
+             "143e2d5fdd829399c6cfd48d0f43838bcd7b53bbe540282c0b016faca5300373"),
+            ("Ber(3,1,3)", "DBer(3,0,3)", 3, 11, 2,
+             "0cfb34514acf6e48b485a696811535b1bb1ebd53a45b9b769cf53fc697567f2e"),
+        ),
+    )
+    def test_golden_transcript_digests(self, storage, retrieval, files, seed, demand, digest):
+        transcript = run_retrieval(cfg(storage, retrieval, files=files, seed=seed), demand)
+        assert hashlib.sha256(transcript.to_json().encode()).hexdigest() == digest
 
     def test_zero_rate_propagates(self):
         with pytest.raises(ZeroRate):
@@ -407,3 +476,55 @@ class TestRunRetrieval:
     def test_demand_range(self):
         with pytest.raises(ValueError):
             run_retrieval(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2), 2)
+
+
+def flip_first_response_bit(monkeypatch):
+    """Make every server response vector arrive with coordinate 0 flipped."""
+    honest = pir.respond_all
+
+    def flipped(columns, queries):
+        response = honest(columns, queries)
+        return BitVector(response.length, response.word ^ 1)
+
+    monkeypatch.setattr(pir, "respond_all", flipped)
+
+
+FLIPPED_SIMULATE = """
+import sys
+import pytest
+from tests.test_pir import flip_first_response_bit
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+with pytest.MonkeyPatch.context() as mp:
+    flip_first_response_bit(mp)
+    from bermanpir import cli
+    sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestProtocolInvariants:
+    ARGS = ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)", "--files", "2"]
+
+    def test_flipped_response_bit_is_caught(self, monkeypatch):
+        flip_first_response_bit(monkeypatch)
+        with pytest.raises(ProtocolInvariantError):
+            run_retrieval(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2, seed=1), 0)
+
+    def test_cli_reports_exit_4(self, monkeypatch, capsys):
+        flip_first_response_bit(monkeypatch)
+        assert cli.main(self.ARGS) == cli.EXIT_VERIFY_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ProtocolInvariantError"
+
+    def test_checks_survive_python_O(self):
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root), str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", FLIPPED_SIMULATE, *self.ARGS],
+            capture_output=True, text=True, env=env, cwd=root, timeout=300,
+        )
+        assert proc.returncode == cli.EXIT_VERIFY_FAILED, proc.stderr
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "ProtocolInvariantError"
