@@ -35,7 +35,7 @@ for it, rec in enumerate(transcript.iterations):
     print(f"iteration {it}:")
     print(f"  query column to server 0: {rec.queries.column(0)}")
     print(f"  responses from all servers: {rec.response}")
-    print(f"  syndrome: {rec.syndrome}")
+    print(f"  syndrome: {derived.parity.mul_vector(rec.response)}")
     print(f"  recovered (stripe, coordinate, bit): {rec.recovered}")
 print("stored file 0:")
 print(transcript.stored_file)

@@ -17,13 +17,14 @@ suite cross-checks them against each other:
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
 
-from .codes import LinearCode
+from .codes import LinearCode, ProtocolInvariantError
 from .gf2 import BitVector, LengthMismatch
 
 IndexTuple = tuple[int, ...]
@@ -85,6 +86,18 @@ class BermanParams:
 
     def __str__(self) -> str:
         return self.name
+
+
+def families(n_max: int, m_max: int) -> Iterator[tuple[BermanParams, ...]]:
+    """The members at each (n, m) for 2 <= n <= n_max and 1 <= m <= m_max,
+    n-major; each tuple lists Ber with r = 0..m, then DBer with r = 0..m."""
+    for n in range(2, n_max + 1):
+        for m in range(1, m_max + 1):
+            yield tuple(
+                BermanParams(kind, n, m, r)
+                for kind in (CodeKind.BERMAN, CodeKind.DUAL_BERMAN)
+                for r in range(m + 1)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +193,8 @@ def basis_vectors(params: BermanParams) -> tuple[BitVector, ...]:
 def build(params: BermanParams) -> LinearCode:
     """The code spanned by the family basis, canonicalized."""
     code = LinearCode.from_spanning_set(params.length, basis_vectors(params))
-    assert code.dimension == dimension_formula(params), "basis rank disagrees with the closed form"
+    if code.dimension != dimension_formula(params):
+        raise ProtocolInvariantError(f"{params.name}: basis rank disagrees with the closed form")
     return code
 
 

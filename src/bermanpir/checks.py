@@ -1,14 +1,12 @@
 """Self-verification sweeps: every structural claim the library relies on,
 run as an enumerable list of pass/fail cases.
 
-Case order is fixed by enumeration, so reports are stable no matter how
-evaluation is parallelized.
+Cases are evaluated one at a time in enumeration order, so reports are
+stable.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -16,9 +14,7 @@ from . import berman
 from .berman import BermanParams, CodeKind
 from .codes import MAX_BRUTE_FORCE_DIM
 from .gf2 import BitMatrix, rank
-from .star import UNDEFINED, predict_star, verify_star_case
-
-THREADS_ENV = "BERMAN_PIR_THREADS"
+from .star import star_pairs, verify_star_case
 
 
 @dataclass(frozen=True)
@@ -30,14 +26,13 @@ class VerifyCase:
 
 
 def _family(n_max: int, m_max: int) -> Iterator[BermanParams]:
-    for n in range(2, n_max + 1):
-        for m in range(1, m_max + 1):
-            for kind in (CodeKind.BERMAN, CodeKind.DUAL_BERMAN):
-                for r in range(m + 1):
-                    yield BermanParams(kind, n, m, r)
+    for members in berman.families(n_max, m_max):
+        yield from members
 
 
 def _case_builders(n_max: int, m_max: int) -> list[Callable[[], VerifyCase]]:
+    if n_max < 2 or m_max < 1:
+        raise ValueError(f"verify needs n_max >= 2 and m_max >= 1, got n_max={n_max}, m_max={m_max}")
     builders: list[Callable[[], VerifyCase]] = []
 
     for params in _family(n_max, m_max):
@@ -92,56 +87,40 @@ def _case_builders(n_max: int, m_max: int) -> list[Callable[[], VerifyCase]]:
 
         builders.append(dual_case)
 
-    for n in range(2, n_max + 1):
-        for m in range(1, m_max + 1):
-            members = [
-                BermanParams(kind, n, m, r)
-                for kind in (CodeKind.BERMAN, CodeKind.DUAL_BERMAN)
-                for r in range(m + 1)
-            ]
-            for p in members:
-                for q in members:
-                    if predict_star(p, q) is UNDEFINED:
-                        continue
+    for p, q in star_pairs(n_max, m_max):
+        def star_case(pp=p, qq=q) -> VerifyCase:
+            res = verify_star_case(pp, qq)
+            pred = res.predicted_name
+            return VerifyCase(
+                f"star {pp.name} * {qq.name}",
+                res.verified,
+                f"predicted {pred}, product dim {res.product_dimension}",
+                record={
+                    "lhs": pp.name,
+                    "rhs": qq.name,
+                    "predicted": pred,
+                    "verified": res.verified,
+                    "dims": {
+                        "lhs": berman.dimension_formula(pp),
+                        "rhs": berman.dimension_formula(qq),
+                        "product": res.product_dimension,
+                    },
+                },
+            )
 
-                    def star_case(pp=p, qq=q) -> VerifyCase:
-                        res = verify_star_case(pp, qq)
-                        pred = (
-                            res.predicted.name
-                            if isinstance(res.predicted, BermanParams)
-                            else res.predicted.value
-                        )
-                        return VerifyCase(
-                            f"star {pp.name} * {qq.name}",
-                            res.verified,
-                            f"predicted {pred}, product dim {res.product_dimension}",
-                            record={
-                                "lhs": pp.name,
-                                "rhs": qq.name,
-                                "predicted": pred,
-                                "verified": res.verified,
-                                "dims": {
-                                    "lhs": berman.dimension_formula(pp),
-                                    "rhs": berman.dimension_formula(qq),
-                                    "product": res.product_dimension,
-                                },
-                            },
-                        )
+        builders.append(star_case)
 
-                    builders.append(star_case)
+    for m in range(1, m_max + 1):
+        for r in range(m + 1):
+            def rm_case(mm=m, rr=r) -> VerifyCase:
+                dber = berman.build(BermanParams(CodeKind.DUAL_BERMAN, 2, mm, rr))
+                rm = berman.reed_muller_code(rr, mm)
+                ber = berman.build(BermanParams(CodeKind.BERMAN, 2, mm, rr))
+                rm_dual = berman.reed_muller_code(mm - rr - 1, mm)
+                ok = dber == rm and ber == rm_dual
+                return VerifyCase(f"reed-muller match n=2 r={rr} m={mm}", ok)
 
-    if n_max >= 2:
-        for m in range(1, m_max + 1):
-            for r in range(m + 1):
-                def rm_case(mm=m, rr=r) -> VerifyCase:
-                    dber = berman.build(BermanParams(CodeKind.DUAL_BERMAN, 2, mm, rr))
-                    rm = berman.reed_muller_code(rr, mm)
-                    ber = berman.build(BermanParams(CodeKind.BERMAN, 2, mm, rr))
-                    rm_dual = berman.reed_muller_code(mm - rr - 1, mm)
-                    ok = dber == rm and ber == rm_dual
-                    return VerifyCase(f"reed-muller match n=2 r={rr} m={mm}", ok)
-
-                builders.append(rm_case)
+            builders.append(rm_case)
 
     for params in _family(n_max, m_max):
         if params.length > 9:
@@ -165,20 +144,6 @@ def _case_builders(n_max: int, m_max: int) -> list[Callable[[], VerifyCase]]:
 
 
 def iter_verification_cases(n_max: int = 3, m_max: int = 3) -> Iterator[VerifyCase]:
-    """Evaluate every case, fanning out to worker threads when the
-    BERMAN_PIR_THREADS environment variable allows more than one; results
-    always come back in enumeration order."""
-    builders = _case_builders(n_max, m_max)
-    workers = 1
-    raw = os.environ.get(THREADS_ENV)
-    if raw:
-        try:
-            workers = max(1, int(raw))
-        except ValueError:
-            workers = 1
-    if workers == 1:
-        for make in builders:
-            yield make()
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(lambda make: make(), builders)
+    """Evaluate every case, in enumeration order."""
+    for make in _case_builders(n_max, m_max):
+        yield make()

@@ -45,32 +45,28 @@ TABLE_LAYOUT = (
 )
 
 
-def format_rate(value: Fraction, decimals: int, mode: str) -> str:
-    """Fixed-precision decimal with trailing zeros stripped.
+def _fixed_point(value: Fraction, decimals: int, mode: str) -> str:
+    """``value`` with exactly ``decimals`` places.
 
     ``round`` uses round-half-even on the exact rational; ``trunc`` floors.
     """
     scale = 10**decimals
-    num, den = value.numerator * scale, value.denominator
-    if mode == "trunc":
-        scaled = num // den
-    else:
-        q, rem = divmod(num, den)
-        if 2 * rem > den or (2 * rem == den and q % 2):
-            q += 1
-        scaled = q
-    whole, frac = divmod(scaled, scale)
-    text = f"{whole}.{frac:0{decimals}d}".rstrip("0").rstrip(".")
+    q, rem = divmod(value.numerator * scale, value.denominator)
+    if mode != "trunc" and (2 * rem > value.denominator or (2 * rem == value.denominator and q % 2)):
+        q += 1
+    whole, frac = divmod(q, scale)
+    return f"{whole}.{frac:0{decimals}d}"
+
+
+def format_rate(value: Fraction, decimals: int, mode: str) -> str:
+    """:func:`_fixed_point` with trailing zeros stripped."""
+    text = _fixed_point(value, decimals, mode).rstrip("0").rstrip(".")
     return text if text else "0"
 
 
 def format_rate_fixed(value: Fraction, decimals: int = 3) -> str:
-    scale = 10**decimals
-    q, rem = divmod(value.numerator * scale, value.denominator)
-    if 2 * rem > value.denominator or (2 * rem == value.denominator and q % 2):
-        q += 1
-    whole, frac = divmod(q, scale)
-    return f"{whole}.{frac:0{decimals}d}"
+    """Round-half-even to exactly ``decimals`` places, trailing zeros kept."""
+    return _fixed_point(value, decimals, "round")
 
 
 def triple_cell(t: int, r_st: Fraction, r_pir: Fraction, decimals: int, mode: str) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, BitVector, LengthMismatch, nullspace_basis, row_reduce
+from .gf2 import BitMatrix, BitVector, LengthMismatch, nullspace_basis, reduce_word, row_reduce
 from .gf2 import invert_columns  # noqa: F401  benchmarks/tracer.py patches codes.invert_columns
 
 #: Enumeration guard for brute-force minimum distance (2^24 codewords).
@@ -23,6 +23,10 @@ class ZeroCode(ValueError):
 
 class TooLarge(ValueError):
     """Exhaustive enumeration would exceed the guard."""
+
+
+class ProtocolInvariantError(RuntimeError):
+    """A derived quantity or a protocol step broke an invariant the scheme guarantees."""
 
 
 @dataclass(frozen=True)
@@ -68,11 +72,7 @@ class LinearCode:
     def contains(self, v: BitVector) -> bool:
         if v.length != self.length:
             raise LengthMismatch(f"{v.length} != {self.length}")
-        w = v.word
-        for rw in self.generator.row_words:
-            if w & (rw & -rw):  # rw's lowest set bit is its pivot column
-                w ^= rw
-        return w == 0
+        return reduce_word(v.word, self.generator.row_words) == 0
 
     def dual(self) -> LinearCode:
         return LinearCode.from_generator(nullspace_basis(self.generator))

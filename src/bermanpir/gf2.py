@@ -328,6 +328,41 @@ class BitMatrix:
         return self.to_text().rstrip("\n")
 
 
+def _eliminate(words: list[int], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination, in place, over the first ``ncols`` columns.
+
+    Bits at ``ncols`` and above ride along with their rows (an augmented
+    right-hand side).  Pivot row ``i`` ends up at index ``i``; the pivot
+    columns come back strictly increasing.
+    """
+    nrows = len(words)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        bit = 1 << c
+        p = next((i for i in range(r, nrows) if words[i] & bit), None)
+        if p is None:
+            continue
+        words[r], words[p] = words[p], words[r]
+        for i in range(nrows):
+            if i != r and words[i] & bit:
+                words[i] ^= words[r]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def reduce_word(word: int, basis: Sequence[int]) -> int:
+    """``word`` reduced against an echelon basis whose rows each pivot on
+    their lowest set bit; zero iff ``word`` lies in the span."""
+    for v in basis:
+        if word & (v & -v):
+            word ^= v
+    return word
+
+
 def row_reduce(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     """Reduced row-echelon form over GF(2) plus the pivot column indices.
 
@@ -335,21 +370,7 @@ def row_reduce(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     Rows of zeros sink to the bottom.
     """
     words = list(m.row_words)
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        bit = 1 << c
-        p = next((i for i in range(r, m.rows) if words[i] & bit), None)
-        if p is None:
-            continue
-        words[r], words[p] = words[p], words[r]
-        for i in range(m.rows):
-            if i != r and words[i] & bit:
-                words[i] ^= words[r]
-        pivots.append(c)
-        r += 1
+    pivots = _eliminate(words, m.cols)
     return BitMatrix(m.rows, m.cols, tuple(words)), tuple(pivots)
 
 
@@ -377,30 +398,18 @@ def nullspace_basis(m: BitMatrix) -> BitMatrix:
 
 
 def solve(a: BitMatrix, b: BitVector) -> BitVector:
-    """One solution ``x`` of ``a @ x^T = b^T``; raises NoSolution if none exists."""
+    """One solution ``x`` of ``a @ x^T = b^T``; raises NoSolution if none exists.
+
+    The solution is zero on every non-pivot column of ``a``.
+    """
     if b.length != a.rows:
         raise LengthMismatch(f"{b.length} != {a.rows}")
     # Augment each row word with its right-hand-side bit at position `cols`.
     aug = [a.row_words[i] | (((b.word >> i) & 1) << a.cols) for i in range(a.rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(a.cols):
-        if r == a.rows:
-            break
-        bit = 1 << c
-        p = next((i for i in range(r, a.rows) if aug[i] & bit), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        for i in range(a.rows):
-            if i != r and aug[i] & bit:
-                aug[i] ^= aug[r]
-        pivots.append(c)
-        r += 1
+    pivots = _eliminate(aug, a.cols)
     rhs_bit = 1 << a.cols
-    for i in range(r, a.rows):
-        if aug[i] & rhs_bit:
-            raise NoSolution("inconsistent system")
+    if any(w & rhs_bit for w in aug[len(pivots) :]):
+        raise NoSolution("inconsistent system")
     word = 0
     for i, p in enumerate(pivots):
         if aug[i] & rhs_bit:
@@ -418,17 +427,7 @@ def invert_columns(m: BitMatrix, cols: Sequence[int]) -> BitMatrix:
     if len(cols) != k:
         raise LengthMismatch(f"need {k} column indices, got {len(cols)}")
     sub = m.take_columns(cols)
-    # Gauss-Jordan on [sub | I].
-    aug = [sub.row_words[i] | (1 << (k + i)) for i in range(k)]
-    r = 0
-    for c in range(k):
-        bit = 1 << c
-        p = next((i for i in range(r, k) if aug[i] & bit), None)
-        if p is None:
-            raise Singular("selected columns are linearly dependent")
-        aug[r], aug[p] = aug[p], aug[r]
-        for i in range(k):
-            if i != r and aug[i] & bit:
-                aug[i] ^= aug[r]
-        r += 1
+    aug = [sub.row_words[i] | (1 << (k + i)) for i in range(k)]  # [sub | I]
+    if len(_eliminate(aug, k)) < k:
+        raise Singular("selected columns are linearly dependent")
     return BitMatrix(k, k, tuple(w >> k for w in aug))

@@ -24,6 +24,7 @@ documented in :func:`run_retrieval`.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -32,8 +33,8 @@ from math import comb, gcd
 import numpy as np
 
 from .berman import BermanParams, CodeKind, build, min_distance_formula
-from .codes import LinearCode, TooLarge
-from .gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns, pack_bit_rows, solve
+from .codes import LinearCode, ProtocolInvariantError, TooLarge
+from .gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns, pack_bit_rows, reduce_word
 from .star import star_codes
 
 
@@ -55,10 +56,6 @@ class Incomplete(ValueError):
 
 class ShapeMismatch(ValueError):
     """File matrices do not have the scheme's b x k_C shape."""
-
-
-class ProtocolInvariantError(RuntimeError):
-    """A derived quantity or a protocol step broke an invariant the scheme guarantees."""
 
 
 def philox_generator(seed: int) -> np.random.Generator:
@@ -238,28 +235,6 @@ def derive_scheme(config: SchemeConfig) -> SchemeDerived:
     )
 
 
-def build_schedule(derived: SchemeDerived, s_iterations: int | None = None) -> Schedule:
-    """Recompute the deterministic schedule (optionally with extra iterations).
-
-    Passing ``s_iterations`` above the minimum trades rate for slack; the
-    achieved rate then falls below the derived one and callers must treat
-    that as a logged deviation.
-    """
-    s = derived.s_iterations if s_iterations is None else s_iterations
-    if s < derived.s_iterations:
-        raise ValueError("cannot schedule with fewer than the minimal iterations")
-    return _solve_schedule(
-        derived.storage_code.generator, derived.parity, derived.b, derived.k_c, derived.d_perp, s
-    )
-
-
-def _reduce_word(word: int, basis: list[int]) -> int:
-    for v in basis:
-        if word & (v & -v):
-            word ^= v
-    return word
-
-
 def _solve_schedule(
     g_c: BitMatrix, h: BitMatrix, b: int, k_c: int, d_perp: int, s_iterations: int
 ) -> Schedule:
@@ -317,10 +292,10 @@ def _solve_schedule(
             j = (start + off) % n_s
             if j in it_used[it] or j in st_used[stripe]:
                 continue
-            h_red = _reduce_word(h_cols[j], it_basis[it])
+            h_red = reduce_word(h_cols[j], it_basis[it])
             if h_red == 0:
                 continue
-            g_red = _reduce_word(g_cols[j], st_basis[stripe])
+            g_red = reduce_word(g_cols[j], st_basis[stripe])
             if g_red == 0:
                 continue
             chosen.append(j)
@@ -434,17 +409,14 @@ def decode_iteration(
 
     The parity map annihilates the random query contribution, so the
     syndrome equals ``H[:, J] x`` where x lists the planted codeword bits in
-    ascending coordinate order; inverting (or solving, when an iteration
-    carries fewer coordinates than d_perp) recovers x exactly.
+    ascending coordinate order; every iteration carries exactly d_perp
+    coordinates, so inverting ``H[:, J]`` recovers x exactly.
     """
     if response.length != derived.n_s:
         raise LengthMismatch(f"{response.length} != {derived.n_s}")
     plan = derived.schedule.iterations[iteration]
     syndrome = derived.parity.mul_vector(response)
-    if len(plan.coords) == derived.d_perp:
-        bits = invert_columns(derived.parity, plan.coords).mul_vector(syndrome)
-    else:
-        bits = solve(derived.parity.take_columns(plan.coords), syndrome)
+    bits = invert_columns(derived.parity, plan.coords).mul_vector(syndrome)
     return tuple(
         (stripe, coord, bits.bit(pos))
         for pos, (stripe, coord) in enumerate(zip(plan.stripes, plan.coords))
@@ -474,6 +446,27 @@ def reconstruct_file(
 # Privacy checks.
 
 
+def _projection_rank(cols: tuple[int, ...], subset: tuple[int, ...]) -> int:
+    """Rank of the code's projection onto ``subset``, given its column words."""
+    basis: list[int] = []
+    for j in subset:
+        w = reduce_word(cols[j], basis)
+        if w:
+            basis.append(w)
+    return len(basis)
+
+
+def _coordinate_subsets(n_s: int, t: int, sample: int | None, seed: int) -> Iterator[tuple[int, ...]]:
+    """Every size-t coordinate subset when there are at most 10^5 of them and
+    no ``sample`` size is given; otherwise ``sample`` (default 10 000) random
+    subsets, each one sorted ``rng.choice`` draw from the seeded Philox stream."""
+    if sample is None and comb(n_s, t) <= 100_000:
+        return combinations(range(n_s), t)
+    rng = philox_generator(seed)
+    k = sample if sample is not None else 10_000
+    return (tuple(sorted(rng.choice(n_s, size=t, replace=False).tolist())) for _ in range(k))
+
+
 def verify_privacy_rank(
     retrieval_code: LinearCode, t: int, *, sample: int | None = None, seed: int = 0
 ) -> bool:
@@ -490,56 +483,20 @@ def verify_privacy_rank(
     if t == 0:
         return True
     cols = retrieval_code.generator.transpose().row_words
-
-    def full_rank(subset: tuple[int, ...]) -> bool:
-        basis: list[int] = []
-        for j in subset:
-            w = _reduce_word(cols[j], basis)
-            if w == 0:
-                return False
-            basis.append(w)
-        return True
-
-    if sample is None and comb(n_s, t) <= 100_000:
-        return all(full_rank(subset) for subset in combinations(range(n_s), t))
-    rng = philox_generator(seed)
-    k = sample if sample is not None else 10_000
-    for _ in range(k):
-        subset = tuple(sorted(rng.choice(n_s, size=t, replace=False).tolist()))
-        if not full_rank(subset):
-            return False
-    return True
+    return all(_projection_rank(cols, subset) == t for subset in _coordinate_subsets(n_s, t, sample, seed))
 
 
 def _worst_case_columns(retrieval_code: LinearCode, t: int, prefer: int, seed: int) -> tuple[int, ...]:
     """A size-t coordinate set minimizing the projection rank (worst case
     for privacy), preferring sets that contain the ``prefer`` coordinate."""
-    n_s = retrieval_code.length
     cols = retrieval_code.generator.transpose().row_words
-
-    def rank_of(subset: tuple[int, ...]) -> int:
-        basis: list[int] = []
-        for j in subset:
-            w = _reduce_word(cols[j], basis)
-            if w:
-                basis.append(w)
-        return len(basis)
-
-    if comb(n_s, t) <= 100_000:
-        candidates = combinations(range(n_s), t)
-    else:
-        rng = philox_generator(seed)
-        candidates = (
-            tuple(sorted(rng.choice(n_s, size=t, replace=False).tolist())) for _ in range(10_000)
-        )
-    best = None
-    best_key = None
-    for subset in candidates:
-        key = (rank_of(subset), 0 if prefer in subset else 1, subset)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = subset
-    assert best is not None
+    best = min(
+        _coordinate_subsets(retrieval_code.length, t, None, seed),
+        key=lambda subset: (_projection_rank(cols, subset), 0 if prefer in subset else 1, subset),
+        default=None,
+    )
+    if best is None:
+        raise ProtocolInvariantError(f"no {t}-coordinate subset of {retrieval_code.length} coordinates")
     return best
 
 
@@ -549,7 +506,6 @@ def verify_privacy_empirical(
     *,
     trials: int = 0,
     stripes: int = 1,
-    include_uniform: bool = True,
 ) -> float:
     """Max total-variation distance between restricted query distributions.
 
@@ -559,8 +515,8 @@ def verify_privacy_empirical(
     stripe.  With ``trials = 0`` the query randomness is enumerated
     exhaustively (allowed while ``dim(D) * M * stripes <= 20``); otherwise
     ``trials`` Monte Carlo samples are drawn per demand.  The uniform
-    distribution is included as a reference point unless disabled, so a
-    single-demand instance still measures deviation from uniformity.
+    distribution is included as a reference point, so a single-demand
+    instance still measures deviation from uniformity.
     """
     c = build(config.storage)
     d = build(config.retrieval)
@@ -622,10 +578,9 @@ def verify_privacy_empirical(
         rng = philox_generator(config.seed)
         for demand in range(config.files):
             dists.append(sampled_distribution(demand, rng))
-    if include_uniform:
-        outcomes = 1 << (rows * t)
-        uniform = 1.0 / outcomes
-        dists.append({tuple((w >> (i * t)) & ((1 << t) - 1) for i in range(rows)): uniform for w in range(outcomes)})
+    outcomes = 1 << (rows * t)
+    uniform = 1.0 / outcomes
+    dists.append({tuple((w >> (i * t)) & ((1 << t) - 1) for i in range(rows)): uniform for w in range(outcomes)})
 
     def tv(p: dict, q: dict) -> float:
         keys = set(p) | set(q)
@@ -648,7 +603,6 @@ class IterationRecord:
     assignments: tuple[tuple[int, int], ...]
     queries: QueryMatrix
     response: BitVector
-    syndrome: BitVector
     recovered: tuple[tuple[int, int, int], ...]
 
 
@@ -700,15 +654,15 @@ class Transcript:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def run_retrieval(config: SchemeConfig, demand: int, *, debug_checks: bool = True) -> Transcript:
+def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     """Simulate a full retrieval of file ``demand``.
 
     Draw order from the seeded Philox stream: first the M file matrices
     (row-major bits, file by file), then one query batch per iteration.
-    With ``debug_checks`` every iteration checks that the response vector
-    minus the embedded contribution lies in the product code and that each
-    recovered bit equals the stored one; a failure, or an achieved rate that
-    strays from the derived one, raises :class:`ProtocolInvariantError`.
+    Every iteration checks that the response vector minus the embedded
+    contribution lies in the product code and that each recovered bit
+    equals the stored one; a failure, or an achieved rate that strays from
+    the derived one, raises :class:`ProtocolInvariantError`.
     """
     derived = derive_scheme(config)
     if not 0 <= demand < config.files:
@@ -722,33 +676,29 @@ def run_retrieval(config: SchemeConfig, demand: int, *, debug_checks: bool = Tru
 
     records = []
     recovered: list[tuple[int, int, int]] = []
-    for it in range(len(derived.schedule.iterations)):
+    for it, plan in enumerate(derived.schedule.iterations):
         queries = gen_queries(derived, demand, it, rng)
         response = respond_all(columns, queries)
-        syndrome = derived.parity.mul_vector(response)
         got = decode_iteration(derived, it, response)
         recovered.extend(got)
-        if debug_checks:
-            plan = derived.schedule.iterations[it]
-            embed_word = 0
-            for stripe, coord in zip(plan.stripes, plan.coords):
-                if columns[coord].bit(derived.file_row(demand, stripe)):
-                    embed_word |= 1 << coord
-            residue = BitVector(derived.n_s, response.word ^ embed_word)
-            if not derived.product_code.contains(residue):
-                raise ProtocolInvariantError(f"iteration {it}: response residue left the product code")
-            for stripe, coord, bit in got:
-                if bit != columns[coord].bit(derived.file_row(demand, stripe)):
-                    raise ProtocolInvariantError(
-                        f"iteration {it}: recovered bit of stripe {stripe} at coordinate {coord} is wrong"
-                    )
+        embed_word = 0
+        for stripe, coord in zip(plan.stripes, plan.coords):
+            if columns[coord].bit(derived.file_row(demand, stripe)):
+                embed_word |= 1 << coord
+        residue = BitVector(derived.n_s, response.word ^ embed_word)
+        if not derived.product_code.contains(residue):
+            raise ProtocolInvariantError(f"iteration {it}: response residue left the product code")
+        for stripe, coord, bit in got:
+            if bit != columns[coord].bit(derived.file_row(demand, stripe)):
+                raise ProtocolInvariantError(
+                    f"iteration {it}: recovered bit of stripe {stripe} at coordinate {coord} is wrong"
+                )
         records.append(
             IterationRecord(
-                coords=derived.schedule.iterations[it].coords,
-                assignments=derived.schedule.iterations[it].assignments(),
+                coords=plan.coords,
+                assignments=plan.assignments(),
                 queries=queries,
                 response=response,
-                syndrome=syndrome,
                 recovered=got,
             )
         )
@@ -756,7 +706,7 @@ def run_retrieval(config: SchemeConfig, demand: int, *, debug_checks: bool = Tru
     rebuilt = reconstruct_file(derived, tuple(recovered))
     s_actual = len(derived.schedule.iterations)
     achieved = Fraction(derived.b * derived.k_c, s_actual * derived.n_s)
-    if s_actual == derived.s_iterations and achieved != derived.r_pir:
+    if achieved != derived.r_pir:
         raise ProtocolInvariantError("achieved rate strayed from the derived rate")
     return Transcript(
         config=config,

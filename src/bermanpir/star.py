@@ -8,11 +8,12 @@ codeword pairs without enumerating them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .berman import BermanParams, CodeKind, IndexTuple, build, c_vector, d_vector, precedes, tuple_weight
-from .codes import LinearCode
+from .berman import BermanParams, CodeKind, IndexTuple, build, c_vector, d_vector, families, precedes, tuple_weight
+from .codes import LinearCode, ProtocolInvariantError
 from .gf2 import BitVector, LengthMismatch
 
 
@@ -112,9 +113,12 @@ class StarCaseResult:
     verified: bool
     product_dimension: int
 
+    @property
+    def predicted_name(self) -> str:
+        return self.predicted.name if isinstance(self.predicted, BermanParams) else self.predicted.value
+
     def label(self) -> str:
-        pred = self.predicted.name if isinstance(self.predicted, BermanParams) else self.predicted.value
-        return f"{self.left.name} * {self.right.name} = {pred}"
+        return f"{self.left.name} * {self.right.name} = {self.predicted_name}"
 
 
 def verify_star_case(p: BermanParams, q: BermanParams) -> StarCaseResult:
@@ -127,21 +131,20 @@ def verify_star_case(p: BermanParams, q: BermanParams) -> StarCaseResult:
     return StarCaseResult(p, q, predicted, actual == expected, actual.dimension)
 
 
-def star_case_sweep(n_max: int, m_max: int):
+def star_pairs(n_max: int, m_max: int) -> Iterator[tuple[BermanParams, BermanParams]]:
     """Every ordered pair of family members with a predicted product,
-    for 2 <= n <= n_max and 1 <= m <= m_max, verified by span equality."""
-    for n in range(2, n_max + 1):
-        for m in range(1, m_max + 1):
-            members = [
-                BermanParams(kind, n, m, r)
-                for kind in (CodeKind.BERMAN, CodeKind.DUAL_BERMAN)
-                for r in range(m + 1)
-            ]
-            for p in members:
-                for q in members:
-                    if predict_star(p, q) is UNDEFINED:
-                        continue
-                    yield verify_star_case(p, q)
+    for 2 <= n <= n_max and 1 <= m <= m_max, in :func:`families` order."""
+    for members in families(n_max, m_max):
+        for p in members:
+            for q in members:
+                if predict_star(p, q) is not UNDEFINED:
+                    yield p, q
+
+
+def star_case_sweep(n_max: int, m_max: int) -> Iterator[StarCaseResult]:
+    """:func:`star_pairs`, each verified by span equality."""
+    for p, q in star_pairs(n_max, m_max):
+        yield verify_star_case(p, q)
 
 
 def disjoint_support_product(n: int, m: int, j1: IndexTuple, j2: IndexTuple) -> BitVector:
@@ -150,7 +153,8 @@ def disjoint_support_product(n: int, m: int, j1: IndexTuple, j2: IndexTuple) -> 
         raise OverlappingSupport("index tuples share a nonzero position")
     merged = tuple(a or b for a, b in zip(j1, j2))
     result = d_vector(n, m, merged)
-    assert result == star_vectors(d_vector(n, m, j1), d_vector(n, m, j2))
+    if result != star_vectors(d_vector(n, m, j1), d_vector(n, m, j2)):
+        raise ProtocolInvariantError(f"d({j1}) * d({j2}) is not d({merged})")
     return result
 
 
@@ -165,5 +169,6 @@ def berman_basis_identity(n: int, m: int, j: IndexTuple, k: IndexTuple) -> BitVe
     cj = c_vector(n, m, j)
     rhs = star_vectors(cj, d_vector(n, m, k)) ^ star_vectors(cj, d_vector(n, m, (0,) * m))
     j_prime = tuple(0 if k[l] else j[l] for l in range(m))
-    assert rhs == c_vector(n, m, j_prime)
+    if rhs != c_vector(n, m, j_prime):
+        raise ProtocolInvariantError(f"c({j})*d({k}) + c({j})*d(0) is not c({j_prime})")
     return rhs

@@ -1,9 +1,11 @@
 """Command-line surface: output formats, exit codes, golden tables, and
 transcript determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
+import pytest
 
 from bermanpir import berman
 from bermanpir.cli import (
@@ -152,12 +154,25 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL  distance DBer(2,1,2)" in out
 
-    def test_thread_fanout_preserves_order(self, capsys, monkeypatch):
-        assert main(["verify", "--nmax", "2", "--mmax", "2"]) == EXIT_OK
-        single = capsys.readouterr().out
-        monkeypatch.setenv("BERMAN_PIR_THREADS", "4")
-        assert main(["verify", "--nmax", "2", "--mmax", "2"]) == EXIT_OK
-        assert capsys.readouterr().out == single
+    # SHA-256 of the stdout of `verify --nmax 3 --mmax 3` (373 cases): pins
+    # case order, names, details and the star records byte for byte.
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        (
+            ("json", "012c86e60184085a373a21047dc04fa17f910119634af7098e270370fb92ea4a"),
+            ("text", "03c14676a0d571987e23661c94360cceffb20b8777c85d9231f0a2736a6092e5"),
+        ),
+    )
+    def test_golden_verify_digests(self, capsys, fmt, digest):
+        assert main(["verify", "--nmax", "3", "--mmax", "3", "--format", fmt]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("bounds", (["--nmax", "1"], ["--mmax", "0"], ["--nmax", "-3"]))
+    def test_empty_sweep_is_rejected(self, capsys, bounds):
+        assert main(["verify", *bounds]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ValueError"
 
 
 class TestSimulate:

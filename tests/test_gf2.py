@@ -198,6 +198,15 @@ class TestSolve:
         got = solve(a, b)
         assert a.mul_vector(got) == b
 
+    @given(bit_matrices(), st.integers(0, 255))
+    def test_solution_is_zero_off_the_pivots(self, a, seed):
+        # Pins which solution comes back: the unique one supported on the
+        # pivot columns of the reduced form.
+        b = a.mul_vector(BitVector(a.cols, seed & ((1 << a.cols) - 1)))
+        got = solve(a, b)
+        assert set(got.support()) <= set(row_reduce(a)[1])
+        assert a.mul_vector(got) == b
+
 
 class TestInvertColumns:
     def test_identity(self):
@@ -229,6 +238,17 @@ class TestInvertColumns:
         m = BitMatrix(n, n, tuple(words))
         cols = list(range(n))
         assert m @ invert_columns(m, cols) == BitMatrix.identity(n)
+
+    @given(bit_matrices(max_rows=5, max_cols=7), st.permutations(range(7)))
+    def test_singular_iff_rank_deficient(self, m, order):
+        cols = [j for j in order if j < m.cols][: m.rows]
+        if len(cols) < m.rows:
+            return
+        if rank(m.take_columns(cols)) < m.rows:
+            with pytest.raises(Singular):
+                invert_columns(m, cols)
+        else:
+            assert m.take_columns(cols) @ invert_columns(m, cols) == BitMatrix.identity(m.rows)
 
 
 class TestBulkKernels:

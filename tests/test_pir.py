@@ -28,7 +28,6 @@ from bermanpir.pir import (
     UnsupportedPair,
     ZeroRate,
     _random_bits,
-    build_schedule,
     closed_form_triple,
     decode_iteration,
     derive_scheme,
@@ -133,19 +132,6 @@ class TestSchedule:
                 coords = d.schedule.stripe_coords(stripe)
                 assert len(coords) == d.k_c
                 invert_columns(d.storage_code.generator, coords)
-
-    def test_deterministic_rebuild(self):
-        d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)"))
-        assert build_schedule(d) == d.schedule
-
-    def test_slack_iterations(self):
-        d = derive_scheme(cfg("DBer(2,1,3)", "DBer(2,1,3)"))
-        slack = build_schedule(d, d.s_iterations + 1)
-        assert len(slack.iterations) == d.s_iterations + 1
-        total = sum(len(p.coords) for p in slack.iterations)
-        assert total == d.b * d.k_c
-        with pytest.raises(ValueError):
-            build_schedule(d, d.s_iterations - 1)
 
     def test_infeasible_search_is_reported(self):
         from bermanpir.pir import _solve_schedule
@@ -451,8 +437,8 @@ class TestRunRetrieval:
         assert a.to_json() == b.to_json()
 
     def test_response_residue_checked(self):
-        # debug_checks exercises the in-simulator response-algebra check.
-        run_retrieval(cfg("DBer(3,0,3)", "Ber(3,1,3)", files=2, seed=11), 1, debug_checks=True)
+        # Every run exercises the in-simulator response-algebra check.
+        run_retrieval(cfg("DBer(3,0,3)", "Ber(3,1,3)", files=2, seed=11), 1)
 
     @pytest.mark.parametrize(
         "storage, retrieval, files, seed, demand, digest",
@@ -501,6 +487,16 @@ with pytest.MonkeyPatch.context() as mp:
     sys.exit(cli.main(sys.argv[1:]))
 """
 
+CORRUPTED_DIMENSION_SIMULATE = """
+import sys
+from bermanpir import berman, cli
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+real = berman.dimension_formula
+berman.dimension_formula = lambda params: real(params) + 1
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
 
 class TestProtocolInvariants:
     ARGS = ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)", "--files", "2"]
@@ -518,13 +514,16 @@ class TestProtocolInvariants:
         assert json.loads(captured.err)["error"] == "ProtocolInvariantError"
 
     def test_checks_survive_python_O(self):
+        # A flipped response bit and a corrupted dimension formula (caught by
+        # the `build` rank check) must both still fail under `python -O`.
         root = Path(__file__).resolve().parent.parent
         path = [str(root), str(root / "src"), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", FLIPPED_SIMULATE, *self.ARGS],
-            capture_output=True, text=True, env=env, cwd=root, timeout=300,
-        )
-        assert proc.returncode == cli.EXIT_VERIFY_FAILED, proc.stderr
-        assert proc.stdout == ""
-        assert json.loads(proc.stderr)["error"] == "ProtocolInvariantError"
+        for script in (FLIPPED_SIMULATE, CORRUPTED_DIMENSION_SIMULATE):
+            proc = subprocess.run(
+                [sys.executable, "-O", "-c", script, *self.ARGS],
+                capture_output=True, text=True, env=env, cwd=root, timeout=300,
+            )
+            assert proc.returncode == cli.EXIT_VERIFY_FAILED, proc.stderr
+            assert proc.stdout == ""
+            assert json.loads(proc.stderr)["error"] == "ProtocolInvariantError"
