@@ -33,7 +33,7 @@ print("=== One full retrieval of file 0 ===")
 transcript = run_retrieval(config, demand=0)
 for it, rec in enumerate(transcript.iterations):
     print(f"iteration {it}:")
-    print(f"  query column to server 0: {rec.queries.column(0)}")
+    print(f"  query column to server 0: {rec.query.column(0)}")
     print(f"  responses from all servers: {rec.response}")
     print(f"  syndrome: {derived.parity.mul_vector(rec.response)}")
     print(f"  recovered (stripe, coordinate, bit): {rec.recovered}")

@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import comb
 
 from .codes import LinearCode, ProtocolInvariantError
@@ -298,30 +298,11 @@ def permute_vector(v: BitVector, perm: tuple[int, ...]) -> BitVector:
     return BitVector(v.length, word)
 
 
-def structured_permutation(
-    n: int, m: int, pos_perm: tuple[int, ...], alphabet_perms: tuple[tuple[int, ...], ...]
-) -> tuple[int, ...]:
-    """Coordinate permutation from a tuple-position permutation plus one
-    alphabet permutation per position: tuple t maps to
-    ``(alphabet_perms[p][t[pos_perm[p]]] for p in range(m))``."""
-    out = []
-    for t in all_tuples(n, m):
-        image = tuple(alphabet_perms[p][t[pos_perm[p]]] for p in range(m))
-        out.append(tuple_to_index(n, image))
-    return tuple(out)
-
-
 def translation_permutation(n: int, m: int, shift: IndexTuple) -> tuple[int, ...]:
     """Componentwise modular shift of the coordinate tuples."""
-    cyc = tuple(tuple((x + s) % n for x in range(n)) for s in shift)
-    return structured_permutation(n, m, tuple(range(m)), cyc)
-
-
-def structured_permutations(n: int, m: int):
-    """Every permutation in the structured family (m! * (n!)^m of them)."""
-    for pos_perm in permutations(range(m)):
-        for alphabet in product(permutations(range(n)), repeat=m):
-            yield structured_permutation(n, m, pos_perm, alphabet)
+    return tuple(
+        tuple_to_index(n, tuple((x + s) % n for x, s in zip(t, shift))) for t in all_tuples(n, m)
+    )
 
 
 def is_automorphism(code: LinearCode, perm: tuple[int, ...]) -> bool:
@@ -333,11 +314,10 @@ def is_automorphism(code: LinearCode, perm: tuple[int, ...]) -> bool:
 
 
 def transitivity_witness(params: BermanParams, a: int, b: int) -> str | None:
-    """Find a code-preserving coordinate permutation mapping a to b.
+    """Witness a code-preserving coordinate permutation mapping a to b.
 
-    Tries, in order: the componentwise translation taking a to b, the whole
-    structured family, and (for lengths up to 8) arbitrary permutations.
-    Returns the label of the family that sufficed, or None.
+    Returns ``"translation"`` when the componentwise translation taking a
+    to b preserves the code, else None.
     """
     n, m = params.n, params.m
     code = build(params)
@@ -345,17 +325,4 @@ def transitivity_witness(params: BermanParams, a: int, b: int) -> str | None:
     shift = tuple((y - x) % n for x, y in zip(ta, tb))
     if is_automorphism(code, translation_permutation(n, m, shift)):
         return "translation"
-    for perm in structured_permutations(n, m):
-        if perm[a] == b and is_automorphism(code, perm):
-            return "structured"
-    if params.length <= 8:
-        rest = [i for i in range(params.length) if i != a]
-        targets = [i for i in range(params.length) if i != b]
-        for images in permutations(targets):
-            perm = [0] * params.length
-            perm[a] = b
-            for src, dst in zip(rest, images):
-                perm[src] = dst
-            if is_automorphism(code, tuple(perm)):
-                return "full"
     return None

@@ -27,6 +27,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 
@@ -168,9 +169,8 @@ class Schedule:
 
 @dataclass(frozen=True)
 class SchemeDerived:
-    """Everything the protocol needs, fixed once per configuration."""
+    """Everything the storage/retrieval pair fixes; files and seed play no part."""
 
-    config: SchemeConfig
     n_s: int
     storage_code: LinearCode
     retrieval_code: LinearCode
@@ -190,6 +190,13 @@ class SchemeDerived:
 
 
 def derive_scheme(config: SchemeConfig) -> SchemeDerived:
+    """The derivation of ``config``'s storage/retrieval pair, computed once
+    per pair and shared by every run of it."""
+    return _derive(config.storage, config.retrieval)
+
+
+@lru_cache(maxsize=None)
+def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     """Derive codes, rates, the syndrome map, and a feasible schedule.
 
     The product code is constructed outright (not assumed from the case
@@ -197,9 +204,9 @@ def derive_scheme(config: SchemeConfig) -> SchemeDerived:
     rate; stripes and iterations are the smallest integers making
     ``b * k_C = S * d_perp`` exact.
     """
-    t, r_st, r_pir = closed_form_triple(config.storage, config.retrieval)
-    c = build(config.storage)
-    d = build(config.retrieval)
+    t, r_st, r_pir = closed_form_triple(storage, retrieval)
+    c = build(storage)
+    d = build(retrieval)
     n_s = c.length
     e = star_codes(c, d)
     e_dual = e.dual()
@@ -210,7 +217,7 @@ def derive_scheme(config: SchemeConfig) -> SchemeDerived:
         raise ProtocolInvariantError("constructed product dimension disagrees with the closed form")
     if Fraction(c.dimension, n_s) != r_st:
         raise ProtocolInvariantError("constructed storage dimension disagrees with the closed form")
-    if t != min_distance_formula(config.retrieval.dual) - 1:
+    if t != min_distance_formula(retrieval.dual) - 1:
         raise ProtocolInvariantError("closed-form t disagrees with the retrieval code's dual distance")
     k_c = c.dimension
     g = gcd(d_perp, k_c)
@@ -218,7 +225,6 @@ def derive_scheme(config: SchemeConfig) -> SchemeDerived:
     s_iterations = b * k_c // d_perp
     schedule = _solve_schedule(c.generator, e_dual.generator, b, k_c, d_perp, s_iterations)
     return SchemeDerived(
-        config=config,
         n_s=n_s,
         storage_code=c,
         retrieval_code=d,
@@ -336,8 +342,6 @@ def _solve_schedule(
 def encode_storage(derived: SchemeDerived, files: list[BitMatrix]) -> tuple[BitVector, ...]:
     """Stack the files, multiply by the storage generator, and split into
     the per-server columns."""
-    if len(files) != derived.config.files:
-        raise ShapeMismatch(f"expected {derived.config.files} files")
     for f in files:
         if (f.rows, f.cols) != (derived.b, derived.k_c):
             raise ShapeMismatch(f"files must be {derived.b} x {derived.k_c} bit matrices")
@@ -346,41 +350,26 @@ def encode_storage(derived: SchemeDerived, files: list[BitMatrix]) -> tuple[BitV
     return tuple(per_server.row(i) for i in range(derived.n_s))
 
 
-@dataclass(frozen=True)
-class QueryMatrix:
-    """Q = random part + embedding part; column i goes to server i."""
-
-    q: BitMatrix
-    random_part: BitMatrix
-    embed_part: BitMatrix
-
-    def column(self, i: int) -> BitVector:
-        return self.q.column(i)
-
-
 def gen_queries(
-    derived: SchemeDerived, demand: int, iteration: int, rng: np.random.Generator
-) -> QueryMatrix:
-    """Fresh uniform retrieval-code rows plus the iteration's embeddings.
+    derived: SchemeDerived, files: int, demand: int, iteration: int, rng: np.random.Generator
+) -> BitMatrix:
+    """The query matrix Q of one iteration; column i goes to server i.
 
-    Every row of the random part is an independent uniform codeword of the
-    retrieval code: one row-major batch of uniform messages per call, times
-    the generator as a single matrix product.  The embedding part sets, for
-    each assigned (stripe, coordinate) pair of this iteration, bit
-    ``coordinate`` on the demanded file's stripe row.
+    Every row starts as an independent uniform codeword of the retrieval
+    code: one row-major batch of uniform messages per call, times the
+    generator as a single matrix product.  Then, for each assigned
+    (stripe, coordinate) pair of this iteration, bit ``coordinate`` of the
+    demanded file's stripe row is flipped.
     """
-    if not 0 <= demand < derived.config.files:
+    if not 0 <= demand < files:
         raise ValueError("demand index out of range")
     plan = derived.schedule.iterations[iteration]
-    rows = derived.config.files * derived.b
+    rows = files * derived.b
     g_d = derived.retrieval_code.generator
-    rand = BitMatrix(rows, g_d.rows, _random_bits(rng, rows, g_d.rows)) @ g_d
-    embed_words = [0] * rows
+    words = list((BitMatrix(rows, g_d.rows, _random_bits(rng, rows, g_d.rows)) @ g_d).row_words)
     for stripe, coord in zip(plan.stripes, plan.coords):
-        embed_words[derived.file_row(demand, stripe)] |= 1 << coord
-    embed = BitMatrix(rows, derived.n_s, tuple(embed_words))
-    q = BitMatrix(rows, derived.n_s, tuple(r ^ e for r, e in zip(rand.row_words, embed.row_words)))
-    return QueryMatrix(q, rand, embed)
+        words[derived.file_row(demand, stripe)] ^= 1 << coord
+    return BitMatrix(rows, derived.n_s, tuple(words))
 
 
 def server_respond(stored_column: BitVector, query_column: BitVector) -> int:
@@ -390,11 +379,11 @@ def server_respond(stored_column: BitVector, query_column: BitVector) -> int:
     return stored_column.dot(query_column)
 
 
-def respond_all(columns: tuple[BitVector, ...], queries: QueryMatrix) -> BitVector:
+def respond_all(columns: tuple[BitVector, ...], q: BitMatrix) -> BitVector:
     """Every server's answer; server ``i`` sees only column ``i`` of Q."""
-    if len(columns) != queries.q.cols:
-        raise LengthMismatch(f"{len(columns)} servers != {queries.q.cols} query columns")
-    per_server = queries.q.transpose()
+    if len(columns) != q.cols:
+        raise LengthMismatch(f"{len(columns)} servers != {q.cols} query columns")
+    per_server = q.transpose()
     word = 0
     for i, col in enumerate(columns):
         if server_respond(col, per_server.row(i)):
@@ -456,6 +445,11 @@ def _projection_rank(cols: tuple[int, ...], subset: tuple[int, ...]) -> int:
     return len(basis)
 
 
+def _check_collusion_size(t: int, n_s: int) -> None:
+    if not 0 <= t <= n_s:
+        raise ValueError(f"t must lie in 0..{n_s}, got {t}")
+
+
 def _coordinate_subsets(n_s: int, t: int, sample: int | None, seed: int) -> Iterator[tuple[int, ...]]:
     """Every size-t coordinate subset when there are at most 10^5 of them and
     no ``sample`` size is given; otherwise ``sample`` (default 10 000) random
@@ -478,8 +472,7 @@ def verify_privacy_rank(
     the colluding coordinates, which is exactly the privacy condition.
     """
     n_s = retrieval_code.length
-    if t > n_s:
-        raise ValueError("t cannot exceed the code length")
+    _check_collusion_size(t, n_s)
     if t == 0:
         return True
     cols = retrieval_code.generator.transpose().row_words
@@ -490,14 +483,10 @@ def _worst_case_columns(retrieval_code: LinearCode, t: int, prefer: int, seed: i
     """A size-t coordinate set minimizing the projection rank (worst case
     for privacy), preferring sets that contain the ``prefer`` coordinate."""
     cols = retrieval_code.generator.transpose().row_words
-    best = min(
+    return min(
         _coordinate_subsets(retrieval_code.length, t, None, seed),
         key=lambda subset: (_projection_rank(cols, subset), 0 if prefer in subset else 1, subset),
-        default=None,
     )
-    if best is None:
-        raise ProtocolInvariantError(f"no {t}-coordinate subset of {retrieval_code.length} coordinates")
-    return best
 
 
 def verify_privacy_empirical(
@@ -518,6 +507,7 @@ def verify_privacy_empirical(
     distribution is included as a reference point, so a single-demand
     instance still measures deviation from uniformity.
     """
+    _check_collusion_size(t, config.storage.length)
     c = build(config.storage)
     d = build(config.retrieval)
     n_s = c.length
@@ -599,9 +589,8 @@ def verify_privacy_empirical(
 
 @dataclass(frozen=True)
 class IterationRecord:
-    coords: tuple[int, ...]
-    assignments: tuple[tuple[int, int], ...]
-    queries: QueryMatrix
+    plan: IterationPlan
+    query: BitMatrix
     response: BitVector
     recovered: tuple[tuple[int, int, int], ...]
 
@@ -642,8 +631,8 @@ class Transcript:
             },
             "iterations": [
                 {
-                    "J": list(rec.coords),
-                    "assignments": [list(pair) for pair in rec.assignments],
+                    "J": list(rec.plan.coords),
+                    "assignments": [list(pair) for pair in rec.plan.assignments()],
                     "responses_hex": rec.response.to_hex(),
                 }
                 for rec in self.iterations
@@ -677,8 +666,8 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     records = []
     recovered: list[tuple[int, int, int]] = []
     for it, plan in enumerate(derived.schedule.iterations):
-        queries = gen_queries(derived, demand, it, rng)
-        response = respond_all(columns, queries)
+        query = gen_queries(derived, config.files, demand, it, rng)
+        response = respond_all(columns, query)
         got = decode_iteration(derived, it, response)
         recovered.extend(got)
         embed_word = 0
@@ -693,15 +682,7 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
                 raise ProtocolInvariantError(
                     f"iteration {it}: recovered bit of stripe {stripe} at coordinate {coord} is wrong"
                 )
-        records.append(
-            IterationRecord(
-                coords=plan.coords,
-                assignments=plan.assignments(),
-                queries=queries,
-                response=response,
-                recovered=got,
-            )
-        )
+        records.append(IterationRecord(plan, query, response, got))
 
     rebuilt = reconstruct_file(derived, tuple(recovered))
     s_actual = len(derived.schedule.iterations)

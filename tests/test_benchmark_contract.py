@@ -1,24 +1,25 @@
 """The benchmark's import contract: every library name that
 ``benchmarks/tracer.py`` patches, and the verify-case enumeration that
-``benchmarks/sweep_child.py`` counts, must stay where they are looked up."""
+``benchmarks/sweep_child.py`` counts, must stay where they are looked up;
+the ``retrieve_wide`` worker's output check must accept a correct run."""
 
 import importlib.util
 from pathlib import Path
 
-from bermanpir import checks
+from bermanpir import checks, pir
 
-TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, BENCHMARKS / filename)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_and_restores():
-    tracer = load_tracer().Tracer()
+    tracer = load("bench_tracer", "tracer.py").Tracer()
     tracer.install()
     try:
         patched = list(tracer._saved)
@@ -28,3 +29,11 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is original for owner, attr, original in patched)
+
+
+def test_retrieve_worker_accepts_a_correct_run(monkeypatch):
+    # The worker imports its sibling modules ``tracer`` and ``hostspeed``.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    worker = load("bench_retrieve_worker", "retrieve_worker.py")
+    tr = pir.run_retrieval(worker.config(5), 17)
+    assert worker.check(tr, 5, 17) == ""

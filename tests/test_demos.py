@@ -1,0 +1,30 @@
+"""The demos' stdout, pinned byte for byte by SHA-256."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "demo, digest",
+    (
+        ("code_families.py", "96253c1f2c181a3fe7ccb98e06456885d39cd2c234f6f8cd79ea874013ed295a"),
+        ("pir_walkthrough.py", "cca3cd6d33d3f2a577e0b4f0cd181555beefe5abca60c4944a307b46509d231c"),
+        ("star_products.py", "ade3a75c91cf2ceed9d286ec62a9530cbb3b57f82c42622ae673c92c00ace391"),
+    ),
+)
+def test_demo_stdout_digest(demo, digest):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True, env=env, cwd=ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest

@@ -21,7 +21,6 @@ from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns
 from bermanpir.pir import (
     Incomplete,
     ProtocolInvariantError,
-    QueryMatrix,
     ScheduleNotFound,
     SchemeConfig,
     ShapeMismatch,
@@ -56,6 +55,14 @@ ACCEPTANCE_PAIRS = (
 
 def cfg(storage, retrieval, files=1, seed=0):
     return SchemeConfig(P(storage), P(retrieval), files=files, seed=seed)
+
+
+def planted_words(d, plan, files, demand):
+    """The bits one iteration plants into Q, one word per file row."""
+    words = [0] * (files * d.b)
+    for stripe, coord in zip(plan.stripes, plan.coords):
+        words[d.file_row(demand, stripe)] |= 1 << coord
+    return words
 
 
 class TestClosedForms:
@@ -107,8 +114,22 @@ class TestDeriveScheme:
             assert all(w == 0 for w in product.row_words)
 
     def test_zero_rate_propagates(self):
-        with pytest.raises(ZeroRate):
-            derive_scheme(cfg("DBer(3,1,2)", "DBer(3,1,2)"))
+        # Raised on every call, not only the first: failures are not cached.
+        for _ in range(3):
+            with pytest.raises(ZeroRate):
+                derive_scheme(cfg("DBer(3,1,2)", "DBer(3,1,2)"))
+
+    def test_one_derivation_per_pair(self):
+        a = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=1, seed=0))
+        b = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=3, seed=99))
+        assert a is b
+        assert derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)")) is not a
+
+    def test_runs_share_one_derivation(self):
+        pir._derive.cache_clear()
+        for seed in range(4):
+            run_retrieval(cfg("DBer(2,1,3)", "DBer(2,1,3)", files=2, seed=seed), seed % 2)
+        assert pir._derive.cache_info().misses == 1
 
 
 class TestSchedule:
@@ -185,29 +206,41 @@ class TestEncodeStorage:
 class TestQueries:
     def test_deterministic(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
-        q1 = gen_queries(d, 1, 0, philox_generator(42))
-        q2 = gen_queries(d, 1, 0, philox_generator(42))
-        assert q1.q == q2.q
+        q1 = gen_queries(d, 2, 1, 0, philox_generator(42))
+        q2 = gen_queries(d, 2, 1, 0, philox_generator(42))
+        assert q1 == q2
 
     def test_embedding_structure(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
         demand = 1
-        q = gen_queries(d, demand, 0, philox_generator(7))
+        q = gen_queries(d, 2, demand, 0, philox_generator(7))
+        # The random part, redrawn from the same Philox seed.
+        g_d = d.retrieval_code.generator
+        rand = BitMatrix(2 * d.b, g_d.rows, _random_bits(philox_generator(7), 2 * d.b, g_d.rows)) @ g_d
+        embed = BitMatrix(q.rows, q.cols, tuple(a ^ r for a, r in zip(q.row_words, rand.row_words)))
+        assert list(embed.row_words) == planted_words(d, d.schedule.iterations[0], 2, demand)
         # At most one planted bit per coordinate, all on the demanded rows.
         for j in range(d.n_s):
-            assert q.embed_part.column(j).weight() <= 1
-        for row in range(q.embed_part.rows):
+            assert embed.column(j).weight() <= 1
+        for row in range(embed.rows):
             stripe_rows = range(demand * d.b, (demand + 1) * d.b)
             if row not in stripe_rows:
-                assert q.embed_part.row(row).is_zero()
-        planted = sum(q.embed_part.row(i).weight() for i in range(q.embed_part.rows))
+                assert embed.row(row).is_zero()
+        planted = sum(embed.row(i).weight() for i in range(embed.rows))
         assert planted == d.d_perp
 
     def test_random_rows_are_retrieval_codewords(self):
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=2))
-        q = gen_queries(d, 0, 0, philox_generator(13))
-        for i in range(q.random_part.rows):
-            assert d.retrieval_code.contains(q.random_part.row(i))
+        q = gen_queries(d, 2, 0, 0, philox_generator(13))
+        planted = planted_words(d, d.schedule.iterations[0], 2, 0)
+        for word, embed in zip(q.row_words, planted):
+            assert d.retrieval_code.contains(BitVector(q.cols, word ^ embed))
+
+    def test_demand_range(self):
+        d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
+        for demand in (-1, 2):
+            with pytest.raises(ValueError):
+                gen_queries(d, 2, demand, 0, philox_generator(0))
 
 
 class TestRandomBits:
@@ -243,14 +276,14 @@ class TestRespond:
         columns = tuple(BitVector(rows, w) for w in _random_bits(rng, n_s, rows))
         q = BitMatrix(rows, n_s, _random_bits(rng, rows, n_s))
         expected = sum(server_respond(col, q.column(i)) << i for i, col in enumerate(columns))
-        assert respond_all(columns, QueryMatrix(q, q, q)) == BitVector(n_s, expected)
+        assert respond_all(columns, q) == BitVector(n_s, expected)
 
     def test_respond_all_shape_check(self):
         q = BitMatrix.zeros(2, 3)
         with pytest.raises(LengthMismatch):
-            respond_all((BitVector.zeros(2),) * 4, QueryMatrix(q, q, q))
+            respond_all((BitVector.zeros(2),) * 4, q)
         with pytest.raises(LengthMismatch):
-            respond_all((BitVector.zeros(5),) * 3, QueryMatrix(q, q, q))
+            respond_all((BitVector.zeros(5),) * 3, q)
 
     def test_zero_query(self):
         assert server_respond(BitVector.from01("1011"), BitVector.zeros(4)) == 0
@@ -270,7 +303,7 @@ class TestDecode:
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
         files = [BitMatrix.zeros(d.b, d.k_c) for _ in range(2)]
         cols = encode_storage(d, files)
-        q = gen_queries(d, 0, 0, philox_generator(3))
+        q = gen_queries(d, 2, 0, 0, philox_generator(3))
         r = respond_all(cols, q)
         for _, _, bit in decode_iteration(d, 0, r):
             assert bit == 0
@@ -285,7 +318,7 @@ class TestDecode:
         cols = encode_storage(d, files)
         encoded = BitMatrix.stack(files) @ d.storage_code.generator
         demand = 1
-        q = gen_queries(d, demand, 0, rng)
+        q = gen_queries(d, 2, demand, 0, rng)
         r = respond_all(cols, q)
         for stripe, coord, bit in decode_iteration(d, 0, r):
             assert bit == encoded.entry(d.file_row(demand, stripe), coord)
@@ -302,7 +335,7 @@ class TestDecode:
         for seed in (100, 200):
             got = []
             for it in range(d.s_iterations):
-                q = gen_queries(d, 0, it, philox_generator(seed + it))
+                q = gen_queries(d, 2, 0, it, philox_generator(seed + it))
                 got.extend(decode_iteration(d, it, respond_all(cols, q)))
             recovered.append(sorted(got))
         assert recovered[0] == recovered[1]
@@ -351,6 +384,11 @@ class TestPrivacyRank:
     def test_sampled_mode(self):
         code = build(P("Ber(3,1,3)"))
         assert verify_privacy_rank(code, 8, sample=2_000, seed=17)
+
+    @pytest.mark.parametrize("t", (-1, 5))
+    def test_out_of_range_t(self, t):
+        with pytest.raises(ValueError, match="t must lie in 0..4"):
+            verify_privacy_rank(build(P("DBer(2,1,2)")), t)
 
     def test_every_supported_pair_up_to_36_servers(self):
         from math import comb
@@ -403,6 +441,11 @@ class TestPrivacyEmpirical:
         with pytest.raises(TooLarge):
             verify_privacy_empirical(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=5), 3)
 
+    @pytest.mark.parametrize("t", (-1, 5))
+    def test_out_of_range_t(self, t):
+        with pytest.raises(ValueError, match="t must lie in 0..4"):
+            verify_privacy_empirical(cfg("DBer(2,0,2)", "DBer(2,1,2)"), t)
+
 
 class TestRunRetrieval:
     def test_worked_example(self):
@@ -415,14 +458,13 @@ class TestRunRetrieval:
         transcript = run_retrieval(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=1, seed=2), 0)
         assert transcript.reconstructed_ok
         retrieval = build(P("DBer(3,1,2)"))
+        d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)"))
         for rec in transcript.iterations:
             # Queries still carry the random retrieval-code part.
-            assert rec.queries.q.row_words == tuple(
-                r ^ e
-                for r, e in zip(rec.queries.random_part.row_words, rec.queries.embed_part.row_words)
-            )
-            for i in range(rec.queries.random_part.rows):
-                assert retrieval.contains(rec.queries.random_part.row(i))
+            planted = planted_words(d, rec.plan, 1, 0)
+            assert sum(w.bit_count() for w in planted) == d.d_perp
+            for word, embed in zip(rec.query.row_words, planted):
+                assert retrieval.contains(BitVector(rec.query.cols, word ^ embed))
 
     def test_parity_storage_scheme(self):
         transcript = run_retrieval(cfg("Ber(3,0,3)", "DBer(3,0,3)", files=1, seed=4), 0)
@@ -468,8 +510,8 @@ def flip_first_response_bit(monkeypatch):
     """Make every server response vector arrive with coordinate 0 flipped."""
     honest = pir.respond_all
 
-    def flipped(columns, queries):
-        response = honest(columns, queries)
+    def flipped(columns, q):
+        response = honest(columns, q)
         return BitVector(response.length, response.word ^ 1)
 
     monkeypatch.setattr(pir, "respond_all", flipped)
