@@ -10,11 +10,17 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf2 import BitMatrix, BitVector, LengthMismatch, nullspace_basis, reduce_word, row_reduce
 from .gf2 import invert_columns  # noqa: F401  benchmarks/tracer.py patches codes.invert_columns
 
 #: Enumeration guard for brute-force minimum distance (2^24 codewords).
 MAX_BRUTE_FORCE_DIM = 24
+
+#: Generator rows whose span the distance search tabulates at once: 2^14
+#: codewords, 256 KB for lengths up to 128.
+TABLE_DIM = 14
 
 
 class ZeroCode(ValueError):
@@ -77,33 +83,31 @@ class LinearCode:
     def dual(self) -> LinearCode:
         return LinearCode.from_generator(nullspace_basis(self.generator))
 
-    def codewords(self) -> Iterable[BitVector]:
-        """All 2^dim codewords, in Gray-code order starting from zero."""
-        k = self.dimension
-        if k > MAX_BRUTE_FORCE_DIM:
-            raise TooLarge(f"dimension {k} exceeds the enumeration guard")
-        rows = self.generator.row_words
-        cw = 0
-        yield BitVector(self.length, 0)
-        for g in range(1, 1 << k):
-            cw ^= rows[(g & -g).bit_length() - 1]
-            yield BitVector(self.length, cw)
-
     def min_distance_bruteforce(self) -> int:
-        """Minimum weight over all nonzero codewords, by Gray-code sweep."""
+        """Minimum weight over all nonzero codewords, by Gray-code sweep.
+
+        The span of the first ``min(dim, TABLE_DIM)`` generator rows is
+        tabulated once as rows of 64-bit words; the remaining rows are walked
+        in Gray-code order, each step weighing the whole table shifted by the
+        current offset codeword in one NumPy pass.
+        """
         k = self.dimension
         if k == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
         if k > MAX_BRUTE_FORCE_DIM:
             raise TooLarge(f"dimension {k} exceeds the enumeration guard")
-        rows = self.generator.row_words
-        cw = 0
-        best = self.length + 1
-        for g in range(1, 1 << k):
-            cw ^= rows[(g & -g).bit_length() - 1]
-            w = cw.bit_count()
-            if w < best:
-                best = w
+        width = (self.length + 63) // 64
+        raw = b"".join(w.to_bytes(8 * width, "little") for w in self.generator.row_words)
+        rows = np.frombuffer(raw, dtype="<u8").reshape(k, width)
+        a = min(k, TABLE_DIM)
+        table = np.zeros((1 << a, width), dtype=np.uint64)
+        for i in range(a):
+            table[1 << i : 2 << i] = table[: 1 << i] ^ rows[i]
+        best = int(np.bitwise_count(table[1:]).sum(axis=1).min())  # row 0 is the zero codeword
+        offset = np.zeros(width, dtype=np.uint64)
+        for g in range(1, 1 << (k - a)):
+            offset ^= rows[a + (g & -g).bit_length() - 1]
+            best = min(best, int(np.bitwise_count(table ^ offset).sum(axis=1).min()))
         return best
 
     def information_set(self) -> tuple[int, ...]:
@@ -118,8 +122,7 @@ class LinearCode:
         for j in sel:
             if not 0 <= j < self.length:
                 raise IndexError("column out of range")
-        rows = [self.generator.take_columns(sel).row(i) for i in range(self.dimension)]
-        return LinearCode.from_spanning_set(len(sel), rows)
+        return LinearCode.from_generator(self.generator.take_columns(sel))
 
     def to_text(self) -> str:
         """Serialize: a "length dim" header line, then the generator matrix text."""

@@ -334,24 +334,34 @@ def _eliminate(words: list[int], ncols: int) -> list[int]:
     Bits at ``ncols`` and above ride along with their rows (an augmented
     right-hand side).  Pivot row ``i`` ends up at index ``i``; the pivot
     columns come back strictly increasing.
+
+    Each row is reduced against the pivot rows kept so far, keyed by their
+    lowest set bit, until it either finds a new pivot or vanishes over the
+    first ``ncols`` bits (a tail row).  One back-substitution pass, highest
+    pivot first, then clears every pivot column above its own row.
     """
-    nrows = len(words)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        bit = 1 << c
-        p = next((i for i in range(r, nrows) if words[i] & bit), None)
-        if p is None:
-            continue
-        words[r], words[p] = words[p], words[r]
-        for i in range(nrows):
-            if i != r and words[i] & bit:
-                words[i] ^= words[r]
-        pivots.append(c)
-        r += 1
-    return pivots
+    mask = (1 << ncols) - 1
+    basis: dict[int, int] = {}
+    tail: list[int] = []
+    for w in words:
+        while w & mask:
+            low = w & -w
+            v = basis.get(low)
+            if v is None:
+                basis[low] = w
+                break
+            w ^= v
+        else:
+            tail.append(w)
+    lows = sorted(basis)
+    for i in reversed(range(len(lows))):
+        w = basis[lows[i]]
+        for low in lows[i + 1 :]:
+            if w & low:
+                w ^= basis[low]
+        basis[lows[i]] = w
+    words[:] = [basis[low] for low in lows] + tail
+    return [low.bit_length() - 1 for low in lows]
 
 
 def reduce_word(word: int, basis: Sequence[int]) -> int:

@@ -14,7 +14,7 @@ from enum import Enum
 
 from .berman import BermanParams, CodeKind, IndexTuple, build, c_vector, d_vector, families, precedes, tuple_weight
 from .codes import LinearCode, ProtocolInvariantError
-from .gf2 import BitVector, LengthMismatch
+from .gf2 import BitMatrix, BitVector, LengthMismatch
 
 
 class ParamMismatch(ValueError):
@@ -55,12 +55,10 @@ def star_codes(c: LinearCode, d: LinearCode) -> LinearCode:
     """Span of all pairwise products of generator rows."""
     if c.length != d.length:
         raise LengthMismatch(f"{c.length} != {d.length}")
-    products = [
-        BitVector(c.length, gw & hw)
-        for gw in c.generator.row_words
-        for hw in d.generator.row_words
-    ]
-    return LinearCode.from_spanning_set(c.length, products)
+    if c.dimension == 0 or d.dimension == 0:
+        return LinearCode.zero(c.length)
+    products = tuple(gw & hw for gw in c.generator.row_words for hw in d.generator.row_words)
+    return LinearCode.from_generator(BitMatrix(len(products), c.length, products))
 
 
 def predict_star(p: BermanParams, q: BermanParams) -> Predicted:

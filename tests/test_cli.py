@@ -167,6 +167,16 @@ class TestVerify:
         assert main(["verify", "--nmax", "3", "--mmax", "3", "--format", fmt]) == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    # The same for `verify --nmax 5 --mmax 3` (708 cases), the sweep the
+    # benchmark's verify_sweep workload runs.
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        (("json", "fd48ac15eaf9b2598f02d42e3bfc26dfda49dea0e0f8fed925655375023bc567"),),
+    )
+    def test_golden_verify_digests_5_3(self, capsys, fmt, digest):
+        assert main(["verify", "--nmax", "5", "--mmax", "3", "--format", fmt]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("bounds", (["--nmax", "1"], ["--mmax", "0"], ["--nmax", "-3"]))
     def test_empty_sweep_is_rejected(self, capsys, bounds):
         assert main(["verify", *bounds]) == EXIT_PARSE

@@ -1,11 +1,14 @@
 """LinearCode behaviour: spans, duals, distances, projections, information
 sets, and the serialization format."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bermanpir.berman import BermanParams, CodeKind, all_tuples, build, c_vector, tuple_weight
-from bermanpir.codes import LinearCode, TooLarge, ZeroCode
-from bermanpir.gf2 import BitMatrix, BitVector, invert_columns, rank
+from bermanpir.berman import BermanParams, CodeKind, all_tuples, build, c_vector, min_distance_formula, tuple_weight
+from bermanpir.codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge, ZeroCode
+from bermanpir.gf2 import BitMatrix, BitVector, invert_columns, pack_bit_rows, rank
 from oracles import exhaustive_span
 
 
@@ -96,6 +99,34 @@ class TestMinDistance:
     def test_family_examples(self):
         assert build(BermanParams.parse("Ber(3,1,2)")).min_distance_bruteforce() == 4
         assert build(BermanParams.parse("DBer(3,1,2)")).min_distance_bruteforce() == 3
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 200), st.integers(1, 18), st.integers(0, 2**32 - 1))
+    @example(1, 1, 0)
+    @example(64, 14, 1)
+    @example(65, 15, 2)
+    @example(128, 18, 3)
+    @example(129, 18, 4)
+    @example(200, 18, 5)
+    def test_matches_plain_gray_code_loop(self, length, dim, seed):
+        rng = np.random.default_rng(seed)
+        generator = pack_bit_rows(rng.integers(0, 2, size=(min(dim, length), length), dtype=np.uint8))
+        code = LinearCode.from_generator(BitMatrix(len(generator), length, generator))
+        if code.dimension == 0:
+            return
+        rows = code.generator.row_words
+        cw = 0
+        best = length + 1
+        for g in range(1, 1 << code.dimension):
+            cw ^= rows[(g & -g).bit_length() - 1]
+            best = min(best, cw.bit_count())
+        assert code.min_distance_bruteforce() == best
+
+    def test_at_the_guard_dimension(self):
+        params = BermanParams.parse("Ber(5,0,2)")
+        code = build(params)
+        assert code.dimension == MAX_BRUTE_FORCE_DIM
+        assert code.min_distance_bruteforce() == min_distance_formula(params) == 2
 
     def test_guards(self):
         with pytest.raises(ZeroCode):

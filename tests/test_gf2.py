@@ -1,10 +1,13 @@
 """Word-packed GF(2) algebra: worked examples plus algebraic properties."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from bermanpir import gf2
 from bermanpir.gf2 import (
     BitMatrix,
     BitVector,
@@ -44,6 +47,55 @@ def matmul_reference(a, b):
                 w ^= b.row_words[k]
         words.append(w)
     return BitMatrix(a.rows, b.cols, tuple(words))
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Tall (up to 64 x 12), wide (up to 8 x 130) or sparse (up to 40 x 40,
+    at most two bits a row) matrices."""
+    shape = draw(st.sampled_from(("tall", "wide", "sparse")))
+    max_rows, max_cols = {"tall": (64, 12), "wide": (8, 130), "sparse": (40, 40)}[shape]
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    if shape == "sparse" and cols:
+        bit = st.integers(0, cols - 1).map(lambda j: 1 << j)
+        word = st.lists(bit, max_size=2).map(lambda bits: sum(set(bits)))
+    else:
+        word = st.integers(0, max((1 << cols) - 1, 0))
+    return BitMatrix(rows, cols, tuple(draw(st.lists(word, min_size=rows, max_size=rows))))
+
+
+def eliminate_reference(words, ncols):
+    """Gauss-Jordan by column sweep: for each column, find a pivot row and
+    clear the column from every other row."""
+    nrows = len(words)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        bit = 1 << c
+        p = next((i for i in range(r, nrows) if words[i] & bit), None)
+        if p is None:
+            continue
+        words[r], words[p] = words[p], words[r]
+        for i in range(nrows):
+            if i != r and words[i] & bit:
+                words[i] ^= words[r]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def outcome(fn, *args, reference=False):
+    """``fn(*args)``, or the type of the NoSolution/Singular it raised; run on
+    the column-sweep kernel when ``reference`` is set."""
+    kernel = eliminate_reference if reference else gf2._eliminate
+    with mock.patch.object(gf2, "_eliminate", kernel):
+        try:
+            return fn(*args)
+        except (NoSolution, Singular) as exc:
+            return type(exc)
 
 
 def random_matrix(rows, cols, seed):
@@ -118,6 +170,38 @@ class TestRowReduce:
         again, pivots2 = row_reduce(rref)
         assert again == rref
         assert pivots2 == pivots
+
+
+class TestEliminationKernel:
+    """The lowest-bit pivot kernel against the column sweep.  Only consistent
+    augmented systems are compared bit for bit: elsewhere the augmented bits
+    of the pivot rows are fixed only up to the tail rows' span."""
+
+    @given(shaped_matrices())
+    @example(random_matrix(64, 12, 2))
+    @example(BitMatrix(64, 12, (0b1000_0000_0001,) * 64))
+    def test_row_reduce_matches(self, m):
+        assert row_reduce(m) == outcome(row_reduce, m, reference=True)
+
+    @given(shaped_matrices(), st.integers(0, 2**64 - 1))
+    def test_solve_matches(self, a, seed):
+        b = BitVector(a.rows, seed & ((1 << a.rows) - 1))
+        assert outcome(solve, a, b) == outcome(solve, a, b, reference=True)
+
+    @given(shaped_matrices(), st.integers(0, 2**130 - 1))
+    def test_solve_matches_on_consistent_systems(self, a, seed):
+        b = a.mul_vector(BitVector(a.cols, seed & ((1 << a.cols) - 1)))
+        got = outcome(solve, a, b)
+        assert got == outcome(solve, a, b, reference=True)
+        assert a.mul_vector(got) == b
+
+    @given(shaped_matrices(), st.permutations(range(130)))
+    @example(BitMatrix.identity(12), list(range(130)))
+    def test_invert_columns_matches(self, m, order):
+        cols = [j for j in order if j < m.cols][: m.rows]
+        if len(cols) < m.rows:
+            return
+        assert outcome(invert_columns, m, cols) == outcome(invert_columns, m, cols, reference=True)
 
 
 class TestRank:
