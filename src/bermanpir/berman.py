@@ -24,10 +24,14 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
-from .codes import LinearCode, ProtocolInvariantError
+from .codes import LinearCode, ProtocolInvariantError, TooLarge
 from .gf2 import BitVector, LengthMismatch
 
 IndexTuple = tuple[int, ...]
+
+#: Longest code :func:`build` constructs; longer ones are refused before any
+#: basis vector is formed, since their vectors alone could exhaust memory.
+MAX_LENGTH = 4096
 
 
 class CodeKind(str, Enum):
@@ -192,6 +196,8 @@ def basis_vectors(params: BermanParams) -> tuple[BitVector, ...]:
 @lru_cache(maxsize=None)
 def build(params: BermanParams) -> LinearCode:
     """The code spanned by the family basis, canonicalized."""
+    if params.length > MAX_LENGTH:
+        raise TooLarge(f"{params.name}: length {params.length} exceeds the guard of {MAX_LENGTH}")
     code = LinearCode.from_spanning_set(params.length, basis_vectors(params))
     if code.dimension != dimension_formula(params):
         raise ProtocolInvariantError(f"{params.name}: basis rank disagrees with the closed form")

@@ -173,9 +173,8 @@ class BitMatrix:
             raise ValueError("negative shape")
         if len(self.row_words) != self.rows:
             raise ValueError("row count does not match the stored words")
-        for w in self.row_words:
-            if w < 0 or w >> self.cols:
-                raise ValueError("row word has bits beyond the column count")
+        if self.row_words and (min(self.row_words) < 0 or max(self.row_words) >> self.cols):
+            raise ValueError("row word has bits beyond the column count")
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVector], cols: int | None = None) -> BitMatrix:

@@ -1,16 +1,18 @@
 """Star-product private information retrieval with Berman-family code pairs.
 
 A scheme stores M files of b x k_C bits across ``n_s = n^m`` servers by
-encoding each stripe with the storage code C (one codeword coordinate per
-server).  Retrieval runs S iterations; in each, the client sends every
-server one column of a query matrix ``Q = D_rand + E`` whose random part has
-rows drawn uniformly from the retrieval code D and whose deliberate part
-plants single bits of the demanded file's stripes.  Responses are
-dot-products; multiplying the response vector by a parity-check matrix H of
-``C * D`` annihilates the random part and exposes the planted codeword bits,
-which an invertible column selection of H then recovers.  After all
-iterations each stripe holds an information set of C and the file follows
-by inverting the corresponding generator columns.
+encoding each stripe with the storage code C: the stored matrix has one
+codeword row per stripe, and server ``i`` holds its column ``i``.
+Retrieval runs S iterations; in each, the client sends every server one
+column of a query matrix ``Q = D_rand + E`` of the same shape, whose random
+part has rows drawn uniformly from the retrieval code D and whose deliberate
+part plants single bits of the demanded file's stripes.  Server ``i``
+answers with the inner product of its two columns, so the whole response
+vector is the XOR over rows r of ``stored_r & Q_r``.  Multiplying it by a
+parity-check matrix H of ``C * D`` annihilates the random part and exposes
+the planted codeword bits, which an invertible column selection of H then
+recovers.  After all iterations each stripe holds an information set of C
+and the file follows by inverting the corresponding generator columns.
 
 Collusion resistance: any t servers see t columns of Q, and those are
 exactly uniform as long as every t-column projection of D is the full
@@ -339,15 +341,13 @@ def _solve_schedule(
 # Protocol steps.
 
 
-def encode_storage(derived: SchemeDerived, files: list[BitMatrix]) -> tuple[BitVector, ...]:
-    """Stack the files, multiply by the storage generator, and split into
-    the per-server columns."""
+def encode_storage(derived: SchemeDerived, files: list[BitMatrix]) -> BitMatrix:
+    """The stored matrix: the stacked files times the storage generator.
+    Row ``file_row(f, s)`` is stripe s of file f; server ``i`` holds column ``i``."""
     for f in files:
         if (f.rows, f.cols) != (derived.b, derived.k_c):
             raise ShapeMismatch(f"files must be {derived.b} x {derived.k_c} bit matrices")
-    encoded = BitMatrix.stack(files) @ derived.storage_code.generator
-    per_server = encoded.transpose()
-    return tuple(per_server.row(i) for i in range(derived.n_s))
+    return BitMatrix.stack(files) @ derived.storage_code.generator
 
 
 def gen_queries(
@@ -372,23 +372,16 @@ def gen_queries(
     return BitMatrix(rows, derived.n_s, tuple(words))
 
 
-def server_respond(stored_column: BitVector, query_column: BitVector) -> int:
-    """A server's one-bit answer: the dot product of query and storage."""
-    if stored_column.length != query_column.length:
-        raise LengthMismatch(f"{stored_column.length} != {query_column.length}")
-    return stored_column.dot(query_column)
-
-
-def respond_all(columns: tuple[BitVector, ...], q: BitMatrix) -> BitVector:
-    """Every server's answer; server ``i`` sees only column ``i`` of Q."""
-    if len(columns) != q.cols:
-        raise LengthMismatch(f"{len(columns)} servers != {q.cols} query columns")
-    per_server = q.transpose()
+def respond_all(stored: BitMatrix, q: BitMatrix) -> BitVector:
+    """Every server's answer.  Bit ``i`` is the inner product of stored
+    column ``i`` and query column ``i``, so the whole vector is one parity
+    fold over rows: the XOR of ``stored_r & q_r``."""
+    if (stored.rows, stored.cols) != (q.rows, q.cols):
+        raise LengthMismatch(f"stored {stored.rows} x {stored.cols} != query {q.rows} x {q.cols}")
     word = 0
-    for i, col in enumerate(columns):
-        if server_respond(col, per_server.row(i)):
-            word |= 1 << i
-    return BitVector(len(columns), word)
+    for s, r in zip(stored.row_words, q.row_words):
+        word ^= s & r
+    return BitVector(q.cols, word)
 
 
 def decode_iteration(
@@ -489,85 +482,49 @@ def _worst_case_columns(retrieval_code: LinearCode, t: int, prefer: int, seed: i
     )
 
 
-def verify_privacy_empirical(
-    config: SchemeConfig,
-    t: int,
-    *,
-    trials: int = 0,
-    stripes: int = 1,
-) -> float:
+def verify_privacy_empirical(config: SchemeConfig, t: int) -> float:
     """Max total-variation distance between restricted query distributions.
 
-    Uses a cut-down instance with ``stripes`` stripes per file (the privacy
-    argument is per-iteration and does not depend on the stripe count), a
-    worst-case colluding set T of size t, and one embedded coordinate per
-    stripe.  With ``trials = 0`` the query randomness is enumerated
-    exhaustively (allowed while ``dim(D) * M * stripes <= 20``); otherwise
-    ``trials`` Monte Carlo samples are drawn per demand.  The uniform
-    distribution is included as a reference point, so a single-demand
-    instance still measures deviation from uniformity.
+    Uses a cut-down instance with one stripe per file (the privacy argument
+    is per-iteration and does not depend on the stripe count), a worst-case
+    colluding set T of size t, and one embedded coordinate.  The query
+    randomness is enumerated exhaustively (allowed while ``dim(D) * M <= 20``).
+    The uniform distribution is included as a reference point, so a
+    single-demand instance still measures deviation from uniformity.
     """
     _check_collusion_size(t, config.storage.length)
     c = build(config.storage)
     d = build(config.retrieval)
-    n_s = c.length
-    rows = config.files * stripes
+    rows = config.files
     if rows * t > 12:
         raise TooLarge("joint query alphabet exceeds the enumeration guard")
-    e_dual = star_codes(c, d).dual()
-    info = e_dual.information_set()
-    if stripes > len(info):
-        raise ValueError("stripe count exceeds the per-iteration recovery budget")
-    embed_coords = info[:stripes]
-    subset = _worst_case_columns(d, t, prefer=embed_coords[0], seed=config.seed)
-
-    g_d = d.generator
-    restricted = g_d.take_columns(subset)
+    info = star_codes(c, d).dual().information_set()
+    if not info:
+        raise ZeroRate("the product code fills the whole space")
+    embed = info[0]
+    subset = _worst_case_columns(d, t, prefer=embed, seed=config.seed)
+    restricted = d.generator.take_columns(subset)
     k_d = d.dimension
+    if k_d * rows > 20:
+        raise TooLarge("query randomness exceeds the exhaustive enumeration guard")
+    shift = 1 << subset.index(embed) if embed in subset else 0
 
-    def embed_key(demand: int) -> tuple[int, ...]:
-        words = [0] * rows
-        for a, coord in enumerate(embed_coords):
-            if coord in subset:
-                words[demand * stripes + a] |= 1 << subset.index(coord)
-        return tuple(words)
-
-    def exhaustive_distribution(demand: int) -> dict[tuple[int, ...], float]:
-        shift = embed_key(demand)
+    def distribution(demand: int) -> dict[tuple[int, ...], float]:
         counts: dict[tuple[int, ...], int] = {}
         total = 1 << (k_d * rows)
         for packed in range(total):
             key = []
             rest = packed
-            for i in range(rows):
+            for _ in range(rows):
                 msg = rest & ((1 << k_d) - 1)
                 rest >>= k_d
-                key.append(restricted.left_mul(BitVector(k_d, msg)).word ^ shift[i])
+                key.append(restricted.left_mul(BitVector(k_d, msg)).word)
+            key[demand] ^= shift
             key_t = tuple(key)
             counts[key_t] = counts.get(key_t, 0) + 1
         return {k: v / total for k, v in counts.items()}
 
-    def sampled_distribution(demand: int, rng: np.random.Generator) -> dict[tuple[int, ...], float]:
-        shift = embed_key(demand)
-        counts: dict[tuple[int, ...], int] = {}
-        for _ in range(trials):
-            msgs = _random_bits(rng, rows, k_d)
-            key_t = tuple(
-                restricted.left_mul(BitVector(k_d, msgs[i])).word ^ shift[i] for i in range(rows)
-            )
-            counts[key_t] = counts.get(key_t, 0) + 1
-        return {k: v / trials for k, v in counts.items()}
-
-    dists: list[dict[tuple[int, ...], float]] = []
-    if trials == 0:
-        if k_d * rows > 20:
-            raise TooLarge("query randomness exceeds the exhaustive enumeration guard")
-        for demand in range(config.files):
-            dists.append(exhaustive_distribution(demand))
-    else:
-        rng = philox_generator(config.seed)
-        for demand in range(config.files):
-            dists.append(sampled_distribution(demand, rng))
+    dists = [distribution(demand) for demand in range(config.files)]
     outcomes = 1 << (rows * t)
     uniform = 1.0 / outcomes
     dists.append({tuple((w >> (i * t)) & ((1 << t) - 1) for i in range(rows)): uniform for w in range(outcomes)})
@@ -661,24 +618,24 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
         BitMatrix(derived.b, derived.k_c, _random_bits(rng, derived.b, derived.k_c))
         for _ in range(config.files)
     ]
-    columns = encode_storage(derived, files)
+    stored = encode_storage(derived, files)
 
     records = []
     recovered: list[tuple[int, int, int]] = []
     for it, plan in enumerate(derived.schedule.iterations):
         query = gen_queries(derived, config.files, demand, it, rng)
-        response = respond_all(columns, query)
+        response = respond_all(stored, query)
         got = decode_iteration(derived, it, response)
         recovered.extend(got)
         embed_word = 0
         for stripe, coord in zip(plan.stripes, plan.coords):
-            if columns[coord].bit(derived.file_row(demand, stripe)):
+            if stored.entry(derived.file_row(demand, stripe), coord):
                 embed_word |= 1 << coord
         residue = BitVector(derived.n_s, response.word ^ embed_word)
         if not derived.product_code.contains(residue):
             raise ProtocolInvariantError(f"iteration {it}: response residue left the product code")
         for stripe, coord, bit in got:
-            if bit != columns[coord].bit(derived.file_row(demand, stripe)):
+            if bit != stored.entry(derived.file_row(demand, stripe), coord):
                 raise ProtocolInvariantError(
                     f"iteration {it}: recovered bit of stripe {stripe} at coordinate {coord} is wrong"
                 )

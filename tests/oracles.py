@@ -21,6 +21,16 @@ from bermanpir.berman import (
 from bermanpir.star import star_vectors
 
 
+def per_server_responses(stored, q):
+    """Each server's answer on its own: bit i is the dot product of stored
+    column i and query column i."""
+    word = 0
+    for i in range(q.cols):
+        if stored.column(i).dot(q.column(i)):
+            word |= 1 << i
+    return BitVector(q.cols, word)
+
+
 def exhaustive_span(length, vectors):
     """Every GF(2) combination of the vectors, as a set of packed words."""
     words = {0}

@@ -173,7 +173,7 @@ def test_criterion_7_structural_privacy():
 @criterion("8 exact query distribution", 60)
 def test_criterion_8_exact_privacy():
     config = SchemeConfig(P("DBer(3,0,2)"), P("DBer(3,1,2)"), files=1, seed=0)
-    assert verify_privacy_empirical(config, 3, trials=0, stripes=1) == 0.0
+    assert verify_privacy_empirical(config, 3) == 0.0
 
 
 @criterion("9 determinism", 10)

@@ -4,6 +4,7 @@ the closed forms, and the structural properties they must satisfy."""
 import pytest
 
 from bermanpir.berman import (
+    MAX_LENGTH,
     BermanParams,
     CodeKind,
     all_tuples,
@@ -21,7 +22,7 @@ from bermanpir.berman import (
     tuple_to_index,
     tuple_weight,
 )
-from bermanpir.codes import LinearCode
+from bermanpir.codes import LinearCode, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, rank
 from bermanpir.pir import philox_generator
 
@@ -140,6 +141,14 @@ class TestBuild:
                     vectors = basis_vectors(params)
                     got = rank(BitMatrix.from_rows(list(vectors), params.length)) if vectors else 0
                     assert got == dimension_formula(params) == len(vectors)
+
+    def test_size_guard(self):
+        # Length exactly at the guard builds; the next length up is refused.
+        at_guard = BermanParams.parse("DBer(8,0,4)")
+        assert at_guard.length == MAX_LENGTH
+        assert build(at_guard).dimension == 1
+        with pytest.raises(TooLarge):
+            build(BermanParams.parse("DBer(2,0,13)"))
 
 
 class TestClosedForms:

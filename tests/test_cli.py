@@ -3,6 +3,7 @@ transcript determinism."""
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -231,3 +232,17 @@ class TestSimulate:
 
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_VERIFY_FAILED, EXIT_NO_SCHEDULE}) == 5
+
+
+class TestSizeGuard:
+    def test_oversized_pair_is_refused_fast(self, capsys):
+        start = time.perf_counter()
+        rc = main(["simulate", "--storage", "DBer(50,1,5)", "--retrieval", "DBer(50,2,5)"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert elapsed < 1.0
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "TooLarge"
+        assert set(error) == {"error", "message"}

@@ -366,6 +366,20 @@ class TestBulkKernels:
         assert pack_bit_rows(np.zeros((3, 0), dtype=np.uint8)) == (0, 0, 0)
 
 
+class TestMatrixInvariant:
+    @pytest.mark.parametrize(
+        "rows, cols, words",
+        (
+            (2, 3, (1, -1)),  # negative word
+            (2, 3, (0b111, 0b1000)),  # a bit at column index `cols`
+            (3, 3, (0, 1)),  # fewer words than rows
+        ),
+    )
+    def test_rejects_bad_row_words(self, rows, cols, words):
+        with pytest.raises(ValueError):
+            BitMatrix(rows, cols, words)
+
+
 class TestSerialization:
     def test_matrix_text_round_trip(self):
         m = BitMatrix.from_bits([[1, 0, 1], [0, 1, 1]])
