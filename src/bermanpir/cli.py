@@ -227,7 +227,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     privacy_ok = verify_privacy_rank(build(config.retrieval), transcript.t, seed=config.seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(transcript.to_json())
+            fh.writelines(transcript.iter_json())
     summary = {
         "storage": config.storage.name,
         "retrieval": config.retrieval.name,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,7 +79,11 @@ class LinearCode:
     def contains(self, v: BitVector) -> bool:
         if v.length != self.length:
             raise LengthMismatch(f"{v.length} != {self.length}")
-        return reduce_word(v.word, self.generator.row_words) == 0
+        return reduce_word(v.word, self._pivots) == 0
+
+    @cached_property
+    def _pivots(self) -> dict[int, int]:
+        return {w & -w: w for w in self.generator.row_words}
 
     def dual(self) -> LinearCode:
         return LinearCode.from_generator(nullspace_basis(self.generator))

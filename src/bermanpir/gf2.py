@@ -343,13 +343,9 @@ def _eliminate(words: list[int], ncols: int) -> list[int]:
     basis: dict[int, int] = {}
     tail: list[int] = []
     for w in words:
-        while w & mask:
-            low = w & -w
-            v = basis.get(low)
-            if v is None:
-                basis[low] = w
-                break
-            w ^= v
+        w = reduce_word(w, basis)
+        if w & mask:
+            basis[w & -w] = w
         else:
             tail.append(w)
     lows = sorted(basis)
@@ -363,12 +359,12 @@ def _eliminate(words: list[int], ncols: int) -> list[int]:
     return [low.bit_length() - 1 for low in lows]
 
 
-def reduce_word(word: int, basis: Sequence[int]) -> int:
-    """``word`` reduced against an echelon basis whose rows each pivot on
-    their lowest set bit; zero iff ``word`` lies in the span."""
-    for v in basis:
-        if word & (v & -v):
-            word ^= v
+def reduce_word(word: int, pivots: dict[int, int]) -> int:
+    """``word`` with pivot rows XORed in until its lowest set bit is no key of
+    ``pivots``, which maps each nonzero row's lowest set bit to the row.  Zero
+    iff ``word`` lies in their span; otherwise its lowest set bit is a new pivot."""
+    while (v := pivots.get(word & -word)) is not None:
+        word ^= v
     return word
 
 

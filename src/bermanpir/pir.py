@@ -36,7 +36,7 @@ from math import comb, gcd
 import numpy as np
 
 from .berman import BermanParams, CodeKind, build, min_distance_formula
-from .codes import LinearCode, ProtocolInvariantError, TooLarge
+from .codes import MAX_BRUTE_FORCE_DIM, LinearCode, ProtocolInvariantError, TooLarge
 from .gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns, pack_bit_rows, reduce_word
 from .star import star_codes
 
@@ -50,7 +50,7 @@ class ZeroRate(ValueError):
 
 
 class ScheduleNotFound(RuntimeError):
-    """The assignment search exhausted its options."""
+    """The assignment search exhausted its options or its budget."""
 
 
 class Incomplete(ValueError):
@@ -243,97 +243,84 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     )
 
 
+#: Candidate coordinates the schedule search may scan before it gives up.
+SCHEDULE_BUDGET = 5_000_000
+
+
 def _solve_schedule(
     g_c: BitMatrix, h: BitMatrix, b: int, k_c: int, d_perp: int, s_iterations: int
 ) -> Schedule:
-    """Greedy slot assignment with backtracking.
+    """Depth-first slot assignment, as one loop over an explicit stack.
 
-    Stripes are served round-robin.  A coordinate may be assigned to a slot
-    only if it keeps the iteration's columns independent in H and the
+    Slot ``p`` belongs to iteration ``p // d_perp`` and serves stripe
+    ``p % b``, so stripes are served round-robin.  A coordinate may fill a
+    slot only if it keeps the iteration's columns independent in H and the
     stripe's accumulated columns independent in the storage generator; both
-    column sets therefore finish as invertible selections.  Candidates are
-    scanned from a rotating start so assignments spread over the servers.
+    column sets therefore finish as invertible selections.  Candidates for
+    slot ``p`` are scanned from coordinate ``p mod n_s`` onward so
+    assignments spread over the servers; a slot with no candidate left
+    reopens the previous slot at its next one.  Scanning more than
+    :data:`SCHEDULE_BUDGET` candidates in all raises ScheduleNotFound.
     """
+    if s_iterations * d_perp != b * k_c:
+        raise ScheduleNotFound(f"{b} stripes of {k_c} coordinates do not fill {s_iterations} iterations")
     n_s = g_c.cols
     g_cols = g_c.transpose().row_words
     h_cols = h.transpose().row_words
-
-    # Which stripe fills each slot, iteration by iteration.
-    need = [k_c] * b
-    plan: list[list[int]] = []
-    cursor = 0
-    for _ in range(s_iterations):
-        slots = []
-        for _ in range(d_perp):
-            probe = next(
-                (
-                    (cursor + off) % b
-                    for off in range(b)
-                    if need[(cursor + off) % b] > 0
-                ),
-                None,
-            )
-            if probe is None:
-                break
-            slots.append(probe)
-            need[probe] -= 1
-            cursor = (probe + 1) % b
-        plan.append(slots)
-    if any(need):
-        raise ScheduleNotFound(
-            f"{sum(need)} stripe coordinates cannot fit into {s_iterations} iterations"
-        )
-
-    flat = [(it, stripe) for it, slots in enumerate(plan) for stripe in slots]
-    chosen: list[int] = []
-    it_used: list[set[int]] = [set() for _ in plan]
-    it_basis: list[list[int]] = [[] for _ in plan]
-    st_used: list[set[int]] = [set() for _ in range(b)]
-    st_basis: list[list[int]] = [[] for _ in range(b)]
-
-    def dfs(pos: int) -> bool:
-        if pos == len(flat):
-            return True
-        it, stripe = flat[pos]
-        start = pos % n_s
-        for off in range(n_s):
-            j = (start + off) % n_s
-            if j in it_used[it] or j in st_used[stripe]:
+    slots = b * k_c
+    # Pivot dicts of the columns chosen so far, and bitmasks of their coordinates.
+    it_basis: list[dict[int, int]] = [{} for _ in range(s_iterations)]
+    st_basis: list[dict[int, int]] = [{} for _ in range(b)]
+    it_used = [0] * s_iterations
+    st_used = [0] * b
+    # One (coordinate, offset, h pivot, g pivot) entry per filled slot.
+    stack: list[tuple[int, int, int, int]] = []
+    ring = tuple(range(n_s)) * 2  # any rotation of the coordinates is one slice
+    scanned = 0
+    first = 0
+    while len(stack) < slots:
+        if scanned > SCHEDULE_BUDGET:
+            raise ScheduleNotFound(f"schedule search scanned more than {SCHEDULE_BUDGET} candidates")
+        p = len(stack)
+        it, stripe = p // d_perp, p % b
+        used = it_used[it] | st_used[stripe]
+        start = p % n_s
+        for j in ring[start + first : start + n_s]:
+            if (used >> j) & 1:
                 continue
             h_red = reduce_word(h_cols[j], it_basis[it])
-            if h_red == 0:
-                continue
-            g_red = reduce_word(g_cols[j], st_basis[stripe])
-            if g_red == 0:
-                continue
-            chosen.append(j)
-            it_used[it].add(j)
-            it_basis[it].append(h_red)
-            st_used[stripe].add(j)
-            st_basis[stripe].append(g_red)
-            if dfs(pos + 1):
-                return True
-            chosen.pop()
-            it_used[it].remove(j)
-            it_basis[it].pop()
-            st_used[stripe].remove(j)
-            st_basis[stripe].pop()
-        return False
-
-    if not dfs(0):
-        raise ScheduleNotFound(
-            f"no assignment of {len(flat)} slots over {n_s} servers satisfies both "
-            "independence constraints"
-        )
+            if h_red:
+                g_red = reduce_word(g_cols[j], st_basis[stripe])
+                if g_red:
+                    break
+        else:
+            scanned += n_s - first
+            if not stack:
+                raise ScheduleNotFound(
+                    f"no assignment of {slots} slots over {n_s} servers satisfies both "
+                    "independence constraints"
+                )
+            j, first, h_piv, g_piv = stack.pop()
+            it, stripe = (p - 1) // d_perp, (p - 1) % b
+            del it_basis[it][h_piv], st_basis[stripe][g_piv]
+            it_used[it] ^= 1 << j
+            st_used[stripe] ^= 1 << j
+            first += 1
+            continue
+        off = (j - start) % n_s
+        scanned += off - first + 1
+        h_piv, g_piv = h_red & -h_red, g_red & -g_red
+        it_basis[it][h_piv] = h_red
+        st_basis[stripe][g_piv] = g_red
+        it_used[it] |= 1 << j
+        st_used[stripe] |= 1 << j
+        stack.append((j, off, h_piv, g_piv))
+        first = 0
 
     iterations = []
-    pos = 0
-    for slots in plan:
-        pairs = sorted(zip(chosen[pos : pos + len(slots)], slots))
-        pos += len(slots)
-        iterations.append(
-            IterationPlan(tuple(c for c, _ in pairs), tuple(s for _, s in pairs))
-        )
+    for it in range(s_iterations):
+        pairs = sorted((stack[p][0], p % b) for p in range(it * d_perp, (it + 1) * d_perp))
+        iterations.append(IterationPlan(tuple(c for c, _ in pairs), tuple(s for _, s in pairs)))
     return Schedule(tuple(iterations))
 
 
@@ -430,12 +417,12 @@ def reconstruct_file(
 
 def _projection_rank(cols: tuple[int, ...], subset: tuple[int, ...]) -> int:
     """Rank of the code's projection onto ``subset``, given its column words."""
-    basis: list[int] = []
+    pivots: dict[int, int] = {}
     for j in subset:
-        w = reduce_word(cols[j], basis)
+        w = reduce_word(cols[j], pivots)
         if w:
-            basis.append(w)
-    return len(basis)
+            pivots[w & -w] = w
+    return len(pivots)
 
 
 def _check_collusion_size(t: int, n_s: int) -> None:
@@ -443,33 +430,38 @@ def _check_collusion_size(t: int, n_s: int) -> None:
         raise ValueError(f"t must lie in 0..{n_s}, got {t}")
 
 
-def _coordinate_subsets(n_s: int, t: int, sample: int | None, seed: int) -> Iterator[tuple[int, ...]]:
-    """Every size-t coordinate subset when there are at most 10^5 of them and
-    no ``sample`` size is given; otherwise ``sample`` (default 10 000) random
-    subsets, each one sorted ``rng.choice`` draw from the seeded Philox stream."""
-    if sample is None and comb(n_s, t) <= 100_000:
+#: Most coordinate subsets the privacy checks enumerate one by one.
+EXHAUSTIVE_SUBSETS = 100_000
+
+
+def _coordinate_subsets(n_s: int, t: int, seed: int) -> Iterator[tuple[int, ...]]:
+    """Every size-t coordinate subset when there are at most
+    :data:`EXHAUSTIVE_SUBSETS` of them; otherwise 10 000 random subsets, each
+    one sorted ``rng.choice`` draw from the seeded Philox stream."""
+    if comb(n_s, t) <= EXHAUSTIVE_SUBSETS:
         return combinations(range(n_s), t)
     rng = philox_generator(seed)
-    k = sample if sample is not None else 10_000
-    return (tuple(sorted(rng.choice(n_s, size=t, replace=False).tolist())) for _ in range(k))
+    return (tuple(sorted(rng.choice(n_s, size=t, replace=False).tolist())) for _ in range(10_000))
 
 
-def verify_privacy_rank(
-    retrieval_code: LinearCode, t: int, *, sample: int | None = None, seed: int = 0
-) -> bool:
+def verify_privacy_rank(retrieval_code: LinearCode, t: int, *, seed: int = 0) -> bool:
     """True iff every checked t-column projection of the code is onto.
 
-    Exhaustive over all coordinate subsets when there are at most 10^5 of
-    them (and no explicit sample size is given), otherwise over ``sample``
-    random subsets.  Onto projections make the random query part uniform on
-    the colluding coordinates, which is exactly the privacy condition.
+    Onto projections make the random query part uniform on the colluding
+    coordinates, which is exactly the privacy condition.  Three routes: every
+    coordinate subset while there are at most :data:`EXHAUSTIVE_SUBSETS`;
+    else exactly from the dual distance (every t columns are independent iff
+    ``d(D^perp) > t``) while ``dim D^perp`` is within the brute-force guard;
+    else 10 000 random subsets drawn from ``seed``.
     """
     n_s = retrieval_code.length
     _check_collusion_size(t, n_s)
-    if t == 0:
-        return True
+    if comb(n_s, t) > EXHAUSTIVE_SUBSETS:
+        dual = retrieval_code.dual()
+        if dual.dimension <= MAX_BRUTE_FORCE_DIM:
+            return dual.dimension == 0 or dual.min_distance_bruteforce() > t
     cols = retrieval_code.generator.transpose().row_words
-    return all(_projection_rank(cols, subset) == t for subset in _coordinate_subsets(n_s, t, sample, seed))
+    return all(_projection_rank(cols, subset) == t for subset in _coordinate_subsets(n_s, t, seed))
 
 
 def _worst_case_columns(retrieval_code: LinearCode, t: int, prefer: int, seed: int) -> tuple[int, ...]:
@@ -477,7 +469,7 @@ def _worst_case_columns(retrieval_code: LinearCode, t: int, prefer: int, seed: i
     for privacy), preferring sets that contain the ``prefer`` coordinate."""
     cols = retrieval_code.generator.transpose().row_words
     return min(
-        _coordinate_subsets(retrieval_code.length, t, None, seed),
+        _coordinate_subsets(retrieval_code.length, t, seed),
         key=lambda subset: (_projection_rank(cols, subset), 0 if prefer in subset else 1, subset),
     )
 
@@ -571,6 +563,10 @@ class Transcript:
     achieved_rate: Fraction
 
     def to_json(self) -> str:
+        return "".join(self.iter_json())
+
+    def iter_json(self) -> Iterator[str]:
+        """:meth:`to_json` in pieces, so a writer need not hold the whole text."""
         payload = {
             "config": {
                 "storage": self.config.storage.name,
@@ -597,7 +593,8 @@ class Transcript:
             "reconstructed_ok": self.reconstructed_ok,
             "achieved_rate": float(self.achieved_rate),
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+        yield "\n"
 
 
 def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:

@@ -57,7 +57,8 @@ def star_codes(c: LinearCode, d: LinearCode) -> LinearCode:
         raise LengthMismatch(f"{c.length} != {d.length}")
     if c.dimension == 0 or d.dimension == 0:
         return LinearCode.zero(c.length)
-    products = tuple(gw & hw for gw in c.generator.row_words for hw in d.generator.row_words)
+    # Repeated products add nothing to the span, and the RREF does not depend on row order.
+    products = tuple({gw & hw for gw in c.generator.row_words for hw in d.generator.row_words})
     return LinearCode.from_generator(BitMatrix(len(products), c.length, products))
 
 

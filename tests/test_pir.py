@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +17,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bermanpir import cli, pir
-from bermanpir.berman import BermanParams, build
-from bermanpir.codes import TooLarge
-from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns
+from bermanpir.berman import BermanParams, CodeKind, build
+from bermanpir.codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge
+from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns, rank
 from bermanpir.pir import (
     Incomplete,
     ProtocolInvariantError,
@@ -52,8 +54,31 @@ ACCEPTANCE_PAIRS = (
 )
 
 
+#: Every (n, m) with n <= 6 and n^m <= 36.
+SHAPES_UP_TO_36 = ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+                   (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2))
+
+
 def cfg(storage, retrieval, files=1, seed=0):
     return SchemeConfig(P(storage), P(retrieval), files=files, seed=seed)
+
+
+def family(n, m):
+    """Every Berman and dual Berman code of one (n, m), as parameters."""
+    return [BermanParams(kind, n, m, r) for kind in (CodeKind.BERMAN, CodeKind.DUAL_BERMAN)
+            for r in range(m + 1)]
+
+
+def supported_pairs(shapes):
+    """(storage, retrieval, t) for every supported pair on the given shapes, in a fixed order."""
+    for n, m in shapes:
+        for storage in family(n, m):
+            for retrieval in family(n, m):
+                try:
+                    t, _, _ = closed_form_triple(storage, retrieval)
+                except (UnsupportedPair, ZeroRate):
+                    continue
+                yield storage, retrieval, t
 
 
 def planted_words(d, plan, files, demand):
@@ -167,6 +192,44 @@ class TestSchedule:
         flat_parity = BitMatrix(1, d.n_s, (d.parity.row_words[0],))
         with pytest.raises(ScheduleNotFound):
             _solve_schedule(d.storage_code.generator, flat_parity, 2, 1, 2, 1)
+
+
+class TestScheduleRegression:
+    #: Pairs on SHAPES_UP_TO_36 whose search runs past SCHEDULE_BUDGET.
+    OVER_BUDGET = {
+        ("DBer(3,2,3)", "DBer(3,0,3)"),
+        ("DBer(4,1,2)", "DBer(4,0,2)"),
+        ("DBer(5,1,2)", "DBer(5,0,2)"),
+        ("DBer(6,1,2)", "DBer(6,0,2)"),
+    }
+    #: SHA-256 over every other pair of SHAPES_UP_TO_36 of its name and, per
+    #: iteration, its coordinates and their stripes.
+    SCHEDULES_SHA256 = "8fda8caec4af645480ff82b0bde82dda89173f103e20e1c2a2c0f6b499a1b1ff"
+
+    def test_schedules_are_pinned(self):
+        digest = hashlib.sha256()
+        for storage, retrieval, _ in supported_pairs(SHAPES_UP_TO_36):
+            if (storage.name, retrieval.name) in self.OVER_BUDGET:
+                continue
+            plans = derive_scheme(SchemeConfig(storage, retrieval)).schedule.iterations
+            record = [storage.name, retrieval.name, [[p.coords, p.stripes] for p in plans]]
+            digest.update(json.dumps(record).encode())
+        assert digest.hexdigest() == self.SCHEDULES_SHA256
+
+    def test_over_budget_search_exits_5(self, capsys):
+        argv = ["simulate", "--storage", "DBer(4,1,2)", "--retrieval", "DBer(4,0,2)"]
+        assert cli.main(argv) == cli.EXIT_NO_SCHEDULE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ScheduleNotFound"
+
+    @pytest.mark.parametrize(
+        "storage, retrieval",
+        (("Ber(5,1,3)", "DBer(5,0,3)"), ("DBer(2,1,8)", "DBer(2,2,8)"), ("DBer(2,2,8)", "DBer(2,2,8)")),
+    )
+    def test_deep_searches_reconstruct(self, storage, retrieval):
+        # Slot counts 1456, 1467 and 3441: deeper than the interpreter's recursion limit.
+        assert run_retrieval(cfg(storage, retrieval, seed=3), 0).reconstructed_ok
 
 
 class TestEncodeStorage:
@@ -386,8 +449,40 @@ class TestPrivacyRank:
         assert verify_privacy_rank(build(P("DBer(2,1,2)")), 3)
 
     def test_sampled_mode(self):
+        # C(64, 7) subsets and dim D^perp = 42: beyond both exact routes.
+        code = build(P("DBer(2,2,6)"))
+        assert code.dual().dimension > MAX_BRUTE_FORCE_DIM
+        assert verify_privacy_rank(code, 7, seed=17)
+
+    def test_dual_route_rejects_a_duplicated_column(self):
+        # C(27, 8) subsets and dim D^perp = 7: decided from the dual distance.
         code = build(P("Ber(3,1,3)"))
-        assert verify_privacy_rank(code, 8, sample=2_000, seed=17)
+        words = tuple((w & ~2) | ((w & 1) << 1) for w in code.generator.row_words)
+        broken = LinearCode.from_generator(BitMatrix(code.dimension, code.length, words))
+        assert broken.dual().dimension <= MAX_BRUTE_FORCE_DIM
+        assert verify_privacy_rank(code, 8)
+        assert not verify_privacy_rank(broken, 8)
+
+    def test_dual_route_agrees_with_exhaustive(self, monkeypatch):
+        monkeypatch.setattr(pir, "EXHAUSTIVE_SUBSETS", 0)
+        verdicts = set()
+        for n, m in SHAPES_UP_TO_36:
+            for params in family(n, m):
+                if params.is_zero_code:
+                    continue
+                code = build(params)
+                if code.dual().dimension > MAX_BRUTE_FORCE_DIM:
+                    continue
+                for t in range(1, code.length + 1):
+                    if comb(code.length, t) > 2_000:
+                        break
+                    exhaustive = all(
+                        rank(code.generator.take_columns(subset)) == t
+                        for subset in combinations(range(code.length), t)
+                    )
+                    assert verify_privacy_rank(code, t) == exhaustive, (params.name, t)
+                    verdicts.add(exhaustive)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("t", (-1, 5))
     def test_out_of_range_t(self, t):
@@ -395,32 +490,10 @@ class TestPrivacyRank:
             verify_privacy_rank(build(P("DBer(2,1,2)")), t)
 
     def test_every_supported_pair_up_to_36_servers(self):
-        from math import comb
-
-        from bermanpir.berman import CodeKind
-
         checked = 0
-        for n, m in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
-                     (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2)):
-            members = [
-                BermanParams(kind, n, m, r)
-                for kind in (CodeKind.BERMAN, CodeKind.DUAL_BERMAN)
-                for r in range(m + 1)
-            ]
-            for storage in members:
-                for retrieval in members:
-                    try:
-                        t, _, _ = closed_form_triple(storage, retrieval)
-                    except (UnsupportedPair, ZeroRate):
-                        continue
-                    code = build(retrieval)
-                    sample = None if comb(n**m, t) <= 100_000 else 1_000
-                    assert verify_privacy_rank(code, t, sample=sample, seed=23), (
-                        storage.name,
-                        retrieval.name,
-                        t,
-                    )
-                    checked += 1
+        for storage, retrieval, t in supported_pairs(SHAPES_UP_TO_36):
+            assert verify_privacy_rank(build(retrieval), t), (storage.name, retrieval.name, t)
+            checked += 1
         assert checked > 100
 
 
