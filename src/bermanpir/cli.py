@@ -1,9 +1,11 @@
 """Command-line front end: parameter calculator, parameter tables, the
 self-verification sweep, and end-to-end retrieval simulation.
 
-Exit codes: 0 success, 2 parse error, 3 unsupported pair or zero rate,
-4 verification failure (including a broken protocol invariant), 5 schedule
-search failure.
+Exit codes: 0 success, 2 parse error (also ``TooLarge``), 3 unsupported pair
+or zero rate, 4 verification failure (a broken protocol invariant, or an
+internal GF(2) or protocol-step error: ``Singular``, ``NoSolution``,
+``LengthMismatch``, ``Incomplete``, ``ShapeMismatch``), 5 schedule search
+failure.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ from fractions import Fraction
 
 from .berman import BermanParams, build
 from .checks import iter_verification_cases
+from .gf2 import LengthMismatch, NoSolution, Singular
 from .pir import (
+    Incomplete,
     ProtocolInvariantError,
     ScheduleNotFound,
     SchemeConfig,
+    ShapeMismatch,
     UnsupportedPair,
     ZeroRate,
     closed_form_triple,
@@ -34,6 +39,10 @@ EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_VERIFY_FAILED = 4
 EXIT_NO_SCHEDULE = 5
+
+#: Errors a run reports as a verification failure (exit 4): a broken
+#: invariant, or a GF(2) or protocol step that met a malformed operand.
+PROTOCOL_ERRORS = (ProtocolInvariantError, Singular, NoSolution, LengthMismatch, Incomplete, ShapeMismatch)
 
 #: The published parameter-table layout: (n, m) columns and, per pairing,
 #: the (r_C, r_D) rows plus the fixed printing precision.
@@ -244,10 +253,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "privacy_rank_ok": privacy_ok,
     }
     if args.format == "json":
-        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        if not args.out:
-            text = transcript.to_json()
-        sys.stdout.write(text)
+        if args.out:
+            sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        else:
+            sys.stdout.writelines(transcript.iter_json())
     elif args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -265,7 +274,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             + (f"transcript written to {args.out}\n" if args.out else "")
         )
         if not args.out:
-            sys.stdout.write(transcript.to_json())
+            sys.stdout.writelines(transcript.iter_json())
     return EXIT_OK
 
 
@@ -322,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScheduleNotFound as exc:
         sys.stderr.write(_error_json(exc))
         return EXIT_NO_SCHEDULE
-    except ProtocolInvariantError as exc:
+    except PROTOCOL_ERRORS as exc:
         sys.stderr.write(_error_json(exc))
         return EXIT_VERIFY_FAILED
     except ValueError as exc:

@@ -92,24 +92,22 @@ class LinearCode:
         """Minimum weight over all nonzero codewords, by Gray-code sweep.
 
         The span of the first ``min(dim, TABLE_DIM)`` generator rows is
-        tabulated once as rows of 64-bit words; the remaining rows are walked
-        in Gray-code order, each step weighing the whole table shifted by the
-        current offset codeword in one NumPy pass.
+        tabulated once as limb rows (:attr:`BitMatrix.limbs`); the remaining
+        rows are walked in Gray-code order, each step weighing the whole table
+        shifted by the current offset codeword in one NumPy pass.
         """
         k = self.dimension
         if k == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
         if k > MAX_BRUTE_FORCE_DIM:
             raise TooLarge(f"dimension {k} exceeds the enumeration guard")
-        width = (self.length + 63) // 64
-        raw = b"".join(w.to_bytes(8 * width, "little") for w in self.generator.row_words)
-        rows = np.frombuffer(raw, dtype="<u8").reshape(k, width)
+        rows = self.generator.limbs
         a = min(k, TABLE_DIM)
-        table = np.zeros((1 << a, width), dtype=np.uint64)
+        table = np.zeros((1 << a, rows.shape[1]), dtype=rows.dtype)
         for i in range(a):
             table[1 << i : 2 << i] = table[: 1 << i] ^ rows[i]
         best = int(np.bitwise_count(table[1:]).sum(axis=1).min())  # row 0 is the zero codeword
-        offset = np.zeros(width, dtype=np.uint64)
+        offset = np.zeros(rows.shape[1], dtype=rows.dtype)
         for g in range(1, 1 << (k - a)):
             offset ^= rows[a + (g & -g).bit_length() - 1]
             best = min(best, int(np.bitwise_count(table ^ offset).sum(axis=1).min()))

@@ -5,18 +5,24 @@ word is coordinate ``i``), so vector addition is one XOR and Hamming weight
 is ``int.bit_count()``.  Matrices hold one word per row.  Everything is
 immutable; operations are pure functions and safe to share across threads.
 
-Bulk conversions go through NumPy: :func:`pack_bit_rows` packs a 0/1 array
-into row words with ``np.packbits``, and :meth:`BitMatrix.transpose` unpacks
-every row, transposes and repacks in one pass.  Matrix products use the
-"method of four Russians": the right operand's rows are grouped eight at a
-time, each group's 256 XOR combinations are tabulated once, and every output
-row is then one table lookup per group.
+Bulk kernels run on NumPy *limbs*: a matrix's rows as a little-endian
+``uint64`` array of shape ``(rows, ceil(cols / 64))``, bit ``j`` of a row in
+bit ``j % 64`` of limb ``j // 64``.  :func:`words_to_limbs` and
+:func:`limbs_to_words` convert between the two forms, :func:`bits_to_limbs`
+packs a 0/1 array, and :attr:`BitMatrix.limbs` keeps a matrix's limbs once
+they exist.  Matrix products use the "method of four Russians" on limbs: the
+right operand's rows are grouped eight at a time, each group's 256 XOR
+combinations are tabulated once, and every output row then gathers one table
+row per group, indexed by the matching byte of the left operand
+(:func:`limb_product`).  Transposes and column selections unpack to a 0/1
+array, index it, and pack.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,22 +39,82 @@ class Singular(ValueError):
     """The selected square submatrix is not invertible."""
 
 
+#: Element type of a limb array: 64 bits of a row, least significant first.
+LIMB = np.dtype("<u8")
+_LIMB_MASK = (1 << 64) - 1
+
+
+def words_to_limbs(words: Sequence[int], cols: int) -> np.ndarray:
+    """Row words of ``cols`` bits as a ``len(words) x ceil(cols/64)`` limb array."""
+    width = (cols + 63) // 64
+    limbs = np.empty((len(words), width), dtype=LIMB)
+    rest = words
+    for i in range(width - 1):
+        limbs[:, i] = [w & _LIMB_MASK for w in rest]
+        rest = [w >> 64 for w in rest]
+    if width:
+        limbs[:, -1] = rest
+    return limbs
+
+
+def limbs_to_words(limbs: np.ndarray) -> tuple[int, ...]:
+    """Inverse of :func:`words_to_limbs`: one Python integer per limb row."""
+    rows, width = limbs.shape
+    if not width:
+        return (0,) * rows
+    words = limbs[:, -1].tolist()
+    for i in range(width - 2, -1, -1):
+        words = [w << 64 | x for w, x in zip(words, limbs[:, i].tolist())]
+    return tuple(words)
+
+
+def bits_to_limbs(bits: np.ndarray) -> np.ndarray:
+    """Limbs of a 2-D 0/1 array: entry ``[i, j]`` becomes bit ``j`` of row ``i``.
+
+    The rows are zero-padded to whole limbs first, so one flat ``packbits``
+    packs them all."""
+    rows, cols = bits.shape
+    width = (cols + 63) // 64
+    padded = np.zeros((rows, 64 * width), dtype=np.uint8)
+    padded[:, :cols] = bits
+    return np.packbits(padded, bitorder="little").view(LIMB).reshape(rows, width)
+
+
+def _limbs_to_bits(limbs: np.ndarray, cols: int) -> np.ndarray:
+    """Inverse of :func:`bits_to_limbs`: a ``rows x cols`` uint8 array."""
+    return np.unpackbits(limbs.view(np.uint8), axis=1, count=cols, bitorder="little")
+
+
 def pack_bit_rows(bits: np.ndarray) -> tuple[int, ...]:
     """Row words of a 2-D 0/1 array: entry ``[i, j]`` becomes bit ``j`` of word ``i``."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    width = packed.shape[1]
-    raw = packed.tobytes()
-    return tuple(
-        int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(packed.shape[0])
-    )
+    return limbs_to_words(bits_to_limbs(bits))
 
 
-def _unpack_bit_rows(words: Sequence[int], cols: int) -> np.ndarray:
-    """Inverse of :func:`pack_bit_rows`: a ``len(words) x cols`` uint8 array."""
-    width = (cols + 7) // 8
-    raw = b"".join(w.to_bytes(width, "little") for w in words)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), width)
-    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+def flip_bits(limbs: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> None:
+    """Flip bit ``cols[i]`` of row ``rows[i]`` of ``limbs`` in place, for every ``i``."""
+    cols = np.asarray(cols, dtype=LIMB)
+    np.bitwise_xor.at(limbs, (np.asarray(rows, dtype=np.intp), cols >> 6), LIMB.type(1) << (cols & 63))
+
+
+def limb_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """GF(2) product of two limb arrays, ``rows x k`` times ``k x W``.
+
+    For every group of eight rows of ``right``, entry ``x`` of the group's
+    table is the XOR of the rows that the bits of ``x`` select.  Each output
+    row XORs in one table row per group: the one that its byte of ``left``
+    at that group names.  Bits of ``left`` beyond ``k`` are zero, so a short
+    last group's byte never indexes past its table.
+    """
+    k, width = right.shape
+    left_bytes = left.view(np.uint8)
+    out = np.zeros((left.shape[0], width), dtype=LIMB)
+    for g in range(0, k, 8):
+        group = right[g : g + 8]
+        table = np.zeros((1 << len(group), width), dtype=LIMB)
+        for i, row in enumerate(group):
+            table[1 << i : 2 << i] = table[: 1 << i] ^ row
+        out ^= table[left_bytes[:, g >> 3]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -177,6 +243,24 @@ class BitMatrix:
             raise ValueError("row word has bits beyond the column count")
 
     @classmethod
+    def from_limbs(cls, limbs: np.ndarray, cols: int) -> BitMatrix:
+        """The matrix whose rows are the limb rows of ``limbs``, which it keeps
+        (read-only) as :attr:`limbs`."""
+        if limbs.shape[1] != (cols + 63) // 64:
+            raise LengthMismatch(f"{limbs.shape[1]} limbs cannot hold {cols} columns")
+        m = cls(limbs.shape[0], cols, limbs_to_words(limbs))
+        limbs.flags.writeable = False
+        m.__dict__["limbs"] = limbs
+        return m
+
+    @cached_property
+    def limbs(self) -> np.ndarray:
+        """The rows as a read-only limb array (see :func:`words_to_limbs`)."""
+        limbs = words_to_limbs(self.row_words, self.cols)
+        limbs.flags.writeable = False
+        return limbs
+
+    @classmethod
     def from_rows(cls, rows: Sequence[BitVector], cols: int | None = None) -> BitMatrix:
         if cols is None:
             if not rows:
@@ -237,22 +321,16 @@ class BitMatrix:
 
     def take_columns(self, cols: Sequence[int]) -> BitMatrix:
         """Submatrix of the listed columns, in the order given."""
-        for j in cols:
-            if not 0 <= j < self.cols:
-                raise IndexError("column out of range")
-        words = []
-        for rw in self.row_words:
-            w = 0
-            for t, j in enumerate(cols):
-                if (rw >> j) & 1:
-                    w |= 1 << t
-            words.append(w)
-        return BitMatrix(self.rows, len(cols), tuple(words))
+        index = np.asarray(cols, dtype=np.intp)
+        if index.size and (index.min() < 0 or index.max() >= self.cols):
+            raise IndexError("column out of range")
+        bits = _limbs_to_bits(self.limbs, self.cols)[:, index]
+        return BitMatrix.from_limbs(bits_to_limbs(bits), len(index))
 
     def transpose(self) -> BitMatrix:
         """All columns at once: row ``j`` of the result is ``column_word(j)``."""
-        bits = _unpack_bit_rows(self.row_words, self.cols)
-        return BitMatrix(self.cols, self.rows, pack_bit_rows(bits.T))
+        bits = _limbs_to_bits(self.limbs, self.cols)
+        return BitMatrix.from_limbs(bits_to_limbs(bits.T), self.rows)
 
     def left_mul(self, v: BitVector) -> BitVector:
         """Row vector times matrix: ``v @ self`` (length = cols)."""
@@ -279,21 +357,7 @@ class BitMatrix:
     def __matmul__(self, other: BitMatrix) -> BitMatrix:
         if self.cols != other.rows:
             raise LengthMismatch(f"{self.cols} != {other.rows}")
-        # Table t of each 8-row group g of ``other``: t[x] = XOR of the group's
-        # rows selected by the bits of x.
-        tables = []
-        for g in range(0, other.rows, 8):
-            table = [0]
-            for rw in other.row_words[g : g + 8]:
-                table += [x ^ rw for x in table]
-            tables.append((g, table))
-        words = []
-        for rw in self.row_words:
-            w = 0
-            for g, table in tables:
-                w ^= table[(rw >> g) & 0xFF]
-            words.append(w)
-        return BitMatrix(self.rows, other.cols, tuple(words))
+        return BitMatrix.from_limbs(limb_product(self.limbs, other.limbs), other.cols)
 
     def to_bits(self) -> list[list[int]]:
         return [[(rw >> j) & 1 for j in range(self.cols)] for rw in self.row_words]

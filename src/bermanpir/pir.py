@@ -14,6 +14,14 @@ the planted codeword bits, which an invertible column selection of H then
 recovers.  After all iterations each stripe holds an information set of C
 and the file follows by inverting the corresponding generator columns.
 
+The per-iteration bulk work runs on NumPy limb arrays (see :mod:`.gf2`): the
+query batch is one table product of the packed message bits with D's
+generator, and the response is one XOR reduction over the rows of
+``stored & Q``.  Python
+integers remain for the response vector, the matrices the stages return and
+the transcript.  The column inverses that decoding and reconstruction need
+depend only on the schedule, so each pair computes them once.
+
 Collusion resistance: any t servers see t columns of Q, and those are
 exactly uniform as long as every t-column projection of D is the full
 space, which holds up to ``t = d_min(D^perp) - 1``.
@@ -29,7 +37,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, gcd
 
@@ -37,7 +45,18 @@ import numpy as np
 
 from .berman import BermanParams, CodeKind, build, min_distance_formula
 from .codes import MAX_BRUTE_FORCE_DIM, LinearCode, ProtocolInvariantError, TooLarge
-from .gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns, pack_bit_rows, reduce_word
+from .gf2 import (
+    BitMatrix,
+    BitVector,
+    LengthMismatch,
+    bits_to_limbs,
+    flip_bits,
+    invert_columns,
+    limb_product,
+    limbs_to_words,
+    pack_bit_rows,
+    reduce_word,
+)
 from .star import star_codes
 
 
@@ -64,11 +83,6 @@ class ShapeMismatch(ValueError):
 def philox_generator(seed: int) -> np.random.Generator:
     """The project PRNG: Philox 4x64-10, keyed by one 64-bit seed."""
     return np.random.Generator(np.random.Philox(key=seed))
-
-
-def _random_bits(rng: np.random.Generator, rows: int, cols: int) -> tuple[int, ...]:
-    """Row-major draw of ``rows`` words of ``cols`` fresh bits each."""
-    return pack_bit_rows(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +203,19 @@ class SchemeDerived:
 
     def file_row(self, demand: int, stripe: int) -> int:
         return demand * self.b + stripe
+
+    @cached_property
+    def iteration_inverses(self) -> tuple[BitMatrix, ...]:
+        """Per iteration, the inverse of H's columns at its coordinates."""
+        return tuple(invert_columns(self.parity, plan.coords) for plan in self.schedule.iterations)
+
+    @cached_property
+    def stripe_inverses(self) -> dict[tuple[int, ...], BitMatrix]:
+        """The inverse of the storage generator's columns at each stripe's
+        scheduled coordinates, keyed by those (ascending) coordinates."""
+        g_c = self.storage_code.generator
+        selections = map(self.schedule.stripe_coords, range(self.b))
+        return {coords: invert_columns(g_c, coords) for coords in selections}
 
 
 def derive_scheme(config: SchemeConfig) -> SchemeDerived:
@@ -343,32 +370,29 @@ def gen_queries(
     """The query matrix Q of one iteration; column i goes to server i.
 
     Every row starts as an independent uniform codeword of the retrieval
-    code: one row-major batch of uniform messages per call, times the
-    generator as a single matrix product.  Then, for each assigned
-    (stripe, coordinate) pair of this iteration, bit ``coordinate`` of the
-    demanded file's stripe row is flipped.
+    code: one row-major batch of uniform message bits per call, packed to
+    limbs and multiplied by the generator's limbs in one table product.
+    Then, for each assigned (stripe, coordinate) pair of this iteration, bit
+    ``coordinate`` of the demanded file's stripe row is flipped.
     """
     if not 0 <= demand < files:
         raise ValueError("demand index out of range")
     plan = derived.schedule.iterations[iteration]
-    rows = files * derived.b
     g_d = derived.retrieval_code.generator
-    words = list((BitMatrix(rows, g_d.rows, _random_bits(rng, rows, g_d.rows)) @ g_d).row_words)
-    for stripe, coord in zip(plan.stripes, plan.coords):
-        words[derived.file_row(demand, stripe)] ^= 1 << coord
-    return BitMatrix(rows, derived.n_s, tuple(words))
+    draw = rng.integers(0, 2, size=(files * derived.b, g_d.rows), dtype=np.uint8)
+    limbs = limb_product(bits_to_limbs(draw), g_d.limbs)
+    flip_bits(limbs, [derived.file_row(demand, stripe) for stripe in plan.stripes], plan.coords)
+    return BitMatrix.from_limbs(limbs, derived.n_s)
 
 
 def respond_all(stored: BitMatrix, q: BitMatrix) -> BitVector:
     """Every server's answer.  Bit ``i`` is the inner product of stored
     column ``i`` and query column ``i``, so the whole vector is one parity
-    fold over rows: the XOR of ``stored_r & q_r``."""
+    fold over rows: the XOR of ``stored_r & q_r``, on limbs."""
     if (stored.rows, stored.cols) != (q.rows, q.cols):
         raise LengthMismatch(f"stored {stored.rows} x {stored.cols} != query {q.rows} x {q.cols}")
-    word = 0
-    for s, r in zip(stored.row_words, q.row_words):
-        word ^= s & r
-    return BitVector(q.cols, word)
+    folded = np.bitwise_xor.reduce(stored.limbs & q.limbs, axis=0)
+    return BitVector(q.cols, limbs_to_words(folded[None])[0])
 
 
 def decode_iteration(
@@ -379,13 +403,14 @@ def decode_iteration(
     The parity map annihilates the random query contribution, so the
     syndrome equals ``H[:, J] x`` where x lists the planted codeword bits in
     ascending coordinate order; every iteration carries exactly d_perp
-    coordinates, so inverting ``H[:, J]`` recovers x exactly.
+    coordinates, so the inverse of ``H[:, J]`` (computed once per pair)
+    recovers x exactly.
     """
     if response.length != derived.n_s:
         raise LengthMismatch(f"{response.length} != {derived.n_s}")
     plan = derived.schedule.iterations[iteration]
     syndrome = derived.parity.mul_vector(response)
-    bits = invert_columns(derived.parity, plan.coords).mul_vector(syndrome)
+    bits = derived.iteration_inverses[iteration].mul_vector(syndrome)
     return tuple(
         (stripe, coord, bits.bit(pos))
         for pos, (stripe, coord) in enumerate(zip(plan.stripes, plan.coords))
@@ -395,7 +420,10 @@ def decode_iteration(
 def reconstruct_file(
     derived: SchemeDerived, recovered: tuple[tuple[int, int, int], ...]
 ) -> BitMatrix:
-    """Invert each stripe's generator columns to rebuild the b x k_C file."""
+    """Invert each stripe's generator columns to rebuild the b x k_C file.
+
+    The scheduled coordinate sets reuse the pair's inverses; any other
+    information set is inverted here."""
     per_stripe: dict[int, dict[int, int]] = {}
     for stripe, coord, bit in recovered:
         per_stripe.setdefault(stripe, {})[coord] = bit
@@ -404,9 +432,11 @@ def reconstruct_file(
         got = per_stripe.get(stripe, {})
         if len(got) != derived.k_c:
             raise Incomplete(f"stripe {stripe} has {len(got)} of {derived.k_c} coordinates")
-        coords = sorted(got)
+        coords = tuple(sorted(got))
         y = BitVector.from_bits(got[c] for c in coords)
-        inv = invert_columns(derived.storage_code.generator, coords)
+        inv = derived.stripe_inverses.get(coords)
+        if inv is None:
+            inv = invert_columns(derived.storage_code.generator, coords)
         rows.append(inv.left_mul(y))
     return BitMatrix.from_rows(rows, derived.k_c)
 
@@ -601,7 +631,9 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     """Simulate a full retrieval of file ``demand``.
 
     Draw order from the seeded Philox stream: first the M file matrices
-    (row-major bits, file by file), then one query batch per iteration.
+    (row-major bits, one draw per file), then one query batch per iteration.
+    The per-file draws stay separate calls: a uint8 draw buffers whole 32-bit
+    words per call, so one draw of all M files would shift the stream.
     Every iteration checks that the response vector minus the embedded
     contribution lies in the product code and that each recovered bit
     equals the stored one; a failure, or an achieved rate that strays from
@@ -611,10 +643,10 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     if not 0 <= demand < config.files:
         raise ValueError("demand index out of range")
     rng = philox_generator(config.seed)
-    files = [
-        BitMatrix(derived.b, derived.k_c, _random_bits(rng, derived.b, derived.k_c))
-        for _ in range(config.files)
-    ]
+    b, k_c = derived.b, derived.k_c
+    draws = [rng.integers(0, 2, size=(b, k_c), dtype=np.uint8) for _ in range(config.files)]
+    words = pack_bit_rows(np.concatenate(draws))
+    files = [BitMatrix(b, k_c, words[f * b : (f + 1) * b]) for f in range(config.files)]
     stored = encode_storage(derived, files)
 
     records = []

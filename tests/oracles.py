@@ -5,9 +5,14 @@ space out of star products of family basis vectors, step by step, checking
 each intermediate against its direct definition.  They deliberately avoid
 the library's span machinery so that a passing run certifies the products
 themselves, not just span bookkeeping.
+
+The retrieval loop redoes one retrieval's queries and responses on Python
+integers, one row at a time, from the documented Philox draw order.
 """
 
 from itertools import combinations
+
+import numpy as np
 
 from bermanpir import BitVector
 from bermanpir.berman import (
@@ -29,6 +34,55 @@ def per_server_responses(stored, q):
         if stored.column(i).dot(q.column(i)):
             word |= 1 << i
     return BitVector(q.cols, word)
+
+
+def random_bits(rng, rows, cols):
+    """Row-major draw of ``rows`` words of ``cols`` fresh bits each, one
+    ``int.from_bytes`` per packed row."""
+    packed = np.packbits(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8), axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def row_table_product(a_words, b_words):
+    """Rows of ``A @ B`` over GF(2), four Russians on Python integers: each
+    8-row group of B tabulates its 256 XOR combinations, and each row of A
+    XORs in one table entry per group."""
+    tables = []
+    for g in range(0, len(b_words), 8):
+        table = [0]
+        for rw in b_words[g : g + 8]:
+            table += [x ^ rw for x in table]
+        tables.append((g, table))
+    out = []
+    for rw in a_words:
+        w = 0
+        for g, table in tables:
+            w ^= table[(rw >> g) & 0xFF]
+        out.append(w)
+    return out
+
+
+def loop_retrieval(derived, files, seed, demand):
+    """(demanded file words, per-iteration query words, per-iteration
+    response words) of one retrieval: M file draws, then one message batch
+    per iteration, each row times the generator, the planted bits flipped,
+    and the response folded row by row."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    b, k_c = derived.b, derived.k_c
+    file_words = [random_bits(rng, b, k_c) for _ in range(files)]
+    stored = row_table_product([w for f in file_words for w in f], derived.storage_code.generator.row_words)
+    g_d = derived.retrieval_code.generator
+    queries, responses = [], []
+    for plan in derived.schedule.iterations:
+        q = row_table_product(random_bits(rng, files * b, g_d.rows), g_d.row_words)
+        for stripe, coord in zip(plan.stripes, plan.coords):
+            q[demand * b + stripe] ^= 1 << coord
+        response = 0
+        for s_row, q_row in zip(stored, q):
+            response ^= s_row & q_row
+        queries.append(tuple(q))
+        responses.append(response)
+    return file_words[demand], queries, responses
 
 
 def exhaustive_span(length, vectors):

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from bermanpir import berman
+from bermanpir import berman, gf2, pir
+from bermanpir.berman import BermanParams
 from bermanpir.cli import (
     EXIT_NO_SCHEDULE,
     EXIT_OK,
@@ -224,6 +225,33 @@ class TestSimulate:
             capsys.readouterr()
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("fmt", ("json", "text"))
+    def test_stdout_transcript_is_to_json(self, fmt, capsys):
+        args = ["simulate", "--storage", "DBer(2,1,7)", "--retrieval", "DBer(2,2,7)",
+                "--files", "3", "--seed", "5", "--format", fmt]
+        assert main(args) == EXIT_OK
+        config = pir.SchemeConfig(BermanParams.parse("DBer(2,1,7)"), BermanParams.parse("DBer(2,2,7)"), 3, 5)
+        expected = pir.run_retrieval(config, 0).to_json()
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert out == expected
+        else:
+            assert out.endswith(expected)
+
+    @pytest.mark.parametrize(
+        "error", (gf2.Singular, gf2.NoSolution, gf2.LengthMismatch, pir.Incomplete, pir.ShapeMismatch)
+    )
+    def test_protocol_internal_errors_exit_4(self, error, monkeypatch, capsys):
+        def fail(*args):
+            raise error("forced")
+
+        monkeypatch.setattr(pir, "decode_iteration", fail)
+        rc = main(["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_VERIFY_FAILED
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": error.__name__, "message": "forced"}
 
     def test_zero_rate_pair(self, capsys):
         rc = main(["simulate", "--storage", "Ber(3,0,2)", "--retrieval", "Ber(3,0,2)"])

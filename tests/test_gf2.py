@@ -15,11 +15,13 @@ from bermanpir.gf2 import (
     NoSolution,
     Singular,
     invert_columns,
+    limbs_to_words,
     nullspace_basis,
     pack_bit_rows,
     rank,
     row_reduce,
     solve,
+    words_to_limbs,
 )
 
 
@@ -35,6 +37,18 @@ def bit_matrices(draw, max_rows=6, max_cols=8):
 def transpose_reference(m):
     """Transpose by one bit-by-bit column scan per column."""
     return BitMatrix(m.cols, m.rows, tuple(m.column_word(j) for j in range(m.cols)))
+
+
+def take_columns_reference(m, cols):
+    """Column selection bit by bit, one row at a time."""
+    words = []
+    for rw in m.row_words:
+        w = 0
+        for t, j in enumerate(cols):
+            if (rw >> j) & 1:
+                w |= 1 << t
+        words.append(w)
+    return BitMatrix(m.rows, len(cols), tuple(words))
 
 
 def matmul_reference(a, b):
@@ -336,7 +350,7 @@ class TestInvertColumns:
 
 
 class TestBulkKernels:
-    """The bulk transpose and the table product against their loop definitions."""
+    """The limb kernels against their loop definitions, across limb widths."""
 
     @given(bit_matrices(max_rows=70, max_cols=130))
     @example(BitMatrix(0, 0, ()))
@@ -349,11 +363,20 @@ class TestBulkKernels:
         assert t == transpose_reference(m)
         assert t.transpose() == m
 
-    @pytest.mark.parametrize("k", (0, 1, 8, 9, 70))
-    @given(rows=st.integers(0, 12), cols=st.integers(0, 80), seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("k", (0, 1, 8, 9, 63, 64, 65, 70, 130))
+    @given(rows=st.integers(0, 12), cols=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    @example(rows=3, cols=64, seed=0)
+    @example(rows=3, cols=65, seed=1)
+    @example(rows=3, cols=128, seed=2)
     def test_table_product_matches_row_xor(self, k, rows, cols, seed):
         a = random_matrix(rows, k, seed)
         b = random_matrix(k, cols, seed + 1)
+        assert a @ b == matmul_reference(a, b)
+
+    def test_table_product_at_the_length_guard(self):
+        # 4096 columns, the longest code ``berman.build`` accepts: 64 limbs.
+        a = random_matrix(9, 21, 3)
+        b = random_matrix(21, 4096, 4)
         assert a @ b == matmul_reference(a, b)
 
     def test_table_product_shape_check(self):
@@ -364,6 +387,29 @@ class TestBulkKernels:
         bits = np.array([[1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 1, 1, 0, 0, 0, 0, 0, 0]], dtype=np.uint8)
         assert pack_bit_rows(bits) == (0b1_0000_0001, 0b110)
         assert pack_bit_rows(np.zeros((3, 0), dtype=np.uint8)) == (0, 0, 0)
+
+    @pytest.mark.parametrize("cols", (63, 64, 65, 128, 129))
+    def test_pack_bit_rows_across_limbs(self, cols):
+        bits = np.random.default_rng(cols).integers(0, 2, size=(7, cols), dtype=np.uint8)
+        bits[0] = 1  # every bit of a row set, the top limb included
+        words = pack_bit_rows(bits)
+        assert words == tuple(sum(int(b) << j for j, b in enumerate(row)) for row in bits)
+        limbs = words_to_limbs(words, cols)
+        assert limbs.shape == (7, (cols + 63) // 64)
+        assert limbs_to_words(limbs) == words
+
+    @pytest.mark.parametrize(
+        "cols",
+        ((), (5,), (3, 0, 2), (2, 2, 0, 2), (64, 1, 129, 63, 64), tuple(range(129, -1, -1))),
+    )
+    def test_take_columns_matches_bit_loop(self, cols):
+        m = random_matrix(11, 130, 7)
+        assert m.take_columns(cols) == take_columns_reference(m, cols)
+
+    @pytest.mark.parametrize("cols", ((130,), (-1,), (0, 200)))
+    def test_take_columns_range_check(self, cols):
+        with pytest.raises(IndexError):
+            random_matrix(3, 130, 0).take_columns(cols)
 
 
 class TestMatrixInvariant:

@@ -28,7 +28,6 @@ from bermanpir.pir import (
     ShapeMismatch,
     UnsupportedPair,
     ZeroRate,
-    _random_bits,
     closed_form_triple,
     decode_iteration,
     derive_scheme,
@@ -275,9 +274,11 @@ class TestQueries:
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
         demand = 1
         q = gen_queries(d, 2, demand, 0, philox_generator(7))
+        from oracles import random_bits
+
         # The random part, redrawn from the same Philox seed.
         g_d = d.retrieval_code.generator
-        rand = BitMatrix(2 * d.b, g_d.rows, _random_bits(philox_generator(7), 2 * d.b, g_d.rows)) @ g_d
+        rand = BitMatrix(2 * d.b, g_d.rows, random_bits(philox_generator(7), 2 * d.b, g_d.rows)) @ g_d
         embed = BitMatrix(q.rows, q.cols, tuple(a ^ r for a, r in zip(q.row_words, rand.row_words)))
         assert list(embed.row_words) == planted_words(d, d.schedule.iterations[0], 2, demand)
         # At most one planted bit per coordinate, all on the demanded rows.
@@ -320,10 +321,42 @@ class TestRandomBits:
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 12), st.integers(0, 80))
     def test_matches_bitwise_packing(self, seed, rows, cols):
+        from oracles import random_bits
+
         packed, bitwise = philox_generator(seed), philox_generator(seed)
-        assert _random_bits(packed, rows, cols) == self.reference(bitwise, rows, cols)
+        assert random_bits(packed, rows, cols) == self.reference(bitwise, rows, cols)
         # Both leave the stream at the same position.
         assert packed.integers(0, 2**63) == bitwise.integers(0, 2**63)
+
+
+class TestLoopOracle:
+    """Every query, response and recovered file of ``run_retrieval`` against
+    the row-at-a-time Python-integer loop of :func:`oracles.loop_retrieval`."""
+
+    @pytest.mark.parametrize(
+        "storage, retrieval",
+        (
+            ("DBer(3,0,2)", "DBer(3,1,2)"),  # 9 servers, one limb
+            ("DBer(2,1,7)", "DBer(2,2,7)"),  # 128 servers, two limbs
+            ("DBer(2,1,8)", "DBer(2,1,8)"),  # 256 servers, four limbs
+        ),
+    )
+    @pytest.mark.parametrize("seed", (3, 2**64 - 5))
+    def test_matches_row_loop(self, storage, retrieval, seed):
+        from oracles import loop_retrieval
+
+        config = cfg(storage, retrieval, files=3, seed=seed)
+        d = derive_scheme(config)
+        for demand in range(3):
+            file_words, queries, responses = loop_retrieval(d, 3, seed, demand)
+            transcript = run_retrieval(config, demand)
+            assert len(transcript.iterations) == len(queries)
+            for rec, q, r in zip(transcript.iterations, queries, responses):
+                assert rec.query.row_words == q
+                assert rec.response.word == r
+            assert transcript.recovered_file.row_words == file_words
+            assert transcript.stored_file.row_words == file_words
+            assert transcript.reconstructed_ok
 
 
 class TestRespond:
@@ -333,11 +366,11 @@ class TestRespond:
         st.integers(0, 2**32 - 1),
     )
     def test_respond_all_matches_per_server_loop(self, rows, n_s, seed):
-        from oracles import per_server_responses
+        from oracles import per_server_responses, random_bits
 
         rng = np.random.default_rng(seed)
-        stored = BitMatrix(rows, n_s, _random_bits(rng, rows, n_s))
-        q = BitMatrix(rows, n_s, _random_bits(rng, rows, n_s))
+        stored = BitMatrix(rows, n_s, random_bits(rng, rows, n_s))
+        q = BitMatrix(rows, n_s, random_bits(rng, rows, n_s))
         assert respond_all(stored, q) == per_server_responses(stored, q)
 
     def test_respond_all_shape_check(self):
@@ -600,6 +633,21 @@ with pytest.MonkeyPatch.context() as mp:
     sys.exit(cli.main(sys.argv[1:]))
 """
 
+FLIPPED_RUN_RETRIEVAL = """
+import sys
+import pytest
+from tests.test_pir import cfg, flip_first_response_bit
+from bermanpir import pir
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+with pytest.MonkeyPatch.context() as mp:
+    flip_first_response_bit(mp)
+    try:
+        pir.run_retrieval(cfg("DBer(2,1,7)", "DBer(2,2,7)", files=2, seed=1), 1)
+    except pir.ProtocolInvariantError as exc:
+        print(type(exc).__name__)
+"""
+
 CORRUPTED_DIMENSION_SIMULATE = """
 import sys
 from bermanpir import berman, cli
@@ -626,17 +674,29 @@ class TestProtocolInvariants:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "ProtocolInvariantError"
 
-    def test_checks_survive_python_O(self):
-        # A flipped response bit and a corrupted dimension formula (caught by
-        # the `build` rank check) must both still fail under `python -O`.
+    @staticmethod
+    def run_optimized(script, *args):
+        """``script`` in a fresh ``python -O`` with the repo and ``src`` importable."""
         root = Path(__file__).resolve().parent.parent
         path = [str(root), str(root / "src"), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        return subprocess.run(
+            [sys.executable, "-O", "-c", script, *args],
+            capture_output=True, text=True, env=env, cwd=root, timeout=300,
+        )
+
+    def test_checks_survive_python_O(self):
+        # A flipped response bit and a corrupted dimension formula (caught by
+        # the `build` rank check) must both still fail under `python -O`.
         for script in (FLIPPED_SIMULATE, CORRUPTED_DIMENSION_SIMULATE):
-            proc = subprocess.run(
-                [sys.executable, "-O", "-c", script, *self.ARGS],
-                capture_output=True, text=True, env=env, cwd=root, timeout=300,
-            )
+            proc = self.run_optimized(script, *self.ARGS)
             assert proc.returncode == cli.EXIT_VERIFY_FAILED, proc.stderr
             assert proc.stdout == ""
             assert json.loads(proc.stderr)["error"] == "ProtocolInvariantError"
+
+    def test_run_retrieval_raises_under_python_O(self):
+        # The library call itself, not only the CLI, keeps its response check
+        # when asserts are stripped.
+        proc = self.run_optimized(FLIPPED_RUN_RETRIEVAL)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ProtocolInvariantError\n"
