@@ -4,8 +4,8 @@ self-verification sweep, and end-to-end retrieval simulation.
 Exit codes: 0 success, 2 parse error (also ``TooLarge``), 3 unsupported pair
 or zero rate, 4 verification failure (a broken protocol invariant, or an
 internal GF(2) or protocol-step error: ``Singular``, ``NoSolution``,
-``LengthMismatch``, ``Incomplete``, ``ShapeMismatch``), 5 schedule search
-failure.
+``LengthMismatch``, ``Incomplete``, ``ShapeMismatch``), 5 no schedule
+(proved not to exist, or not found within the search budget).
 """
 
 from __future__ import annotations

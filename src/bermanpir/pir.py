@@ -34,7 +34,7 @@ documented in :func:`run_retrieval`.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -69,7 +69,7 @@ class ZeroRate(ValueError):
 
 
 class ScheduleNotFound(RuntimeError):
-    """The assignment search exhausted its options or its budget."""
+    """No schedule: proved not to exist, or not found within the budget."""
 
 
 class Incomplete(ValueError):
@@ -270,85 +270,248 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     )
 
 
-#: Candidate coordinates the schedule search may scan before it gives up.
-SCHEDULE_BUDGET = 5_000_000
+#: Exchange-graph arcs the augmenting-path phase may scan before it gives
+#: up; listing the arcs into one iteration counts one per coordinate.
+SCHEDULE_BUDGET = 1_000_000
+
+
+def _set_bits(word: int) -> Iterator[int]:
+    """The indices of ``word``'s set bits, lowest first."""
+    while word:
+        low = word & -word
+        yield low.bit_length() - 1
+        word ^= low
+
+
+def _pivots(words: Iterable[int], low: int) -> dict[int, int]:
+    """Pivot dict of independent tagged column words (see :func:`_augment`)."""
+    pivots: dict[int, int] = {}
+    for w in words:
+        w = reduce_word(w, pivots)
+        if not w & low:
+            raise ProtocolInvariantError("a schedule block holds dependent columns")
+        pivots[w & -w] = w
+    return pivots
 
 
 def _solve_schedule(
     g_c: BitMatrix, h: BitMatrix, b: int, k_c: int, d_perp: int, s_iterations: int
 ) -> Schedule:
-    """Depth-first slot assignment, as one loop over an explicit stack.
+    """A schedule as a common independent set of two matroids (Edmonds, 1970).
 
-    Slot ``p`` belongs to iteration ``p // d_perp`` and serves stripe
-    ``p % b``, so stripes are served round-robin.  A coordinate may fill a
-    slot only if it keeps the iteration's columns independent in H and the
-    stripe's accumulated columns independent in the storage generator; both
-    column sets therefore finish as invertible selections.  Candidates for
-    slot ``p`` are scanned from coordinate ``p mod n_s`` onward so
-    assignments spread over the servers; a slot with no candidate left
-    reopens the previous slot at its next one.  Scanning more than
-    :data:`SCHEDULE_BUDGET` candidates in all raises ScheduleNotFound.
+    The ground set has one element (coordinate j, iteration it, stripe s) per
+    triple.  M1 is M(H) on each iteration, with one parallel copy of column j
+    per stripe; M2 is M(G_C) on each stripe, with one parallel copy per
+    iteration.  A common independent set of size ``b * k_C = S * d_perp``
+    gives every iteration an invertible column selection of H and every stripe
+    an information set of C: a schedule.
+
+    Greedy pass: slot ``p`` belongs to iteration ``p // d_perp`` and serves
+    stripe ``p % b``, so stripes are served round-robin; it takes the first
+    coordinate from ``p mod n_s`` onward that keeps both column sets
+    independent, or stays empty.  Empty slots are then filled by
+    :func:`_augment`, or it raises ScheduleNotFound.
     """
-    if s_iterations * d_perp != b * k_c:
-        raise ScheduleNotFound(f"{b} stripes of {k_c} coordinates do not fill {s_iterations} iterations")
+    slots = b * k_c
+    if s_iterations * d_perp != slots:
+        raise ScheduleNotFound(
+            f"no schedule exists: {b} stripes of {k_c} coordinates do not fill "
+            f"{s_iterations} iterations of {d_perp}"
+        )
+    if h.rows > d_perp or g_c.rows > k_c:
+        raise ValueError("H may have at most d_perp rows and G_C at most k_C rows")
     n_s = g_c.cols
     g_cols = g_c.transpose().row_words
     h_cols = h.transpose().row_words
-    slots = b * k_c
-    # Pivot dicts of the columns chosen so far, and bitmasks of their coordinates.
+    it_set: list[dict[int, int]] = [{} for _ in range(s_iterations)]  # coordinate -> stripe
+    st_set: list[dict[int, int]] = [{} for _ in range(b)]  # coordinate -> iteration
     it_basis: list[dict[int, int]] = [{} for _ in range(s_iterations)]
     st_basis: list[dict[int, int]] = [{} for _ in range(b)]
-    it_used = [0] * s_iterations
-    st_used = [0] * b
-    # One (coordinate, offset, h pivot, g pivot) entry per filled slot.
-    stack: list[tuple[int, int, int, int]] = []
     ring = tuple(range(n_s)) * 2  # any rotation of the coordinates is one slice
-    scanned = 0
-    first = 0
-    while len(stack) < slots:
-        if scanned > SCHEDULE_BUDGET:
-            raise ScheduleNotFound(f"schedule search scanned more than {SCHEDULE_BUDGET} candidates")
-        p = len(stack)
-        it, stripe = p // d_perp, p % b
-        used = it_used[it] | st_used[stripe]
+    for p in range(slots):
+        it, s = p // d_perp, p % b
         start = p % n_s
-        for j in ring[start + first : start + n_s]:
-            if (used >> j) & 1:
+        for j in ring[start : start + n_s]:
+            if j in it_set[it] or j in st_set[s]:
                 continue
             h_red = reduce_word(h_cols[j], it_basis[it])
             if h_red:
-                g_red = reduce_word(g_cols[j], st_basis[stripe])
+                g_red = reduce_word(g_cols[j], st_basis[s])
                 if g_red:
+                    it_basis[it][h_red & -h_red] = h_red
+                    st_basis[s][g_red & -g_red] = g_red
+                    it_set[it][j] = s
+                    st_set[s][j] = it
                     break
-        else:
-            scanned += n_s - first
-            if not stack:
-                raise ScheduleNotFound(
-                    f"no assignment of {slots} slots over {n_s} servers satisfies both "
-                    "independence constraints"
-                )
-            j, first, h_piv, g_piv = stack.pop()
-            it, stripe = (p - 1) // d_perp, (p - 1) % b
-            del it_basis[it][h_piv], st_basis[stripe][g_piv]
-            it_used[it] ^= 1 << j
-            st_used[stripe] ^= 1 << j
-            first += 1
-            continue
-        off = (j - start) % n_s
-        scanned += off - first + 1
-        h_piv, g_piv = h_red & -h_red, g_red & -g_red
-        it_basis[it][h_piv] = h_red
-        st_basis[stripe][g_piv] = g_red
-        it_used[it] |= 1 << j
-        st_used[stripe] |= 1 << j
-        stack.append((j, off, h_piv, g_piv))
-        first = 0
+    if sum(map(len, it_set)) < slots:
+        _augment(g_c, h, k_c, d_perp, it_set, st_set)
 
     iterations = []
-    for it in range(s_iterations):
-        pairs = sorted((stack[p][0], p % b) for p in range(it * d_perp, (it + 1) * d_perp))
+    for members in it_set:
+        pairs = sorted(members.items())
         iterations.append(IterationPlan(tuple(c for c, _ in pairs), tuple(s for _, s in pairs)))
     return Schedule(tuple(iterations))
+
+
+def _augment(
+    g_c: BitMatrix,
+    h: BitMatrix,
+    k_c: int,
+    d_perp: int,
+    it_set: list[dict[int, int]],
+    st_set: list[dict[int, int]],
+) -> None:
+    """Fill a partial schedule by matroid intersection, in place.
+
+    ``it_set`` maps each iteration's coordinates to their stripes and
+    ``st_set`` each stripe's coordinates to their iterations; together they
+    are a common independent set (see :func:`_solve_schedule`).  While it is
+    short of ``b * k_C`` elements, a breadth-first search finds a shortest
+    path in the exchange graph from an element that M1 accepts to one that M2
+    accepts, and the set is swapped along it, growing by one.  When no path
+    exists the set is a maximum common independent set, which proves that no
+    schedule exists.  That proof, or scanning more than
+    :data:`SCHEDULE_BUDGET` arcs, raises ScheduleNotFound, and its message
+    says which of the two it was.
+    """
+    s_iterations, b = len(it_set), len(st_set)
+    slots = b * k_c
+    n_s = g_c.cols
+    h_top, g_top = h.rows, g_c.rows
+    h_low, g_low = (1 << h_top) - 1, (1 << g_top) - 1
+    # Each column carries its coordinate as a tag bit above its own bits.
+    # Reduced against a block's tagged columns, a dependent column leaves only
+    # tags: its own and those of the block columns summing to it, which with
+    # it form its fundamental circuit.
+    h_cols = tuple(w | 1 << (h_top + j) for j, w in enumerate(h.transpose().row_words))
+    g_cols = tuple(w | 1 << (g_top + j) for j, w in enumerate(g_c.transpose().row_words))
+    it_basis = [_pivots((h_cols[j] for j in members), h_low) for members in it_set]
+    st_basis = [_pivots((g_cols[j] for j in members), g_low) for members in st_set]
+
+    # Per iteration until it changes: the coordinates whose column is free
+    # in it, and for each member coordinate the coordinates whose circuit
+    # holds it.  Per stripe until it changes: each coordinate's reduced column.
+    it_arcs: list[tuple[list[int], dict[int, list[int]]] | None] = [None] * s_iterations
+    st_reduced: list[dict[int, int]] = [{} for _ in range(b)]
+    scanned = 0
+    missing = slots - sum(map(len, it_set))
+
+    def scan(arcs: int) -> None:
+        nonlocal scanned
+        scanned += arcs
+        if scanned > SCHEDULE_BUDGET:
+            raise ScheduleNotFound(
+                f"schedule search scanned more than {SCHEDULE_BUDGET} exchange-graph arcs "
+                f"with {missing} of {slots} slots still empty"
+            )
+
+    def iteration_arcs(it: int) -> tuple[list[int], dict[int, list[int]]]:
+        if (arcs := it_arcs[it]) is None:
+            free: list[int] = []
+            holders: dict[int, list[int]] = {}
+            for j in range(n_s):
+                w = reduce_word(h_cols[j], it_basis[it])
+                if w & h_low:
+                    free.append(j)
+                else:
+                    for member in _set_bits(w >> h_top ^ 1 << j):
+                        holders.setdefault(member, []).append(j)
+            scan(n_s)
+            arcs = it_arcs[it] = (free, holders)
+        return arcs
+
+    def stripe_reduced(s: int, j: int) -> int:
+        if (w := st_reduced[s].get(j)) is None:
+            w = st_reduced[s][j] = reduce_word(g_cols[j], st_basis[s])
+        return w
+
+    every_stripe = (1 << b) - 1
+    while missing:
+        # Sinks: per coordinate, the stripes short of k_C in which its
+        # column is free.
+        sinks = [0] * n_s
+        for s in range(b):
+            if len(st_set[s]) < k_c:
+                for j in range(n_s):
+                    if stripe_reduced(s, j) & g_low:
+                        sinks[j] |= 1 << s
+        # An element (j, it, s) off the set has out-arcs that depend on
+        # (j, s) alone, so the search keys it by (j, s) and records the
+        # iteration it was reached through as part of its parent.  A sink is
+        # taken when first reached, which keeps the path a shortest one.
+        reached = [0] * n_s  # per coordinate, a mask of the stripes reached
+        outer_parent: dict[tuple[int, int], tuple[int, tuple[int, int] | None]] = {}
+        inner_parent: dict[tuple[int, int], tuple[int, int]] = {}
+
+        def reach(
+            j: int, fresh: int, it: int, y: tuple[int, int] | None, layer: list[tuple[int, int]]
+        ) -> tuple[int, int] | None:
+            reached[j] |= fresh
+            for s in _set_bits(fresh):
+                outer_parent[j, s] = (it, y)
+                layer.append((j, s))
+            hit = fresh & sinks[j]
+            return (j, (hit & -hit).bit_length() - 1) if hit else None
+
+        frontier: list[tuple[int, int]] = []
+        sink = None
+        for it in range(s_iterations):
+            if len(it_set[it]) < d_perp:
+                for j in iteration_arcs(it)[0]:
+                    fresh = every_stripe & ~reached[j]
+                    if fresh and (sink := reach(j, fresh, it, None, frontier)):
+                        break
+                if sink:
+                    break
+        while frontier and not sink:
+            inner: list[tuple[int, int]] = []  # set elements, as (coordinate, iteration)
+            for j, s in frontier:
+                circuit = stripe_reduced(s, j) >> g_top ^ 1 << j
+                for member in _set_bits(circuit):
+                    y = (member, st_set[s][member])
+                    if y not in inner_parent:
+                        inner_parent[y] = (j, s)
+                        inner.append(y)
+                scan(circuit.bit_count())
+            frontier = []
+            for member, it in inner:
+                holders = iteration_arcs(it)[1].get(member, ())
+                for j in holders:
+                    fresh = every_stripe & ~reached[j]
+                    if j == member:  # its copy in its own stripe is the element itself
+                        fresh &= ~(1 << it_set[it][member])
+                    if fresh and (sink := reach(j, fresh, it, (member, it), frontier)):
+                        break
+                if sink:
+                    break
+                scan(len(holders))
+        if not sink:
+            raise ScheduleNotFound(
+                f"no schedule exists: at most {slots - missing} of {slots} slots can be filled "
+                "(no augmenting path)"
+            )
+        added, dropped = [], []
+        j, s = sink
+        it, y = outer_parent[j, s]
+        added.append((j, it, s))
+        while y is not None:
+            member, it = y
+            dropped.append((member, it, it_set[it][member]))
+            j, s = inner_parent[y]
+            it, y = outer_parent[j, s]
+            added.append((j, it, s))
+        for j, it, s in dropped:
+            del it_set[it][j], st_set[s][j]
+        for j, it, s in added:
+            it_set[it][j] = s
+            st_set[s][j] = it
+        for it in {it for _, it, _ in added}:
+            it_basis[it] = _pivots((h_cols[j] for j in it_set[it]), h_low)
+            it_arcs[it] = None
+        for s in {s for _, _, s in added}:
+            st_basis[s] = _pivots((g_cols[j] for j in st_set[s]), g_low)
+            st_reduced[s] = {}
+        missing -= 1
 
 
 # ---------------------------------------------------------------------------

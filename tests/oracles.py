@@ -8,9 +8,11 @@ themselves, not just span bookkeeping.
 
 The retrieval loop redoes one retrieval's queries and responses on Python
 integers, one row at a time, from the documented Philox draw order.
+
+The schedule finder decides a tiny scheduling instance by exhaustive search.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -83,6 +85,55 @@ def loop_retrieval(derived, files, seed, demand):
         queries.append(tuple(q))
         responses.append(response)
     return file_words[demand], queries, responses
+
+
+def column_rank(cols):
+    """Rank over GF(2) of integer column words, by a basis keyed on the
+    highest set bit."""
+    basis = {}
+    for w in cols:
+        while w and w.bit_length() in basis:
+            w ^= basis[w.bit_length()]
+        if w:
+            basis[w.bit_length()] = w
+    return len(basis)
+
+
+def brute_force_schedule(g_cols, h_cols, b, k_c, d_perp, s_iterations):
+    """Some schedule of a tiny instance, or None when it has none.
+
+    A schedule gives each of the ``s_iterations`` iterations ``d_perp``
+    distinct coordinates with independent columns in ``h_cols``, each
+    labelled with one of ``b`` stripes, so that every stripe ends with
+    ``k_c`` coordinates whose ``g_cols`` are independent.  Every labelled
+    iteration choice is listed, and iterations, being interchangeable, take
+    choices in nondecreasing list order; a partial assignment that already
+    breaks a stripe is dropped.  Returns per iteration its sorted
+    (coordinate, stripe) pairs.
+    """
+    choices = [
+        tuple(zip(coords, stripes))
+        for coords in combinations(range(len(h_cols)), d_perp)
+        if column_rank([h_cols[j] for j in coords]) == d_perp
+        for stripes in product(range(b), repeat=d_perp)
+    ]
+
+    def extend(first, taken, per_stripe):
+        if len(taken) == s_iterations:
+            return taken
+        for i in range(first, len(choices)):
+            grown = [list(coords) for coords in per_stripe]
+            for j, s in choices[i]:
+                grown[s].append(j)
+            if all(len(c) <= k_c and column_rank([g_cols[j] for j in c]) == len(c) for c in grown):
+                found = extend(i, taken + [choices[i]], grown)
+                if found is not None:
+                    return found
+        return None
+
+    if s_iterations * d_perp != b * k_c:
+        return None
+    return extend(0, [], [[] for _ in range(b)])
 
 
 def exhaustive_span(length, vectors):

@@ -8,12 +8,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bermanpir import cli, pir
@@ -86,6 +86,50 @@ def planted_words(d, plan, files, demand):
     for stripe, coord in zip(plan.stripes, plan.coords):
         words[d.file_row(demand, stripe)] |= 1 << coord
     return words
+
+
+@st.composite
+def bit_matrices(draw, rows, cols):
+    """Random rows, or rows of full rank: an identity block in random
+    columns, the other columns random."""
+    words = draw(st.lists(st.integers(0, 2**cols - 1), min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        pivots = draw(st.permutations(range(cols)))[:rows]
+        mask = sum(1 << p for p in pivots)
+        words = [w & ~mask | 1 << p for w, p in zip(words, pivots)]
+    return BitMatrix(rows, cols, tuple(words))
+
+
+@st.composite
+def schedule_instances(draw):
+    """(G_C, H, b, k_C, d_perp, S) on at most 6 coordinates and 6 slots, with
+    b and S minimal as in the derivation."""
+    n_s = draw(st.integers(2, 6))
+    k_c, d_perp = draw(st.sampled_from(
+        [(k, d) for k in range(1, n_s + 1) for d in range(1, n_s + 1) if k * d // gcd(k, d) <= 6]
+    ))
+    g = gcd(k_c, d_perp)
+    return draw(bit_matrices(k_c, n_s)), draw(bit_matrices(d_perp, n_s)), d_perp // g, k_c, d_perp, k_c // g
+
+
+def check_schedule(schedule, g_c, h, b, k_c, d_perp, s_iterations):
+    """Every iteration holds d_perp distinct coordinates with invertible
+    columns of H; every stripe holds k_C with invertible columns of G_C."""
+    assert len(schedule.iterations) == s_iterations
+    for plan in schedule.iterations:
+        assert len(set(plan.coords)) == len(plan.coords) == d_perp
+        invert_columns(h, plan.coords)
+    for stripe in range(b):
+        coords = schedule.stripe_coords(stripe)
+        assert len(coords) == k_c
+        invert_columns(g_c, coords)
+
+
+def shapes_up_to(n_s_max):
+    """Every (n, m) with n >= 2 and n^m <= n_s_max."""
+    return tuple(
+        (n, m) for m in range(1, n_s_max.bit_length()) for n in range(2, n_s_max + 1) if n**m <= n_s_max
+    )
 
 
 class TestClosedForms:
@@ -182,52 +226,175 @@ class TestSchedule:
 
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)"))
         # Too few slots for the stripe demand: reported, never silently dropped.
-        with pytest.raises(ScheduleNotFound):
+        with pytest.raises(ScheduleNotFound, match="no schedule exists"):
             _solve_schedule(d.storage_code.generator, d.parity, d.b, d.k_c, d.d_perp, 0)
         # Enough slots but impossible independence: a one-row parity map can
         # never supply two independent columns in one iteration.
         from bermanpir.gf2 import BitMatrix
 
         flat_parity = BitMatrix(1, d.n_s, (d.parity.row_words[0],))
-        with pytest.raises(ScheduleNotFound):
+        with pytest.raises(ScheduleNotFound, match="no schedule exists"):
             _solve_schedule(d.storage_code.generator, flat_parity, 2, 1, 2, 1)
+
+    @given(schedule_instances())
+    @settings(max_examples=200)
+    def test_agrees_with_brute_force(self, instance):
+        from oracles import brute_force_schedule
+
+        g_c, h, b, k_c, d_perp, s_iterations = instance
+        expected = brute_force_schedule(
+            g_c.transpose().row_words, h.transpose().row_words, b, k_c, d_perp, s_iterations
+        )
+        try:
+            schedule = pir._solve_schedule(g_c, h, b, k_c, d_perp, s_iterations)
+        except ScheduleNotFound as exc:
+            assert expected is None
+            assert "no schedule exists" in str(exc)
+            return
+        assert expected is not None
+        check_schedule(schedule, g_c, h, b, k_c, d_perp, s_iterations)
 
 
 class TestScheduleRegression:
-    #: Pairs on SHAPES_UP_TO_36 whose search runs past SCHEDULE_BUDGET.
-    OVER_BUDGET = {
-        ("DBer(3,2,3)", "DBer(3,0,3)"),
+    #: SHA-256 over every pair of SHAPES_UP_TO_36 of its name and, per
+    #: iteration, its coordinates and their stripes.
+    SCHEDULES_SHA256 = "4803f9e91c363364064777380b1e54283d321bd757eeca42b6238cb8a1b52a3c"
+
+    #: Pairs with n^m <= 64 that the former depth-first search gave up on.
+    FORMERLY_OVER_BUDGET = (
         ("DBer(4,1,2)", "DBer(4,0,2)"),
         ("DBer(5,1,2)", "DBer(5,0,2)"),
         ("DBer(6,1,2)", "DBer(6,0,2)"),
-    }
-    #: SHA-256 over every other pair of SHAPES_UP_TO_36 of its name and, per
-    #: iteration, its coordinates and their stripes.
-    SCHEDULES_SHA256 = "8fda8caec4af645480ff82b0bde82dda89173f103e20e1c2a2c0f6b499a1b1ff"
+        ("DBer(7,1,2)", "DBer(7,0,2)"),
+        ("DBer(8,1,2)", "DBer(8,0,2)"),
+        ("Ber(7,1,2)", "DBer(7,0,2)"),
+        ("Ber(8,1,2)", "DBer(8,0,2)"),
+        ("DBer(3,2,3)", "DBer(3,0,3)"),
+        ("DBer(4,1,3)", "DBer(4,1,3)"),
+        ("Ber(4,1,3)", "DBer(4,0,3)"),
+        ("Ber(4,2,3)", "DBer(4,0,3)"),
+        ("DBer(4,2,3)", "DBer(4,0,3)"),
+    )
 
     def test_schedules_are_pinned(self):
         digest = hashlib.sha256()
         for storage, retrieval, _ in supported_pairs(SHAPES_UP_TO_36):
-            if (storage.name, retrieval.name) in self.OVER_BUDGET:
-                continue
             plans = derive_scheme(SchemeConfig(storage, retrieval)).schedule.iterations
             record = [storage.name, retrieval.name, [[p.coords, p.stripes] for p in plans]]
             digest.update(json.dumps(record).encode())
         assert digest.hexdigest() == self.SCHEDULES_SHA256
 
-    def test_over_budget_search_exits_5(self, capsys):
-        argv = ["simulate", "--storage", "DBer(4,1,2)", "--retrieval", "DBer(4,0,2)"]
+    def test_every_pair_up_to_64_servers_reconstructs(self):
+        pairs = list(supported_pairs(shapes_up_to(64)))
+        assert len(pairs) == 444
+        for storage, retrieval, _ in pairs:
+            config = SchemeConfig(storage, retrieval, files=2, seed=1)
+            assert run_retrieval(config, 1).reconstructed_ok, (storage.name, retrieval.name)
+
+    @pytest.mark.parametrize(
+        "storage, retrieval", (("DBer(4,1,3)", "DBer(4,1,3)"), ("Ber(4,1,3)", "DBer(4,0,3)"))
+    )
+    def test_ladder_pairs_simulate(self, storage, retrieval, tmp_path, capsys):
+        argv = ["simulate", "--storage", storage, "--retrieval", retrieval, "--format", "json",
+                "--out", str(tmp_path / "transcript.json")]
+        assert cli.main(argv) == cli.EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["reconstructed_ok"] is True
+        assert summary["privacy_rank_ok"] is True
+
+    def test_proven_infeasible_search_exits_5(self, monkeypatch, capsys):
+        # Derive with only the first row of H: no iteration of d_perp >= 2
+        # coordinates can be scheduled on it.
+        real = pir._solve_schedule
+
+        def flat(g_c, h, *sizes):
+            return real(g_c, BitMatrix(1, h.cols, h.row_words[:1]), *sizes)
+
+        monkeypatch.setattr(pir, "_solve_schedule", flat)
+        pir._derive.cache_clear()
+        argv = ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)"]
         assert cli.main(argv) == cli.EXIT_NO_SCHEDULE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert json.loads(captured.err)["error"] == "ScheduleNotFound"
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ScheduleNotFound"
+        assert error["message"].startswith("no schedule exists")
+
+    def test_over_budget_search_says_so(self, monkeypatch):
+        monkeypatch.setattr(pir, "SCHEDULE_BUDGET", 0)
+        pir._derive.cache_clear()
+        with pytest.raises(ScheduleNotFound, match="scanned more than 0 exchange-graph arcs"):
+            derive_scheme(cfg("DBer(4,1,3)", "DBer(4,1,3)"))
+
+    #: Pairs up to 256 servers whose search runs past SCHEDULE_BUDGET.  The
+    #: former depth-first search gave up on each of them too.
+    OVER_BUDGET_UP_TO_256 = frozenset((
+        ("DBer(11,1,2)", "DBer(11,0,2)"),
+        ("Ber(5,2,3)", "DBer(5,0,3)"),
+        ("DBer(5,2,3)", "DBer(5,0,3)"),
+        ("DBer(12,1,2)", "DBer(12,0,2)"),
+        ("DBer(13,1,2)", "DBer(13,0,2)"),
+        ("DBer(14,1,2)", "DBer(14,0,2)"),
+        ("Ber(6,2,3)", "DBer(6,0,3)"),
+        ("DBer(6,1,3)", "DBer(6,1,3)"),
+        ("DBer(6,2,3)", "DBer(6,0,3)"),
+        ("DBer(15,1,2)", "DBer(15,0,2)"),
+        ("Ber(3,2,5)", "DBer(3,0,5)"),
+        ("Ber(3,3,5)", "DBer(3,0,5)"),
+        ("Ber(3,3,5)", "DBer(3,1,5)"),
+        ("Ber(3,4,5)", "DBer(3,0,5)"),
+        ("Ber(3,4,5)", "DBer(3,1,5)"),
+        ("DBer(3,2,5)", "DBer(3,1,5)"),
+        ("DBer(3,2,5)", "DBer(3,2,5)"),
+        ("DBer(3,3,5)", "DBer(3,0,5)"),
+        ("DBer(3,3,5)", "DBer(3,1,5)"),
+        ("DBer(3,4,5)", "DBer(3,0,5)"),
+        ("Ber(2,2,8)", "DBer(2,0,8)"),
+        ("Ber(2,3,8)", "DBer(2,0,8)"),
+        ("Ber(2,3,8)", "DBer(2,1,8)"),
+        ("Ber(2,4,8)", "DBer(2,0,8)"),
+        ("Ber(4,2,4)", "DBer(4,0,4)"),
+        ("Ber(4,3,4)", "DBer(4,0,4)"),
+        ("Ber(4,3,4)", "DBer(4,1,4)"),
+        ("DBer(16,1,2)", "DBer(16,0,2)"),
+        ("DBer(2,3,8)", "Ber(2,7,8)"),
+        ("DBer(2,3,8)", "DBer(2,0,8)"),
+        ("DBer(2,4,8)", "Ber(2,6,8)"),
+        ("DBer(2,4,8)", "Ber(2,7,8)"),
+        ("DBer(2,4,8)", "DBer(2,0,8)"),
+        ("DBer(2,4,8)", "DBer(2,1,8)"),
+        ("DBer(2,5,8)", "Ber(2,7,8)"),
+        ("DBer(2,5,8)", "DBer(2,0,8)"),
+        ("DBer(4,1,4)", "DBer(4,2,4)"),
+        ("DBer(4,2,4)", "DBer(4,0,4)"),
+        ("DBer(4,2,4)", "DBer(4,1,4)"),
+        ("DBer(4,3,4)", "DBer(4,0,4)"),
+    ))
+
+    @pytest.mark.slow
+    def test_every_pair_up_to_256_servers_derives_or_is_refused(self):
+        for storage, retrieval, _ in supported_pairs(shapes_up_to(256)):
+            try:
+                d = derive_scheme(SchemeConfig(storage, retrieval))
+            except ScheduleNotFound:
+                assert (storage.name, retrieval.name) in self.OVER_BUDGET_UP_TO_256
+                continue
+            finally:
+                pir._derive.cache_clear()
+            check_schedule(
+                d.schedule, d.storage_code.generator, d.parity, d.b, d.k_c, d.d_perp, d.s_iterations
+            )
 
     @pytest.mark.parametrize(
         "storage, retrieval",
-        (("Ber(5,1,3)", "DBer(5,0,3)"), ("DBer(2,1,8)", "DBer(2,2,8)"), ("DBer(2,2,8)", "DBer(2,2,8)")),
+        # Slot counts 1456, 1467 and 3441: deeper than the interpreter's
+        # recursion limit; then the pairs the depth-first search gave up on.
+        (("Ber(5,1,3)", "DBer(5,0,3)"), ("DBer(2,1,8)", "DBer(2,2,8)"), ("DBer(2,2,8)", "DBer(2,2,8)"))
+        + FORMERLY_OVER_BUDGET,
     )
     def test_deep_searches_reconstruct(self, storage, retrieval):
-        # Slot counts 1456, 1467 and 3441: deeper than the interpreter's recursion limit.
         assert run_retrieval(cfg(storage, retrieval, seed=3), 0).reconstructed_ok
 
 
@@ -339,6 +506,7 @@ class TestLoopOracle:
             ("DBer(3,0,2)", "DBer(3,1,2)"),  # 9 servers, one limb
             ("DBer(2,1,7)", "DBer(2,2,7)"),  # 128 servers, two limbs
             ("DBer(2,1,8)", "DBer(2,1,8)"),  # 256 servers, four limbs
+            ("Ber(3,1,3)", "DBer(3,0,3)"),  # schedule found by augmenting paths
         ),
     )
     @pytest.mark.parametrize("seed", (3, 2**64 - 5))
@@ -594,7 +762,7 @@ class TestRunRetrieval:
             ("DBer(2,0,8)", "DBer(2,1,8)", 2, 7, 1,
              "143e2d5fdd829399c6cfd48d0f43838bcd7b53bbe540282c0b016faca5300373"),
             ("Ber(3,1,3)", "DBer(3,0,3)", 3, 11, 2,
-             "0cfb34514acf6e48b485a696811535b1bb1ebd53a45b9b769cf53fc697567f2e"),
+             "fdceed4d9a22db4bce7c1c30dc00043fb22aa1901635d8ac4f0e5b07744e9d46"),
         ),
     )
     def test_golden_transcript_digests(self, storage, retrieval, files, seed, demand, digest):
