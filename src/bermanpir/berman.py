@@ -305,10 +305,14 @@ def permute_vector(v: BitVector, perm: tuple[int, ...]) -> BitVector:
 
 
 def translation_permutation(n: int, m: int, shift: IndexTuple) -> tuple[int, ...]:
-    """Componentwise modular shift of the coordinate tuples."""
-    return tuple(
-        tuple_to_index(n, tuple((x + s) % n for x, s in zip(t, shift))) for t in all_tuples(n, m)
-    )
+    """Componentwise modular shift of the coordinate tuples: entry ``i`` is
+    the index of tuple ``i`` moved by ``shift``."""
+    if len(shift) != m:
+        raise LengthMismatch(f"expected an {m}-tuple shift")
+    perm = [0]
+    for s in shift:  # most significant component first, as in tuple_to_index
+        perm = [p * n + (x + s) % n for p in perm for x in range(n)]
+    return tuple(perm)
 
 
 def is_automorphism(code: LinearCode, perm: tuple[int, ...]) -> bool:

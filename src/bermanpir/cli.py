@@ -1,11 +1,13 @@
 """Command-line front end: parameter calculator, parameter tables, the
 self-verification sweep, and end-to-end retrieval simulation.
 
-Exit codes: 0 success, 2 parse error (also ``TooLarge``), 3 unsupported pair
-or zero rate, 4 verification failure (a broken protocol invariant, or an
-internal GF(2) or protocol-step error: ``Singular``, ``NoSolution``,
-``LengthMismatch``, ``Incomplete``, ``ShapeMismatch``), 5 no schedule
-(proved not to exist, or not found within the search budget).
+Exit codes: 0 success, 2 parse error (also ``TooLarge``, an out-of-range
+``--demand``, and an ``--out`` path that cannot be opened for writing,
+``OutputUnwritable``), 3 unsupported pair or zero rate, 4 verification
+failure (a broken protocol invariant, or an internal GF(2) or protocol-step
+error: ``Singular``, ``NoSolution``, ``LengthMismatch``, ``Incomplete``,
+``ShapeMismatch``), 5 no schedule (proved not to exist, or not found within
+the search budget).
 """
 
 from __future__ import annotations
@@ -140,9 +142,20 @@ def render_tables_text(tables: list[dict]) -> str:
     return "\n".join(lines)
 
 
+class OutputUnwritable(ValueError):
+    """The ``--out`` path cannot be opened for writing (exit 2)."""
+
+
+def _open_out(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write --out {path!r}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _open_out(out_path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -232,10 +245,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         files=args.files,
         seed=args.seed,
     )
-    transcript = run_retrieval(config, demand=0)
-    privacy_ok = verify_privacy_rank(build(config.retrieval), transcript.t, seed=config.seed)
+    # The privacy check runs before the retrieval, so its scratch arrays are
+    # freed before the transcript is built.  Rates and the storage code come
+    # first, so a pair is refused with the error derivation would raise.
+    t, _, _ = closed_form_triple(config.storage, config.retrieval)
+    build(config.storage)
+    privacy_ok = verify_privacy_rank(build(config.retrieval), t, seed=config.seed)
+    transcript = run_retrieval(config, demand=args.demand)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             fh.writelines(transcript.iter_json())
     summary = {
         "storage": config.storage.name,
@@ -310,6 +328,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--retrieval", required=True, metavar="SPEC")
     p_sim.add_argument("--files", type=int, default=1, metavar="M")
     p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--demand", type=int, default=0, metavar="I", help="index of the file to retrieve")
     add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

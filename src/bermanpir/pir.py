@@ -57,6 +57,7 @@ from .gf2 import (
     pack_bit_rows,
     reduce_word,
 )
+from .mitm import translation_mitm
 from .star import star_codes
 
 
@@ -641,20 +642,41 @@ def verify_privacy_rank(retrieval_code: LinearCode, t: int, *, seed: int = 0) ->
     """True iff every checked t-column projection of the code is onto.
 
     Onto projections make the random query part uniform on the colluding
-    coordinates, which is exactly the privacy condition.  Three routes: every
-    coordinate subset while there are at most :data:`EXHAUSTIVE_SUBSETS`;
-    else exactly from the dual distance (every t columns are independent iff
-    ``d(D^perp) > t``) while ``dim D^perp`` is within the brute-force guard;
-    else 10 000 random subsets drawn from ``seed``.
+    coordinates, which is exactly the privacy condition.  Four routes, the
+    first that applies decides:
+
+    * every coordinate subset, while there are at most
+      :data:`EXHAUSTIVE_SUBSETS`;
+    * the dual distance (every t columns are independent iff
+      ``d(D^perp) > t``), while ``dim D^perp`` is within the brute-force
+      guard;
+    * a meet in the middle over column sums
+      (:func:`.mitm.translation_mitm`), for a translation-invariant code of
+      dimension at most 64, within :data:`.mitm.MITM_LOOKUPS` lookups;
+    * 10 000 random subsets drawn from ``seed``, which can miss a
+      dependency.
+
+    The first three are exact.
     """
+    return _privacy_verdict(retrieval_code, t, seed)[0]
+
+
+def _privacy_verdict(retrieval_code: LinearCode, t: int, seed: int) -> tuple[bool, str]:
+    """:func:`verify_privacy_rank`'s verdict and the route that decided it:
+    ``exhaustive``, ``dual-distance``, ``mitm`` or ``sampled``."""
     n_s = retrieval_code.length
     _check_collusion_size(t, n_s)
-    if comb(n_s, t) > EXHAUSTIVE_SUBSETS:
+    exhaustive = comb(n_s, t) <= EXHAUSTIVE_SUBSETS
+    if not exhaustive:
         dual = retrieval_code.dual()
         if dual.dimension <= MAX_BRUTE_FORCE_DIM:
-            return dual.dimension == 0 or dual.min_distance_bruteforce() > t
+            return dual.dimension == 0 or dual.min_distance_bruteforce() > t, "dual-distance"
+        verdict = translation_mitm(retrieval_code, t)
+        if verdict is not None:
+            return verdict, "mitm"
     cols = retrieval_code.generator.transpose().row_words
-    return all(_projection_rank(cols, subset) == t for subset in _coordinate_subsets(n_s, t, seed))
+    verdict = all(_projection_rank(cols, subset) == t for subset in _coordinate_subsets(n_s, t, seed))
+    return verdict, "exhaustive" if exhaustive else "sampled"
 
 
 def _worst_case_columns(retrieval_code: LinearCode, t: int, prefer: int, seed: int) -> tuple[int, ...]:

@@ -258,6 +258,27 @@ class TestSimulate:
         assert rc == EXIT_UNSUPPORTED
         capsys.readouterr()
 
+    def test_demand_selects_the_file(self, tmp_path, capsys):
+        out = tmp_path / "transcript.json"
+        args = ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)",
+                "--files", "2", "--demand", "1", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "demand=1" in stdout
+        assert "reconstructed_ok=True" in stdout
+        payload = json.loads(out.read_text())
+        assert payload["demand"] == 1
+        assert payload["reconstructed_ok"] is True
+
+    @pytest.mark.parametrize("demand", ("-1", "2"))
+    def test_out_of_range_demand_exits_2(self, demand, capsys):
+        args = ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)",
+                "--files", "2", "--demand", demand]
+        assert main(args) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError", "message": "demand index out of range"}
+
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_VERIFY_FAILED, EXIT_NO_SCHEDULE}) == 5
 
@@ -274,3 +295,27 @@ class TestSizeGuard:
         error = json.loads(captured.err)
         assert error["error"] == "TooLarge"
         assert set(error) == {"error", "message"}
+
+
+class TestOutPath:
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)"],
+            ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)", "--format", "json"],
+            ["params", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)"],
+            ["tables"],
+            ["verify", "--nmax", "2", "--mmax", "1"],
+        ),
+    )
+    def test_unwritable_out_exits_2(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.json"
+        assert main([*argv, "--out", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "OutputUnwritable"
+        assert str(path) in error["message"]
+        assert not path.exists()

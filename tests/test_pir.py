@@ -2,6 +2,7 @@
 responses, decoding, reconstruction, privacy checks, end-to-end runs."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bermanpir import cli, pir
+from bermanpir import cli, mitm, pir
 from bermanpir.berman import BermanParams, CodeKind, build
 from bermanpir.codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns, rank
@@ -123,6 +124,28 @@ def check_schedule(schedule, g_c, h, b, k_c, d_perp, s_iterations):
         coords = schedule.stripe_coords(stripe)
         assert len(coords) == k_c
         invert_columns(g_c, coords)
+
+
+def duplicate_column(code):
+    """``code`` with column 1 of its generator overwritten by column 0."""
+    words = tuple((w & ~2) | ((w & 1) << 1) for w in code.generator.row_words)
+    return LinearCode.from_generator(BitMatrix(code.dimension, code.length, words))
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    """(storage, retrieval, t) for each pair of the benchmark's simulate ladder."""
+    bench = Path(__file__).resolve().parent.parent / "benchmarks"
+    sys.path.insert(0, str(bench))  # run.py imports its sibling hostspeed.py
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(bench))
+    pairs = [(P(storage), P(retrieval)) for storage, retrieval in run.LADDER]
+    assert len(pairs) == 20
+    return [(storage, retrieval, closed_form_triple(storage, retrieval)[0]) for storage, retrieval in pairs]
 
 
 def shapes_up_to(n_s_max):
@@ -650,16 +673,17 @@ class TestPrivacyRank:
         assert verify_privacy_rank(build(P("DBer(2,1,2)")), 3)
 
     def test_sampled_mode(self):
-        # C(64, 7) subsets and dim D^perp = 42: beyond both exact routes.
-        code = build(P("DBer(2,2,6)"))
+        # C(256, 15) subsets, dim D^perp = 163 and dim D = 93: the columns
+        # do not fit one uint64, so no exact route applies.
+        code = build(P("DBer(2,3,8)"))
         assert code.dual().dimension > MAX_BRUTE_FORCE_DIM
-        assert verify_privacy_rank(code, 7, seed=17)
+        assert code.dimension > 64
+        assert pir._privacy_verdict(code, 15, 17) == (True, "sampled")
 
     def test_dual_route_rejects_a_duplicated_column(self):
         # C(27, 8) subsets and dim D^perp = 7: decided from the dual distance.
         code = build(P("Ber(3,1,3)"))
-        words = tuple((w & ~2) | ((w & 1) << 1) for w in code.generator.row_words)
-        broken = LinearCode.from_generator(BitMatrix(code.dimension, code.length, words))
+        broken = duplicate_column(code)
         assert broken.dual().dimension <= MAX_BRUTE_FORCE_DIM
         assert verify_privacy_rank(code, 8)
         assert not verify_privacy_rank(broken, 8)
@@ -681,9 +705,84 @@ class TestPrivacyRank:
                         rank(code.generator.take_columns(subset)) == t
                         for subset in combinations(range(code.length), t)
                     )
-                    assert verify_privacy_rank(code, t) == exhaustive, (params.name, t)
+                    assert pir._privacy_verdict(code, t, 0) == (exhaustive, "dual-distance"), (params.name, t)
                     verdicts.add(exhaustive)
         assert verdicts == {True, False}
+
+    def test_mitm_route_agrees_with_exhaustive(self, monkeypatch):
+        monkeypatch.setattr(pir, "EXHAUSTIVE_SUBSETS", 0)
+        monkeypatch.setattr(pir, "MAX_BRUTE_FORCE_DIM", -1)
+        verdicts = set()
+        for n, m in shapes_up_to(64):
+            for params in family(n, m):
+                code = build(params)
+                assert mitm.translation_invariant(code), params.name
+                cols = code.generator.transpose().row_words
+                for t in range(1, code.length + 1):
+                    if comb(code.length, t) > 3_000:
+                        break
+                    exhaustive = all(
+                        pir._projection_rank(cols, subset) == t
+                        for subset in combinations(range(code.length), t)
+                    )
+                    assert pir._privacy_verdict(code, t, 0) == (exhaustive, "mitm"), (params.name, t)
+                    verdicts.add(exhaustive)
+        assert verdicts == {True, False}
+
+    def test_duplicated_column_falls_through_mitm(self):
+        # dim D^perp = 42 and C(64, 7) subsets: the intact code is decided by
+        # the meet in the middle; a duplicated column breaks translation
+        # invariance, and sampling (seeded) happens to catch it.
+        code = build(P("DBer(2,2,6)"))
+        broken = duplicate_column(code)
+        assert not mitm.translation_invariant(broken)
+        assert pir._privacy_verdict(code, 7, 0) == (True, "mitm")
+        assert pir._privacy_verdict(broken, 7, 0) == (False, "sampled")
+
+    def test_ladder_pairs_are_decided_exactly(self, ladder):
+        routes = {}
+        for storage, retrieval, t in ladder:
+            verdict, route = pir._privacy_verdict(build(retrieval), t, 0)
+            assert verdict is True, (storage.name, retrieval.name, t)
+            routes[storage.name, retrieval.name] = route
+        assert "sampled" not in routes.values()
+        assert sum(route == "mitm" for route in routes.values()) == 9
+
+    def test_ladder_t_is_sharp(self, ladder):
+        # Every exact route finds a dependency among t + 1 columns; three
+        # pairs leave the meet in the middle's budget at t + 1 and are sampled.
+        sampled = []
+        for storage, retrieval, t in ladder:
+            verdict, route = pir._privacy_verdict(build(retrieval), t + 1, 0)
+            if route == "sampled":
+                sampled.append(retrieval.name)
+            else:
+                assert verdict is False, (storage.name, retrieval.name, t, route)
+        assert sorted(sampled) == ["DBer(2,2,7)", "DBer(2,2,8)", "DBer(2,2,8)"]
+
+    #: Retrieval codes up to 256 servers whose privacy check is still
+    #: sampled: dimension above 64, or more lookups than MITM_LOOKUPS.
+    #: Every supported pair with one of them as its retrieval code samples.
+    SAMPLED_RETRIEVAL_UP_TO_256 = frozenset((
+        "Ber(13,1,2)", "Ber(14,1,2)", "Ber(15,1,2)", "Ber(16,1,2)",
+        "Ber(6,2,3)", "DBer(6,2,3)",
+        "Ber(4,2,4)", "Ber(4,3,4)", "DBer(4,2,4)", "DBer(4,3,4)",
+        "Ber(3,2,5)", "Ber(3,3,5)", "DBer(3,3,5)", "DBer(3,4,5)",
+        "Ber(2,2,7)", "Ber(2,3,7)", "DBer(2,3,7)", "DBer(2,4,7)",
+        "Ber(2,2,8)", "Ber(2,3,8)", "Ber(2,4,8)", "DBer(2,3,8)", "DBer(2,4,8)", "DBer(2,5,8)",
+    ))
+
+    @pytest.mark.slow
+    def test_every_supported_pair_up_to_256_servers(self):
+        verdicts = {}
+        pairs = list(supported_pairs(shapes_up_to(256)))
+        assert len(pairs) == 1425
+        for storage, retrieval, t in pairs:
+            if (retrieval, t) not in verdicts:
+                verdicts[retrieval, t] = pir._privacy_verdict(build(retrieval), t, 0)
+            assert verdicts[retrieval, t][0] is True, (storage.name, retrieval.name, t)
+        sampled = {retrieval.name for (retrieval, _), (_, route) in verdicts.items() if route == "sampled"}
+        assert sampled == self.SAMPLED_RETRIEVAL_UP_TO_256
 
     @pytest.mark.parametrize("t", (-1, 5))
     def test_out_of_range_t(self, t):
