@@ -250,7 +250,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # first, so a pair is refused with the error derivation would raise.
     t, _, _ = closed_form_triple(config.storage, config.retrieval)
     build(config.storage)
-    privacy_ok = verify_privacy_rank(build(config.retrieval), t, seed=config.seed)
+    privacy_ok = verify_privacy_rank(build(config.retrieval), t)
     transcript = run_retrieval(config, demand=args.demand)
     if args.out:
         with _open_out(args.out) as fh:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVector, LengthMismatch, nullspace_basis, reduce_word, row_reduce
+from .gf2 import BitMatrix, BitVector, LengthMismatch, nullspace_basis, reduce_word, row_reduce, span_table
 from .gf2 import invert_columns  # noqa: F401  benchmarks/tracer.py patches codes.invert_columns
 
 #: Enumeration guard for brute-force minimum distance (2^24 codewords).
@@ -92,7 +92,7 @@ class LinearCode:
         """Minimum weight over all nonzero codewords, by Gray-code sweep.
 
         The span of the first ``min(dim, TABLE_DIM)`` generator rows is
-        tabulated once as limb rows (:attr:`BitMatrix.limbs`); the remaining
+        tabulated once as limb rows (:func:`.gf2.span_table`); the remaining
         rows are walked in Gray-code order, each step weighing the whole table
         shifted by the current offset codeword in one NumPy pass.
         """
@@ -103,9 +103,7 @@ class LinearCode:
             raise TooLarge(f"dimension {k} exceeds the enumeration guard")
         rows = self.generator.limbs
         a = min(k, TABLE_DIM)
-        table = np.zeros((1 << a, rows.shape[1]), dtype=rows.dtype)
-        for i in range(a):
-            table[1 << i : 2 << i] = table[: 1 << i] ^ rows[i]
+        table = span_table(rows[:a])
         best = int(np.bitwise_count(table[1:]).sum(axis=1).min())  # row 0 is the zero codeword
         offset = np.zeros(rows.shape[1], dtype=rows.dtype)
         for g in range(1, 1 << (k - a)):

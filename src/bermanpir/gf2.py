@@ -96,24 +96,29 @@ def flip_bits(limbs: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> No
     np.bitwise_xor.at(limbs, (np.asarray(rows, dtype=np.intp), cols >> 6), LIMB.type(1) << (cols & 63))
 
 
+def span_table(rows: np.ndarray) -> np.ndarray:
+    """Every XOR combination of the limb rows ``rows``: entry ``x`` of the
+    ``2^len(rows)``-row table is the XOR of the rows that the bits of ``x``
+    select, so entry 0 is zero."""
+    table = np.zeros((1 << len(rows), rows.shape[1]), dtype=LIMB)
+    for i, row in enumerate(rows):
+        table[1 << i : 2 << i] = table[: 1 << i] ^ row
+    return table
+
+
 def limb_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """GF(2) product of two limb arrays, ``rows x k`` times ``k x W``.
 
-    For every group of eight rows of ``right``, entry ``x`` of the group's
-    table is the XOR of the rows that the bits of ``x`` select.  Each output
-    row XORs in one table row per group: the one that its byte of ``left``
-    at that group names.  Bits of ``left`` beyond ``k`` are zero, so a short
-    last group's byte never indexes past its table.
+    Every group of eight rows of ``right`` gets its :func:`span_table`.  Each
+    output row XORs in one table row per group: the one that its byte of
+    ``left`` at that group names.  Bits of ``left`` beyond ``k`` are zero, so
+    a short last group's byte never indexes past its table.
     """
     k, width = right.shape
     left_bytes = left.view(np.uint8)
     out = np.zeros((left.shape[0], width), dtype=LIMB)
     for g in range(0, k, 8):
-        group = right[g : g + 8]
-        table = np.zeros((1 << len(group), width), dtype=LIMB)
-        for i, row in enumerate(group):
-            table[1 << i : 2 << i] = table[: 1 << i] ^ row
-        out ^= table[left_bytes[:, g >> 3]]
+        out ^= span_table(right[g : g + 8])[left_bytes[:, g >> 3]]
     return out
 
 
@@ -161,11 +166,18 @@ class BitVector:
 
     @classmethod
     def from_hex(cls, text: str, length: int) -> BitVector:
-        """Inverse of :meth:`to_hex` (most-significant bit = coordinate 0)."""
+        """Inverse of :meth:`to_hex` (most-significant bit = coordinate 0).
+
+        Rejects any character other than a hex digit, and set padding bits
+        past coordinate ``length - 1``, which :meth:`to_hex` never writes."""
         width = 4 * ((length + 3) // 4)
         if len(text) * 4 != width:
             raise ValueError("hex string does not match the stated length")
+        if set(text) - set("0123456789abcdefABCDEF"):
+            raise ValueError("expected a string of hex digits")
         value = int(text, 16) if text else 0
+        if value & ((1 << (width - length)) - 1):
+            raise ValueError("hex string sets padding bits beyond the stated length")
         word = 0
         for i in range(length):
             if (value >> (width - 1 - i)) & 1:

@@ -26,9 +26,9 @@ Collusion resistance: any t servers see t columns of Q, and those are
 exactly uniform as long as every t-column projection of D is the full
 space, which holds up to ``t = d_min(D^perp) - 1``.
 
-All randomness flows from a single 64-bit seed through NumPy's Philox
-counter-based generator (Philox 4x64 with 10 rounds); draw order is
-documented in :func:`run_retrieval`.
+All of a retrieval's randomness flows from a single 64-bit seed through
+NumPy's Philox counter-based generator (Philox 4x64 with 10 rounds); draw
+order is documented in :func:`run_retrieval`.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .gf2 import (
     invert_columns,
     limb_product,
     limbs_to_words,
-    pack_bit_rows,
     reduce_word,
 )
 from .mitm import translation_mitm
@@ -78,7 +77,7 @@ class Incomplete(ValueError):
 
 
 class ShapeMismatch(ValueError):
-    """File matrices do not have the scheme's b x k_C shape."""
+    """A library is not a positive whole number of the scheme's b x k_C files."""
 
 
 def philox_generator(seed: int) -> np.random.Generator:
@@ -519,13 +518,16 @@ def _augment(
 # Protocol steps.
 
 
-def encode_storage(derived: SchemeDerived, files: list[BitMatrix]) -> BitMatrix:
-    """The stored matrix: the stacked files times the storage generator.
-    Row ``file_row(f, s)`` is stripe s of file f; server ``i`` holds column ``i``."""
-    for f in files:
-        if (f.rows, f.cols) != (derived.b, derived.k_c):
-            raise ShapeMismatch(f"files must be {derived.b} x {derived.k_c} bit matrices")
-    return BitMatrix.stack(files) @ derived.storage_code.generator
+def encode_storage(derived: SchemeDerived, library: BitMatrix) -> BitMatrix:
+    """The stored matrix: the library times the storage generator.
+
+    The library is one ``M*b x k_C`` matrix holding the M files in blocks of
+    b rows, so its row ``file_row(f, s)`` is stripe s of file f, and so is
+    the stored matrix's.  Server ``i`` holds column ``i``."""
+    b, k_c = derived.b, derived.k_c
+    if library.cols != k_c or library.rows < b or library.rows % b:
+        raise ShapeMismatch(f"the library must be a positive whole number of {b} x {k_c} files")
+    return library @ derived.storage_code.generator
 
 
 def gen_queries(
@@ -628,17 +630,18 @@ def _check_collusion_size(t: int, n_s: int) -> None:
 EXHAUSTIVE_SUBSETS = 100_000
 
 
-def _coordinate_subsets(n_s: int, t: int, seed: int) -> Iterator[tuple[int, ...]]:
+def _coordinate_subsets(n_s: int, t: int) -> Iterator[tuple[int, ...]]:
     """Every size-t coordinate subset when there are at most
     :data:`EXHAUSTIVE_SUBSETS` of them; otherwise 10 000 random subsets, each
-    one sorted ``rng.choice`` draw from the seeded Philox stream."""
+    one sorted ``rng.choice`` draw from the Philox stream of key 0, so a
+    verdict never depends on a retrieval's seed."""
     if comb(n_s, t) <= EXHAUSTIVE_SUBSETS:
         return combinations(range(n_s), t)
-    rng = philox_generator(seed)
+    rng = philox_generator(0)
     return (tuple(sorted(rng.choice(n_s, size=t, replace=False).tolist())) for _ in range(10_000))
 
 
-def verify_privacy_rank(retrieval_code: LinearCode, t: int, *, seed: int = 0) -> bool:
+def verify_privacy_rank(retrieval_code: LinearCode, t: int) -> bool:
     """True iff every checked t-column projection of the code is onto.
 
     Onto projections make the random query part uniform on the colluding
@@ -653,15 +656,15 @@ def verify_privacy_rank(retrieval_code: LinearCode, t: int, *, seed: int = 0) ->
     * a meet in the middle over column sums
       (:func:`.mitm.translation_mitm`), for a translation-invariant code of
       dimension at most 64, within :data:`.mitm.MITM_LOOKUPS` lookups;
-    * 10 000 random subsets drawn from ``seed``, which can miss a
+    * 10 000 random subsets from a fixed Philox key, which can miss a
       dependency.
 
     The first three are exact.
     """
-    return _privacy_verdict(retrieval_code, t, seed)[0]
+    return _privacy_verdict(retrieval_code, t)[0]
 
 
-def _privacy_verdict(retrieval_code: LinearCode, t: int, seed: int) -> tuple[bool, str]:
+def _privacy_verdict(retrieval_code: LinearCode, t: int) -> tuple[bool, str]:
     """:func:`verify_privacy_rank`'s verdict and the route that decided it:
     ``exhaustive``, ``dual-distance``, ``mitm`` or ``sampled``."""
     n_s = retrieval_code.length
@@ -675,16 +678,16 @@ def _privacy_verdict(retrieval_code: LinearCode, t: int, seed: int) -> tuple[boo
         if verdict is not None:
             return verdict, "mitm"
     cols = retrieval_code.generator.transpose().row_words
-    verdict = all(_projection_rank(cols, subset) == t for subset in _coordinate_subsets(n_s, t, seed))
+    verdict = all(_projection_rank(cols, subset) == t for subset in _coordinate_subsets(n_s, t))
     return verdict, "exhaustive" if exhaustive else "sampled"
 
 
-def _worst_case_columns(retrieval_code: LinearCode, t: int, prefer: int, seed: int) -> tuple[int, ...]:
+def _worst_case_columns(retrieval_code: LinearCode, t: int, prefer: int) -> tuple[int, ...]:
     """A size-t coordinate set minimizing the projection rank (worst case
     for privacy), preferring sets that contain the ``prefer`` coordinate."""
     cols = retrieval_code.generator.transpose().row_words
     return min(
-        _coordinate_subsets(retrieval_code.length, t, seed),
+        _coordinate_subsets(retrieval_code.length, t),
         key=lambda subset: (_projection_rank(cols, subset), 0 if prefer in subset else 1, subset),
     )
 
@@ -709,7 +712,7 @@ def verify_privacy_empirical(config: SchemeConfig, t: int) -> float:
     if not info:
         raise ZeroRate("the product code fills the whole space")
     embed = info[0]
-    subset = _worst_case_columns(d, t, prefer=embed, seed=config.seed)
+    subset = _worst_case_columns(d, t, prefer=embed)
     restricted = d.generator.take_columns(subset)
     k_d = d.dimension
     if k_d * rows > 20:
@@ -818,7 +821,8 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     Draw order from the seeded Philox stream: first the M file matrices
     (row-major bits, one draw per file), then one query batch per iteration.
     The per-file draws stay separate calls: a uint8 draw buffers whole 32-bit
-    words per call, so one draw of all M files would shift the stream.
+    words per call, so one draw of all M files would shift the stream.  They
+    are packed once into the library matrix, whose limbs the encoding uses.
     Every iteration checks that the response vector minus the embedded
     contribution lies in the product code and that each recovered bit
     equals the stored one; a failure, or an achieved rate that strays from
@@ -830,9 +834,8 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     rng = philox_generator(config.seed)
     b, k_c = derived.b, derived.k_c
     draws = [rng.integers(0, 2, size=(b, k_c), dtype=np.uint8) for _ in range(config.files)]
-    words = pack_bit_rows(np.concatenate(draws))
-    files = [BitMatrix(b, k_c, words[f * b : (f + 1) * b]) for f in range(config.files)]
-    stored = encode_storage(derived, files)
+    library = BitMatrix.from_limbs(bits_to_limbs(np.concatenate(draws)), k_c)
+    stored = encode_storage(derived, library)
 
     records = []
     recovered: list[tuple[int, int, int]] = []
@@ -856,6 +859,8 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
         records.append(IterationRecord(plan, query, response, got))
 
     rebuilt = reconstruct_file(derived, tuple(recovered))
+    first = derived.file_row(demand, 0)
+    demanded = BitMatrix(b, k_c, library.row_words[first : first + b])
     s_actual = len(derived.schedule.iterations)
     achieved = Fraction(derived.b * derived.k_c, s_actual * derived.n_s)
     if achieved != derived.r_pir:
@@ -870,8 +875,8 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
         s_iterations=s_actual,
         iterations=tuple(records),
         recovered_file=rebuilt,
-        stored_file=files[demand],
-        reconstructed_ok=rebuilt == files[demand],
+        stored_file=demanded,
+        reconstructed_ok=rebuilt == demanded,
         downloaded_bits=s_actual * derived.n_s,
         achieved_rate=achieved,
     )

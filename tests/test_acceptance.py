@@ -159,7 +159,7 @@ def test_criterion_6_end_to_end():
 def test_criterion_7_structural_privacy():
     for storage, retrieval in RETRIEVAL_PAIRS:
         derived = derive_scheme(SchemeConfig(P(storage), P(retrieval)))
-        assert verify_privacy_rank(derived.retrieval_code, derived.t, seed=1), (storage, retrieval)
+        assert verify_privacy_rank(derived.retrieval_code, derived.t), (storage, retrieval)
     # Negative control: one collusion level above the guarantee fails.
     assert not verify_privacy_rank(build(P("DBer(3,1,2)")), 4)
 

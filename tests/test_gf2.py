@@ -155,6 +155,14 @@ class TestBitVector:
         for text in ("101101000", "000000001", "111111111"):
             v = BitVector.from01(text)
             assert BitVector.from_hex(v.to_hex(), v.length) == v
+        for length in range(13):
+            for word in range(1 << length):
+                v = BitVector(length, word)
+                assert BitVector.from_hex(v.to_hex(), length) == v
+        # Text that to_hex never writes: non-digits, then set padding bits.
+        for text, length in (("-f", 8), ("0xf", 12), ("f_f", 12), (" ff", 12), ("f", 1), ("ff", 5)):
+            with pytest.raises(ValueError):
+                BitVector.from_hex(text, length)
 
 
 class TestRowReduce:

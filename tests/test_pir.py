@@ -63,6 +63,12 @@ def cfg(storage, retrieval, files=1, seed=0):
     return SchemeConfig(P(storage), P(retrieval), files=files, seed=seed)
 
 
+def random_library(d, files, rng):
+    """A library of ``files`` random files: one ``files*b x k_C`` matrix."""
+    rows = files * d.b
+    return BitMatrix(rows, d.k_c, tuple(int(w) for w in rng.integers(0, 1 << d.k_c, size=rows)))
+
+
 def family(n, m):
     """Every Berman and dual Berman code of one (n, m), as parameters."""
     return [BermanParams(kind, n, m, r) for kind in (CodeKind.BERMAN, CodeKind.DUAL_BERMAN)
@@ -311,8 +317,9 @@ class TestScheduleRegression:
         pairs = list(supported_pairs(shapes_up_to(64)))
         assert len(pairs) == 444
         for storage, retrieval, _ in pairs:
-            config = SchemeConfig(storage, retrieval, files=2, seed=1)
-            assert run_retrieval(config, 1).reconstructed_ok, (storage.name, retrieval.name)
+            config = SchemeConfig(storage, retrieval, files=3, seed=1)
+            for demand in range(3):
+                assert run_retrieval(config, demand).reconstructed_ok, (storage.name, retrieval.name, demand)
 
     @pytest.mark.parametrize(
         "storage, retrieval", (("DBer(4,1,3)", "DBer(4,1,3)"), ("Ber(4,1,3)", "DBer(4,0,3)"))
@@ -424,33 +431,30 @@ class TestScheduleRegression:
 class TestEncodeStorage:
     def test_zero_files(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
-        files = [BitMatrix.zeros(d.b, d.k_c) for _ in range(2)]
-        assert encode_storage(d, files) == BitMatrix.zeros(2 * d.b, d.n_s)
+        assert encode_storage(d, BitMatrix.zeros(2 * d.b, d.k_c)) == BitMatrix.zeros(2 * d.b, d.n_s)
 
     def test_repetition_broadcast(self):
         d = derive_scheme(cfg("DBer(2,1,3)", "DBer(2,1,3)"))
         # k_C = 4, b = 1: a single stripe; every server stores one codeword bit.
         file0 = BitMatrix.from_bits([[1, 0, 1, 1]])
-        stored = encode_storage(d, [file0])
+        stored = encode_storage(d, file0)
         codeword = d.storage_code.generator.left_mul(BitVector.from_bits([1, 0, 1, 1]))
         assert stored == BitMatrix.from_rows([codeword])
 
     def test_rows_are_codewords(self):
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=2))
-        rng = philox_generator(3)
-        files = [
-            BitMatrix(d.b, d.k_c, tuple(int(w) for w in rng.integers(0, 1 << d.k_c, size=d.b)))
-            for _ in range(2)
-        ]
-        stored = encode_storage(d, files)
+        stored = encode_storage(d, random_library(d, 2, philox_generator(3)))
         assert (stored.rows, stored.cols) == (2 * d.b, d.n_s)
         for i in range(stored.rows):
             assert d.storage_code.contains(stored.row(i))
 
     def test_shape_check(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)"))
-        with pytest.raises(ShapeMismatch):
-            encode_storage(d, [BitMatrix.zeros(1, 1)])
+        # b = 4, k_C = 1: row counts that are no positive whole number of
+        # files, then whole files of the wrong width.
+        for rows, cols in ((1, 1), (0, 1), (5, 1), (7, 1), (4, 2)):
+            with pytest.raises(ShapeMismatch):
+                encode_storage(d, BitMatrix.zeros(rows, cols))
 
 
 class TestQueries:
@@ -592,8 +596,7 @@ class TestRespond:
 class TestDecode:
     def test_zero_storage_recovers_zeros(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
-        files = [BitMatrix.zeros(d.b, d.k_c) for _ in range(2)]
-        stored = encode_storage(d, files)
+        stored = encode_storage(d, BitMatrix.zeros(2 * d.b, d.k_c))
         q = gen_queries(d, 2, 0, 0, philox_generator(3))
         r = respond_all(stored, q)
         for _, _, bit in decode_iteration(d, 0, r):
@@ -602,12 +605,9 @@ class TestDecode:
     def test_recovers_ground_truth(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2, seed=5))
         rng = philox_generator(5)
-        files = [
-            BitMatrix(d.b, d.k_c, tuple(int(w) for w in rng.integers(0, 1 << d.k_c, size=d.b)))
-            for _ in range(2)
-        ]
-        stored = encode_storage(d, files)
-        encoded = BitMatrix.stack(files) @ d.storage_code.generator
+        library = random_library(d, 2, rng)
+        stored = encode_storage(d, library)
+        encoded = library @ d.storage_code.generator
         demand = 1
         q = gen_queries(d, 2, demand, 0, rng)
         r = respond_all(stored, q)
@@ -616,12 +616,7 @@ class TestDecode:
 
     def test_invariant_under_rerandomization(self):
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=2))
-        rng = philox_generator(6)
-        files = [
-            BitMatrix(d.b, d.k_c, tuple(int(w) for w in rng.integers(0, 1 << d.k_c, size=d.b)))
-            for _ in range(2)
-        ]
-        stored = encode_storage(d, files)
+        stored = encode_storage(d, random_library(d, 2, philox_generator(6)))
         recovered = []
         for seed in (100, 200):
             got = []
@@ -678,7 +673,7 @@ class TestPrivacyRank:
         code = build(P("DBer(2,3,8)"))
         assert code.dual().dimension > MAX_BRUTE_FORCE_DIM
         assert code.dimension > 64
-        assert pir._privacy_verdict(code, 15, 17) == (True, "sampled")
+        assert pir._privacy_verdict(code, 15) == (True, "sampled")
 
     def test_dual_route_rejects_a_duplicated_column(self):
         # C(27, 8) subsets and dim D^perp = 7: decided from the dual distance.
@@ -705,7 +700,7 @@ class TestPrivacyRank:
                         rank(code.generator.take_columns(subset)) == t
                         for subset in combinations(range(code.length), t)
                     )
-                    assert pir._privacy_verdict(code, t, 0) == (exhaustive, "dual-distance"), (params.name, t)
+                    assert pir._privacy_verdict(code, t) == (exhaustive, "dual-distance"), (params.name, t)
                     verdicts.add(exhaustive)
         assert verdicts == {True, False}
 
@@ -725,7 +720,7 @@ class TestPrivacyRank:
                         pir._projection_rank(cols, subset) == t
                         for subset in combinations(range(code.length), t)
                     )
-                    assert pir._privacy_verdict(code, t, 0) == (exhaustive, "mitm"), (params.name, t)
+                    assert pir._privacy_verdict(code, t) == (exhaustive, "mitm"), (params.name, t)
                     verdicts.add(exhaustive)
         assert verdicts == {True, False}
 
@@ -736,13 +731,13 @@ class TestPrivacyRank:
         code = build(P("DBer(2,2,6)"))
         broken = duplicate_column(code)
         assert not mitm.translation_invariant(broken)
-        assert pir._privacy_verdict(code, 7, 0) == (True, "mitm")
-        assert pir._privacy_verdict(broken, 7, 0) == (False, "sampled")
+        assert pir._privacy_verdict(code, 7) == (True, "mitm")
+        assert pir._privacy_verdict(broken, 7) == (False, "sampled")
 
     def test_ladder_pairs_are_decided_exactly(self, ladder):
         routes = {}
         for storage, retrieval, t in ladder:
-            verdict, route = pir._privacy_verdict(build(retrieval), t, 0)
+            verdict, route = pir._privacy_verdict(build(retrieval), t)
             assert verdict is True, (storage.name, retrieval.name, t)
             routes[storage.name, retrieval.name] = route
         assert "sampled" not in routes.values()
@@ -753,7 +748,7 @@ class TestPrivacyRank:
         # pairs leave the meet in the middle's budget at t + 1 and are sampled.
         sampled = []
         for storage, retrieval, t in ladder:
-            verdict, route = pir._privacy_verdict(build(retrieval), t + 1, 0)
+            verdict, route = pir._privacy_verdict(build(retrieval), t + 1)
             if route == "sampled":
                 sampled.append(retrieval.name)
             else:
@@ -779,7 +774,7 @@ class TestPrivacyRank:
         assert len(pairs) == 1425
         for storage, retrieval, t in pairs:
             if (retrieval, t) not in verdicts:
-                verdicts[retrieval, t] = pir._privacy_verdict(build(retrieval), t, 0)
+                verdicts[retrieval, t] = pir._privacy_verdict(build(retrieval), t)
             assert verdicts[retrieval, t][0] is True, (storage.name, retrieval.name, t)
         sampled = {retrieval.name for (retrieval, _), (_, route) in verdicts.items() if route == "sampled"}
         assert sampled == self.SAMPLED_RETRIEVAL_UP_TO_256
