@@ -2,20 +2,22 @@
 
 A vector stores all of its bits in a single Python integer (bit ``i`` of the
 word is coordinate ``i``), so vector addition is one XOR and Hamming weight
-is ``int.bit_count()``.  Matrices hold one word per row.  Everything is
-immutable; operations are pure functions and safe to share across threads.
+is ``int.bit_count()``.  Everything is immutable; operations are pure
+functions and safe to share across threads.
 
 Bulk kernels run on NumPy *limbs*: a matrix's rows as a little-endian
 ``uint64`` array of shape ``(rows, ceil(cols / 64))``, bit ``j`` of a row in
 bit ``j % 64`` of limb ``j // 64``.  :func:`words_to_limbs` and
-:func:`limbs_to_words` convert between the two forms, :func:`bits_to_limbs`
-packs a 0/1 array, and :attr:`BitMatrix.limbs` keeps a matrix's limbs once
-they exist.  Matrix products use the "method of four Russians" on limbs: the
-right operand's rows are grouped eight at a time, each group's 256 XOR
-combinations are tabulated once, and every output row then gathers one table
-row per group, indexed by the matching byte of the left operand
-(:func:`limb_product`).  Transposes and column selections unpack to a 0/1
-array, index it, and pack.
+:func:`limbs_to_words` convert between the two forms and :func:`bits_to_limbs`
+packs a 0/1 array.  A :class:`BitMatrix` holds row words (one word per row)
+or limbs, whichever it was built from, and derives the other form lazily the
+first time something reads it, so a matrix that only feeds limb kernels is
+never converted to words.  Matrix products use the "method of four
+Russians" on limbs: the right operand's rows are grouped eight at a time,
+each group's 256 XOR combinations are tabulated once, and every output row
+then gathers one table row per group, indexed by the matching byte of the
+left operand (:func:`limb_product`).  Transposes and column selections unpack
+to a 0/1 array, index it, and pack.
 """
 
 from __future__ import annotations
@@ -94,6 +96,13 @@ def flip_bits(limbs: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> No
     """Flip bit ``cols[i]`` of row ``rows[i]`` of ``limbs`` in place, for every ``i``."""
     cols = np.asarray(cols, dtype=LIMB)
     np.bitwise_xor.at(limbs, (np.asarray(rows, dtype=np.intp), cols >> 6), LIMB.type(1) << (cols & 63))
+
+
+def take_bits(limbs: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> list[int]:
+    """Bit ``cols[i]`` of row ``rows[i]`` of ``limbs``, for every ``i``, in one gather."""
+    cols = np.asarray(cols, dtype=LIMB)
+    limbs = limbs[np.asarray(rows, dtype=np.intp), cols >> 6]
+    return ((limbs >> (cols & 63)) & 1).tolist()
 
 
 def span_table(rows: np.ndarray) -> np.ndarray:
@@ -238,32 +247,53 @@ class BitVector:
         return self.to01()
 
 
-@dataclass(frozen=True)
 class BitMatrix:
-    """A rows x cols matrix over GF(2), one packed word per row."""
+    """A rows x cols matrix over GF(2), immutable.
+
+    It holds the form it was built from, row words (one packed word per row)
+    or limbs (:meth:`from_limbs`), and derives the other on first use, then
+    keeps it.  Equality and hashing mean (rows, cols, row words) either way.
+    """
 
     rows: int
     cols: int
-    row_words: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, row_words: tuple[int, ...] = ()) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("negative shape")
-        if len(self.row_words) != self.rows:
+        if len(row_words) != rows:
             raise ValueError("row count does not match the stored words")
-        if self.row_words and (min(self.row_words) < 0 or max(self.row_words) >> self.cols):
+        if row_words and (min(row_words) < 0 or max(row_words) >> cols):
             raise ValueError("row word has bits beyond the column count")
+        state = self.__dict__
+        state["rows"] = rows
+        state["cols"] = cols
+        state["row_words"] = row_words
 
     @classmethod
     def from_limbs(cls, limbs: np.ndarray, cols: int) -> BitMatrix:
         """The matrix whose rows are the limb rows of ``limbs``, which it keeps
-        (read-only) as :attr:`limbs`."""
-        if limbs.shape[1] != (cols + 63) // 64:
-            raise LengthMismatch(f"{limbs.shape[1]} limbs cannot hold {cols} columns")
-        m = cls(limbs.shape[0], cols, limbs_to_words(limbs))
+        (read-only) as :attr:`limbs`; its row words follow on first use.
+
+        Bits at or above ``cols`` are rejected by one test of the last limb."""
+        if cols < 0:
+            raise ValueError("negative shape")
+        if limbs.ndim != 2 or limbs.shape[1] != (cols + 63) // 64:
+            raise LengthMismatch(f"limbs of shape {limbs.shape} cannot hold rows of {cols} columns")
+        if limbs.dtype != LIMB:
+            raise ValueError(f"limbs must have dtype {LIMB}, not {limbs.dtype}")
+        if cols % 64 and np.count_nonzero(limbs[:, -1] >> LIMB.type(cols % 64)):
+            raise ValueError("row word has bits beyond the column count")
         limbs.flags.writeable = False
-        m.__dict__["limbs"] = limbs
+        m = cls.__new__(cls)
+        m.__dict__.update(rows=limbs.shape[0], cols=cols, limbs=limbs)
         return m
+
+    @cached_property
+    def row_words(self) -> tuple[int, ...]:
+        """One Python integer per row; derived from :attr:`limbs` when the
+        matrix was built from them."""
+        return limbs_to_words(self.limbs)
 
     @cached_property
     def limbs(self) -> np.ndarray:
@@ -271,6 +301,23 @@ class BitMatrix:
         limbs = words_to_limbs(self.row_words, self.cols)
         limbs.flags.writeable = False
         return limbs
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("BitMatrix is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("BitMatrix is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols and self.row_words == other.row_words
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.row_words))
+
+    def __repr__(self) -> str:
+        return f"BitMatrix(rows={self.rows!r}, cols={self.cols!r}, row_words={self.row_words!r})"
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVector], cols: int | None = None) -> BitMatrix:
@@ -297,18 +344,6 @@ class BitMatrix:
     @classmethod
     def identity(cls, n: int) -> BitMatrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def stack(cls, mats: Sequence[BitMatrix]) -> BitMatrix:
-        if not mats:
-            raise ValueError("nothing to stack")
-        cols = mats[0].cols
-        words: list[int] = []
-        for m in mats:
-            if m.cols != cols:
-                raise LengthMismatch("column counts differ")
-            words.extend(m.row_words)
-        return cls(len(words), cols, tuple(words))
 
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.row_words[i])

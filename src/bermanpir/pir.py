@@ -17,10 +17,11 @@ and the file follows by inverting the corresponding generator columns.
 The per-iteration bulk work runs on NumPy limb arrays (see :mod:`.gf2`): the
 query batch is one table product of the packed message bits with D's
 generator, and the response is one XOR reduction over the rows of
-``stored & Q``.  Python
-integers remain for the response vector, the matrices the stages return and
-the transcript.  The column inverses that decoding and reconstruction need
-depend only on the schedule, so each pair computes them once.
+``stored & Q``.  The matrices the stages return keep those limbs and
+become Python integers only where something reads their words; a retrieval
+itself reads the words of the response vectors and the demanded file alone.
+The column inverses that decoding and reconstruction need depend only on the
+schedule, so each pair computes them once.
 
 Collusion resistance: any t servers see t columns of Q, and those are
 exactly uniform as long as every t-column projection of D is the full
@@ -38,7 +39,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, gcd
 
 import numpy as np
@@ -55,6 +56,7 @@ from .gf2 import (
     limb_product,
     limbs_to_words,
     reduce_word,
+    take_bits,
 )
 from .mitm import translation_mitm
 from .star import star_codes
@@ -309,7 +311,14 @@ def _solve_schedule(
     Greedy pass: slot ``p`` belongs to iteration ``p // d_perp`` and serves
     stripe ``p % b``, so stripes are served round-robin; it takes the first
     coordinate from ``p mod n_s`` onward that keeps both column sets
-    independent, or stays empty.  Empty slots are then filled by
+    independent, or stays empty.  Iterations are filled one after another,
+    and bases only grow, so a coordinate found dependent stays dependent: the
+    pass keeps, for the current iteration, each coordinate's H column reduced
+    so far (resumed with :func:`.gf2.reduce_word`) and a mask of the
+    coordinates not yet found dependent, and the same mask per stripe.  A
+    slot scans only the coordinates open in both masks, and each test either
+    fills the slot or closes a coordinate in one mask, so the pass makes at
+    most ``(S + b) * n_s + b * k_C`` tests.  Empty slots are then filled by
     :func:`_augment`, or it raises ScheduleNotFound.
     """
     slots = b * k_c
@@ -325,24 +334,34 @@ def _solve_schedule(
     h_cols = h.transpose().row_words
     it_set: list[dict[int, int]] = [{} for _ in range(s_iterations)]  # coordinate -> stripe
     st_set: list[dict[int, int]] = [{} for _ in range(b)]  # coordinate -> iteration
-    it_basis: list[dict[int, int]] = [{} for _ in range(s_iterations)]
     st_basis: list[dict[int, int]] = [{} for _ in range(b)]
-    ring = tuple(range(n_s)) * 2  # any rotation of the coordinates is one slice
+    every = (1 << n_s) - 1
+    st_open = [every] * b  # per stripe, the coordinates not yet dependent in it
     for p in range(slots):
         it, s = p // d_perp, p % b
+        if p % d_perp == 0:  # a new iteration: empty basis, every coordinate open
+            it_basis: dict[int, int] = {}
+            h_red = list(h_cols)
+            it_open = every
         start = p % n_s
-        for j in ring[start : start + n_s]:
-            if j in it_set[it] or j in st_set[s]:
+        candidates = it_open & st_open[s]
+        ahead = candidates >> start << start
+        for j in chain(_set_bits(ahead), _set_bits(candidates ^ ahead)):
+            w = h_red[j] = reduce_word(h_red[j], it_basis)
+            if not w:
+                it_open ^= 1 << j
                 continue
-            h_red = reduce_word(h_cols[j], it_basis[it])
-            if h_red:
-                g_red = reduce_word(g_cols[j], st_basis[s])
-                if g_red:
-                    it_basis[it][h_red & -h_red] = h_red
-                    st_basis[s][g_red & -g_red] = g_red
-                    it_set[it][j] = s
-                    st_set[s][j] = it
-                    break
+            g = reduce_word(g_cols[j], st_basis[s])
+            if not g:
+                st_open[s] ^= 1 << j
+                continue
+            it_basis[w & -w] = w
+            st_basis[s][g & -g] = g
+            it_open ^= 1 << j
+            st_open[s] ^= 1 << j
+            it_set[it][j] = s
+            st_set[s][j] = it
+            break
     if sum(map(len, it_set)) < slots:
         _augment(g_c, h, k_c, d_perp, it_set, st_set)
 
@@ -671,8 +690,8 @@ def _privacy_verdict(retrieval_code: LinearCode, t: int) -> tuple[bool, str]:
     _check_collusion_size(t, n_s)
     exhaustive = comb(n_s, t) <= EXHAUSTIVE_SUBSETS
     if not exhaustive:
-        dual = retrieval_code.dual()
-        if dual.dimension <= MAX_BRUTE_FORCE_DIM:
+        if n_s - retrieval_code.dimension <= MAX_BRUTE_FORCE_DIM:  # dim D^perp
+            dual = retrieval_code.dual()
             return dual.dimension == 0 or dual.min_distance_bruteforce() > t, "dual-distance"
         verdict = translation_mitm(retrieval_code, t)
         if verdict is not None:
@@ -823,9 +842,10 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     The per-file draws stay separate calls: a uint8 draw buffers whole 32-bit
     words per call, so one draw of all M files would shift the stream.  They
     are packed once into the library matrix, whose limbs the encoding uses.
-    Every iteration checks that the response vector minus the embedded
-    contribution lies in the product code and that each recovered bit
-    equals the stored one; a failure, or an achieved rate that strays from
+    Every iteration reads its planted bits of the stored matrix with one
+    gather, and checks that the response vector minus their contribution
+    lies in the product code and that each recovered bit equals the stored
+    one; a failure, or an achieved rate that strays from
     the derived one, raises :class:`ProtocolInvariantError`.
     """
     derived = derive_scheme(config)
@@ -844,15 +864,14 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
         response = respond_all(stored, query)
         got = decode_iteration(derived, it, response)
         recovered.extend(got)
-        embed_word = 0
-        for stripe, coord in zip(plan.stripes, plan.coords):
-            if stored.entry(derived.file_row(demand, stripe), coord):
-                embed_word |= 1 << coord
+        rows = [derived.file_row(demand, stripe) for stripe in plan.stripes]
+        planted = take_bits(stored.limbs, rows, plan.coords)
+        embed_word = sum(1 << coord for coord, bit in zip(plan.coords, planted) if bit)
         residue = BitVector(derived.n_s, response.word ^ embed_word)
         if not derived.product_code.contains(residue):
             raise ProtocolInvariantError(f"iteration {it}: response residue left the product code")
-        for stripe, coord, bit in got:
-            if bit != stored.entry(derived.file_row(demand, stripe), coord):
+        for (stripe, coord, bit), want in zip(got, planted):
+            if bit != want:
                 raise ProtocolInvariantError(
                     f"iteration {it}: recovered bit of stripe {stripe} at coordinate {coord} is wrong"
                 )
@@ -860,7 +879,7 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
 
     rebuilt = reconstruct_file(derived, tuple(recovered))
     first = derived.file_row(demand, 0)
-    demanded = BitMatrix(b, k_c, library.row_words[first : first + b])
+    demanded = BitMatrix.from_limbs(library.limbs[first : first + b], k_c)
     s_actual = len(derived.schedule.iterations)
     achieved = Fraction(derived.b * derived.k_c, s_actual * derived.n_s)
     if achieved != derived.r_pir:

@@ -420,6 +420,84 @@ class TestBulkKernels:
             random_matrix(3, 130, 0).take_columns(cols)
 
 
+class TestLimbBackedMatrix:
+    """A matrix built from limbs keeps them and derives its row words lazily;
+    it must behave exactly like its twin built from the same row words."""
+
+    @pytest.mark.parametrize("cols", (1, 63, 65, 130))
+    def test_from_limbs_rejects_bits_beyond_cols(self, cols):
+        width = (cols + 63) // 64
+        for bit in (cols, 64 * width - 1):
+            limbs = np.zeros((3, width), dtype=np.uint64)
+            limbs[1, bit // 64] = np.uint64(1) << np.uint64(bit % 64)
+            with pytest.raises(ValueError, match="row word has bits beyond the column count"):
+                BitMatrix.from_limbs(limbs, cols)
+
+    @pytest.mark.parametrize("cols", (64, 128))
+    def test_from_limbs_accepts_full_limbs(self, cols):
+        limbs = np.full((4, cols // 64), np.iinfo(np.uint64).max, dtype=np.uint64)
+        m = BitMatrix.from_limbs(limbs, cols)
+        assert m.row_words == ((1 << cols) - 1,) * 4
+        assert not m.limbs.flags.writeable
+
+    @pytest.mark.parametrize("cols", (0, 1, 63, 64, 65, 128, 130))
+    def test_from_limbs_accepts_zero_rows(self, cols):
+        m = BitMatrix.from_limbs(np.zeros((0, (cols + 63) // 64), dtype=np.uint64), cols)
+        assert m == BitMatrix(0, cols, ())
+
+    def test_from_limbs_shape_checks(self):
+        with pytest.raises(LengthMismatch):
+            BitMatrix.from_limbs(np.zeros((2, 1), dtype=np.uint64), 65)
+        with pytest.raises(LengthMismatch):
+            BitMatrix.from_limbs(np.zeros(2, dtype=np.uint64), 5)
+        with pytest.raises(ValueError):
+            BitMatrix.from_limbs(np.zeros((2, 1), dtype=np.uint32), 5)
+
+    def test_immutable(self):
+        m = random_matrix(3, 70, 0)
+        with pytest.raises(AttributeError):
+            m.rows = 4
+        with pytest.raises(AttributeError):
+            del m.cols
+
+    @given(
+        rows=st.integers(0, 12),
+        cols=st.integers(0, 200),
+        inner=st.integers(0, 70),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=0, cols=0, inner=0, seed=0)
+    @example(rows=5, cols=64, inner=64, seed=1)
+    @example(rows=12, cols=200, inner=65, seed=2)
+    def test_limb_and_word_twins_agree(self, rows, cols, inner, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        limbs = gf2.bits_to_limbs(bits)
+        words = BitMatrix(rows, cols, limbs_to_words(limbs))
+
+        def built():  # a fresh limb-built matrix, so no word form exists yet
+            return BitMatrix.from_limbs(limbs.copy(), cols)
+
+        assert "row_words" not in vars(built())
+        assert built() == words and words == built()
+        assert hash(built()) == hash(words)
+        assert built().row_words == words.row_words
+        assert np.array_equal(words.limbs, limbs)
+        if rows and cols:
+            for i, j in zip(rng.integers(0, rows, 8).tolist(), rng.integers(0, cols, 8).tolist()):
+                assert built().entry(i, j) == words.entry(i, j)
+        right = random_matrix(cols, inner, seed + 1)
+        assert built() @ right == words @ right
+        left = random_matrix(inner, rows, seed + 2)
+        assert left @ built() == left @ words
+        assert built().transpose() == words.transpose()
+        picked = rng.integers(0, cols, size=min(cols, 9)).tolist() if cols else []
+        assert built().take_columns(picked) == words.take_columns(picked)
+        v, u = (random_matrix(1, n, seed + 3).row(0) for n in (rows, cols))
+        assert built().left_mul(v) == words.left_mul(v)
+        assert built().mul_vector(u) == words.mul_vector(u)
+
+
 class TestMatrixInvariant:
     @pytest.mark.parametrize(
         "rows, cols, words",

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bermanpir import cli, mitm, pir
+from bermanpir import cli, gf2, mitm, pir
 from bermanpir.berman import BermanParams, CodeKind, build
 from bermanpir.codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns, rank
@@ -862,6 +862,39 @@ class TestRunRetrieval:
     def test_golden_transcript_digests(self, storage, retrieval, files, seed, demand, digest):
         transcript = run_retrieval(cfg(storage, retrieval, files=files, seed=seed), demand)
         assert hashlib.sha256(transcript.to_json().encode()).hexdigest() == digest
+
+    def test_wide_retrieval_converts_no_large_matrix_to_words(self, monkeypatch):
+        # The stored matrix, the library and the queries stay limbs; only
+        # the demanded file's b rows and response vectors become words.
+        config = cfg("DBer(2,1,6)", "DBer(2,2,6)", files=256, seed=3)
+        b = derive_scheme(config).b
+        converted = []
+        convert = gf2.limbs_to_words
+
+        def recording(limbs):
+            converted.append(limbs.shape[0])
+            return convert(limbs)
+
+        monkeypatch.setattr(gf2, "limbs_to_words", recording)
+        monkeypatch.setattr(pir, "limbs_to_words", recording)
+        transcript = run_retrieval(config, 5)
+        assert transcript.reconstructed_ok
+        assert converted and max(converted) <= b
+
+    @pytest.mark.parametrize(
+        "stage, flip_first, message",
+        (
+            ("decode_iteration", lambda got: ((*got[0][:2], got[0][2] ^ 1), *got[1:]), "recovered bit"),
+            ("take_bits", lambda bits: [bits[0] ^ 1, *bits[1:]], "left the product code"),
+        ),
+    )
+    def test_wide_retrieval_catches_a_corrupted_planted_bit(self, monkeypatch, stage, flip_first, message):
+        # A wrong decoded bit fails the recovered-bit check; a wrong stored
+        # bit from the gather fails the residue check.
+        honest = getattr(pir, stage)
+        monkeypatch.setattr(pir, stage, lambda *args: flip_first(honest(*args)))
+        with pytest.raises(ProtocolInvariantError, match=message):
+            run_retrieval(cfg("DBer(2,1,6)", "DBer(2,2,6)", files=256, seed=3), 5)
 
     def test_zero_rate_propagates(self):
         with pytest.raises(ZeroRate):
