@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .berman import BermanParams, build
@@ -109,19 +110,29 @@ def build_tables() -> list[dict]:
     return tables
 
 
-def render_tables_csv(tables: list[dict]) -> str:
+def _csv_text(rows: Iterable[Sequence[object]]) -> str:
+    """``rows`` as CSV, each line ending in a bare newline."""
     out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _json_document(payload: object) -> str:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def render_tables_csv(tables: list[dict]) -> str:
+    parts = []
     for table in tables:
-        out.write(
+        parts.append(
             f"# pairing={table['pairing']} storage={table['storage_kind']}(n,rC,m) "
             f"retrieval={table['retrieval_kind']}(n,rD,m)\n"
         )
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["(rC,rD)", *table["columns"]])
-        for row in table["rows"]:
-            writer.writerow([row["pair"], *row["cells"]])
-        out.write("\n")
-    return out.getvalue()
+        rows = [[row["pair"], *row["cells"]] for row in table["rows"]]
+        parts.append(_csv_text([["(rC,rD)", *table["columns"]], *rows]))
+        parts.append("\n")
+    return "".join(parts)
 
 
 def render_tables_text(tables: list[dict]) -> str:
@@ -175,24 +186,20 @@ def cmd_params(args: argparse.Namespace) -> int:
             "R_st": {"exact": f"{r_st.numerator}/{r_st.denominator}", "decimal": format_rate_fixed(r_st)},
             "R_pir": {"exact": f"{r_pir.numerator}/{r_pir.denominator}", "decimal": format_rate_fixed(r_pir)},
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_json_document(payload), args.out)
     elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["storage", "retrieval", "servers", "t", "R_st_exact", "R_st", "R_pir_exact", "R_pir"])
-        writer.writerow(
-            [
-                storage.name,
-                retrieval.name,
-                n_s,
-                t,
-                f"{r_st.numerator}/{r_st.denominator}",
-                format_rate_fixed(r_st),
-                f"{r_pir.numerator}/{r_pir.denominator}",
-                format_rate_fixed(r_pir),
-            ]
-        )
-        _emit(out.getvalue(), args.out)
+        header = ["storage", "retrieval", "servers", "t", "R_st_exact", "R_st", "R_pir_exact", "R_pir"]
+        row = [
+            storage.name,
+            retrieval.name,
+            n_s,
+            t,
+            f"{r_st.numerator}/{r_st.denominator}",
+            format_rate_fixed(r_st),
+            f"{r_pir.numerator}/{r_pir.denominator}",
+            format_rate_fixed(r_pir),
+        ]
+        _emit(_csv_text([header, row]), args.out)
     else:
         _emit(
             f"storage={storage.name} retrieval={retrieval.name} servers={n_s}\n"
@@ -206,7 +213,7 @@ def cmd_params(args: argparse.Namespace) -> int:
 def cmd_tables(args: argparse.Namespace) -> int:
     tables = build_tables()
     if args.format == "json":
-        _emit(json.dumps({"tables": tables}, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_json_document({"tables": tables}), args.out)
     elif args.format == "csv":
         _emit(render_tables_csv(tables), args.out)
     else:
@@ -224,12 +231,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             lines.append(json.dumps({"ok": c.ok, **record}, sort_keys=True))
         text = "\n".join(lines) + "\n"
     elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["status", "name", "detail"])
-        for c in cases:
-            writer.writerow(["PASS" if c.ok else "FAIL", c.name, c.detail])
-        text = out.getvalue()
+        rows = [["PASS" if c.ok else "FAIL", c.name, c.detail] for c in cases]
+        text = _csv_text([["status", "name", "detail"], *rows])
     else:
         lines = [f"{'PASS' if c.ok else 'FAIL'}  {c.name}" + (f"  [{c.detail}]" if c.detail else "") for c in cases]
         lines.append(f"{len(cases) - failures}/{len(cases)} cases passed")
@@ -272,15 +275,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     if args.format == "json":
         if args.out:
-            sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            sys.stdout.write(_json_document(summary))
         else:
             sys.stdout.writelines(transcript.iter_json())
     elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(list(summary))
-        writer.writerow([summary[k] for k in summary])
-        sys.stdout.write(out.getvalue())
+        sys.stdout.write(_csv_text([list(summary), list(summary.values())]))
     else:
         sys.stdout.write(
             f"pair={summary['storage']}/{summary['retrieval']} files={summary['files']} "

@@ -87,11 +87,6 @@ def _limbs_to_bits(limbs: np.ndarray, cols: int) -> np.ndarray:
     return np.unpackbits(limbs.view(np.uint8), axis=1, count=cols, bitorder="little")
 
 
-def pack_bit_rows(bits: np.ndarray) -> tuple[int, ...]:
-    """Row words of a 2-D 0/1 array: entry ``[i, j]`` becomes bit ``j`` of word ``i``."""
-    return limbs_to_words(bits_to_limbs(bits))
-
-
 def flip_bits(limbs: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> None:
     """Flip bit ``cols[i]`` of row ``rows[i]`` of ``limbs`` in place, for every ``i``."""
     cols = np.asarray(cols, dtype=LIMB)
@@ -405,9 +400,6 @@ class BitMatrix:
         if self.cols != other.rows:
             raise LengthMismatch(f"{self.cols} != {other.rows}")
         return BitMatrix.from_limbs(limb_product(self.limbs, other.limbs), other.cols)
-
-    def to_bits(self) -> list[list[int]]:
-        return [[(rw >> j) & 1 for j in range(self.cols)] for rw in self.row_words]
 
     def to_text(self) -> str:
         """Serialize: a "rows cols" header line, then one '0'/'1' row per line."""

@@ -173,16 +173,11 @@ class IterationPlan:
 
 @dataclass(frozen=True)
 class Schedule:
-    iterations: tuple[IterationPlan, ...]
+    """The same assignment seen both ways: per iteration, its plan; per
+    stripe, its coordinates (ascending), an information set of C."""
 
-    def stripe_coords(self, stripe: int) -> tuple[int, ...]:
-        coords = [
-            c
-            for plan in self.iterations
-            for s, c in zip(plan.stripes, plan.coords)
-            if s == stripe
-        ]
-        return tuple(sorted(coords))
+    iterations: tuple[IterationPlan, ...]
+    stripe_coords: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -212,12 +207,11 @@ class SchemeDerived:
         return tuple(invert_columns(self.parity, plan.coords) for plan in self.schedule.iterations)
 
     @cached_property
-    def stripe_inverses(self) -> dict[tuple[int, ...], BitMatrix]:
-        """The inverse of the storage generator's columns at each stripe's
-        scheduled coordinates, keyed by those (ascending) coordinates."""
+    def stripe_inverses(self) -> tuple[BitMatrix, ...]:
+        """Per stripe, the inverse of the storage generator's columns at its
+        scheduled coordinates."""
         g_c = self.storage_code.generator
-        selections = map(self.schedule.stripe_coords, range(self.b))
-        return {coords: invert_columns(g_c, coords) for coords in selections}
+        return tuple(invert_columns(g_c, coords) for coords in self.schedule.stripe_coords)
 
 
 def derive_scheme(config: SchemeConfig) -> SchemeDerived:
@@ -319,7 +313,8 @@ def _solve_schedule(
     slot scans only the coordinates open in both masks, and each test either
     fills the slot or closes a coordinate in one mask, so the pass makes at
     most ``(S + b) * n_s + b * k_C`` tests.  Empty slots are then filled by
-    :func:`_augment`, or it raises ScheduleNotFound.
+    :func:`_augment`, or it raises ScheduleNotFound.  The schedule keeps the
+    set both ways, per iteration and per stripe.
     """
     slots = b * k_c
     if s_iterations * d_perp != slots:
@@ -363,18 +358,20 @@ def _solve_schedule(
             st_set[s][j] = it
             break
     if sum(map(len, it_set)) < slots:
-        _augment(g_c, h, k_c, d_perp, it_set, st_set)
+        _augment(g_cols, g_c.rows, h_cols, h.rows, k_c, d_perp, it_set, st_set)
 
     iterations = []
     for members in it_set:
         pairs = sorted(members.items())
         iterations.append(IterationPlan(tuple(c for c, _ in pairs), tuple(s for _, s in pairs)))
-    return Schedule(tuple(iterations))
+    return Schedule(tuple(iterations), tuple(tuple(sorted(members)) for members in st_set))
 
 
 def _augment(
-    g_c: BitMatrix,
-    h: BitMatrix,
+    g_cols: tuple[int, ...],
+    g_top: int,
+    h_cols: tuple[int, ...],
+    h_top: int,
     k_c: int,
     d_perp: int,
     it_set: list[dict[int, int]],
@@ -382,28 +379,28 @@ def _augment(
 ) -> None:
     """Fill a partial schedule by matroid intersection, in place.
 
-    ``it_set`` maps each iteration's coordinates to their stripes and
-    ``st_set`` each stripe's coordinates to their iterations; together they
-    are a common independent set (see :func:`_solve_schedule`).  While it is
-    short of ``b * k_C`` elements, a breadth-first search finds a shortest
-    path in the exchange graph from an element that M1 accepts to one that M2
-    accepts, and the set is swapped along it, growing by one.  When no path
-    exists the set is a maximum common independent set, which proves that no
-    schedule exists.  That proof, or scanning more than
-    :data:`SCHEDULE_BUDGET` arcs, raises ScheduleNotFound, and its message
-    says which of the two it was.
+    ``g_cols`` and ``h_cols`` are the column words of G_C and H, whose row
+    counts are ``g_top`` and ``h_top``.  ``it_set`` maps each iteration's
+    coordinates to their stripes and ``st_set`` each stripe's coordinates to
+    their iterations; together they are a common independent set (see
+    :func:`_solve_schedule`).  While it is short of ``b * k_C`` elements, a
+    breadth-first search finds a shortest path in the exchange graph from an
+    element that M1 accepts to one that M2 accepts, and the set is swapped
+    along it, growing by one.  When no path exists the set is a maximum
+    common independent set, which proves that no schedule exists.  That
+    proof, or scanning more than :data:`SCHEDULE_BUDGET` arcs, raises
+    ScheduleNotFound, and its message says which of the two it was.
     """
     s_iterations, b = len(it_set), len(st_set)
     slots = b * k_c
-    n_s = g_c.cols
-    h_top, g_top = h.rows, g_c.rows
+    n_s = len(g_cols)
     h_low, g_low = (1 << h_top) - 1, (1 << g_top) - 1
     # Each column carries its coordinate as a tag bit above its own bits.
     # Reduced against a block's tagged columns, a dependent column leaves only
     # tags: its own and those of the block columns summing to it, which with
     # it form its fundamental circuit.
-    h_cols = tuple(w | 1 << (h_top + j) for j, w in enumerate(h.transpose().row_words))
-    g_cols = tuple(w | 1 << (g_top + j) for j, w in enumerate(g_c.transpose().row_words))
+    h_cols = tuple(w | 1 << (h_top + j) for j, w in enumerate(h_cols))
+    g_cols = tuple(w | 1 << (g_top + j) for j, w in enumerate(g_cols))
     it_basis = [_pivots((h_cols[j] for j in members), h_low) for members in it_set]
     st_basis = [_pivots((g_cols[j] for j in members), g_low) for members in st_set]
 
@@ -619,8 +616,9 @@ def reconstruct_file(
             raise Incomplete(f"stripe {stripe} has {len(got)} of {derived.k_c} coordinates")
         coords = tuple(sorted(got))
         y = BitVector.from_bits(got[c] for c in coords)
-        inv = derived.stripe_inverses.get(coords)
-        if inv is None:
+        if coords == derived.schedule.stripe_coords[stripe]:
+            inv = derived.stripe_inverses[stripe]
+        else:
             inv = invert_columns(derived.storage_code.generator, coords)
         rows.append(inv.left_mul(y))
     return BitMatrix.from_rows(rows, derived.k_c)
@@ -727,10 +725,10 @@ def verify_privacy_empirical(config: SchemeConfig, t: int) -> float:
     rows = config.files
     if rows * t > 12:
         raise TooLarge("joint query alphabet exceeds the enumeration guard")
-    info = star_codes(c, d).dual().information_set()
-    if not info:
+    product_dual = star_codes(c, d).dual()
+    if product_dual.dimension == 0:
         raise ZeroRate("the product code fills the whole space")
-    embed = info[0]
+    embed = product_dual.information_set()[0]
     subset = _worst_case_columns(d, t, prefer=embed)
     restricted = d.generator.take_columns(subset)
     k_d = d.dimension

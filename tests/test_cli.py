@@ -89,6 +89,14 @@ class TestParams:
         assert payload["t"] == 3
         assert payload["R_pir"] == {"exact": "20/27", "decimal": "0.741"}
 
+    def test_csv_bytes(self, capsys):
+        argv = ["params", "--storage", "DBer(3,0,3)", "--retrieval", "DBer(3,1,3)", "--format", "csv"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "storage,retrieval,servers,t,R_st_exact,R_st,R_pir_exact,R_pir\n"
+            '"DBer(3,0,3)","DBer(3,1,3)",27,3,1/27,0.037,20/27,0.741\n'
+        )
+
     def test_unsupported_exit_code(self, capsys):
         assert main(["params", "--storage", "Ber(3,0,2)", "--retrieval", "Ber(3,0,2)"]) == EXIT_UNSUPPORTED
         err = json.loads(capsys.readouterr().err)
@@ -188,6 +196,9 @@ class TestVerify:
 
 
 class TestSimulate:
+    ARGS = ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)",
+            "--files", "2", "--seed", "1"]
+
     def test_summary_and_transcript(self, tmp_path, capsys):
         out = tmp_path / "transcript.json"
         rc = main(
@@ -214,6 +225,24 @@ class TestSimulate:
         assert payload["derived"]["t"] == 3
         assert payload["reconstructed_ok"] is True
         assert set(payload["iterations"][0]) == {"J", "assignments", "responses_hex"}
+
+    def test_csv_bytes(self, capsys):
+        assert main([*self.ARGS, "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "storage,retrieval,files,seed,demand,servers,t,b,S,reconstructed_ok,"
+            "achieved_rate,theoretical_rate,privacy_rank_ok\n"
+            '"DBer(3,0,2)","DBer(3,1,2)",2,1,0,9,3,4,1,True,0.444,0.444,True\n'
+        )
+
+    def test_json_summary_bytes(self, tmp_path, capsys):
+        # The summary the benchmark ladder parses when the transcript goes to --out.
+        assert main([*self.ARGS, "--format", "json", "--out", str(tmp_path / "t.json")]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            '{\n  "S": 1,\n  "achieved_rate": "0.444",\n  "b": 4,\n  "demand": 0,\n  "files": 2,\n'
+            '  "privacy_rank_ok": true,\n  "reconstructed_ok": true,\n  "retrieval": "DBer(3,1,2)",\n'
+            '  "seed": 1,\n  "servers": 9,\n  "storage": "DBer(3,0,2)",\n  "t": 3,\n'
+            '  "theoretical_rate": "0.444"\n}\n'
+        )
 
     def test_byte_identical_transcripts(self, tmp_path, capsys):
         args = ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)",

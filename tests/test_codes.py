@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bermanpir.berman import BermanParams, CodeKind, all_tuples, build, c_vector, min_distance_formula, tuple_weight
 from bermanpir.codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge, ZeroCode
-from bermanpir.gf2 import BitMatrix, BitVector, invert_columns, pack_bit_rows, rank
+from bermanpir.gf2 import BitMatrix, BitVector, bits_to_limbs, invert_columns, limbs_to_words, rank
 from oracles import exhaustive_span
 
 
@@ -110,7 +110,8 @@ class TestMinDistance:
     @example(200, 18, 5)
     def test_matches_plain_gray_code_loop(self, length, dim, seed):
         rng = np.random.default_rng(seed)
-        generator = pack_bit_rows(rng.integers(0, 2, size=(min(dim, length), length), dtype=np.uint8))
+        bits = rng.integers(0, 2, size=(min(dim, length), length), dtype=np.uint8)
+        generator = limbs_to_words(bits_to_limbs(bits))
         code = LinearCode.from_generator(BitMatrix(len(generator), length, generator))
         if code.dimension == 0:
             return

@@ -14,10 +14,10 @@ from bermanpir.gf2 import (
     LengthMismatch,
     NoSolution,
     Singular,
+    bits_to_limbs,
     invert_columns,
     limbs_to_words,
     nullspace_basis,
-    pack_bit_rows,
     rank,
     row_reduce,
     solve,
@@ -114,7 +114,8 @@ def outcome(fn, *args, reference=False):
 
 def random_matrix(rows, cols, seed):
     rng = np.random.default_rng(seed)
-    return BitMatrix(rows, cols, pack_bit_rows(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)))
+    bits = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    return BitMatrix(rows, cols, limbs_to_words(bits_to_limbs(bits)))
 
 
 class TestBitVector:
@@ -391,16 +392,17 @@ class TestBulkKernels:
         with pytest.raises(LengthMismatch):
             BitMatrix.zeros(2, 3) @ BitMatrix.zeros(2, 3)
 
+    # Bit rows pack to row words through limbs: entry [i, j] becomes bit j of word i.
     def test_pack_bit_rows_little_endian(self):
         bits = np.array([[1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 1, 1, 0, 0, 0, 0, 0, 0]], dtype=np.uint8)
-        assert pack_bit_rows(bits) == (0b1_0000_0001, 0b110)
-        assert pack_bit_rows(np.zeros((3, 0), dtype=np.uint8)) == (0, 0, 0)
+        assert limbs_to_words(bits_to_limbs(bits)) == (0b1_0000_0001, 0b110)
+        assert limbs_to_words(bits_to_limbs(np.zeros((3, 0), dtype=np.uint8))) == (0, 0, 0)
 
     @pytest.mark.parametrize("cols", (63, 64, 65, 128, 129))
     def test_pack_bit_rows_across_limbs(self, cols):
         bits = np.random.default_rng(cols).integers(0, 2, size=(7, cols), dtype=np.uint8)
         bits[0] = 1  # every bit of a row set, the top limb included
-        words = pack_bit_rows(bits)
+        words = limbs_to_words(bits_to_limbs(bits))
         assert words == tuple(sum(int(b) << j for j, b in enumerate(row)) for row in bits)
         limbs = words_to_limbs(words, cols)
         assert limbs.shape == (7, (cols + 63) // 64)

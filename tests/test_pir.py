@@ -119,15 +119,24 @@ def schedule_instances(draw):
     return draw(bit_matrices(k_c, n_s)), draw(bit_matrices(d_perp, n_s)), d_perp // g, k_c, d_perp, k_c // g
 
 
+def rescanned_stripe_coords(schedule, stripe):
+    """The coordinates the iterations assign to ``stripe``, ascending."""
+    coords = (c for plan in schedule.iterations for s, c in zip(plan.stripes, plan.coords) if s == stripe)
+    return tuple(sorted(coords))
+
+
 def check_schedule(schedule, g_c, h, b, k_c, d_perp, s_iterations):
     """Every iteration holds d_perp distinct coordinates with invertible
-    columns of H; every stripe holds k_C with invertible columns of G_C."""
+    columns of H; every stripe holds k_C with invertible columns of G_C,
+    and the stripe view agrees with the iterations."""
     assert len(schedule.iterations) == s_iterations
     for plan in schedule.iterations:
         assert len(set(plan.coords)) == len(plan.coords) == d_perp
         invert_columns(h, plan.coords)
+    assert len(schedule.stripe_coords) == b
     for stripe in range(b):
-        coords = schedule.stripe_coords(stripe)
+        coords = schedule.stripe_coords[stripe]
+        assert coords == rescanned_stripe_coords(schedule, stripe)
         assert len(coords) == k_c
         invert_columns(g_c, coords)
 
@@ -227,6 +236,26 @@ class TestDeriveScheme:
             run_retrieval(cfg("DBer(2,1,3)", "DBer(2,1,3)", files=2, seed=seed), seed % 2)
         assert pir._derive.cache_info().misses == 1
 
+    def test_inverses_once_per_pair(self, monkeypatch):
+        # The first run inverts each iteration's and each stripe's columns
+        # once; later runs of the pair invert nothing.
+        calls = []
+        invert = pir.invert_columns
+
+        def counting(m, cols):
+            calls.append(cols)
+            return invert(m, cols)
+
+        monkeypatch.setattr(pir, "invert_columns", counting)
+        pir._derive.cache_clear()
+        d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)"))
+        assert d.b > 1 and d.s_iterations > 1
+        run_retrieval(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=2, seed=1), 0)
+        assert len(calls) == d.s_iterations + d.b
+        calls.clear()
+        run_retrieval(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=3, seed=2), 2)
+        assert calls == []
+
 
 class TestSchedule:
     def test_single_iteration_example(self):
@@ -246,7 +275,7 @@ class TestSchedule:
                 assert plan.coords == tuple(sorted(plan.coords))
                 invert_columns(d.parity, plan.coords)
             for stripe in range(d.b):
-                coords = d.schedule.stripe_coords(stripe)
+                coords = d.schedule.stripe_coords[stripe]
                 assert len(coords) == d.k_c
                 invert_columns(d.storage_code.generator, coords)
 
@@ -312,6 +341,12 @@ class TestScheduleRegression:
             record = [storage.name, retrieval.name, [[p.coords, p.stripes] for p in plans]]
             digest.update(json.dumps(record).encode())
         assert digest.hexdigest() == self.SCHEDULES_SHA256
+
+    def test_stripe_view_matches_iterations(self):
+        for storage, retrieval, _ in supported_pairs(shapes_up_to(64)):
+            d = derive_scheme(SchemeConfig(storage, retrieval))
+            expected = tuple(rescanned_stripe_coords(d.schedule, s) for s in range(d.b))
+            assert d.schedule.stripe_coords == expected, (storage.name, retrieval.name)
 
     def test_every_pair_up_to_64_servers_reconstructs(self):
         pairs = list(supported_pairs(shapes_up_to(64)))
@@ -633,7 +668,7 @@ class TestReconstruct:
         triples = tuple(
             (stripe, coord, 0)
             for stripe in range(d.b)
-            for coord in d.schedule.stripe_coords(stripe)
+            for coord in d.schedule.stripe_coords[stripe]
         )
         assert reconstruct_file(d, triples) == BitMatrix.zeros(d.b, d.k_c)
 
@@ -811,6 +846,10 @@ class TestPrivacyEmpirical:
     def test_out_of_range_t(self, t):
         with pytest.raises(ValueError, match="t must lie in 0..4"):
             verify_privacy_empirical(cfg("DBer(2,0,2)", "DBer(2,1,2)"), t)
+
+    def test_zero_rate_pair(self):
+        with pytest.raises(ZeroRate):
+            verify_privacy_empirical(cfg("DBer(3,1,2)", "DBer(3,1,2)"), 1)
 
 
 class TestRunRetrieval:
