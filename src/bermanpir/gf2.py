@@ -8,11 +8,12 @@ functions and safe to share across threads.
 Bulk kernels run on NumPy *limbs*: a matrix's rows as a little-endian
 ``uint64`` array of shape ``(rows, ceil(cols / 64))``, bit ``j`` of a row in
 bit ``j % 64`` of limb ``j // 64``.  :func:`words_to_limbs` and
-:func:`limbs_to_words` convert between the two forms and :func:`bits_to_limbs`
-packs a 0/1 array.  A :class:`BitMatrix` holds row words (one word per row)
-or limbs, whichever it was built from, and derives the other form lazily the
-first time something reads it, so a matrix that only feeds limb kernels is
-never converted to words.  Matrix products use the "method of four
+:func:`limbs_to_words` convert between the two forms, :func:`bits_to_limbs`
+packs a 0/1 array, and :func:`draw_bit_limbs` draws uniform bits as limbs.
+A :class:`BitMatrix` holds row words (one word per row) or limbs, whichever
+it was built from, and derives the other form lazily the first time
+something reads it, so a matrix that only feeds limb kernels is never
+converted to words.  Matrix products use the "method of four
 Russians" on limbs: the right operand's rows are grouped eight at a time,
 each group's 256 XOR combinations are tabulated once, and every output row
 then gathers one table row per group, indexed by the matching byte of the
@@ -80,6 +81,26 @@ def bits_to_limbs(bits: np.ndarray) -> np.ndarray:
     padded = np.zeros((rows, 64 * width), dtype=np.uint8)
     padded[:, :cols] = bits
     return np.packbits(padded, bitorder="little").view(LIMB).reshape(rows, width)
+
+
+def draw_bit_limbs(rng: np.random.Generator, calls: int, rows: int, cols: int) -> np.ndarray:
+    """The limbs of ``calls`` consecutive ``rng.integers(0, 2, (rows, cols),
+    uint8)`` draws, stacked into ``calls * rows`` rows, from one draw of
+    whole 32-bit words.
+
+    Each such uint8 call takes ``ceil(rows * cols / 4)`` fresh 32-bit words
+    from the generator and spends them a byte at a time, least significant
+    byte first; for a range of two, Lemire's multiply returns the byte's top
+    bit and never rejects.  A full-range uint32 draw returns the same words
+    in the same order, so one ``calls x ceil(rows * cols / 4)`` word draw
+    gives the same bits and leaves the generator where the separate calls
+    would, including a half-used 64-bit Philox output carried from one call
+    to the next."""
+    size = rows * cols
+    words = rng.integers(0, 1 << 32, size=(calls, -(-size // 4)), dtype=np.uint32)
+    bits = words.astype("<u4", copy=False).view(np.uint8)
+    bits >>= 7
+    return bits_to_limbs(bits[:, :size].reshape(calls * rows, cols))
 
 
 def _limbs_to_bits(limbs: np.ndarray, cols: int) -> np.ndarray:

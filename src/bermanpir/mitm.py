@@ -15,7 +15,7 @@ import numpy as np
 
 from .berman import is_automorphism, translation_permutation
 from .codes import LinearCode
-from .gf2 import BitMatrix, BitVector, bits_to_limbs
+from .gf2 import BitMatrix, BitVector, draw_bit_limbs
 
 #: Most column sums :func:`translation_mitm` looks up; past it the privacy
 #: check falls through to sampling.
@@ -47,8 +47,7 @@ def _digests(columns: BitMatrix) -> np.ndarray:
     ``columns`` (its product with a fixed random matrix), so the digest of a
     XOR sum is the XOR of the digests."""
     rng = np.random.Generator(np.random.Philox(key=0))
-    bits = rng.integers(0, 2, size=(columns.cols, _DIGEST_BITS), dtype=np.uint8)
-    product = columns @ BitMatrix.from_limbs(bits_to_limbs(bits), _DIGEST_BITS)
+    product = columns @ BitMatrix.from_limbs(draw_bit_limbs(rng, 1, columns.cols, _DIGEST_BITS), _DIGEST_BITS)
     return np.array(product.row_words, dtype=np.uint32)
 
 

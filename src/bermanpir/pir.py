@@ -50,7 +50,7 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     LengthMismatch,
-    bits_to_limbs,
+    draw_bit_limbs,
     flip_bits,
     invert_columns,
     limb_product,
@@ -533,6 +533,23 @@ def _augment(
 # ---------------------------------------------------------------------------
 # Protocol steps.
 
+#: Guard on one retrieval matrix, in bits as held: ``M*b`` rows of ``n_s``
+#: columns padded to whole 64-bit limbs.  The library and query draws
+#: (``M*b*k_C`` and ``M*b*k_D`` bits) and the stored and query matrices all
+#: fit within it, and a draw's unpacked bits take at most that many bytes.
+MAX_BATCH_BITS = 1 << 27
+
+
+def _check_batch_size(derived: SchemeDerived, files: int) -> None:
+    """Raise :class:`TooLarge`, before anything is drawn, when the
+    retrieval's matrices would exceed :data:`MAX_BATCH_BITS`."""
+    bits = files * derived.b * 64 * ((derived.n_s + 63) // 64)
+    if bits > MAX_BATCH_BITS:
+        raise TooLarge(
+            f"{files} files of {derived.b} stripes on {derived.n_s} servers take {bits} bits, "
+            f"over the guard of {MAX_BATCH_BITS}"
+        )
+
 
 def encode_storage(derived: SchemeDerived, library: BitMatrix) -> BitMatrix:
     """The stored matrix: the library times the storage generator.
@@ -552,17 +569,20 @@ def gen_queries(
     """The query matrix Q of one iteration; column i goes to server i.
 
     Every row starts as an independent uniform codeword of the retrieval
-    code: one row-major batch of uniform message bits per call, packed to
-    limbs and multiplied by the generator's limbs in one table product.
-    Then, for each assigned (stripe, coordinate) pair of this iteration, bit
-    ``coordinate`` of the demanded file's stripe row is flipped.
+    code: one row-major batch of ``M*b x k_D`` uniform message bits per
+    call, the bits of ``rng.integers(0, 2, (M*b, k_D), uint8)`` taken from
+    whole Philox words by :func:`~.gf2.draw_bit_limbs`, multiplied as limbs
+    by the generator's limbs in one table product.  Then, for each assigned
+    (stripe, coordinate) pair of this iteration, bit ``coordinate`` of the
+    demanded file's stripe row is flipped.  A batch over
+    :data:`MAX_BATCH_BITS` raises :class:`TooLarge` before the draw.
     """
     if not 0 <= demand < files:
         raise ValueError("demand index out of range")
     plan = derived.schedule.iterations[iteration]
     g_d = derived.retrieval_code.generator
-    draw = rng.integers(0, 2, size=(files * derived.b, g_d.rows), dtype=np.uint8)
-    limbs = limb_product(bits_to_limbs(draw), g_d.limbs)
+    _check_batch_size(derived, files)
+    limbs = limb_product(draw_bit_limbs(rng, 1, files * derived.b, g_d.rows), g_d.limbs)
     flip_bits(limbs, [derived.file_row(demand, stripe) for stripe in plan.stripes], plan.coords)
     return BitMatrix.from_limbs(limbs, derived.n_s)
 
@@ -835,11 +855,14 @@ class Transcript:
 def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     """Simulate a full retrieval of file ``demand``.
 
-    Draw order from the seeded Philox stream: first the M file matrices
-    (row-major bits, one draw per file), then one query batch per iteration.
-    The per-file draws stay separate calls: a uint8 draw buffers whole 32-bit
-    words per call, so one draw of all M files would shift the stream.  They
-    are packed once into the library matrix, whose limbs the encoding uses.
+    Draw order from the seeded Philox stream: first the M file matrices,
+    each the row-major bits of one ``rng.integers(0, 2, (b, k_C), uint8)``
+    call, then one query batch per iteration (:func:`gen_queries`).  A uint8
+    call starts on a fresh 32-bit word, so one bit draw of all M files would
+    shift the stream; instead :func:`~.gf2.draw_bit_limbs` draws the M
+    calls' whole words at once and keeps the same bits, as the one library
+    matrix whose limbs the encoding uses.  A library over
+    :data:`MAX_BATCH_BITS` raises :class:`TooLarge` before anything is drawn.
     Every iteration reads its planted bits of the stored matrix with one
     gather, and checks that the response vector minus their contribution
     lies in the product code and that each recovered bit equals the stored
@@ -849,10 +872,10 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     derived = derive_scheme(config)
     if not 0 <= demand < config.files:
         raise ValueError("demand index out of range")
+    _check_batch_size(derived, config.files)
     rng = philox_generator(config.seed)
     b, k_c = derived.b, derived.k_c
-    draws = [rng.integers(0, 2, size=(b, k_c), dtype=np.uint8) for _ in range(config.files)]
-    library = BitMatrix.from_limbs(bits_to_limbs(np.concatenate(draws)), k_c)
+    library = BitMatrix.from_limbs(draw_bit_limbs(rng, config.files, b, k_c), k_c)
     stored = encode_storage(derived, library)
 
     records = []

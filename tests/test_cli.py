@@ -325,6 +325,19 @@ class TestSizeGuard:
         assert error["error"] == "TooLarge"
         assert set(error) == {"error", "message"}
 
+    def test_oversized_library_is_refused_fast(self, capsys):
+        start = time.perf_counter()
+        rc = main(["simulate", "--storage", "DBer(2,1,3)", "--retrieval", "DBer(2,1,3)",
+                   "--files", "1000000000000"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert elapsed < 1.0
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "TooLarge"
+        assert set(error) == {"error", "message"}
+
 
 class TestOutPath:
     @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from bermanpir.gf2 import (
     NoSolution,
     Singular,
     bits_to_limbs,
+    draw_bit_limbs,
     invert_columns,
     limbs_to_words,
     nullspace_basis,
@@ -420,6 +421,35 @@ class TestBulkKernels:
     def test_take_columns_range_check(self, cols):
         with pytest.raises(IndexError):
             random_matrix(3, 130, 0).take_columns(cols)
+
+
+class TestDrawBitLimbs:
+    """One whole-word draw against ``calls`` separate uint8 bit draws."""
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        rows=st.integers(0, 12),
+        cols=st.integers(0, 80),
+        calls=st.integers(0, 5),
+        pre=st.lists(st.integers(0, 9), max_size=2),
+    )
+    @example(seed=2**64 - 1, rows=3, cols=5, calls=3, pre=[1])  # 4 words per call, a half word carried in
+    @example(seed=0, rows=2, cols=6, calls=5, pre=[])  # 3 words per call: every other call starts on a half
+    @example(seed=5, rows=7, cols=11, calls=2, pre=[4, 9])
+    def test_matches_separate_uint8_draws(self, seed, rows, cols, calls, pre):
+        batched = np.random.Generator(np.random.Philox(key=seed))
+        separate = np.random.Generator(np.random.Philox(key=seed))
+        for size in pre:  # an odd number of 32-bit words leaves half a Philox output
+            batched.integers(0, 256, size=size, dtype=np.uint8)
+            separate.integers(0, 256, size=size, dtype=np.uint8)
+        limbs = draw_bit_limbs(batched, calls, rows, cols)
+        want = [separate.integers(0, 2, size=(rows, cols), dtype=np.uint8) for _ in range(calls)]
+        assert limbs.shape == (calls * rows, (cols + 63) // 64)
+        bits = np.unpackbits(limbs.view(np.uint8), axis=1, bitorder="little")
+        assert not bits[:, cols:].any()
+        assert np.array_equal(bits[:, :cols], np.concatenate(want) if want else np.zeros((0, cols), np.uint8))
+        # Both leave the stream at the same position.
+        assert batched.integers(0, 2**63) == separate.integers(0, 2**63)
 
 
 class TestLimbBackedMatrix:

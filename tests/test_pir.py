@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -769,6 +770,15 @@ class TestPrivacyRank:
         assert pir._privacy_verdict(code, 7) == (True, "mitm")
         assert pir._privacy_verdict(broken, 7) == (False, "sampled")
 
+    def test_mitm_digests_are_the_uint8_draw_product(self):
+        # The digest matrix is the bits of one uint8 draw from Philox(0).
+        for name in ("DBer(2,2,6)", "DBer(3,1,3)", "Ber(2,3,8)"):
+            columns = build(P(name)).generator.transpose()
+            rng = np.random.Generator(np.random.Philox(key=0))
+            bits = rng.integers(0, 2, size=(columns.cols, mitm._DIGEST_BITS), dtype=np.uint8)
+            want = columns @ BitMatrix.from_bits(bits.tolist())
+            assert mitm._digests(columns).tolist() == list(want.row_words)
+
     def test_ladder_pairs_are_decided_exactly(self, ladder):
         routes = {}
         for storage, retrieval, t in ladder:
@@ -896,11 +906,43 @@ class TestRunRetrieval:
              "143e2d5fdd829399c6cfd48d0f43838bcd7b53bbe540282c0b016faca5300373"),
             ("Ber(3,1,3)", "DBer(3,0,3)", 3, 11, 2,
              "fdceed4d9a22db4bce7c1c30dc00043fb22aa1901635d8ac4f0e5b07744e9d46"),
+            # 5 files of 39 32-bit words each: the first query draw starts
+            # on the second half of a 64-bit Philox output.
+            ("DBer(2,1,6)", "DBer(2,2,6)", 5, 2**63 + 12345, 3,
+             "a4a807976be0a4d5045d4f6a1019dbf8de0c2825273d3e104d2fa524aa7982c7"),
         ),
     )
     def test_golden_transcript_digests(self, storage, retrieval, files, seed, demand, digest):
         transcript = run_retrieval(cfg(storage, retrieval, files=files, seed=seed), demand)
         assert hashlib.sha256(transcript.to_json().encode()).hexdigest() == digest
+
+    def test_oversized_library_is_refused_before_any_draw(self, monkeypatch):
+        config = cfg("DBer(2,1,3)", "DBer(2,1,3)", files=10**12)
+        d = derive_scheme(config)  # derivation is cached per pair, so warm it first
+
+        def no_draw(*args):
+            raise AssertionError("drew before the size guard")
+
+        monkeypatch.setattr(pir, "philox_generator", no_draw)
+        monkeypatch.setattr(pir, "draw_bit_limbs", no_draw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                run_retrieval(config, 0)
+            with pytest.raises(TooLarge):
+                gen_queries(d, 10**12, 0, 0, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_size_guard_boundary(self):
+        d = derive_scheme(cfg("DBer(2,1,3)", "DBer(2,1,3)"))
+        per_file = d.b * 64  # 8 servers: one limb per row
+        files = pir.MAX_BATCH_BITS // per_file
+        pir._check_batch_size(d, files)
+        with pytest.raises(TooLarge):
+            pir._check_batch_size(d, files + 1)
 
     def test_wide_retrieval_converts_no_large_matrix_to_words(self, monkeypatch):
         # The stored matrix, the library and the queries stay limbs; only
