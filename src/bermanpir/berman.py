@@ -193,11 +193,19 @@ def basis_vectors(params: BermanParams) -> tuple[BitVector, ...]:
     return tuple(d_vector(n, m, t) for t in all_tuples(n, m) if tuple_weight(t) <= r)
 
 
+def check_length(params: BermanParams) -> None:
+    """Refuse a code longer than :data:`MAX_LENGTH`, without forming ``n**m``
+    at depths where it is too long for every n."""
+    if params.m >= MAX_LENGTH.bit_length():  # n**m >= 2**m > MAX_LENGTH
+        raise TooLarge(f"{params.name}: length {params.n}^{params.m} exceeds the guard of {MAX_LENGTH}")
+    if params.length > MAX_LENGTH:
+        raise TooLarge(f"{params.name}: length {params.length} exceeds the guard of {MAX_LENGTH}")
+
+
 @lru_cache(maxsize=None)
 def build(params: BermanParams) -> LinearCode:
     """The code spanned by the family basis, canonicalized."""
-    if params.length > MAX_LENGTH:
-        raise TooLarge(f"{params.name}: length {params.length} exceeds the guard of {MAX_LENGTH}")
+    check_length(params)
     code = LinearCode.from_spanning_set(params.length, basis_vectors(params))
     if code.dimension != dimension_formula(params):
         raise ProtocolInvariantError(f"{params.name}: basis rank disagrees with the closed form")

@@ -20,7 +20,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .berman import BermanParams, build
+from .berman import BermanParams
 from .checks import iter_verification_cases
 from .gf2 import LengthMismatch, NoSolution, Singular
 from .pir import (
@@ -32,7 +32,7 @@ from .pir import (
     UnsupportedPair,
     ZeroRate,
     closed_form_triple,
-    derive_scheme,  # noqa: F401  benchmarks/tracer.py patches cli.derive_scheme
+    derive_scheme,
     run_retrieval,
     verify_privacy_rank,
 )
@@ -249,11 +249,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     # The privacy check runs before the retrieval, so its scratch arrays are
-    # freed before the transcript is built.  Rates and the storage code come
-    # first, so a pair is refused with the error derivation would raise.
-    t, _, _ = closed_form_triple(config.storage, config.retrieval)
-    build(config.storage)
-    privacy_ok = verify_privacy_rank(build(config.retrieval), t)
+    # freed before the transcript is built; the retrieval reuses the cached
+    # derivation.
+    derived = derive_scheme(config)
+    privacy_ok = verify_privacy_rank(derived.retrieval_code, derived.t)
     transcript = run_retrieval(config, demand=args.demand)
     if args.out:
         with _open_out(args.out) as fh:

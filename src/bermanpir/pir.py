@@ -44,7 +44,7 @@ from math import comb, gcd
 
 import numpy as np
 
-from .berman import BermanParams, CodeKind, build, min_distance_formula
+from .berman import BermanParams, CodeKind, build, check_length, dimension_formula, min_distance_formula
 from .codes import MAX_BRUTE_FORCE_DIM, LinearCode, ProtocolInvariantError, TooLarge
 from .gf2 import (
     BitMatrix,
@@ -59,7 +59,7 @@ from .gf2 import (
     take_bits,
 )
 from .mitm import translation_mitm
-from .star import star_codes
+from .star import predict_star, star_codes
 
 
 class UnsupportedPair(ValueError):
@@ -135,29 +135,27 @@ def scheme_row(storage: BermanParams, retrieval: BermanParams) -> str:
     raise UnsupportedPair("no scheme row pairs a Berman storage code with a Berman retrieval code")
 
 
-def closed_form_triple(storage: BermanParams, retrieval: BermanParams) -> tuple[int, Fraction, Fraction]:
-    """(t, R_st, R_pir) for a supported pair, from the closed forms alone."""
-    row = scheme_row(storage, retrieval)
-    n, m = storage.n, storage.m
-    n_s = n**m
-    rc, rd = storage.r, retrieval.r
-
-    def dim_sum(lo: int, hi: int) -> int:
-        return sum(comb(m, i) * (n - 1) ** i for i in range(lo, hi + 1))
-
-    r_st = Fraction(dim_sum(0, rc) if storage.kind is CodeKind.DUAL_BERMAN else dim_sum(rc + 1, m), n_s)
-    if row == "dber-dber":
-        r_pir = Fraction(dim_sum(rc + rd + 1, m), n_s)
-        t = 2 ** (rd + 1) - 1
-    elif row == "dber-ber":
-        r_pir = Fraction(dim_sum(0, rd - rc), n_s)
-        t = n ** (m - rd) - 1
-    else:
-        r_pir = Fraction(dim_sum(0, rc - rd), n_s)
-        t = 2 ** (rd + 1) - 1
-    if r_pir == 0:
+def _product(storage: BermanParams, retrieval: BermanParams) -> BermanParams:
+    """The case-table product ``C * D`` of a supported pair; refused as
+    :class:`ZeroRate` unless it is a family member short of the full space."""
+    scheme_row(storage, retrieval)
+    product = predict_star(storage, retrieval)
+    if not isinstance(product, BermanParams) or product.is_full_space:
         raise ZeroRate(f"{storage.name} * {retrieval.name} fills the whole space")
-    return t, r_st, r_pir
+    return product
+
+
+def _rates(storage: BermanParams, retrieval: BermanParams, product: BermanParams) -> tuple[int, Fraction, Fraction]:
+    n_s = storage.length
+    t = min_distance_formula(retrieval.dual) - 1
+    return t, Fraction(dimension_formula(storage), n_s), Fraction(n_s - dimension_formula(product), n_s)
+
+
+def closed_form_triple(storage: BermanParams, retrieval: BermanParams) -> tuple[int, Fraction, Fraction]:
+    """(t, R_st, R_pir) for a supported pair, read off the star-product case
+    table: ``R_st = dim C / n^m``, ``R_pir = dim (C*D)^perp / n^m`` and
+    ``t = d(D^perp) - 1``, all from the family's closed forms."""
+    return _rates(storage, retrieval, _product(storage, retrieval))
 
 
 @dataclass(frozen=True)
@@ -224,26 +222,23 @@ def derive_scheme(config: SchemeConfig) -> SchemeDerived:
 def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     """Derive codes, rates, the syndrome map, and a feasible schedule.
 
-    The product code is constructed outright (not assumed from the case
-    table) and its dual dimension is required to match the closed-form
+    Refusals by name (unsupported pair, zero rate) come before the length
+    guard, and both before any arithmetic on ``n^m``.  The product code is
+    constructed outright and its dual dimension must match the case table's
     rate; stripes and iterations are the smallest integers making
     ``b * k_C = S * d_perp`` exact.
     """
-    t, r_st, r_pir = closed_form_triple(storage, retrieval)
+    product = _product(storage, retrieval)
+    check_length(storage)
+    t, r_st, r_pir = _rates(storage, retrieval, product)
     c = build(storage)
     d = build(retrieval)
     n_s = c.length
     e = star_codes(c, d)
     e_dual = e.dual()
     d_perp = e_dual.dimension
-    if d_perp == 0:
-        raise ZeroRate("the product code fills the whole space")
     if Fraction(d_perp, n_s) != r_pir:
-        raise ProtocolInvariantError("constructed product dimension disagrees with the closed form")
-    if Fraction(c.dimension, n_s) != r_st:
-        raise ProtocolInvariantError("constructed storage dimension disagrees with the closed form")
-    if t != min_distance_formula(retrieval.dual) - 1:
-        raise ProtocolInvariantError("closed-form t disagrees with the retrieval code's dual distance")
+        raise ProtocolInvariantError("constructed product dimension disagrees with the case table")
     k_c = c.dimension
     g = gcd(d_perp, k_c)
     b = d_perp // g
@@ -738,22 +733,22 @@ def verify_privacy_empirical(config: SchemeConfig, t: int) -> float:
     randomness is enumerated exhaustively (allowed while ``dim(D) * M <= 20``).
     The uniform distribution is included as a reference point, so a
     single-demand instance still measures deviation from uniformity.
+    Once the size guards pass, D and ``(C*D)^perp`` come from
+    :func:`derive_scheme`, so a pair the scheme does not support or cannot
+    schedule raises as derivation does.
     """
     _check_collusion_size(t, config.storage.length)
-    c = build(config.storage)
-    d = build(config.retrieval)
     rows = config.files
     if rows * t > 12:
         raise TooLarge("joint query alphabet exceeds the enumeration guard")
-    product_dual = star_codes(c, d).dual()
-    if product_dual.dimension == 0:
-        raise ZeroRate("the product code fills the whole space")
-    embed = product_dual.information_set()[0]
-    subset = _worst_case_columns(d, t, prefer=embed)
-    restricted = d.generator.take_columns(subset)
-    k_d = d.dimension
+    k_d = dimension_formula(config.retrieval)
     if k_d * rows > 20:
         raise TooLarge("query randomness exceeds the exhaustive enumeration guard")
+    derived = derive_scheme(config)
+    d = derived.retrieval_code
+    embed = LinearCode(derived.n_s, derived.parity).information_set()[0]
+    subset = _worst_case_columns(d, t, prefer=embed)
+    restricted = d.generator.take_columns(subset)
     shift = 1 << subset.index(embed) if embed in subset else 0
 
     def distribution(demand: int) -> dict[tuple[int, ...], float]:

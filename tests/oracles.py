@@ -10,14 +10,20 @@ The retrieval loop redoes one retrieval's queries and responses on Python
 integers, one row at a time, from the documented Philox draw order.
 
 The schedule finder decides a tiny scheduling instance by exhaustive search.
+
+The per-row triple restates the paper's table rows as hand-written sums of
+the dimension formula's terms, independent of the star-product case table.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 
 from bermanpir import BitVector
 from bermanpir.berman import (
+    CodeKind,
     all_tuples,
     c_vector,
     d_vector,
@@ -25,7 +31,34 @@ from bermanpir.berman import (
     tuple_to_index,
     tuple_weight,
 )
+from bermanpir.pir import ZeroRate, scheme_row
 from bermanpir.star import star_vectors
+
+
+def per_row_triple(storage, retrieval):
+    """(t, R_st, R_pir) from the published closed form of the pair's table
+    row; refusals as :func:`bermanpir.pir.closed_form_triple` makes them."""
+    row = scheme_row(storage, retrieval)
+    n, m = storage.n, storage.m
+    n_s = n**m
+    rc, rd = storage.r, retrieval.r
+
+    def dim_sum(lo, hi):
+        return sum(comb(m, i) * (n - 1) ** i for i in range(lo, hi + 1))
+
+    r_st = Fraction(dim_sum(0, rc) if storage.kind is CodeKind.DUAL_BERMAN else dim_sum(rc + 1, m), n_s)
+    if row == "dber-dber":
+        r_pir = Fraction(dim_sum(rc + rd + 1, m), n_s)
+        t = 2 ** (rd + 1) - 1
+    elif row == "dber-ber":
+        r_pir = Fraction(dim_sum(0, rd - rc), n_s)
+        t = n ** (m - rd) - 1
+    else:
+        r_pir = Fraction(dim_sum(0, rc - rd), n_s)
+        t = 2 ** (rd + 1) - 1
+    if r_pir == 0:
+        raise ZeroRate(f"{storage.name} * {retrieval.name} fills the whole space")
+    return t, r_st, r_pir
 
 
 def per_server_responses(stored, q):

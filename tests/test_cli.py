@@ -321,9 +321,29 @@ class TestSizeGuard:
         assert rc == EXIT_PARSE
         assert elapsed < 1.0
         assert captured.out == ""
-        error = json.loads(captured.err)
-        assert error["error"] == "TooLarge"
-        assert set(error) == {"error", "message"}
+        assert json.loads(captured.err) == {
+            "error": "TooLarge",
+            "message": "DBer(50,1,5): length 312500000 exceeds the guard of 4096",
+        }
+
+    @pytest.mark.parametrize(
+        "storage, retrieval, rc, error",
+        (
+            ("DBer(2,0,1000000000)", "DBer(2,1,1000000000)", EXIT_PARSE, "TooLarge"),
+            ("Ber(2,0,1000000000)", "Ber(2,1,1000000000)", EXIT_UNSUPPORTED, "UnsupportedPair"),
+            ("DBer(2,600000000,1000000000)", "DBer(2,500000000,1000000000)", EXIT_UNSUPPORTED, "ZeroRate"),
+        ),
+    )
+    def test_huge_depth_is_refused_fast(self, storage, retrieval, rc, error, capsys):
+        # Refusals by name come first, then the length guard; none of them
+        # sums the closed forms or forms n**m.
+        start = time.perf_counter()
+        assert main(["simulate", "--storage", storage, "--retrieval", retrieval]) == rc
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert elapsed < 1.0
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == error
 
     def test_oversized_library_is_refused_fast(self, capsys):
         start = time.perf_counter()

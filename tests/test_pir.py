@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bermanpir import cli, gf2, mitm, pir
+from bermanpir import berman, cli, gf2, mitm, pir
 from bermanpir.berman import BermanParams, CodeKind, build
 from bermanpir.codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns, rank
@@ -202,6 +202,24 @@ class TestClosedForms:
     def test_zero_rate(self):
         with pytest.raises(ZeroRate):
             closed_form_triple(P("DBer(3,1,2)"), P("DBer(3,1,2)"))
+
+    def test_case_table_matches_the_per_row_closed_forms(self):
+        from oracles import per_row_triple
+
+        def outcome(f, storage, retrieval):
+            try:
+                return f(storage, retrieval)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        checked = 0
+        for members in berman.families(8, 6):
+            for storage in members:
+                for retrieval in members:
+                    expected = outcome(per_row_triple, storage, retrieval)
+                    assert outcome(closed_form_triple, storage, retrieval) == expected, (storage, retrieval)
+                    checked += isinstance(expected[0], int)
+        assert checked > 300
 
 
 class TestDeriveScheme:
@@ -387,6 +405,30 @@ class TestScheduleRegression:
         error = json.loads(lines[0])
         assert error["error"] == "ScheduleNotFound"
         assert error["message"].startswith("no schedule exists")
+
+    @pytest.mark.parametrize("refusal", ("infeasible", "over-budget"))
+    def test_refused_schedule_exits_5_before_the_privacy_check(self, refusal, monkeypatch, capsys):
+        if refusal == "infeasible":
+            real = pir._solve_schedule
+            monkeypatch.setattr(
+                pir, "_solve_schedule", lambda g_c, h, *sizes: real(g_c, BitMatrix(1, h.cols, h.row_words[:1]), *sizes)
+            )
+            pair = ("DBer(3,0,2)", "DBer(3,1,2)")
+        else:
+            monkeypatch.setattr(pir, "SCHEDULE_BUDGET", 0)
+            pair = ("DBer(4,1,3)", "DBer(4,1,3)")
+
+        def no_privacy_check(*args):
+            raise AssertionError("privacy check ran before the schedule search")
+
+        monkeypatch.setattr(cli, "verify_privacy_rank", no_privacy_check)
+        pir._derive.cache_clear()
+        assert cli.main(["simulate", "--storage", pair[0], "--retrieval", pair[1]]) == cli.EXIT_NO_SCHEDULE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ScheduleNotFound"
 
     def test_over_budget_search_says_so(self, monkeypatch):
         monkeypatch.setattr(pir, "SCHEDULE_BUDGET", 0)
