@@ -17,12 +17,13 @@ suite cross-checks them against each other:
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, log10
 
 from .codes import LinearCode, ProtocolInvariantError, TooLarge
 from .gf2 import BitVector, LengthMismatch
@@ -200,6 +201,25 @@ def check_length(params: BermanParams) -> None:
         raise TooLarge(f"{params.name}: length {params.n}^{params.m} exceeds the guard of {MAX_LENGTH}")
     if params.length > MAX_LENGTH:
         raise TooLarge(f"{params.name}: length {params.length} exceeds the guard of {MAX_LENGTH}")
+
+
+def check_digits(params: BermanParams) -> None:
+    """Refuse a code whose length ``n**m`` has more decimal digits than Python
+    converts to text (:func:`sys.get_int_max_str_digits`, unless that limit
+    is off), decided exactly without forming a power far beyond the limit.
+
+    It has more than ``limit`` digits iff ``n**m >= 10**limit``.  Since
+    ``n >= 2`` and ``2**4 > 10``, any ``m > 4 * limit`` is too long.  Below
+    that, ``m * log10(n)`` is off by far less than 1, so only an estimate
+    within 1 of ``limit`` needs the exact comparison, whose power then has
+    about ``limit`` digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    n, m = params.n, params.m
+    estimate = m * log10(n) if m <= 4 * limit else float("inf")
+    if estimate >= limit + 1 or (estimate > limit - 1 and n**m >= 10**limit):
+        raise TooLarge(f"{params.name}: length {n}^{m} has more than {limit} decimal digits")
 
 
 @lru_cache(maxsize=None)

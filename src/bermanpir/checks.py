@@ -12,7 +12,7 @@ from typing import Callable, Iterator
 
 from . import berman
 from .berman import BermanParams, CodeKind
-from .codes import MAX_BRUTE_FORCE_DIM
+from .codes import MAX_BRUTE_FORCE_DIM, TooLarge
 from .gf2 import BitMatrix, rank
 from .star import star_pairs, verify_star_case
 
@@ -30,9 +30,21 @@ def _family(n_max: int, m_max: int) -> Iterator[BermanParams]:
         yield from members
 
 
+#: Longest family member a sweep may build.  The sweep at ``n_max = 2,
+#: m_max = 9`` (512 coordinates) takes about 20 s on one core; at
+#: ``m_max = 10`` it runs past 100 s.
+MAX_SWEEP_LENGTH = 512
+
+
 def _case_builders(n_max: int, m_max: int) -> list[Callable[[], VerifyCase]]:
+    """Every case of the sweep, unevaluated.  A sweep whose longest member,
+    of length ``n_max**m_max``, exceeds :data:`MAX_SWEEP_LENGTH` raises
+    :class:`TooLarge` first, without forming the power once ``2**m_max``
+    alone exceeds the guard."""
     if n_max < 2 or m_max < 1:
         raise ValueError(f"verify needs n_max >= 2 and m_max >= 1, got n_max={n_max}, m_max={m_max}")
+    if m_max >= MAX_SWEEP_LENGTH.bit_length() or n_max**m_max > MAX_SWEEP_LENGTH:
+        raise TooLarge(f"verify sweep up to length {n_max}^{m_max} exceeds the guard of {MAX_SWEEP_LENGTH}")
     builders: list[Callable[[], VerifyCase]] = []
 
     for params in _family(n_max, m_max):

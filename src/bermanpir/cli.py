@@ -1,13 +1,13 @@
 """Command-line front end: parameter calculator, parameter tables, the
 self-verification sweep, and end-to-end retrieval simulation.
 
-Exit codes: 0 success, 2 parse error (also ``TooLarge``, an out-of-range
-``--demand``, and an ``--out`` path that cannot be opened for writing,
-``OutputUnwritable``), 3 unsupported pair or zero rate, 4 verification
-failure (a broken protocol invariant, or an internal GF(2) or protocol-step
-error: ``Singular``, ``NoSolution``, ``LengthMismatch``, ``Incomplete``,
-``ShapeMismatch``), 5 no schedule (proved not to exist, or not found within
-the search budget).
+Exit codes: 0 success, 2 parse error (also ``TooLarge``, ``MemoryError``,
+an out-of-range ``--demand``, and an ``--out`` path that cannot be opened
+for writing, ``OutputUnwritable``), 3 unsupported pair or zero rate,
+4 verification failure (a broken protocol invariant, or an internal GF(2)
+or protocol-step error: ``Singular``, ``NoSolution``, ``LengthMismatch``,
+``Incomplete``, ``ShapeMismatch``), 5 no schedule (proved not to exist, or
+not found within the search budget).
 """
 
 from __future__ import annotations
@@ -351,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except PROTOCOL_ERRORS as exc:
         sys.stderr.write(_error_json(exc))
         return EXIT_VERIFY_FAILED
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         sys.stderr.write(_error_json(exc))
         return EXIT_PARSE
 

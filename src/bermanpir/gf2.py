@@ -9,16 +9,16 @@ Bulk kernels run on NumPy *limbs*: a matrix's rows as a little-endian
 ``uint64`` array of shape ``(rows, ceil(cols / 64))``, bit ``j`` of a row in
 bit ``j % 64`` of limb ``j // 64``.  :func:`words_to_limbs` and
 :func:`limbs_to_words` convert between the two forms, :func:`bits_to_limbs`
-packs a 0/1 array, and :func:`draw_bit_limbs` draws uniform bits as limbs.
-A :class:`BitMatrix` holds row words (one word per row) or limbs, whichever
-it was built from, and derives the other form lazily the first time
-something reads it, so a matrix that only feeds limb kernels is never
-converted to words.  Matrix products use the "method of four
-Russians" on limbs: the right operand's rows are grouped eight at a time,
-each group's 256 XOR combinations are tabulated once, and every output row
-then gathers one table row per group, indexed by the matching byte of the
-left operand (:func:`limb_product`).  Transposes and column selections unpack
-to a 0/1 array, index it, and pack.
+packs a 0/1 array, and :func:`draw_bit_limbs` draws uniform bits as limbs
+from whole 64-bit Philox words.  A :class:`BitMatrix` holds row words (one
+word per row) or limbs, whichever it was built from, and derives the other
+form lazily the first time something reads it, so a matrix that only feeds
+limb kernels is never converted to words.  Matrix products use the "method
+of four Russians" on limbs: the right operand's rows are grouped eight at a
+time, each group's 256 XOR combinations are tabulated once, and every output
+row then gathers one table row per group, indexed by the matching byte of
+the left operand, a block of rows at a time (:func:`limb_product`).
+Transposes and column selections unpack to a 0/1 array, index it, and pack.
 """
 
 from __future__ import annotations
@@ -85,20 +85,28 @@ def bits_to_limbs(bits: np.ndarray) -> np.ndarray:
 
 def draw_bit_limbs(rng: np.random.Generator, calls: int, rows: int, cols: int) -> np.ndarray:
     """The limbs of ``calls`` consecutive ``rng.integers(0, 2, (rows, cols),
-    uint8)`` draws, stacked into ``calls * rows`` rows, from one draw of
-    whole 32-bit words.
+    uint8)`` draws, stacked into ``calls * rows`` rows, drawn as whole words.
 
     Each such uint8 call takes ``ceil(rows * cols / 4)`` fresh 32-bit words
     from the generator and spends them a byte at a time, least significant
     byte first; for a range of two, Lemire's multiply returns the byte's top
-    bit and never rejects.  A full-range uint32 draw returns the same words
-    in the same order, so one ``calls x ceil(rows * cols / 4)`` word draw
-    gives the same bits and leaves the generator where the separate calls
-    would, including a half-used 64-bit Philox output carried from one call
-    to the next."""
+    bit and never rejects.  Philox hands out 32-bit words as the low, then
+    the high half of each 64-bit output, and carries an unused high half
+    (``has_uint32`` in its state) from one call to the next.  So the same
+    words come from full-range 64-bit draws, split into halves: a carried
+    half is taken first with one uint32 draw, then every pair of words is
+    one uint64 draw, and an odd last word is one more uint32 draw, whose
+    high half the generator carries on exactly as the uint8 calls would."""
     size = rows * cols
-    words = rng.integers(0, 1 << 32, size=(calls, -(-size // 4)), dtype=np.uint32)
-    bits = words.astype("<u4", copy=False).view(np.uint8)
+    per_call = -(-size // 4)
+    count = calls * per_call
+    carried = rng.bit_generator.state["has_uint32"] if count else 0
+    head = [rng.integers(0, 1 << 32, size=1, dtype=np.uint32)] if carried else []
+    pairs, odd = divmod(count - len(head), 2)
+    body = rng.integers(0, 1 << 64, size=pairs, dtype=np.uint64).astype("<u8", copy=False).view("<u4")
+    tail = [rng.integers(0, 1 << 32, size=1, dtype=np.uint32)] if odd else []
+    words = np.concatenate([*head, body, *tail], dtype="<u4") if head or tail else body
+    bits = words.view(np.uint8).reshape(calls, 4 * per_call)
     bits >>= 7
     return bits_to_limbs(bits[:, :size].reshape(calls * rows, cols))
 
@@ -131,19 +139,30 @@ def span_table(rows: np.ndarray) -> np.ndarray:
     return table
 
 
+#: Bytes of output rows that one gather of :func:`limb_product` fills, so its
+#: scratch memory does not grow with the height of the left operand.
+GATHER_BYTES = 1 << 18
+
+
 def limb_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """GF(2) product of two limb arrays, ``rows x k`` times ``k x W``.
 
-    Every group of eight rows of ``right`` gets its :func:`span_table`.  Each
-    output row XORs in one table row per group: the one that its byte of
-    ``left`` at that group names.  Bits of ``left`` beyond ``k`` are zero, so
-    a short last group's byte never indexes past its table.
+    Every group of eight rows of ``right`` gets its :func:`span_table`, built
+    once per call.  Each output row XORs in one table row per group: the one
+    that its byte of ``left`` at that group names, gathered for a block of
+    :data:`GATHER_BYTES` of output rows at a time.  Bits of ``left`` beyond
+    ``k`` are zero, so a short last group's byte never indexes past its table.
     """
     k, width = right.shape
+    height = left.shape[0]
     left_bytes = left.view(np.uint8)
-    out = np.zeros((left.shape[0], width), dtype=LIMB)
+    out = np.zeros((height, width), dtype=LIMB)
+    block = max(1, GATHER_BYTES // (8 * max(1, width)))
     for g in range(0, k, 8):
-        out ^= span_table(right[g : g + 8])[left_bytes[:, g >> 3]]
+        table = span_table(right[g : g + 8])
+        index = left_bytes[:, g >> 3]
+        for lo in range(0, height, block):
+            out[lo : lo + block] ^= table[index[lo : lo + block]]
     return out
 
 

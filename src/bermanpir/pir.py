@@ -14,12 +14,13 @@ the planted codeword bits, which an invertible column selection of H then
 recovers.  After all iterations each stripe holds an information set of C
 and the file follows by inverting the corresponding generator columns.
 
-The per-iteration bulk work runs on NumPy limb arrays (see :mod:`.gf2`): the
-query batch is one table product of the packed message bits with D's
-generator, and the response is one XOR reduction over the rows of
-``stored & Q``.  The matrices the stages return keep those limbs and
-become Python integers only where something reads their words; a retrieval
-itself reads the words of the response vectors and the demanded file alone.
+The bulk work runs on NumPy limb arrays (see :mod:`.gf2`): the queries of a
+run of consecutive iterations are one table product of their packed message
+bits with D's generator, so its tables are built once per run, and each
+iteration's response is one XOR reduction over the rows of ``stored & Q``.
+The matrices the stages return keep those limbs and become Python integers
+only where something reads their words; a retrieval itself reads the words
+of the response vectors and the demanded file alone.
 The column inverses that decoding and reconstruction need depend only on the
 schedule, so each pair computes them once.
 
@@ -39,14 +40,23 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import comb, gcd
 
 import numpy as np
 
-from .berman import BermanParams, CodeKind, build, check_length, dimension_formula, min_distance_formula
+from .berman import (
+    BermanParams,
+    CodeKind,
+    build,
+    check_digits,
+    check_length,
+    dimension_formula,
+    min_distance_formula,
+)
 from .codes import MAX_BRUTE_FORCE_DIM, LinearCode, ProtocolInvariantError, TooLarge
 from .gf2 import (
+    LIMB,
     BitMatrix,
     BitVector,
     LengthMismatch,
@@ -154,8 +164,15 @@ def _rates(storage: BermanParams, retrieval: BermanParams, product: BermanParams
 def closed_form_triple(storage: BermanParams, retrieval: BermanParams) -> tuple[int, Fraction, Fraction]:
     """(t, R_st, R_pir) for a supported pair, read off the star-product case
     table: ``R_st = dim C / n^m``, ``R_pir = dim (C*D)^perp / n^m`` and
-    ``t = d(D^perp) - 1``, all from the family's closed forms."""
-    return _rates(storage, retrieval, _product(storage, retrieval))
+    ``t = d(D^perp) - 1``, all from the family's closed forms.
+
+    Refusals by name (unsupported pair, zero rate) come first; then a length
+    ``n^m`` with more decimal digits than Python prints raises
+    :class:`TooLarge` (:func:`.berman.check_digits`) before any closed form
+    runs."""
+    product = _product(storage, retrieval)
+    check_digits(storage)
+    return _rates(storage, retrieval, product)
 
 
 @dataclass(frozen=True)
@@ -535,13 +552,21 @@ def _augment(
 MAX_BATCH_BITS = 1 << 27
 
 
-def _check_batch_size(derived: SchemeDerived, files: int) -> None:
+def _query_bits(derived: SchemeDerived, files: int) -> int:
+    """Bits of one iteration's query matrix as held: ``M*b`` rows of ``n_s``
+    columns padded to whole limbs."""
+    return files * derived.b * 64 * ((derived.n_s + 63) // 64)
+
+
+def _check_batch_size(derived: SchemeDerived, files: int, iterations: int = 1) -> None:
     """Raise :class:`TooLarge`, before anything is drawn, when the
-    retrieval's matrices would exceed :data:`MAX_BATCH_BITS`."""
-    bits = files * derived.b * 64 * ((derived.n_s + 63) // 64)
+    retrieval's matrices, or a run of ``iterations`` query matrices, would
+    exceed :data:`MAX_BATCH_BITS`."""
+    bits = iterations * _query_bits(derived, files)
     if bits > MAX_BATCH_BITS:
+        run = f"{iterations} iterations of " if iterations > 1 else ""
         raise TooLarge(
-            f"{files} files of {derived.b} stripes on {derived.n_s} servers take {bits} bits, "
+            f"{run}{files} files of {derived.b} stripes on {derived.n_s} servers take {bits} bits, "
             f"over the guard of {MAX_BATCH_BITS}"
         )
 
@@ -559,26 +584,38 @@ def encode_storage(derived: SchemeDerived, library: BitMatrix) -> BitMatrix:
 
 
 def gen_queries(
-    derived: SchemeDerived, files: int, demand: int, iteration: int, rng: np.random.Generator
+    derived: SchemeDerived, files: int, demand: int, iterations: range, rng: np.random.Generator
 ) -> BitMatrix:
-    """The query matrix Q of one iteration; column i goes to server i.
+    """The query matrices Q of a run of consecutive iterations, stacked: rows
+    ``i*M*b`` to ``(i+1)*M*b`` are the query of ``iterations[i]``, and
+    column j of each goes to server j.
 
     Every row starts as an independent uniform codeword of the retrieval
-    code: one row-major batch of ``M*b x k_D`` uniform message bits per
-    call, the bits of ``rng.integers(0, 2, (M*b, k_D), uint8)`` taken from
-    whole Philox words by :func:`~.gf2.draw_bit_limbs`, multiplied as limbs
-    by the generator's limbs in one table product.  Then, for each assigned
-    (stripe, coordinate) pair of this iteration, bit ``coordinate`` of the
-    demanded file's stripe row is flipped.  A batch over
+    code.  Each iteration, in order, draws one row-major batch of
+    ``M*b x k_D`` uniform message bits, the bits of ``rng.integers(0, 2,
+    (M*b, k_D), uint8)`` taken from whole Philox words by
+    :func:`~.gf2.draw_bit_limbs`, into one message array.  The whole run is
+    then one table product with the generator's limbs, so each of its tables
+    is built once per run.  Last, for each assigned (stripe, coordinate)
+    pair of each iteration, bit ``coordinate`` of the demanded file's stripe
+    row of that iteration's query is flipped.  A run over
     :data:`MAX_BATCH_BITS` raises :class:`TooLarge` before the draw.
     """
     if not 0 <= demand < files:
         raise ValueError("demand index out of range")
-    plan = derived.schedule.iterations[iteration]
+    plans = [derived.schedule.iterations[it] for it in iterations]
     g_d = derived.retrieval_code.generator
-    _check_batch_size(derived, files)
-    limbs = limb_product(draw_bit_limbs(rng, 1, files * derived.b, g_d.rows), g_d.limbs)
-    flip_bits(limbs, [derived.file_row(demand, stripe) for stripe in plan.stripes], plan.coords)
+    _check_batch_size(derived, files, len(plans))
+    rows = files * derived.b
+    messages = np.empty((len(plans) * rows, (g_d.rows + 63) // 64), dtype=LIMB)
+    for i in range(len(plans)):
+        messages[i * rows : (i + 1) * rows] = draw_bit_limbs(rng, 1, rows, g_d.rows)
+    limbs = limb_product(messages, g_d.limbs)
+    flip_bits(
+        limbs,
+        [i * rows + derived.file_row(demand, stripe) for i, plan in enumerate(plans) for stripe in plan.stripes],
+        [coord for plan in plans for coord in plan.coords],
+    )
     return BitMatrix.from_limbs(limbs, derived.n_s)
 
 
@@ -624,19 +661,20 @@ def reconstruct_file(
     per_stripe: dict[int, dict[int, int]] = {}
     for stripe, coord, bit in recovered:
         per_stripe.setdefault(stripe, {})[coord] = bit
-    rows = []
+    k_c = derived.k_c
+    words = []
     for stripe in range(derived.b):
         got = per_stripe.get(stripe, {})
-        if len(got) != derived.k_c:
-            raise Incomplete(f"stripe {stripe} has {len(got)} of {derived.k_c} coordinates")
+        if len(got) != k_c:
+            raise Incomplete(f"stripe {stripe} has {len(got)} of {k_c} coordinates")
         coords = tuple(sorted(got))
-        y = BitVector.from_bits(got[c] for c in coords)
+        y = sum((got[c] & 1) << pos for pos, c in enumerate(coords))
         if coords == derived.schedule.stripe_coords[stripe]:
             inv = derived.stripe_inverses[stripe]
         else:
             inv = invert_columns(derived.storage_code.generator, coords)
-        rows.append(inv.left_mul(y))
-    return BitMatrix.from_rows(rows, derived.k_c)
+        words.append(inv.left_mul(BitVector(k_c, y)).word)
+    return BitMatrix(derived.b, k_c, tuple(words))
 
 
 # ---------------------------------------------------------------------------
@@ -858,10 +896,16 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     calls' whole words at once and keeps the same bits, as the one library
     matrix whose limbs the encoding uses.  A library over
     :data:`MAX_BATCH_BITS` raises :class:`TooLarge` before anything is drawn.
-    Every iteration reads its planted bits of the stored matrix with one
-    gather, and checks that the response vector minus their contribution
-    lies in the product code and that each recovered bit equals the stored
-    one; a failure, or an achieved rate that strays from
+
+    The S iterations are cut into runs of consecutive iterations, each as
+    long as :data:`MAX_BATCH_BITS` allows, and each run's queries come from
+    one :func:`gen_queries` call; the draws are the same one batch per
+    iteration in order, however the runs fall.  Each run reads its planted
+    bits of the stored matrix with one gather.  Every iteration is still
+    answered by :func:`respond_all` and decoded by :func:`decode_iteration`
+    on its own, and checks that the response vector minus its planted
+    contribution lies in the product code and that each recovered bit
+    equals the stored one; a failure, or an achieved rate that strays from
     the derived one, raises :class:`ProtocolInvariantError`.
     """
     derived = derive_scheme(config)
@@ -875,23 +919,36 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
 
     records = []
     recovered: list[tuple[int, int, int]] = []
-    for it, plan in enumerate(derived.schedule.iterations):
-        query = gen_queries(derived, config.files, demand, it, rng)
-        response = respond_all(stored, query)
-        got = decode_iteration(derived, it, response)
-        recovered.extend(got)
-        rows = [derived.file_row(demand, stripe) for stripe in plan.stripes]
-        planted = take_bits(stored.limbs, rows, plan.coords)
-        embed_word = sum(1 << coord for coord, bit in zip(plan.coords, planted) if bit)
-        residue = BitVector(derived.n_s, response.word ^ embed_word)
-        if not derived.product_code.contains(residue):
-            raise ProtocolInvariantError(f"iteration {it}: response residue left the product code")
-        for (stripe, coord, bit), want in zip(got, planted):
-            if bit != want:
-                raise ProtocolInvariantError(
-                    f"iteration {it}: recovered bit of stripe {stripe} at coordinate {coord} is wrong"
-                )
-        records.append(IterationRecord(plan, query, response, got))
+    plans = derived.schedule.iterations
+    rows = config.files * b
+    run = MAX_BATCH_BITS // _query_bits(derived, config.files)
+    for start in range(0, len(plans), run):
+        iterations = range(start, min(start + run, len(plans)))
+        queries = gen_queries(derived, config.files, demand, iterations, rng)
+        planted = iter(
+            take_bits(
+                stored.limbs,
+                [derived.file_row(demand, stripe) for it in iterations for stripe in plans[it].stripes],
+                [coord for it in iterations for coord in plans[it].coords],
+            )
+        )
+        for i, it in enumerate(iterations):
+            plan = plans[it]
+            query = BitMatrix.from_limbs(queries.limbs[i * rows : (i + 1) * rows], derived.n_s)
+            response = respond_all(stored, query)
+            got = decode_iteration(derived, it, response)
+            recovered.extend(got)
+            bits = list(islice(planted, len(plan.coords)))
+            embed_word = sum(1 << coord for coord, bit in zip(plan.coords, bits) if bit)
+            residue = BitVector(derived.n_s, response.word ^ embed_word)
+            if not derived.product_code.contains(residue):
+                raise ProtocolInvariantError(f"iteration {it}: response residue left the product code")
+            for (stripe, coord, bit), want in zip(got, bits):
+                if bit != want:
+                    raise ProtocolInvariantError(
+                        f"iteration {it}: recovered bit of stripe {stripe} at coordinate {coord} is wrong"
+                    )
+            records.append(IterationRecord(plan, query, response, got))
 
     rebuilt = reconstruct_file(derived, tuple(recovered))
     first = derived.file_row(demand, 0)

@@ -1,6 +1,9 @@
 """Family constructions: index conventions, basis vectors, the recursion,
 the closed forms, and the structural properties they must satisfy."""
 
+import math
+import sys
+
 import pytest
 
 from bermanpir.berman import (
@@ -11,6 +14,7 @@ from bermanpir.berman import (
     basis_vectors,
     build,
     c_vector,
+    check_digits,
     d_vector,
     dimension_formula,
     index_to_tuple,
@@ -149,6 +153,23 @@ class TestBuild:
         assert build(at_guard).dimension == 1
         with pytest.raises(TooLarge):
             build(BermanParams.parse("DBer(2,0,13)"))
+
+    @pytest.mark.parametrize("n", (2, 3, 7, 10, 1000))
+    def test_digit_guard_boundary(self, n):
+        # The shortest depth at which n^m reaches 10^limit, found by the
+        # float estimate and confirmed on the exact integers.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("no int-to-str digit limit")
+        m = math.ceil(limit / math.log10(n))
+        while n ** (m - 1) >= 10**limit:
+            m -= 1
+        while n**m < 10**limit:
+            m += 1
+        check_digits(BermanParams(CodeKind.DUAL_BERMAN, n, m - 1, 0))
+        for depth in (m, m + 1, 4 * limit + 1, 10**4000):
+            with pytest.raises(TooLarge):
+                check_digits(BermanParams(CodeKind.DUAL_BERMAN, n, depth, 0))
 
 
 class TestClosedForms:

@@ -3,12 +3,13 @@ transcript determinism."""
 
 import hashlib
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from bermanpir import berman, gf2, pir
+from bermanpir import berman, checks, cli, gf2, pir
 from bermanpir.berman import BermanParams
 from bermanpir.cli import (
     EXIT_NO_SCHEDULE,
@@ -21,8 +22,12 @@ from bermanpir.cli import (
     main,
     render_tables_csv,
 )
+from bermanpir.codes import TooLarge
 
 GOLDEN = Path(__file__).parent / "golden"
+
+#: Python's int-to-str digit limit (0 when off or absent).
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 # Every published cell, per pairing and (rC, rD) row, in column order
 # (2,5), (3,3), (5,2), (6,2).
@@ -112,6 +117,38 @@ class TestParams:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "storage, retrieval",
+        (
+            ("DBer(3,50000,100000)", "DBer(3,1,100000)"),
+            ("DBer(2,0,100000)", "DBer(2,1,100000)"),
+        ),
+    )
+    def test_unprintable_length_is_refused_fast(self, storage, retrieval, capsys):
+        start = time.perf_counter()
+        rc = main(["params", "--storage", storage, "--retrieval", retrieval])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert elapsed < 1.0
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "TooLarge"
+        assert set(error) == {"error", "message"}
+
+    @pytest.mark.skipif(not INT_DIGITS, reason="no int-to-str digit limit")
+    def test_printable_length_boundary(self, capsys):
+        # 10^(limit-1) has exactly `limit` digits and prints; 10^limit has one
+        # more and is refused.
+        limit = INT_DIGITS
+        for m, rc in ((limit - 1, EXIT_OK), (limit, EXIT_PARSE)):
+            assert main(["params", "--storage", f"DBer(10,0,{m})", "--retrieval", f"DBer(10,1,{m})"]) == rc
+            captured = capsys.readouterr()
+            if rc == EXIT_OK:
+                assert f"servers=1{'0' * m}\n" in captured.out
+            else:
+                assert json.loads(captured.err)["error"] == "TooLarge"
+
 
 class TestTables:
     def test_cells_match_published_values(self):
@@ -186,6 +223,30 @@ class TestVerify:
     def test_golden_verify_digests_5_3(self, capsys, fmt, digest):
         assert main(["verify", "--nmax", "5", "--mmax", "3", "--format", fmt]) == EXIT_OK
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "bounds",
+        (["--nmax", "2", "--mmax", "10"], ["--nmax", "23", "--mmax", "2"], ["--nmax", "2", "--mmax", "10" * 500]),
+    )
+    def test_oversized_sweep_is_refused_fast(self, capsys, bounds):
+        start = time.perf_counter()
+        assert main(["verify", *bounds]) == EXIT_PARSE
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert elapsed < 1.0
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "TooLarge"
+
+    def test_sweep_guard_boundary(self):
+        # Longest members of 484, 512 and 512 coordinates pass; 529, 729 and
+        # 1024 do not.
+        for n_max, m_max in ((22, 2), (8, 3), (2, 9)):
+            assert checks._case_builders(n_max, m_max)
+        for n_max, m_max in ((23, 2), (9, 3), (2, 10)):
+            with pytest.raises(TooLarge):
+                checks._case_builders(n_max, m_max)
 
     @pytest.mark.parametrize("bounds", (["--nmax", "1"], ["--mmax", "0"], ["--nmax", "-3"]))
     def test_empty_sweep_is_rejected(self, capsys, bounds):
@@ -281,6 +342,19 @@ class TestSimulate:
         assert rc == EXIT_VERIFY_FAILED
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": error.__name__, "message": "forced"}
+
+    def test_memory_error_exits_2(self, monkeypatch, capsys):
+        def exhausted(config):
+            raise MemoryError("forced")
+
+        monkeypatch.setattr(cli, "derive_scheme", exhausted)
+        rc = main(["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_PARSE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "MemoryError", "message": "forced"}
 
     def test_zero_rate_pair(self, capsys):
         rc = main(["simulate", "--storage", "Ber(3,0,2)", "--retrieval", "Ber(3,0,2)"])

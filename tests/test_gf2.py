@@ -389,6 +389,16 @@ class TestBulkKernels:
         b = random_matrix(21, 4096, 4)
         assert a @ b == matmul_reference(a, b)
 
+    @pytest.mark.parametrize("gather_bytes", (8, 24, 512))
+    @pytest.mark.parametrize("rows, k, cols", ((13, 22, 64), (7, 70, 130), (0, 9, 5), (5, 0, 65)))
+    def test_table_product_in_row_blocks(self, gather_bytes, rows, k, cols):
+        # Blocks of one row and more, a short last block, and rows wider
+        # than a block still give the row-XOR product.
+        a = random_matrix(rows, k, rows + k)
+        b = random_matrix(k, cols, cols)
+        with mock.patch.object(gf2, "GATHER_BYTES", gather_bytes):
+            assert a @ b == matmul_reference(a, b)
+
     def test_table_product_shape_check(self):
         with pytest.raises(LengthMismatch):
             BitMatrix.zeros(2, 3) @ BitMatrix.zeros(2, 3)
@@ -436,6 +446,10 @@ class TestDrawBitLimbs:
     @example(seed=2**64 - 1, rows=3, cols=5, calls=3, pre=[1])  # 4 words per call, a half word carried in
     @example(seed=0, rows=2, cols=6, calls=5, pre=[])  # 3 words per call: every other call starts on a half
     @example(seed=5, rows=7, cols=11, calls=2, pre=[4, 9])
+    @example(seed=9, rows=5632, cols=22, calls=1, pre=[])  # a retrieve_wide query batch
+    @example(seed=9, rows=22, cols=7, calls=256, pre=[])  # retrieve_wide's 256 files
+    # 1 + 2 * 6 words: a carried half first, five 64-bit draws, one odd last word.
+    @example(seed=11, rows=3, cols=8, calls=2, pre=[1])
     def test_matches_separate_uint8_draws(self, seed, rows, cols, calls, pre):
         batched = np.random.Generator(np.random.Philox(key=seed))
         separate = np.random.Generator(np.random.Philox(key=seed))
@@ -448,7 +462,9 @@ class TestDrawBitLimbs:
         bits = np.unpackbits(limbs.view(np.uint8), axis=1, bitorder="little")
         assert not bits[:, cols:].any()
         assert np.array_equal(bits[:, :cols], np.concatenate(want) if want else np.zeros((0, cols), np.uint8))
-        # Both leave the stream at the same position.
+        # Both leave the stream at the same position, with the same half of a
+        # Philox output carried (a uint32 draw takes it first).
+        assert batched.integers(0, 1 << 32, dtype=np.uint32) == separate.integers(0, 1 << 32, dtype=np.uint32)
         assert batched.integers(0, 2**63) == separate.integers(0, 2**63)
 
 

@@ -538,14 +538,14 @@ class TestEncodeStorage:
 class TestQueries:
     def test_deterministic(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
-        q1 = gen_queries(d, 2, 1, 0, philox_generator(42))
-        q2 = gen_queries(d, 2, 1, 0, philox_generator(42))
+        q1 = gen_queries(d, 2, 1, range(0, 1), philox_generator(42))
+        q2 = gen_queries(d, 2, 1, range(0, 1), philox_generator(42))
         assert q1 == q2
 
     def test_embedding_structure(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
         demand = 1
-        q = gen_queries(d, 2, demand, 0, philox_generator(7))
+        q = gen_queries(d, 2, demand, range(0, 1), philox_generator(7))
         from oracles import random_bits
 
         # The random part, redrawn from the same Philox seed.
@@ -565,7 +565,7 @@ class TestQueries:
 
     def test_random_rows_are_retrieval_codewords(self):
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=2))
-        q = gen_queries(d, 2, 0, 0, philox_generator(13))
+        q = gen_queries(d, 2, 0, range(0, 1), philox_generator(13))
         planted = planted_words(d, d.schedule.iterations[0], 2, 0)
         for word, embed in zip(q.row_words, planted):
             assert d.retrieval_code.contains(BitVector(q.cols, word ^ embed))
@@ -574,7 +574,22 @@ class TestQueries:
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
         for demand in (-1, 2):
             with pytest.raises(ValueError):
-                gen_queries(d, 2, demand, 0, philox_generator(0))
+                gen_queries(d, 2, demand, range(0, 1), philox_generator(0))
+
+    def test_one_run_equals_single_iterations(self):
+        # 3 files of 22 stripes draw 363 32-bit words per iteration, so every
+        # other iteration starts on a carried half of a Philox output.
+        d = derive_scheme(cfg("DBer(2,1,6)", "DBer(2,2,6)", files=3))
+        s = d.s_iterations
+        assert s > 1
+        rng = philox_generator(17)
+        run = gen_queries(d, 3, 2, range(0, s), rng)
+        after_run = rng.integers(0, 1 << 32, dtype=np.uint32)
+        rng = philox_generator(17)
+        single = [gen_queries(d, 3, 2, range(it, it + 1), rng) for it in range(s)]
+        assert run.rows == 3 * d.b * s
+        assert run.row_words == tuple(w for q in single for w in q.row_words)
+        assert rng.integers(0, 1 << 32, dtype=np.uint32) == after_run
 
 
 class TestRandomBits:
@@ -611,6 +626,7 @@ class TestLoopOracle:
             ("DBer(3,0,2)", "DBer(3,1,2)"),  # 9 servers, one limb
             ("DBer(2,1,7)", "DBer(2,2,7)"),  # 128 servers, two limbs
             ("DBer(2,1,8)", "DBer(2,1,8)"),  # 256 servers, four limbs
+            ("DBer(2,1,8)", "DBer(2,3,8)"),  # messages of two limbs, queries of four
             ("Ber(3,1,3)", "DBer(3,0,3)"),  # schedule found by augmenting paths
         ),
     )
@@ -675,7 +691,7 @@ class TestDecode:
     def test_zero_storage_recovers_zeros(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
         stored = encode_storage(d, BitMatrix.zeros(2 * d.b, d.k_c))
-        q = gen_queries(d, 2, 0, 0, philox_generator(3))
+        q = gen_queries(d, 2, 0, range(0, 1), philox_generator(3))
         r = respond_all(stored, q)
         for _, _, bit in decode_iteration(d, 0, r):
             assert bit == 0
@@ -687,7 +703,7 @@ class TestDecode:
         stored = encode_storage(d, library)
         encoded = library @ d.storage_code.generator
         demand = 1
-        q = gen_queries(d, 2, demand, 0, rng)
+        q = gen_queries(d, 2, demand, range(0, 1), rng)
         r = respond_all(stored, q)
         for stripe, coord, bit in decode_iteration(d, 0, r):
             assert bit == encoded.entry(d.file_row(demand, stripe), coord)
@@ -699,7 +715,7 @@ class TestDecode:
         for seed in (100, 200):
             got = []
             for it in range(d.s_iterations):
-                q = gen_queries(d, 2, 0, it, philox_generator(seed + it))
+                q = gen_queries(d, 2, 0, range(it, it + 1), philox_generator(seed + it))
                 got.extend(decode_iteration(d, it, respond_all(stored, q)))
             recovered.append(sorted(got))
         assert recovered[0] == recovered[1]
@@ -958,6 +974,29 @@ class TestRunRetrieval:
         transcript = run_retrieval(cfg(storage, retrieval, files=files, seed=seed), demand)
         assert hashlib.sha256(transcript.to_json().encode()).hexdigest() == digest
 
+    def test_runs_split_by_the_batch_guard(self, monkeypatch):
+        # With room for two query batches, the 7 iterations run as 2+2+2+1
+        # and the transcript is byte-identical to the one-run retrieval.
+        config = cfg("DBer(2,1,6)", "DBer(2,2,6)", files=5, seed=2**63 + 12345)
+        d = derive_scheme(config)
+        runs = []
+        honest = pir.gen_queries
+
+        def recording(derived, files, demand, iterations, rng):
+            runs.append(len(iterations))
+            return honest(derived, files, demand, iterations, rng)
+
+        monkeypatch.setattr(pir, "gen_queries", recording)
+        whole = run_retrieval(config, 3)
+        assert runs == [d.s_iterations] == [7]
+        runs.clear()
+        monkeypatch.setattr(pir, "MAX_BATCH_BITS", 2 * pir._query_bits(d, 5))
+        split = run_retrieval(config, 3)
+        assert runs == [2, 2, 2, 1]
+        assert split.to_json() == whole.to_json()
+        for a, b in zip(split.iterations, whole.iterations):
+            assert a.query == b.query
+
     def test_oversized_library_is_refused_before_any_draw(self, monkeypatch):
         config = cfg("DBer(2,1,3)", "DBer(2,1,3)", files=10**12)
         d = derive_scheme(config)  # derivation is cached per pair, so warm it first
@@ -972,7 +1011,7 @@ class TestRunRetrieval:
             with pytest.raises(TooLarge):
                 run_retrieval(config, 0)
             with pytest.raises(TooLarge):
-                gen_queries(d, 10**12, 0, 0, None)
+                gen_queries(d, 10**12, 0, range(0, 1), None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
