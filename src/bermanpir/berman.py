@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, log10
+from math import log10
 
 from .codes import LinearCode, ProtocolInvariantError, TooLarge
 from .gf2 import BitVector, LengthMismatch
@@ -233,10 +233,17 @@ def build(params: BermanParams) -> LinearCode:
 
 
 def dimension_formula(params: BermanParams) -> int:
+    """The sum of ``comb(m, w) * (n-1)^w`` over the weights w of the defining
+    tuples (``r < w <= m`` for Ber, ``w <= r`` for DBer), each term got from
+    the last by one exact multiply and divide."""
     n, m, r = params.n, params.m, params.r
-    if params.kind is CodeKind.BERMAN:
-        return sum(comb(m, w) * (n - 1) ** w for w in range(r + 1, m + 1))
-    return sum(comb(m, w) * (n - 1) ** w for w in range(0, r + 1))
+    lo, hi = (r + 1, m) if params.kind is CodeKind.BERMAN else (0, r)
+    total, term = 0, 1
+    for w in range(hi + 1):
+        if w >= lo:
+            total += term
+        term = term * (m - w) * (n - 1) // (w + 1)
+    return total
 
 
 def min_distance_formula(params: BermanParams) -> int:

@@ -26,7 +26,9 @@ schedule, so each pair computes them once.
 
 Collusion resistance: any t servers see t columns of Q, and those are
 exactly uniform as long as every t-column projection of D is the full
-space, which holds up to ``t = d_min(D^perp) - 1``.
+space, which holds up to ``t = d_min(D^perp) - 1``.  The check decides this
+exactly: by enumeration on small instances, otherwise from the distance of
+``D^perp``, brute-forced or read off the family member it equals.
 
 All of a retrieval's randomness flows from a single 64-bit seed through
 NumPy's Philox counter-based generator (Philox 4x64 with 10 rounds); draw
@@ -68,7 +70,6 @@ from .gf2 import (
     reduce_word,
     take_bits,
 )
-from .mitm import translation_mitm
 from .star import predict_star, star_codes
 
 
@@ -700,56 +701,58 @@ def _check_collusion_size(t: int, n_s: int) -> None:
 EXHAUSTIVE_SUBSETS = 100_000
 
 
-def _coordinate_subsets(n_s: int, t: int) -> Iterator[tuple[int, ...]]:
-    """Every size-t coordinate subset when there are at most
-    :data:`EXHAUSTIVE_SUBSETS` of them; otherwise 10 000 random subsets, each
-    one sorted ``rng.choice`` draw from the Philox stream of key 0, so a
-    verdict never depends on a retrieval's seed."""
-    if comb(n_s, t) <= EXHAUSTIVE_SUBSETS:
-        return combinations(range(n_s), t)
-    rng = philox_generator(0)
-    return (tuple(sorted(rng.choice(n_s, size=t, replace=False).tolist())) for _ in range(10_000))
-
-
 def verify_privacy_rank(retrieval_code: LinearCode, t: int) -> bool:
-    """True iff every checked t-column projection of the code is onto.
+    """True iff every t-column projection of the code is onto.
 
     Onto projections make the random query part uniform on the colluding
-    coordinates, which is exactly the privacy condition.  Four routes, the
-    first that applies decides:
+    coordinates, which is exactly the privacy condition, and they are onto
+    iff every t columns are independent, i.e. iff ``d(D^perp) > t``.  Three
+    exact routes, the first that applies decides:
 
     * every coordinate subset, while there are at most
       :data:`EXHAUSTIVE_SUBSETS`;
-    * the dual distance (every t columns are independent iff
-      ``d(D^perp) > t``), while ``dim D^perp`` is within the brute-force
-      guard;
-    * a meet in the middle over column sums
-      (:func:`.mitm.translation_mitm`), for a translation-invariant code of
-      dimension at most 64, within :data:`.mitm.MITM_LOOKUPS` lookups;
-    * 10 000 random subsets from a fixed Philox key, which can miss a
-      dependency.
+    * the brute-force distance of ``D^perp``, while its dimension is within
+      the guard :data:`.codes.MAX_BRUTE_FORCE_DIM`;
+    * the closed-form distance of the family member whose built code is
+      ``D^perp``, for a dual of the same length and dimension.
 
-    The first three are exact.
+    A code none of them decides (a long code outside the families) raises
+    :class:`TooLarge`.
     """
     return _privacy_verdict(retrieval_code, t)[0]
 
 
 def _privacy_verdict(retrieval_code: LinearCode, t: int) -> tuple[bool, str]:
     """:func:`verify_privacy_rank`'s verdict and the route that decided it:
-    ``exhaustive``, ``dual-distance``, ``mitm`` or ``sampled``."""
+    ``exhaustive``, ``dual-distance`` or ``family``."""
     n_s = retrieval_code.length
     _check_collusion_size(t, n_s)
-    exhaustive = comb(n_s, t) <= EXHAUSTIVE_SUBSETS
-    if not exhaustive:
-        if n_s - retrieval_code.dimension <= MAX_BRUTE_FORCE_DIM:  # dim D^perp
-            dual = retrieval_code.dual()
-            return dual.dimension == 0 or dual.min_distance_bruteforce() > t, "dual-distance"
-        verdict = translation_mitm(retrieval_code, t)
-        if verdict is not None:
-            return verdict, "mitm"
-    cols = retrieval_code.generator.transpose().row_words
-    verdict = all(_projection_rank(cols, subset) == t for subset in _coordinate_subsets(n_s, t))
-    return verdict, "exhaustive" if exhaustive else "sampled"
+    if comb(n_s, t) <= EXHAUSTIVE_SUBSETS:
+        cols = retrieval_code.generator.transpose().row_words
+        return all(_projection_rank(cols, subset) == t for subset in combinations(range(n_s), t)), "exhaustive"
+    dual = retrieval_code.dual()
+    if dual.dimension <= MAX_BRUTE_FORCE_DIM:
+        return dual.dimension == 0 or dual.min_distance_bruteforce() > t, "dual-distance"
+    member = _family_member(dual)
+    if member is None:
+        raise TooLarge(f"{n_s}-coordinate code outside the families: no exact privacy route for t = {t}")
+    return member.is_zero_code or min_distance_formula(member) > t, "family"
+
+
+def _family_member(code: LinearCode) -> BermanParams | None:
+    """The family member whose built code equals ``code``, or None: members
+    of every shape ``n^m`` equal to its length, of the same dimension."""
+    length = code.length
+    for m in range(length.bit_length() - 1, 0, -1):
+        n = round(length ** (1 / m))
+        if n < 2 or n**m != length:
+            continue
+        for kind in CodeKind:
+            for r in range(m + 1):
+                member = BermanParams(kind, n, m, r)
+                if dimension_formula(member) == code.dimension and build(member) == code:
+                    return member
+    return None
 
 
 def _worst_case_columns(retrieval_code: LinearCode, t: int, prefer: int) -> tuple[int, ...]:
@@ -757,7 +760,7 @@ def _worst_case_columns(retrieval_code: LinearCode, t: int, prefer: int) -> tupl
     for privacy), preferring sets that contain the ``prefer`` coordinate."""
     cols = retrieval_code.generator.transpose().row_words
     return min(
-        _coordinate_subsets(retrieval_code.length, t),
+        combinations(range(retrieval_code.length), t),
         key=lambda subset: (_projection_rank(cols, subset), 0 if prefer in subset else 1, subset),
     )
 
@@ -767,8 +770,10 @@ def verify_privacy_empirical(config: SchemeConfig, t: int) -> float:
 
     Uses a cut-down instance with one stripe per file (the privacy argument
     is per-iteration and does not depend on the stripe count), a worst-case
-    colluding set T of size t, and one embedded coordinate.  The query
-    randomness is enumerated exhaustively (allowed while ``dim(D) * M <= 20``).
+    colluding set T of size t, found among every size-t coordinate set
+    (allowed while there are at most :data:`EXHAUSTIVE_SUBSETS`), and one
+    embedded coordinate.  The query randomness is enumerated exhaustively
+    (allowed while ``dim(D) * M <= 20``).
     The uniform distribution is included as a reference point, so a
     single-demand instance still measures deviation from uniformity.
     Once the size guards pass, D and ``(C*D)^perp`` come from
@@ -782,6 +787,8 @@ def verify_privacy_empirical(config: SchemeConfig, t: int) -> float:
     k_d = dimension_formula(config.retrieval)
     if k_d * rows > 20:
         raise TooLarge("query randomness exceeds the exhaustive enumeration guard")
+    if comb(config.storage.length, t) > EXHAUSTIVE_SUBSETS:
+        raise TooLarge("colluding sets exceed the exhaustive enumeration guard")
     derived = derive_scheme(config)
     d = derived.retrieval_code
     embed = LinearCode(derived.n_s, derived.parity).information_set()[0]

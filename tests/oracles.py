@@ -13,11 +13,15 @@ The schedule finder decides a tiny scheduling instance by exhaustive search.
 
 The per-row triple restates the paper's table rows as hand-written sums of
 the dimension formula's terms, independent of the star-product case table.
+
+The dimension sum and the distance bound restate the closed forms: one as a
+sum of binomial terms, the other from the block recursion alone.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -59,6 +63,38 @@ def per_row_triple(storage, retrieval):
     if r_pir == 0:
         raise ZeroRate(f"{storage.name} * {retrieval.name} fills the whole space")
     return t, r_st, r_pir
+
+
+def dimension_by_binomials(params):
+    """``sum(comb(m, w) * (n-1)^w)`` over the defining tuples' weights w."""
+    n, m, r = params.n, params.m, params.r
+    weights = range(r + 1, m + 1) if params.kind is CodeKind.BERMAN else range(r + 1)
+    return sum(comb(m, w) * (n - 1) ** w for w in weights)
+
+
+@lru_cache(maxsize=None)
+def recursion_distance(kind, n, r, m):
+    """Lower bound on the minimum distance from the block recursion that
+    defines membership (``inf`` for the zero code).
+
+    Ber: the n blocks lie in Ber(r-1, m-1) and their sum in Ber(r, m-1); a
+    nonzero sum weighs at least d(r, m-1), and otherwise at least two blocks
+    are nonzero, so ``d >= min(2 d(r-1, m-1), d(r, m-1))``.  DBer: the last
+    block u lies in DBer(r, m-1) and every block minus u in DBer(r-1, m-1);
+    all blocks equal to u weigh n wt(u), and otherwise one differs from u by
+    a nonzero word, so ``d >= min(n d(r, m-1), d(r-1, m-1))``.
+    """
+    if kind is CodeKind.BERMAN:
+        if r == m:
+            return inf
+        if r == 0:
+            return 2
+        return min(2 * recursion_distance(kind, n, r - 1, m - 1), recursion_distance(kind, n, r, m - 1))
+    if r == m:
+        return 1
+    if r == 0:
+        return n**m
+    return min(n * recursion_distance(kind, n, r, m - 1), recursion_distance(kind, n, r - 1, m - 1))
 
 
 def per_server_responses(stored, q):

@@ -17,6 +17,7 @@ from bermanpir.berman import (
     check_digits,
     d_vector,
     dimension_formula,
+    families,
     index_to_tuple,
     min_distance_formula,
     precedes,
@@ -29,12 +30,19 @@ from bermanpir.berman import (
 from bermanpir.codes import LinearCode, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, rank
 from bermanpir.pir import philox_generator
+from oracles import dimension_by_binomials, recursion_distance
 
 
 def family(n, m):
     for kind in (CodeKind.BERMAN, CodeKind.DUAL_BERMAN):
         for r in range(m + 1):
             yield BermanParams(kind, n, m, r)
+
+
+#: Every (n, m) with n >= 2 and n^m within the length guard.
+SHAPES_UP_TO_GUARD = tuple(
+    (n, m) for m in range(1, MAX_LENGTH.bit_length()) for n in range(2, MAX_LENGTH + 1) if n**m <= MAX_LENGTH
+)
 
 
 class TestParams:
@@ -186,6 +194,32 @@ class TestClosedForms:
     def test_zero_code_has_no_distance(self):
         with pytest.raises(ValueError):
             min_distance_formula(BermanParams.parse("Ber(3,2,2)"))
+
+    def test_dimension_is_the_binomial_sum(self):
+        members = [p for shape in families(6, 6) for p in shape]
+        members += [BermanParams(kind, n, m, r) for kind in CodeKind
+                    for n, m, r in ((2, 200, 100), (7, 300, 1), (3, 1000, 999), (1000, 50, 25))]
+        for params in members:
+            assert dimension_formula(params) == dimension_by_binomials(params), params.name
+
+    def test_distance_is_the_recursion_bound(self):
+        # Every member up to the length guard; the bound is the recursion's own.
+        members = [p for n, m in SHAPES_UP_TO_GUARD for p in family(n, m) if not p.is_zero_code]
+        assert len(members) > 8000
+        for params in members:
+            assert min_distance_formula(params) == recursion_distance(params.kind, params.n, params.r, params.m)
+
+    def test_distance_is_attained_by_a_basis_vector(self):
+        # A basis vector is a codeword, so a weight equal to the lower bound
+        # makes the bound the minimum distance.
+        for n, m in SHAPES_UP_TO_GUARD:
+            if n**m > 256:
+                continue
+            for params in family(n, m):
+                if params.is_zero_code:
+                    continue
+                weights = {v.word.bit_count() for v in basis_vectors(params)}
+                assert min_distance_formula(params) in weights, params.name
 
 
 class TestRecursiveMembership:

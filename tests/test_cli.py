@@ -136,6 +136,16 @@ class TestParams:
         assert error["error"] == "TooLarge"
         assert set(error) == {"error", "message"}
 
+    @pytest.mark.skipif(0 < INT_DIGITS < 3914, reason="2^13000 has 3914 digits, past the int-to-str limit")
+    def test_long_printable_pair_is_fast(self, capsys):
+        # Both dimensions sum thousands of closed-form terms of ~13000 bits.
+        start = time.perf_counter()
+        rc = main(["params", "--storage", "DBer(2,6000,13000)", "--retrieval", "DBer(2,6000,13000)"])
+        elapsed = time.perf_counter() - start
+        assert rc == EXIT_OK
+        assert elapsed < 1.0
+        assert capsys.readouterr().out.startswith(f"storage=DBer(2,6000,13000) retrieval=DBer(2,6000,13000) servers={2**13000}\n")
+
     @pytest.mark.skipif(not INT_DIGITS, reason="no int-to-str digit limit")
     def test_printable_length_boundary(self, capsys):
         # 10^(limit-1) has exactly `limit` digits and prints; 10^limit has one

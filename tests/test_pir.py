@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bermanpir import berman, cli, gf2, mitm, pir
+from bermanpir import berman, cli, gf2, pir
 from bermanpir.berman import BermanParams, CodeKind, build
 from bermanpir.codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns, rank
@@ -762,12 +762,20 @@ class TestPrivacyRank:
         assert verify_privacy_rank(build(P("DBer(2,1,2)")), 3)
 
     def test_sampled_mode(self):
-        # C(256, 15) subsets, dim D^perp = 163 and dim D = 93: the columns
-        # do not fit one uint64, so no exact route applies.
+        # C(256, 15) subsets and dim D^perp = 163: no enumeration fits, so the
+        # dual Ber(2,3,8) is recognised and its distance 16 read off the
+        # closed form.
         code = build(P("DBer(2,3,8)"))
         assert code.dual().dimension > MAX_BRUTE_FORCE_DIM
-        assert code.dimension > 64
-        assert pir._privacy_verdict(code, 15) == (True, "sampled")
+        assert pir._privacy_verdict(code, 15) == (True, "family")
+        assert pir._privacy_verdict(code, 16) == (False, "family")
+
+    def test_dependency_missed_by_sampling_is_found(self):
+        # The duals Ber(2,2,7) and Ber(2,2,8) have distance 8, so some 8
+        # columns are dependent, but too few 8-subsets are for a random
+        # sample of subsets to find one.
+        assert not verify_privacy_rank(build(P("DBer(2,2,7)")), 8)
+        assert not verify_privacy_rank(build(P("DBer(2,2,8)")), 8)
 
     def test_dual_route_rejects_a_duplicated_column(self):
         # C(27, 8) subsets and dim D^perp = 7: decided from the dual distance.
@@ -798,14 +806,13 @@ class TestPrivacyRank:
                     verdicts.add(exhaustive)
         assert verdicts == {True, False}
 
-    def test_mitm_route_agrees_with_exhaustive(self, monkeypatch):
+    def test_family_route_agrees_with_exhaustive(self, monkeypatch):
         monkeypatch.setattr(pir, "EXHAUSTIVE_SUBSETS", 0)
         monkeypatch.setattr(pir, "MAX_BRUTE_FORCE_DIM", -1)
         verdicts = set()
         for n, m in shapes_up_to(64):
             for params in family(n, m):
                 code = build(params)
-                assert mitm.translation_invariant(code), params.name
                 cols = code.generator.transpose().row_words
                 for t in range(1, code.length + 1):
                     if comb(code.length, t) > 3_000:
@@ -814,28 +821,19 @@ class TestPrivacyRank:
                         pir._projection_rank(cols, subset) == t
                         for subset in combinations(range(code.length), t)
                     )
-                    assert pir._privacy_verdict(code, t) == (exhaustive, "mitm"), (params.name, t)
+                    assert pir._privacy_verdict(code, t) == (exhaustive, "family"), (params.name, t)
                     verdicts.add(exhaustive)
         assert verdicts == {True, False}
 
-    def test_duplicated_column_falls_through_mitm(self):
-        # dim D^perp = 42 and C(64, 7) subsets: the intact code is decided by
-        # the meet in the middle; a duplicated column breaks translation
-        # invariance, and sampling (seeded) happens to catch it.
+    def test_duplicated_column_falls_through_family(self):
+        # dim D^perp = 42 and C(64, 7) subsets: the intact code's dual is
+        # Ber(2,2,6); a duplicated column makes the dual no family member,
+        # and no exact route is left.
         code = build(P("DBer(2,2,6)"))
         broken = duplicate_column(code)
-        assert not mitm.translation_invariant(broken)
-        assert pir._privacy_verdict(code, 7) == (True, "mitm")
-        assert pir._privacy_verdict(broken, 7) == (False, "sampled")
-
-    def test_mitm_digests_are_the_uint8_draw_product(self):
-        # The digest matrix is the bits of one uint8 draw from Philox(0).
-        for name in ("DBer(2,2,6)", "DBer(3,1,3)", "Ber(2,3,8)"):
-            columns = build(P(name)).generator.transpose()
-            rng = np.random.Generator(np.random.Philox(key=0))
-            bits = rng.integers(0, 2, size=(columns.cols, mitm._DIGEST_BITS), dtype=np.uint8)
-            want = columns @ BitMatrix.from_bits(bits.tolist())
-            assert mitm._digests(columns).tolist() == list(want.row_words)
+        assert pir._privacy_verdict(code, 7) == (True, "family")
+        with pytest.raises(TooLarge):
+            pir._privacy_verdict(broken, 7)
 
     def test_ladder_pairs_are_decided_exactly(self, ladder):
         routes = {}
@@ -843,32 +841,13 @@ class TestPrivacyRank:
             verdict, route = pir._privacy_verdict(build(retrieval), t)
             assert verdict is True, (storage.name, retrieval.name, t)
             routes[storage.name, retrieval.name] = route
-        assert "sampled" not in routes.values()
-        assert sum(route == "mitm" for route in routes.values()) == 9
+        assert sum(route == "family" for route in routes.values()) == 9
 
     def test_ladder_t_is_sharp(self, ladder):
-        # Every exact route finds a dependency among t + 1 columns; three
-        # pairs leave the meet in the middle's budget at t + 1 and are sampled.
-        sampled = []
+        # Every route finds a dependency among t + 1 columns.
         for storage, retrieval, t in ladder:
             verdict, route = pir._privacy_verdict(build(retrieval), t + 1)
-            if route == "sampled":
-                sampled.append(retrieval.name)
-            else:
-                assert verdict is False, (storage.name, retrieval.name, t, route)
-        assert sorted(sampled) == ["DBer(2,2,7)", "DBer(2,2,8)", "DBer(2,2,8)"]
-
-    #: Retrieval codes up to 256 servers whose privacy check is still
-    #: sampled: dimension above 64, or more lookups than MITM_LOOKUPS.
-    #: Every supported pair with one of them as its retrieval code samples.
-    SAMPLED_RETRIEVAL_UP_TO_256 = frozenset((
-        "Ber(13,1,2)", "Ber(14,1,2)", "Ber(15,1,2)", "Ber(16,1,2)",
-        "Ber(6,2,3)", "DBer(6,2,3)",
-        "Ber(4,2,4)", "Ber(4,3,4)", "DBer(4,2,4)", "DBer(4,3,4)",
-        "Ber(3,2,5)", "Ber(3,3,5)", "DBer(3,3,5)", "DBer(3,4,5)",
-        "Ber(2,2,7)", "Ber(2,3,7)", "DBer(2,3,7)", "DBer(2,4,7)",
-        "Ber(2,2,8)", "Ber(2,3,8)", "Ber(2,4,8)", "DBer(2,3,8)", "DBer(2,4,8)", "DBer(2,5,8)",
-    ))
+            assert verdict is False, (storage.name, retrieval.name, t, route)
 
     @pytest.mark.slow
     def test_every_supported_pair_up_to_256_servers(self):
@@ -876,11 +855,12 @@ class TestPrivacyRank:
         pairs = list(supported_pairs(shapes_up_to(256)))
         assert len(pairs) == 1425
         for storage, retrieval, t in pairs:
-            if (retrieval, t) not in verdicts:
-                verdicts[retrieval, t] = pir._privacy_verdict(build(retrieval), t)
+            for s in (t, t + 1):
+                if (retrieval, s) not in verdicts:
+                    verdicts[retrieval, s] = pir._privacy_verdict(build(retrieval), s)
             assert verdicts[retrieval, t][0] is True, (storage.name, retrieval.name, t)
-        sampled = {retrieval.name for (retrieval, _), (_, route) in verdicts.items() if route == "sampled"}
-        assert sampled == self.SAMPLED_RETRIEVAL_UP_TO_256
+            assert verdicts[retrieval, t + 1][0] is False, (storage.name, retrieval.name, t + 1)
+        assert {route for _, route in verdicts.values()} <= {"exhaustive", "dual-distance", "family"}
 
     @pytest.mark.parametrize("t", (-1, 5))
     def test_out_of_range_t(self, t):
@@ -909,6 +889,15 @@ class TestPrivacyEmpirical:
     def test_guard(self):
         with pytest.raises(TooLarge):
             verify_privacy_empirical(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=5), 3)
+
+    def test_colluding_set_guard(self, monkeypatch):
+        # C(9, 3) = 84 colluding sets are searched for the worst case.
+        config = cfg("DBer(3,0,2)", "DBer(3,1,2)")
+        monkeypatch.setattr(pir, "EXHAUSTIVE_SUBSETS", 83)
+        with pytest.raises(TooLarge, match="colluding sets"):
+            verify_privacy_empirical(config, 3)
+        monkeypatch.setattr(pir, "EXHAUSTIVE_SUBSETS", 84)
+        assert verify_privacy_empirical(config, 3) == 0.0
 
     @pytest.mark.parametrize("t", (-1, 5))
     def test_out_of_range_t(self, t):
