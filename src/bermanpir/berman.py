@@ -223,10 +223,18 @@ def check_digits(params: BermanParams) -> None:
 
 
 @lru_cache(maxsize=None)
-def build(params: BermanParams) -> LinearCode:
-    """The code spanned by the family basis, canonicalized."""
+def basis_span(params: BermanParams) -> LinearCode:
+    """The span of the family basis, canonicalized and not yet checked: its
+    dimension is the basis rank, which :func:`build` holds to the closed form."""
     check_length(params)
-    code = LinearCode.from_spanning_set(params.length, basis_vectors(params))
+    return LinearCode.from_spanning_set(params.length, basis_vectors(params))
+
+
+@lru_cache(maxsize=None)
+def build(params: BermanParams) -> LinearCode:
+    """The code spanned by the family basis, canonicalized: :func:`basis_span`
+    once its dimension is checked against :func:`dimension_formula`."""
+    code = basis_span(params)
     if code.dimension != dimension_formula(params):
         raise ProtocolInvariantError(f"{params.name}: basis rank disagrees with the closed form")
     return code
@@ -303,21 +311,24 @@ def reed_muller_code(r: int, m: int) -> LinearCode:
 
     Evaluation points are the length-2^m coordinate tuples, so this is an
     independent construction to compare the n = 2 dual family against.
-    ``r = -1`` yields the zero code.
+    Variable p is the word of the points whose component p is 1, that is
+    of the coordinates whose bit ``m - 1 - p`` is set, and a monomial's
+    evaluation is the AND of its variables' words.  ``r = -1`` yields the
+    zero code.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     if r > m:
         raise ValueError("r must be at most m")
     n_pts = 1 << m
+    ones = (1 << n_pts) - 1
+    variables = [sum(1 << idx for idx in range(n_pts) if idx >> (m - 1 - p) & 1) for p in range(m)]
     rows = []
     for deg in range(max(r, -1) + 1):
         for positions in combinations(range(m), deg):
-            word = 0
-            for idx in range(n_pts):
-                point = index_to_tuple(2, m, idx)
-                if all(point[p] == 1 for p in positions):
-                    word |= 1 << idx
+            word = ones
+            for p in positions:
+                word &= variables[p]
             rows.append(BitVector(n_pts, word))
     return LinearCode.from_spanning_set(n_pts, rows)
 
@@ -358,16 +369,23 @@ def is_automorphism(code: LinearCode, perm: tuple[int, ...]) -> bool:
     )
 
 
+def coordinate_shift(n: int, m: int, a: int, b: int) -> IndexTuple:
+    """The componentwise shift ``t_b - t_a (mod n)`` whose translation maps
+    coordinate a to coordinate b."""
+    ta, tb = index_to_tuple(n, m, a), index_to_tuple(n, m, b)
+    return tuple((y - x) % n for x, y in zip(ta, tb))
+
+
 def transitivity_witness(params: BermanParams, a: int, b: int) -> str | None:
     """Witness a code-preserving coordinate permutation mapping a to b.
 
     Returns ``"translation"`` when the componentwise translation taking a
-    to b preserves the code, else None.
+    to b preserves the code, else None.  The answer depends on a and b only
+    through :func:`coordinate_shift`.
     """
     n, m = params.n, params.m
     code = build(params)
-    ta, tb = index_to_tuple(n, m, a), index_to_tuple(n, m, b)
-    shift = tuple((y - x) % n for x, y in zip(ta, tb))
+    shift = coordinate_shift(n, m, a, b)
     if is_automorphism(code, translation_permutation(n, m, shift)):
         return "translation"
     return None

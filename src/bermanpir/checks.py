@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from . import berman
-from .berman import BermanParams, CodeKind
-from .codes import MAX_BRUTE_FORCE_DIM, TooLarge
-from .gf2 import BitMatrix, rank
+from . import berman, star
+from .berman import BermanParams, CodeKind, IndexTuple
+from .codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge
 from .star import star_pairs, verify_star_case
 
 
@@ -31,8 +30,8 @@ def _family(n_max: int, m_max: int) -> Iterator[BermanParams]:
 
 
 #: Longest family member a sweep may build.  The sweep at ``n_max = 2,
-#: m_max = 9`` (512 coordinates) takes about 20 s on one core; at
-#: ``m_max = 10`` it runs past 100 s.
+#: m_max = 9`` (512 coordinates) takes about 7 s on one core; at
+#: ``m_max = 10`` it takes about 35 s, 30 s of it in star products.
 MAX_SWEEP_LENGTH = 512
 
 
@@ -49,8 +48,7 @@ def _case_builders(n_max: int, m_max: int) -> list[Callable[[], VerifyCase]]:
 
     for params in _family(n_max, m_max):
         def dim_case(p=params) -> VerifyCase:
-            vectors = berman.basis_vectors(p)
-            got = rank(BitMatrix.from_rows(list(vectors), p.length)) if vectors else 0
+            got = berman.basis_span(p).dimension
             want = berman.dimension_formula(p)
             return VerifyCase(f"dimension {p.name}", got == want, f"rank {got}, formula {want}")
 
@@ -99,9 +97,20 @@ def _case_builders(n_max: int, m_max: int) -> list[Callable[[], VerifyCase]]:
 
         builders.append(dual_case)
 
+    # Each product is formed once per unordered pair: the first of its two
+    # ordered visits stores it and the second takes it out.  star_pairs makes
+    # both visits within one (n, m) block, so this holds at most one block.
+    products: dict[frozenset[BermanParams], LinearCode] = {}
+
     for p, q in star_pairs(n_max, m_max):
         def star_case(pp=p, qq=q) -> VerifyCase:
-            res = verify_star_case(pp, qq)
+            key = frozenset((pp, qq))
+            product = products.pop(key, None)
+            if product is None:
+                product = star.star_codes(berman.build(pp), berman.build(qq))
+                if pp != qq:
+                    products[key] = product
+            res = verify_star_case(pp, qq, product)
             pred = res.predicted_name
             return VerifyCase(
                 f"star {pp.name} * {qq.name}",
@@ -139,16 +148,18 @@ def _case_builders(n_max: int, m_max: int) -> list[Callable[[], VerifyCase]]:
             continue
 
         def trans_case(p=params) -> VerifyCase:
-            families = set()
+            # A witness depends only on the shift from a to b, so each shift is tested once.
+            witnesses: dict[IndexTuple, str | None] = {}
             for a in range(p.length):
                 for bcoord in range(p.length):
-                    witness = berman.transitivity_witness(p, a, bcoord)
-                    if witness is None:
+                    shift = berman.coordinate_shift(p.n, p.m, a, bcoord)
+                    if shift not in witnesses:
+                        witnesses[shift] = berman.transitivity_witness(p, a, bcoord)
+                    if witnesses[shift] is None:
                         return VerifyCase(
                             f"transitivity {p.name}", False, f"no witness maps {a} to {bcoord}"
                         )
-                    families.add(witness)
-            return VerifyCase(f"transitivity {p.name}", True, f"family: {', '.join(sorted(families))}")
+            return VerifyCase(f"transitivity {p.name}", True, f"family: {', '.join(sorted(set(witnesses.values())))}")
 
         builders.append(trans_case)
 

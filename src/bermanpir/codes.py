@@ -7,7 +7,7 @@ reduce a word against at most ``dim`` pivot rows.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,27 +89,59 @@ class LinearCode:
         return LinearCode.from_generator(nullspace_basis(self.generator))
 
     def min_distance_bruteforce(self) -> int:
-        """Minimum weight over all nonzero codewords, by Gray-code sweep.
+        """Minimum weight over all nonzero codewords, by enumerating the
+        smaller of C and its dual.
+
+        With ``dim C <= n - dim C`` every codeword of C is weighed
+        (:meth:`_weight_blocks`).  Otherwise the weight histogram ``B`` of
+        the dual is tabulated the same way, and by the MacWilliams identity
+        ``2^(n-k) A_w = sum_j B_j K_w(j)`` with the Krawtchouk polynomials
+        ``K_w`` of length n; the answer is the least ``w > 0`` whose sum is
+        nonzero, found in exact integers.
+        """
+        n, k = self.length, self.dimension
+        if k == 0:
+            raise ZeroCode("the zero code has no nonzero codeword")
+        if min(k, n - k) > MAX_BRUTE_FORCE_DIM:
+            raise TooLarge(f"dimension {k} and dual dimension {n - k} both exceed the enumeration guard")
+        if k <= n - k:
+            blocks = self._weight_blocks()
+            best = int(next(blocks)[1:].min())  # row 0 of the first block is the zero codeword
+            for weights in blocks:
+                best = min(best, int(weights.min()))
+            return best
+        hist = np.zeros(n + 1, dtype=np.int64)
+        for weights in self.dual()._weight_blocks():
+            hist += np.bincount(weights, minlength=n + 1)
+        support = [(j, int(b)) for j, b in enumerate(hist.tolist()) if b]
+        # K_0(j) = 1, K_1(j) = n - 2j, (w+1) K_{w+1}(j) = (n-2j) K_w(j) - (n-w+1) K_{w-1}(j).
+        prev, cur = [1] * len(support), [n - 2 * j for j, _ in support]
+        w = 1
+        while not sum(b * kw for (_, b), kw in zip(support, cur)):
+            prev, cur = cur, [
+                ((n - 2 * j) * kw - (n - w + 1) * kp) // (w + 1)
+                for (j, _), kw, kp in zip(support, cur, prev)
+            ]
+            w += 1
+        return w
+
+    def _weight_blocks(self) -> Iterator[np.ndarray]:
+        """The weights of all ``2^dim`` codewords, one table at a time.
 
         The span of the first ``min(dim, TABLE_DIM)`` generator rows is
         tabulated once as limb rows (:func:`.gf2.span_table`); the remaining
         rows are walked in Gray-code order, each step weighing the whole table
-        shifted by the current offset codeword in one NumPy pass.
+        shifted by the current offset codeword in one NumPy pass.  Entry 0 of
+        the first block is the zero codeword.
         """
-        k = self.dimension
-        if k == 0:
-            raise ZeroCode("the zero code has no nonzero codeword")
-        if k > MAX_BRUTE_FORCE_DIM:
-            raise TooLarge(f"dimension {k} exceeds the enumeration guard")
         rows = self.generator.limbs
-        a = min(k, TABLE_DIM)
+        a = min(self.dimension, TABLE_DIM)
         table = span_table(rows[:a])
-        best = int(np.bitwise_count(table[1:]).sum(axis=1).min())  # row 0 is the zero codeword
+        yield np.bitwise_count(table).sum(axis=1, dtype=np.intp)
         offset = np.zeros(rows.shape[1], dtype=rows.dtype)
-        for g in range(1, 1 << (k - a)):
+        for g in range(1, 1 << (self.dimension - a)):
             offset ^= rows[a + (g & -g).bit_length() - 1]
-            best = min(best, int(np.bitwise_count(table ^ offset).sum(axis=1).min()))
-        return best
+            yield np.bitwise_count(table ^ offset).sum(axis=1, dtype=np.intp)
 
     def information_set(self) -> tuple[int, ...]:
         """The lexicographically first independent column set (RREF pivots)."""

@@ -120,12 +120,17 @@ class StarCaseResult:
         return f"{self.left.name} * {self.right.name} = {self.predicted_name}"
 
 
-def verify_star_case(p: BermanParams, q: BermanParams) -> StarCaseResult:
-    """Construct both sides and compare spans; raises on UNDEFINED cases."""
+def verify_star_case(p: BermanParams, q: BermanParams, product: LinearCode | None = None) -> StarCaseResult:
+    """Construct both sides and compare spans; raises on UNDEFINED cases.
+
+    ``product``, when given, stands for ``star_codes(build(p), build(q))``;
+    the product is symmetric (AND commutes and the RREF is canonical), so
+    the one formed for (q, p) serves (p, q) too.
+    """
     predicted = predict_star(p, q)
     if predicted is UNDEFINED:
         raise UndefinedCase(f"{p.name} * {q.name} is not covered by the case table")
-    actual = star_codes(build(p), build(q))
+    actual = product if product is not None else star_codes(build(p), build(q))
     expected = predicted_code(p.n, p.m, predicted)
     return StarCaseResult(p, q, predicted, actual == expected, actual.dimension)
 

@@ -16,6 +16,12 @@ the dimension formula's terms, independent of the star-product case table.
 
 The dimension sum and the distance bound restate the closed forms: one as a
 sum of binomial terms, the other from the block recursion alone.
+
+The verify-case loops redo the sweep's dimension, star and transitivity
+cases without shared work: a fresh rank of the basis, a product formed for
+every ordered pair, and one witness test per coordinate pair.  The
+point-by-point Reed-Muller construction evaluates every monomial at every
+coordinate tuple.
 """
 
 from fractions import Fraction
@@ -25,18 +31,22 @@ from math import comb, inf
 
 import numpy as np
 
-from bermanpir import BitVector
+from bermanpir import BitVector, berman
 from bermanpir.berman import (
     CodeKind,
     all_tuples,
     c_vector,
     d_vector,
+    index_to_tuple,
     precedes,
     tuple_to_index,
     tuple_weight,
 )
+from bermanpir.checks import VerifyCase
+from bermanpir.codes import LinearCode
+from bermanpir.gf2 import BitMatrix, rank
 from bermanpir.pir import ZeroRate, scheme_row
-from bermanpir.star import star_vectors
+from bermanpir.star import star_vectors, verify_star_case
 
 
 def per_row_triple(storage, retrieval):
@@ -304,3 +314,60 @@ def staged_mixed_products(n, m, r2):
             built[j] = acc
     assert len(built) == size
     return built
+
+
+def rank_dimension_case(p):
+    """The dimension case from a fresh rank of the family basis."""
+    vectors = berman.basis_vectors(p)
+    got = rank(BitMatrix.from_rows(list(vectors), p.length)) if vectors else 0
+    want = berman.dimension_formula(p)
+    return VerifyCase(f"dimension {p.name}", got == want, f"rank {got}, formula {want}")
+
+
+def unshared_star_case(p, q):
+    """The star case with its own product for the ordered pair (p, q)."""
+    res = verify_star_case(p, q)
+    return VerifyCase(
+        f"star {p.name} * {q.name}",
+        res.verified,
+        f"predicted {res.predicted_name}, product dim {res.product_dimension}",
+        record={
+            "lhs": p.name,
+            "rhs": q.name,
+            "predicted": res.predicted_name,
+            "verified": res.verified,
+            "dims": {
+                "lhs": berman.dimension_formula(p),
+                "rhs": berman.dimension_formula(q),
+                "product": res.product_dimension,
+            },
+        },
+    )
+
+
+def all_pairs_transitivity_case(p):
+    """The transitivity case with one witness test per coordinate pair."""
+    families = set()
+    for a in range(p.length):
+        for b in range(p.length):
+            witness = berman.transitivity_witness(p, a, b)
+            if witness is None:
+                return VerifyCase(f"transitivity {p.name}", False, f"no witness maps {a} to {b}")
+            families.add(witness)
+    return VerifyCase(f"transitivity {p.name}", True, f"family: {', '.join(sorted(families))}")
+
+
+def pointwise_reed_muller(r, m):
+    """RM(r, m) spanned by the monomials of degree <= r, each evaluated at
+    every coordinate tuple of length m."""
+    n_pts = 1 << m
+    rows = []
+    for deg in range(max(r, -1) + 1):
+        for positions in combinations(range(m), deg):
+            word = 0
+            for idx in range(n_pts):
+                point = index_to_tuple(2, m, idx)
+                if all(point[p] == 1 for p in positions):
+                    word |= 1 << idx
+            rows.append(BitVector(n_pts, word))
+    return LinearCode.from_spanning_set(n_pts, rows)

@@ -6,11 +6,13 @@ import sys
 
 import pytest
 
+from bermanpir import berman
 from bermanpir.berman import (
     MAX_LENGTH,
     BermanParams,
     CodeKind,
     all_tuples,
+    basis_span,
     basis_vectors,
     build,
     c_vector,
@@ -27,10 +29,10 @@ from bermanpir.berman import (
     tuple_to_index,
     tuple_weight,
 )
-from bermanpir.codes import LinearCode, TooLarge
+from bermanpir.codes import LinearCode, ProtocolInvariantError, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, rank
 from bermanpir.pir import philox_generator
-from oracles import dimension_by_binomials, recursion_distance
+from oracles import dimension_by_binomials, pointwise_reed_muller, recursion_distance
 
 
 def family(n, m):
@@ -154,6 +156,13 @@ class TestBuild:
                     got = rank(BitMatrix.from_rows(list(vectors), params.length)) if vectors else 0
                     assert got == dimension_formula(params) == len(vectors)
 
+    def test_build_is_the_checked_basis_span(self, monkeypatch):
+        params = BermanParams.parse("DBer(3,1,2)")
+        assert build(params) is basis_span(params)
+        monkeypatch.setattr(berman, "dimension_formula", lambda p: 0)
+        with pytest.raises(ProtocolInvariantError, match="basis rank disagrees"):
+            build.__wrapped__(params)
+
     def test_size_guard(self):
         # Length exactly at the guard builds; the next length up is refused.
         at_guard = BermanParams.parse("DBer(8,0,4)")
@@ -276,6 +285,11 @@ class TestReedMullerMatch:
         for m in range(1, 6):
             for r in range(m + 1):
                 assert build(BermanParams(CodeKind.BERMAN, 2, m, r)) == reed_muller_code(m - r - 1, m)
+
+    def test_matches_the_pointwise_construction(self):
+        for m in range(1, 7):
+            for r in range(-1, m + 1):
+                assert reed_muller_code(r, m) == pointwise_reed_muller(r, m)
 
 
 class TestStructuralProperties:

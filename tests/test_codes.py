@@ -92,6 +92,24 @@ class TestEqual:
         assert build(BermanParams.parse("Ber(3,0,2)")) != build(BermanParams.parse("DBer(3,0,2)"))
 
 
+def gray_code_distance(code):
+    """Minimum weight by walking every nonzero codeword in Gray-code order."""
+    rows = code.generator.row_words
+    cw = 0
+    best = code.length + 1
+    for g in range(1, 1 << code.dimension):
+        cw ^= rows[(g & -g).bit_length() - 1]
+        best = min(best, cw.bit_count())
+    return best
+
+
+def random_code(length, dim, seed):
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(min(dim, length), length), dtype=np.uint8)
+    generator = limbs_to_words(bits_to_limbs(bits))
+    return LinearCode.from_generator(BitMatrix(len(generator), length, generator))
+
+
 class TestMinDistance:
     def test_repetition(self):
         assert LinearCode.from_spanning_set(9, [BitVector.ones(9)]).min_distance_bruteforce() == 9
@@ -109,19 +127,30 @@ class TestMinDistance:
     @example(129, 18, 4)
     @example(200, 18, 5)
     def test_matches_plain_gray_code_loop(self, length, dim, seed):
-        rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, size=(min(dim, length), length), dtype=np.uint8)
-        generator = limbs_to_words(bits_to_limbs(bits))
-        code = LinearCode.from_generator(BitMatrix(len(generator), length, generator))
+        code = random_code(length, dim, seed)
         if code.dimension == 0:
             return
-        rows = code.generator.row_words
-        cw = 0
-        best = length + 1
-        for g in range(1, 1 << code.dimension):
-            cw ^= rows[(g & -g).bit_length() - 1]
-            best = min(best, cw.bit_count())
-        assert code.min_distance_bruteforce() == best
+        assert code.min_distance_bruteforce() == gray_code_distance(code)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 30), st.integers(1, 16), st.integers(0, 2**32 - 1))
+    @example(16, 16, 0)
+    @example(30, 15, 1)  # k = n/2 is weighed directly
+    @example(30, 16, 2)  # k = n/2 + 1 goes through the dual
+    @example(17, 16, 3)
+    def test_macwilliams_side_matches_plain_gray_code_loop(self, length, dim, seed):
+        # Dimensions on both sides of n/2, at most 2^16 codewords for the
+        # loop; above n/2 the distance comes from the dual's weight histogram.
+        code = random_code(length, dim, seed)
+        if code.dimension == 0:
+            return
+        assert code.min_distance_bruteforce() == gray_code_distance(code)
+
+    def test_dual_side_with_a_zero_column(self):
+        # A zero coordinate is a dual codeword of weight 1 and moves nothing.
+        code = LinearCode.from_generator(BitMatrix(3, 5, (0b00110, 0b01010, 0b10010)))
+        assert code.dimension == 3
+        assert code.min_distance_bruteforce() == gray_code_distance(code) == 2
 
     def test_at_the_guard_dimension(self):
         params = BermanParams.parse("Ber(5,0,2)")
@@ -132,8 +161,13 @@ class TestMinDistance:
     def test_guards(self):
         with pytest.raises(ZeroCode):
             LinearCode.zero(4).min_distance_bruteforce()
+        # A dimension past the guard is searched from the smaller dual side.
+        assert LinearCode.full(25).min_distance_bruteforce() == 1
+        # DBer(2,2,7) is a [128, 29] code with a 99-dimensional dual.
+        code = build(BermanParams.parse("DBer(2,2,7)"))
+        assert min(code.dimension, code.length - code.dimension) > MAX_BRUTE_FORCE_DIM
         with pytest.raises(TooLarge):
-            LinearCode.full(25).min_distance_bruteforce()
+            code.min_distance_bruteforce()
 
 
 class TestInformationSet:
