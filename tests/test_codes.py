@@ -147,7 +147,7 @@ class TestMinDistance:
         assert code.min_distance_bruteforce() == gray_code_distance(code)
 
     def test_dual_side_with_a_zero_column(self):
-        # A zero coordinate is a dual codeword of weight 1 and moves nothing.
+        # Coordinate 0 is zero on every codeword, so the dual has a word of weight 1.
         code = LinearCode.from_generator(BitMatrix(3, 5, (0b00110, 0b01010, 0b10010)))
         assert code.dimension == 3
         assert code.min_distance_bruteforce() == gray_code_distance(code) == 2
