@@ -1,13 +1,15 @@
 """Command-line front end: parameter calculator, parameter tables, the
 self-verification sweep, and end-to-end retrieval simulation.
 
-Exit codes: 0 success, 2 parse error (also ``TooLarge``, ``MemoryError``,
-an out-of-range ``--demand``, and an ``--out`` path that cannot be opened
-for writing, ``OutputUnwritable``), 3 unsupported pair or zero rate,
-4 verification failure (a broken protocol invariant, or an internal GF(2)
-or protocol-step error: ``Singular``, ``NoSolution``, ``LengthMismatch``,
-``Incomplete``, ``ShapeMismatch``), 5 no schedule (proved not to exist, or
-not found within the search budget).
+Exit codes: 0 success, 2 parse error (also a usage error, ``TooLarge``,
+``MemoryError``, an out-of-range ``--demand``, and output that cannot be
+written, ``OutputUnwritable``: an ``--out`` path that cannot be opened, or a
+closed stdout), 3 unsupported pair or zero rate, 4 verification failure (a
+broken protocol invariant, an internal GF(2) or protocol-step error:
+``Singular``, ``NoSolution``, ``LengthMismatch``, ``Incomplete``,
+``ShapeMismatch``, or any other error), 5 no schedule (proved not to exist,
+or not found within the search budget).  Every error is one JSON object on
+stderr.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from typing import NoReturn
 
 from .berman import BermanParams
 from .checks import iter_verification_cases
@@ -43,9 +47,16 @@ EXIT_UNSUPPORTED = 3
 EXIT_VERIFY_FAILED = 4
 EXIT_NO_SCHEDULE = 5
 
-#: Errors a run reports as a verification failure (exit 4): a broken
-#: invariant, or a GF(2) or protocol step that met a malformed operand.
-PROTOCOL_ERRORS = (ProtocolInvariantError, Singular, NoSolution, LengthMismatch, Incomplete, ShapeMismatch)
+#: The exit code of each error class; the first row that matches wins.  A
+#: broken invariant, or a GF(2) or protocol step that met a malformed operand,
+#: is a verification failure (exit 4), and so is an error no row names.  Rows
+#: naming subclasses of ``ValueError`` come before the ``ValueError`` row.
+EXIT_CODES = (
+    ((UnsupportedPair, ZeroRate), EXIT_UNSUPPORTED),
+    (ScheduleNotFound, EXIT_NO_SCHEDULE),
+    ((ProtocolInvariantError, Singular, NoSolution, LengthMismatch, Incomplete, ShapeMismatch), EXIT_VERIFY_FAILED),
+    ((ValueError, MemoryError), EXIT_PARSE),
+)
 
 #: The published parameter-table layout: (n, m) columns and, per pairing,
 #: the (r_C, r_D) rows plus the fixed printing precision.
@@ -154,7 +165,8 @@ def render_tables_text(tables: list[dict]) -> str:
 
 
 class OutputUnwritable(ValueError):
-    """The ``--out`` path cannot be opened for writing (exit 2)."""
+    """The ``--out`` path cannot be opened for writing, or stdout is closed
+    (exit 2)."""
 
 
 def _open_out(path: str):
@@ -294,8 +306,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one JSON object on stderr (exit 2); its
+    subparsers share the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_PARSE, _error_json(argparse.ArgumentError(None, message)))
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bermanpir",
         description="Berman-family codes, their star products, and a colluding-server PIR simulator.",
     )
@@ -341,19 +361,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (UnsupportedPair, ZeroRate) as exc:
-        sys.stderr.write(_error_json(exc))
-        return EXIT_UNSUPPORTED
-    except ScheduleNotFound as exc:
-        sys.stderr.write(_error_json(exc))
-        return EXIT_NO_SCHEDULE
-    except PROTOCOL_ERRORS as exc:
-        sys.stderr.write(_error_json(exc))
-        return EXIT_VERIFY_FAILED
-    except (ValueError, MemoryError) as exc:
-        sys.stderr.write(_error_json(exc))
-        return EXIT_PARSE
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # The reader of stdout has gone; with fd 1 on the null device the
+        # interpreter's final flush of what is left stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        error: Exception = OutputUnwritable(f"cannot write stdout: {exc.strerror or exc}")
+    except Exception as exc:
+        error = exc
+    sys.stderr.write(_error_json(error))
+    return next((code for classes, code in EXIT_CODES if isinstance(error, classes)), EXIT_VERIFY_FAILED)
 
 
 if __name__ == "__main__":

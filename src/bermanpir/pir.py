@@ -456,14 +456,7 @@ def _augment(
 
     every_stripe = (1 << b) - 1
     while missing:
-        # Sinks: per coordinate, the stripes short of k_C in which its
-        # column is free.
-        sinks = [0] * n_s
-        for s in range(b):
-            if len(st_set[s]) < k_c:
-                for j in range(n_s):
-                    if stripe_reduced(s, j) & g_low:
-                        sinks[j] |= 1 << s
+        short = sum(1 << s for s in range(b) if len(st_set[s]) < k_c)
         # An element (j, it, s) off the set has out-arcs that depend on
         # (j, s) alone, so the search keys it by (j, s) and records the
         # iteration it was reached through as part of its parent.  A sink is
@@ -479,8 +472,11 @@ def _augment(
             for s in _set_bits(fresh):
                 outer_parent[j, s] = (it, y)
                 layer.append((j, s))
-            hit = fresh & sinks[j]
-            return (j, (hit & -hit).bit_length() - 1) if hit else None
+            # A sink: the lowest stripe short of k_C in which column j is free.
+            for s in _set_bits(fresh & short):
+                if stripe_reduced(s, j) & g_low:
+                    return j, s
+            return None
 
         frontier: list[tuple[int, int]] = []
         sink = None

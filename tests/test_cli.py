@@ -3,6 +3,8 @@ transcript determinism."""
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -366,6 +368,19 @@ class TestSimulate:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "MemoryError", "message": "forced"}
 
+    def test_unmapped_error_exits_4(self, monkeypatch, capsys):
+        def broken(config):
+            raise RuntimeError("forced")
+
+        monkeypatch.setattr(cli, "derive_scheme", broken)
+        rc = main(["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_VERIFY_FAILED
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "RuntimeError", "message": "forced"}
+
     def test_zero_rate_pair(self, capsys):
         rc = main(["simulate", "--storage", "Ber(3,0,2)", "--retrieval", "Ber(3,0,2)"])
         assert rc == EXIT_UNSUPPORTED
@@ -465,3 +480,51 @@ class TestOutPath:
         assert error["error"] == "OutputUnwritable"
         assert str(path) in error["message"]
         assert not path.exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (["params", "--storage", "DBer(3,0,2)"], "the following arguments are required: --retrieval"),
+            (
+                ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)", "--files", "x"],
+                "argument --files: invalid int value: 'x'",
+            ),
+        ),
+    )
+    def test_usage_error_is_one_json_object(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == EXIT_PARSE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ArgumentError", "message": message}
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        (["tables"], ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)"]),
+    )
+    def test_closed_stdout_exits_2_without_a_traceback(self, argv):
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        # The pipe's read end is closed before the run starts, so every write
+        # to stdout fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from bermanpir.cli import main; raise SystemExit(main())", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_PARSE
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "OutputUnwritable"
