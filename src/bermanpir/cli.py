@@ -22,7 +22,7 @@ import os
 import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import NoReturn
+from typing import NoReturn, TextIO
 
 from .berman import BermanParams
 from .checks import iter_verification_cases
@@ -176,12 +176,20 @@ def _open_out(path: str):
         raise OutputUnwritable(f"cannot write --out {path!r}: {exc.strerror or exc}") from exc
 
 
+def _stdout() -> TextIO:
+    """``sys.stdout``; the interpreter sets it to ``None`` when it starts with
+    fd 1 closed, and that is an unwritable output."""
+    if sys.stdout is None:
+        raise OutputUnwritable("cannot write stdout: it is closed")
+    return sys.stdout
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with _open_out(out_path) as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _stdout().write(text)
 
 
 def cmd_params(args: argparse.Namespace) -> int:
@@ -286,13 +294,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     if args.format == "json":
         if args.out:
-            sys.stdout.write(_json_document(summary))
+            _stdout().write(_json_document(summary))
         else:
-            sys.stdout.writelines(transcript.iter_json())
+            _stdout().writelines(transcript.iter_json())
     elif args.format == "csv":
-        sys.stdout.write(_csv_text([list(summary), list(summary.values())]))
+        _stdout().write(_csv_text([list(summary), list(summary.values())]))
     else:
-        sys.stdout.write(
+        _stdout().write(
             f"pair={summary['storage']}/{summary['retrieval']} files={summary['files']} "
             f"seed={summary['seed']} demand={summary['demand']}\n"
             f"servers={summary['servers']} t={summary['t']} b={summary['b']} S={summary['S']}\n"
@@ -302,7 +310,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             + (f"transcript written to {args.out}\n" if args.out else "")
         )
         if not args.out:
-            sys.stdout.writelines(transcript.iter_json())
+            _stdout().writelines(transcript.iter_json())
     return EXIT_OK
 
 
@@ -362,7 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except BrokenPipeError as exc:
         # The reader of stdout has gone; with fd 1 on the null device the

@@ -8,16 +8,20 @@ functions and safe to share across threads.
 Bulk kernels run on NumPy *limbs*: a matrix's rows as a little-endian
 ``uint64`` array of shape ``(rows, ceil(cols / 64))``, bit ``j`` of a row in
 bit ``j % 64`` of limb ``j // 64``.  :func:`words_to_limbs` and
-:func:`limbs_to_words` convert between the two forms, :func:`bits_to_limbs`
-packs a 0/1 array, and :func:`draw_bit_limbs` draws uniform bits as limbs
-from whole 64-bit Philox words.  A :class:`BitMatrix` holds row words (one
-word per row) or limbs, whichever it was built from, and derives the other
-form lazily the first time something reads it, so a matrix that only feeds
-limb kernels is never converted to words.  Matrix products use the "method
-of four Russians" on limbs: the right operand's rows are grouped eight at a
-time, each group's 256 XOR combinations are tabulated once, and every output
-row then gathers one table row per group, indexed by the matching byte of
-the left operand, a block of rows at a time (:func:`limb_product`).
+:func:`limbs_to_words` convert between the two forms, and
+:func:`bits_to_limbs` packs a 0/1 array.  Uniform bits are never unpacked:
+:func:`draw_bit_bytes` takes whole 64-bit Philox outputs and packs each
+row's bits a byte at a time straight from the generator's bytes, and
+:func:`draw_bit_limbs` writes those bytes into limbs.  A :class:`BitMatrix`
+holds row words (one word per row) or limbs, whichever it was built from,
+and derives the other form lazily the first time something reads it, so a
+matrix that only feeds limb kernels is never converted to words.  Matrix
+products use the "method of four Russians": the right operand's rows are
+grouped eight at a time, each group's 256 XOR combinations are tabulated
+once, and every output row then gathers one table row per group, indexed
+by the matching byte of the left operand's row, a block of rows at a time
+(:func:`limb_product`).  Those bytes come from the left operand's limbs or,
+for random queries, straight from :func:`draw_bit_bytes`.
 Transposes and column selections unpack to a 0/1 array, index it, and pack.
 """
 
@@ -83,32 +87,76 @@ def bits_to_limbs(bits: np.ndarray) -> np.ndarray:
     return np.packbits(padded, bitorder="little").view(LIMB).reshape(rows, width)
 
 
-def draw_bit_limbs(rng: np.random.Generator, calls: int, rows: int, cols: int) -> np.ndarray:
-    """The limbs of ``calls`` consecutive ``rng.integers(0, 2, (rows, cols),
-    uint8)`` draws, stacked into ``calls * rows`` rows, drawn as whole words.
+#: ``(w & _TOP_BITS) * _GATHER_TOP >> 56`` packs the top bits of the eight
+#: little-endian bytes of the 64-bit word ``w`` into one byte, byte 0's bit
+#: lowest: byte k's top bit, 8k + 7, moves up by 7(7 - k) to 56 + k.
+_TOP_BITS = LIMB.type(0x8080808080808080)
+_GATHER_TOP = LIMB.type(0x0002040810204081)
+
+
+#: Bytes of generator words that one block of :func:`draw_bit_bytes` holds
+#: (or one call's words, if more).  Its packing reads the block once per
+#: eight columns, so the block is kept small enough to stay in cache.
+DRAW_BYTES = 1 << 16
+
+
+def draw_bit_bytes(rng: np.random.Generator, calls: int, rows: int, cols: int, out: np.ndarray) -> None:
+    """Write the packed bits of ``calls`` consecutive ``rng.integers(0, 2,
+    (rows, cols), uint8)`` draws to ``out``, a uint8 array (or a view with
+    any strides) of ``calls * rows`` rows: ``out[r, g]`` becomes bits ``8g``
+    to ``8g + 7`` of row ``r``, lowest first, zero past ``cols``, for the
+    first ``ceil(cols/8)`` columns; the others are left as they are.
 
     Each such uint8 call takes ``ceil(rows * cols / 4)`` fresh 32-bit words
     from the generator and spends them a byte at a time, least significant
     byte first; for a range of two, Lemire's multiply returns the byte's top
-    bit and never rejects.  Philox hands out 32-bit words as the low, then
-    the high half of each 64-bit output, and carries an unused high half
-    (``has_uint32`` in its state) from one call to the next.  So the same
-    words come from full-range 64-bit draws, split into halves: a carried
-    half is taken first with one uint32 draw, then every pair of words is
-    one uint64 draw, and an odd last word is one more uint32 draw, whose
-    high half the generator carries on exactly as the uint8 calls would."""
-    size = rows * cols
-    per_call = -(-size // 4)
-    count = calls * per_call
-    carried = rng.bit_generator.state["has_uint32"] if count else 0
-    head = [rng.integers(0, 1 << 32, size=1, dtype=np.uint32)] if carried else []
-    pairs, odd = divmod(count - len(head), 2)
-    body = rng.integers(0, 1 << 64, size=pairs, dtype=np.uint64).astype("<u8", copy=False).view("<u4")
-    tail = [rng.integers(0, 1 << 32, size=1, dtype=np.uint32)] if odd else []
-    words = np.concatenate([*head, body, *tail], dtype="<u4") if head or tail else body
-    bits = words.view(np.uint8).reshape(calls, 4 * per_call)
-    bits >>= 7
-    return bits_to_limbs(bits[:, :size].reshape(calls * rows, cols))
+    bit and never rejects.  So bit ``j`` of row ``i`` of a call is the top
+    bit of byte ``i * cols + j`` of its words.  Philox hands out 32-bit words
+    as the low, then the high half of each 64-bit output, and carries an
+    unused high half (``has_uint32`` in its state) from one call to the next.
+    So the same words come from whole 64-bit outputs, split into halves: a
+    carried half is taken first with one uint32 draw, then every pair of
+    words is one raw output (``random_raw``), and an odd last word is one
+    more uint32 draw, whose high half the generator carries on exactly as
+    the uint8 calls would.  Byte ``g`` of row ``i`` is then the top bits of
+    the 8 bytes from ``i * cols + 8g`` on, read as one unaligned word; the
+    last byte of a row masks off the next row's bytes, and 8 bytes of slack
+    after the words hold the last row's overhang.  The calls are drawn in
+    blocks of at most :data:`DRAW_BYTES` of words (at least one call each),
+    so the scratch memory does not grow with their number."""
+    per_call = -(-rows * cols // 4)
+    if not per_call:
+        return
+    step = max(1, DRAW_BYTES // (4 * per_call))
+    buf = np.empty(4 * per_call * min(step, calls) + 8, dtype=np.uint8)
+    packed = np.empty((min(step, calls), rows), dtype=LIMB)
+    for lo in range(0, calls, step):
+        n = min(step, calls - lo)
+        count = n * per_call
+        buf[4 * count : 4 * count + 8] = 0
+        words = buf[: 4 * count].view("<u4")
+        carried = rng.bit_generator.state["has_uint32"]
+        if carried:
+            words[:1] = rng.integers(0, 1 << 32, size=1, dtype=np.uint32)
+        pairs, odd = divmod(count - carried, 2)
+        words[carried : carried + 2 * pairs] = rng.bit_generator.random_raw(pairs).astype("<u8", copy=False).view("<u4")
+        if odd:
+            words[-1:] = rng.integers(0, 1 << 32, size=1, dtype=np.uint32)
+        for g in range(0, cols, 8):
+            lanes = np.ndarray((n, rows), dtype="<u8", buffer=buf, offset=g, strides=(4 * per_call, cols))
+            np.bitwise_and(lanes, _TOP_BITS & LIMB.type((1 << 8 * min(8, cols - g)) - 1), out=packed[:n])
+            packed[:n] *= _GATHER_TOP
+            packed[:n] >>= 56
+            out[lo * rows : (lo + n) * rows, g >> 3] = packed[:n].reshape(-1)
+
+
+def draw_bit_limbs(rng: np.random.Generator, calls: int, rows: int, cols: int) -> np.ndarray:
+    """The limbs of ``calls`` consecutive ``rng.integers(0, 2, (rows, cols),
+    uint8)`` draws, stacked into ``calls * rows`` rows, each limb byte written
+    straight from the generator's words by :func:`draw_bit_bytes`."""
+    limbs = np.zeros((calls * rows, (cols + 63) // 64), dtype=LIMB)
+    draw_bit_bytes(rng, calls, rows, cols, limbs.view(np.uint8))
+    return limbs
 
 
 def _limbs_to_bits(limbs: np.ndarray, cols: int) -> np.ndarray:
@@ -144,25 +192,30 @@ def span_table(rows: np.ndarray) -> np.ndarray:
 GATHER_BYTES = 1 << 18
 
 
-def limb_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """GF(2) product of two limb arrays, ``rows x k`` times ``k x W``.
+def limb_product(index: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """GF(2) product of a ``rows x k`` left operand, given by its packed bytes,
+    and the ``k x W`` limb array ``right``.
 
-    Every group of eight rows of ``right`` gets its :func:`span_table`, built
-    once per call.  Each output row XORs in one table row per group: the one
-    that its byte of ``left`` at that group names, gathered for a block of
-    :data:`GATHER_BYTES` of output rows at a time.  Bits of ``left`` beyond
-    ``k`` are zero, so a short last group's byte never indexes past its table.
+    ``index[g]`` holds byte ``g`` of every row of the left operand: its bits
+    ``8g`` to ``8g + 7``, zero past ``k``, so a short last group's byte never
+    indexes past its table.  The bytes are the left operand's limb bytes
+    (``BitMatrix @``) or come straight from the generator
+    (:func:`draw_bit_bytes`).  Every group of eight rows of ``right`` gets
+    its :func:`span_table`, built once per call.  Each output row XORs in one
+    table row per group, the one its byte names, gathered with ``np.take``
+    for a block of :data:`GATHER_BYTES` of output rows at a time.
     """
     k, width = right.shape
-    height = left.shape[0]
-    left_bytes = left.view(np.uint8)
+    height = index.shape[1]
     out = np.zeros((height, width), dtype=LIMB)
     block = max(1, GATHER_BYTES // (8 * max(1, width)))
+    rows = np.empty(min(block, height), dtype=np.intp)
     for g in range(0, k, 8):
         table = span_table(right[g : g + 8])
-        index = left_bytes[:, g >> 3]
         for lo in range(0, height, block):
-            out[lo : lo + block] ^= table[index[lo : lo + block]]
+            n = min(block, height - lo)
+            rows[:n] = index[g >> 3, lo : lo + n]  # np.take is fastest on intp indexes
+            out[lo : lo + n] ^= np.take(table, rows[:n], axis=0)
     return out
 
 
@@ -439,7 +492,7 @@ class BitMatrix:
     def __matmul__(self, other: BitMatrix) -> BitMatrix:
         if self.cols != other.rows:
             raise LengthMismatch(f"{self.cols} != {other.rows}")
-        return BitMatrix.from_limbs(limb_product(self.limbs, other.limbs), other.cols)
+        return BitMatrix.from_limbs(limb_product(self.limbs.view(np.uint8).T, other.limbs), other.cols)
 
     def to_text(self) -> str:
         """Serialize: a "rows cols" header line, then one '0'/'1' row per line."""

@@ -58,10 +58,10 @@ from .berman import (
 )
 from .codes import MAX_BRUTE_FORCE_DIM, LinearCode, ProtocolInvariantError, TooLarge
 from .gf2 import (
-    LIMB,
     BitMatrix,
     BitVector,
     LengthMismatch,
+    draw_bit_bytes,
     draw_bit_limbs,
     flip_bits,
     invert_columns,
@@ -590,10 +590,13 @@ def gen_queries(
     Every row starts as an independent uniform codeword of the retrieval
     code.  Each iteration, in order, draws one row-major batch of
     ``M*b x k_D`` uniform message bits, the bits of ``rng.integers(0, 2,
-    (M*b, k_D), uint8)`` taken from whole Philox words by
-    :func:`~.gf2.draw_bit_limbs`, into one message array.  The whole run is
-    then one table product with the generator's limbs, so each of its tables
-    is built once per run.  Last, for each assigned (stripe, coordinate)
+    (M*b, k_D), uint8)``.  These are consecutive calls, so
+    :func:`~.gf2.draw_bit_bytes` draws the whole run's bits together from
+    whole Philox outputs and packs each row's bits a byte at a time,
+    straight into one array of table indexes, so the message bits are never
+    held one per byte or packed into limbs.  The whole run is then one
+    table product with the generator's limbs, so each of its tables is
+    built once per run.  Last, for each assigned (stripe, coordinate)
     pair of each iteration, bit ``coordinate`` of the demanded file's stripe
     row of that iteration's query is flipped.  A run over
     :data:`MAX_BATCH_BITS` raises :class:`TooLarge` before the draw.
@@ -604,9 +607,8 @@ def gen_queries(
     g_d = derived.retrieval_code.generator
     _check_batch_size(derived, files, len(plans))
     rows = files * derived.b
-    messages = np.empty((len(plans) * rows, (g_d.rows + 63) // 64), dtype=LIMB)
-    for i in range(len(plans)):
-        messages[i * rows : (i + 1) * rows] = draw_bit_limbs(rng, 1, rows, g_d.rows)
+    messages = np.empty(((g_d.rows + 7) // 8, len(plans) * rows), dtype=np.uint8)
+    draw_bit_bytes(rng, len(plans), rows, g_d.rows, messages.T)
     limbs = limb_product(messages, g_d.limbs)
     flip_bits(
         limbs,
@@ -896,9 +898,10 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     call, then one query batch per iteration (:func:`gen_queries`).  A uint8
     call starts on a fresh 32-bit word, so one bit draw of all M files would
     shift the stream; instead :func:`~.gf2.draw_bit_limbs` draws the M
-    calls' whole words at once and keeps the same bits, as the one library
-    matrix whose limbs the encoding uses.  A library over
-    :data:`MAX_BATCH_BITS` raises :class:`TooLarge` before anything is drawn.
+    calls' words together as whole Philox outputs and writes each limb byte
+    of the one library matrix straight from them, with the same bits.  A
+    library over :data:`MAX_BATCH_BITS` raises :class:`TooLarge` before
+    anything is drawn.
 
     The S iterations are cut into runs of consecutive iterations, each as
     long as :data:`MAX_BATCH_BITS` allows, and each run's queries come from

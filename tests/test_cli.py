@@ -505,26 +505,47 @@ class TestUsageErrors:
 
 
 class TestClosedStdout:
-    @pytest.mark.parametrize(
-        "argv",
-        (["tables"], ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)"]),
-    )
-    def test_closed_stdout_exits_2_without_a_traceback(self, argv):
+    SIMULATE = ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)"]
+
+    @staticmethod
+    def run_cli(argv, **popen):
         root = Path(__file__).resolve().parent.parent
         path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        return subprocess.run(
+            [sys.executable, "-c", "from bermanpir.cli import main; raise SystemExit(main())", *argv],
+            stderr=subprocess.PIPE, text=True, env=env, timeout=120, **popen,
+        )
+
+    @staticmethod
+    def assert_unwritable(proc):
+        assert proc.returncode == EXIT_PARSE
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "OutputUnwritable"
+
+    @pytest.mark.parametrize("argv", (["tables"], SIMULATE))
+    def test_closed_stdout_exits_2_without_a_traceback(self, argv):
         # The pipe's read end is closed before the run starts, so every write
         # to stdout fails.
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-c", "from bermanpir.cli import main; raise SystemExit(main())", *argv],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
-            )
+            proc = self.run_cli(argv, stdout=write_end)
         finally:
             os.close(write_end)
-        assert proc.returncode == EXIT_PARSE
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1, proc.stderr
-        assert json.loads(lines[0])["error"] == "OutputUnwritable"
+        self.assert_unwritable(proc)
+
+    @pytest.mark.parametrize("argv", (["tables"], SIMULATE, SIMULATE + ["--out", "{tmp}/t.json"]))
+    def test_fd_1_closed_exits_2_without_a_traceback(self, argv, tmp_path):
+        # As ``bermanpir tables >&-``: the child starts with no fd 1, so the
+        # interpreter sets ``sys.stdout`` to None.
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        self.assert_unwritable(self.run_cli(argv, preexec_fn=lambda: os.close(1)))
+
+    def test_fd_1_closed_with_out_writes_the_file(self, tmp_path):
+        # ``tables --out`` writes nothing to stdout, so it needs none.
+        out = tmp_path / "tables.txt"
+        proc = self.run_cli(["tables", "--out", str(out)], preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert out.read_text() == cli.render_tables_text(cli.build_tables())

@@ -433,6 +433,24 @@ class TestBulkKernels:
             random_matrix(3, 130, 0).take_columns(cols)
 
 
+def philox_state(rng):
+    """The generator's whole state as plain values.  The saved half word
+    ``uinteger`` is dropped while ``has_uint32`` is clear: Philox reads it
+    only when that flag is set, so a stale value there is never drawn."""
+    state = dict(rng.bit_generator.state)
+    state["state"] = {k: np.asarray(v).tolist() for k, v in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    if not state["has_uint32"]:
+        del state["uinteger"]
+    return state
+
+
+def separate_draws(rng, calls, rows, cols):
+    """``calls`` separate uint8 bit draws, stacked, as the documented stream makes them."""
+    want = [rng.integers(0, 2, size=(rows, cols), dtype=np.uint8) for _ in range(calls)]
+    return np.concatenate(want) if want else np.zeros((0, cols), np.uint8)
+
+
 class TestDrawBitLimbs:
     """One whole-word draw against ``calls`` separate uint8 bit draws."""
 
@@ -450,6 +468,14 @@ class TestDrawBitLimbs:
     @example(seed=9, rows=22, cols=7, calls=256, pre=[])  # retrieve_wide's 256 files
     # 1 + 2 * 6 words: a carried half first, five 64-bit draws, one odd last word.
     @example(seed=11, rows=3, cols=8, calls=2, pre=[1])
+    # The byte index: one short group (cols < 8), whole groups only (cols % 8
+    # == 0), rows * cols % 8 != 0 so rows start mid-word, and the last row's
+    # last group reading past the words into the buffer's slack.
+    @example(seed=12, rows=5, cols=3, calls=1, pre=[])
+    @example(seed=13, rows=4, cols=16, calls=3, pre=[])
+    @example(seed=14, rows=3, cols=11, calls=2, pre=[3])
+    @example(seed=15, rows=2, cols=3, calls=1, pre=[])  # 6 bits in 8 bytes; the last row reads bytes 3 to 10
+    @example(seed=16, rows=1, cols=65, calls=1, pre=[])  # the ninth group, bit 64, is alone in its limb
     def test_matches_separate_uint8_draws(self, seed, rows, cols, calls, pre):
         batched = np.random.Generator(np.random.Philox(key=seed))
         separate = np.random.Generator(np.random.Philox(key=seed))
@@ -457,15 +483,47 @@ class TestDrawBitLimbs:
             batched.integers(0, 256, size=size, dtype=np.uint8)
             separate.integers(0, 256, size=size, dtype=np.uint8)
         limbs = draw_bit_limbs(batched, calls, rows, cols)
-        want = [separate.integers(0, 2, size=(rows, cols), dtype=np.uint8) for _ in range(calls)]
+        want = separate_draws(separate, calls, rows, cols)
         assert limbs.shape == (calls * rows, (cols + 63) // 64)
         bits = np.unpackbits(limbs.view(np.uint8), axis=1, bitorder="little")
         assert not bits[:, cols:].any()
-        assert np.array_equal(bits[:, :cols], np.concatenate(want) if want else np.zeros((0, cols), np.uint8))
-        # Both leave the stream at the same position, with the same half of a
+        assert np.array_equal(bits[:, :cols], want)
+        # Both leave the generator in the same state, with the same half of a
         # Philox output carried (a uint32 draw takes it first).
+        assert philox_state(batched) == philox_state(separate)
         assert batched.integers(0, 1 << 32, dtype=np.uint32) == separate.integers(0, 1 << 32, dtype=np.uint32)
         assert batched.integers(0, 2**63) == separate.integers(0, 2**63)
+
+    @pytest.mark.parametrize("gather_bytes, draw_bytes", ((8, 8), (24, 24), (gf2.GATHER_BYTES, gf2.DRAW_BYTES)))
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        rows=st.integers(0, 12),
+        k=st.integers(0, 70),
+        cols=st.integers(0, 130),
+        calls=st.integers(0, 3),
+        pre=st.integers(0, 3),
+    )
+    @example(seed=3, rows=5632, k=22, cols=64, calls=1, pre=0)  # a retrieve_wide query batch
+    @example(seed=4, rows=2, k=3, cols=5, calls=1, pre=1)  # the last row's group reads the slack
+    @example(seed=5, rows=3, k=16, cols=9, calls=2, pre=0)
+    def test_raw_byte_product_matches_row_xor(self, gather_bytes, draw_bytes, seed, rows, k, cols, calls, pre):
+        # The product fed straight from the generator's bytes, written through
+        # a transposed view as a query run writes them, equals the row-XOR
+        # product of the separate uint8 draws.  With DRAW_BYTES = 8 every
+        # call is its own block of the draw, so a carried half word passes
+        # from block to block.
+        batched = np.random.Generator(np.random.Philox(key=seed))
+        separate = np.random.Generator(np.random.Philox(key=seed))
+        batched.integers(0, 256, size=pre, dtype=np.uint8)
+        separate.integers(0, 256, size=pre, dtype=np.uint8)
+        index = np.empty(((k + 7) // 8, calls * rows), dtype=np.uint8)
+        left = BitMatrix(calls * rows, k, limbs_to_words(bits_to_limbs(separate_draws(separate, calls, rows, k))))
+        right = random_matrix(k, cols, seed % 2**32)
+        with mock.patch.multiple(gf2, GATHER_BYTES=gather_bytes, DRAW_BYTES=draw_bytes):
+            gf2.draw_bit_bytes(batched, calls, rows, k, index.T)
+            product = BitMatrix.from_limbs(gf2.limb_product(index, right.limbs), cols)
+        assert product == matmul_reference(left, right)
+        assert philox_state(batched) == philox_state(separate)
 
 
 class TestLimbBackedMatrix:

@@ -505,6 +505,37 @@ class TestScheduleRegression:
     def test_deep_searches_reconstruct(self, storage, retrieval):
         assert run_retrieval(cfg(storage, retrieval, seed=3), 0).reconstructed_ok
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "storage, retrieval, refused",
+        # 512 and 1024 servers, across the shapes (8,3), (2,9), (32,2), (4,5)
+        # and (2,10): each pair reconstructs, or its schedule search runs
+        # over the budget (exit 5).
+        (
+            ("DBer(8,1,3)", "Ber(8,1,3)", None),
+            ("Ber(8,2,3)", "DBer(8,0,3)", ScheduleNotFound),
+            ("Ber(2,6,9)", "DBer(2,6,9)", None),
+            ("DBer(2,4,9)", "Ber(2,7,9)", None),
+            ("DBer(32,0,2)", "Ber(32,1,2)", None),
+            ("Ber(4,3,5)", "DBer(4,3,5)", None),
+            ("DBer(4,2,5)", "DBer(4,0,5)", ScheduleNotFound),
+            ("DBer(2,2,10)", "Ber(2,8,10)", None),
+            ("DBer(2,4,10)", "DBer(2,3,10)", None),
+            ("DBer(2,2,10)", "DBer(2,2,10)", None),
+        ),
+    )
+    def test_large_pairs_reconstruct_or_are_refused(self, storage, retrieval, refused):
+        config = cfg(storage, retrieval, files=2, seed=5)
+        assert 512 <= config.storage.length <= 1024
+        try:
+            if refused:
+                with pytest.raises(refused):
+                    run_retrieval(config, 1)
+            else:
+                assert run_retrieval(config, 1).reconstructed_ok
+        finally:
+            pir._derive.cache_clear()
+
 
 class TestEncodeStorage:
     def test_zero_files(self):
@@ -995,6 +1026,7 @@ class TestRunRetrieval:
 
         monkeypatch.setattr(pir, "philox_generator", no_draw)
         monkeypatch.setattr(pir, "draw_bit_limbs", no_draw)
+        monkeypatch.setattr(pir, "draw_bit_bytes", no_draw)
         tracemalloc.start()
         try:
             with pytest.raises(TooLarge):
