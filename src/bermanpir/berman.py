@@ -9,7 +9,11 @@ Each family member can be produced three independent ways, and the test
 suite cross-checks them against each other:
 
 * an explicit basis of downward/upward indicator vectors on the partial
-  order ``j <= i  iff  j agrees with i on j's nonzero positions``,
+  order ``j <= i  iff  j agrees with i on j's nonzero positions``; each is
+  the Kronecker product of one value set per component (``{0, t_l}`` or
+  ``{0}`` below t, ``{t_l}`` or all of ``Z_n`` above it), so its word is
+  built a component at a time by shifted copies rather than a coordinate
+  at a time,
 * a recursive membership test that splits a vector into its n blocks,
 * closed-form dimension and minimum-distance formulas.
 """
@@ -18,14 +22,14 @@ from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, product
 from math import log10
 
-from .codes import LinearCode, ProtocolInvariantError, TooLarge
+from .codes import InvalidInput, LinearCode, ProtocolInvariantError, TooLarge
 from .gf2 import BitVector, LengthMismatch
 
 IndexTuple = tuple[int, ...]
@@ -54,11 +58,11 @@ class BermanParams:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError("n must be at least 2")
+            raise InvalidInput("n must be at least 2")
         if self.m < 1:
-            raise ValueError("m must be at least 1")
+            raise InvalidInput("m must be at least 1")
         if not 0 <= self.r <= self.m:
-            raise ValueError("r must satisfy 0 <= r <= m")
+            raise InvalidInput("r must satisfy 0 <= r <= m")
 
     @property
     def length(self) -> int:
@@ -85,9 +89,13 @@ class BermanParams:
     def parse(cls, text: str) -> BermanParams:
         m = _NAME_RE.match(text.strip())
         if m is None:
-            raise ValueError(f"cannot parse code name {text!r}; expected Ber(n,r,m) or DBer(n,r,m)")
+            raise InvalidInput(f"cannot parse code name {text!r}; expected Ber(n,r,m) or DBer(n,r,m)")
         kind = CodeKind.BERMAN if m.group(1) == "Ber" else CodeKind.DUAL_BERMAN
-        return cls(kind, int(m.group(2)), int(m.group(4)), int(m.group(3)))
+        try:  # a number past the int-to-string digit limit
+            n, r, depth = (int(m.group(i)) for i in (2, 3, 4))
+        except ValueError as exc:
+            raise InvalidInput(str(exc)) from exc
+        return cls(kind, n, depth, r)
 
     def __str__(self) -> str:
         return self.name
@@ -148,29 +156,29 @@ def precedes(j: IndexTuple, i: IndexTuple) -> bool:
 def c_vector(n: int, m: int, t: IndexTuple) -> BitVector:
     """Indicator of all tuples preceding ``t``; weight is 2^weight(t)."""
     _check_tuple(n, m, t)
-    supp = [l for l in range(m) if t[l]]
-    word = 0
-    for size in range(len(supp) + 1):
-        for subset in combinations(supp, size):
-            idx = 0
-            for l in range(m):
-                idx = idx * n + (t[l] if l in subset else 0)
-            word |= 1 << idx
-    return BitVector(n**m, word)
+    return BitVector(n**m, _product_word(n, [(0, x) if x else (0,) for x in t]))
 
 
 def d_vector(n: int, m: int, t: IndexTuple) -> BitVector:
     """Indicator of all tuples succeeding ``t``; weight is n^(m-weight(t))."""
     _check_tuple(n, m, t)
-    free = [l for l in range(m) if t[l] == 0]
-    word = 0
-    for values in product(range(n), repeat=len(free)):
-        fill = dict(zip(free, values))
-        idx = 0
-        for l in range(m):
-            idx = idx * n + fill.get(l, t[l])
-        word |= 1 << idx
-    return BitVector(n**m, word)
+    return BitVector(n**m, _product_word(n, [(x,) if x else range(n) for x in t]))
+
+
+def _product_word(n: int, component_sets: list[Iterable[int]]) -> int:
+    """Indicator word of the tuples whose component l lies in ``component_sets[l]``.
+
+    The set is a Kronecker product, built least significant component
+    first: the word over the last components, of ``size`` coordinates, is
+    copied to offset ``x * size`` for each value x of the next component
+    up, one shift and OR per value."""
+    word, size = 1, 1
+    for values in reversed(component_sets):
+        spread = 0
+        for x in values:
+            spread |= word << x * size
+        word, size = spread, size * n
+    return word
 
 
 def _check_tuple(n: int, m: int, t: IndexTuple) -> None:

@@ -1,15 +1,16 @@
 """Command-line front end: parameter calculator, parameter tables, the
 self-verification sweep, and end-to-end retrieval simulation.
 
-Exit codes: 0 success, 2 parse error (also a usage error, ``TooLarge``,
-``MemoryError``, an out-of-range ``--demand``, and output that cannot be
-written, ``OutputUnwritable``: an ``--out`` path that cannot be opened, or a
-closed stdout), 3 unsupported pair or zero rate, 4 verification failure (a
-broken protocol invariant, an internal GF(2) or protocol-step error:
-``Singular``, ``NoSolution``, ``LengthMismatch``, ``Incomplete``,
-``ShapeMismatch``, or any other error), 5 no schedule (proved not to exist,
-or not found within the search budget).  Every error is one JSON object on
-stderr.
+Exit codes: 0 success, 2 parse error (a usage error; ``InvalidInput``: a bad
+code name or parameters, or a ``--files``, ``--seed``, ``--demand``,
+``--nmax`` or ``--mmax`` out of range; ``TooLarge``; ``MemoryError``; and
+output that cannot be written, ``OutputUnwritable``: an ``--out`` path that
+cannot be opened, or a closed stdout), 3 unsupported pair or zero rate, 4
+verification failure (a broken protocol invariant, an internal GF(2) or
+protocol-step error such as ``Singular``, ``NoSolution``, ``LengthMismatch``,
+``Incomplete`` or ``ShapeMismatch``, or any other error, a bare
+``ValueError`` included), 5 no schedule (proved not to exist, or not found
+within the search budget).  Every error is one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -26,13 +27,10 @@ from typing import NoReturn, TextIO
 
 from .berman import BermanParams
 from .checks import iter_verification_cases
-from .gf2 import LengthMismatch, NoSolution, Singular
+from .codes import InvalidInput, TooLarge
 from .pir import (
-    Incomplete,
-    ProtocolInvariantError,
     ScheduleNotFound,
     SchemeConfig,
-    ShapeMismatch,
     UnsupportedPair,
     ZeroRate,
     closed_form_triple,
@@ -47,15 +45,20 @@ EXIT_UNSUPPORTED = 3
 EXIT_VERIFY_FAILED = 4
 EXIT_NO_SCHEDULE = 5
 
-#: The exit code of each error class; the first row that matches wins.  A
-#: broken invariant, or a GF(2) or protocol step that met a malformed operand,
-#: is a verification failure (exit 4), and so is an error no row names.  Rows
-#: naming subclasses of ``ValueError`` come before the ``ValueError`` row.
+
+class OutputUnwritable(ValueError):
+    """The ``--out`` path cannot be opened for writing, or stdout is closed
+    (exit 2)."""
+
+
+#: The exit code of each error class; the first row that matches wins.  An
+#: error no row names is a verification failure (exit 4): a broken
+#: invariant, a GF(2) or protocol step that met a malformed operand, or a
+#: bare ``ValueError``, which only a library fault raises.
 EXIT_CODES = (
     ((UnsupportedPair, ZeroRate), EXIT_UNSUPPORTED),
     (ScheduleNotFound, EXIT_NO_SCHEDULE),
-    ((ProtocolInvariantError, Singular, NoSolution, LengthMismatch, Incomplete, ShapeMismatch), EXIT_VERIFY_FAILED),
-    ((ValueError, MemoryError), EXIT_PARSE),
+    ((InvalidInput, TooLarge, OutputUnwritable, MemoryError), EXIT_PARSE),
 )
 
 #: The published parameter-table layout: (n, m) columns and, per pairing,
@@ -162,11 +165,6 @@ def render_tables_text(tables: list[dict]) -> str:
             )
         lines.append("")
     return "\n".join(lines)
-
-
-class OutputUnwritable(ValueError):
-    """The ``--out`` path cannot be opened for writing, or stdout is closed
-    (exit 2)."""
 
 
 def _open_out(path: str):
@@ -362,7 +360,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _error_json(exc: Exception) -> str:
-    return json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
+    """One JSON object naming the error's class; an :class:`InvalidInput` keeps
+    the name it has always been reported by, ``ValueError``."""
+    name = "ValueError" if isinstance(exc, InvalidInput) else type(exc).__name__
+    return json.dumps({"error": name, "message": str(exc)}, sort_keys=True) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -28,6 +28,10 @@ class ZeroCode(ValueError):
     """Operation undefined on the zero (dimension 0) code."""
 
 
+class InvalidInput(ValueError):
+    """A code name, a parameter or an option value outside its documented range."""
+
+
 class TooLarge(ValueError):
     """Exhaustive enumeration would exceed the guard."""
 

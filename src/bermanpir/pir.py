@@ -56,7 +56,7 @@ from .berman import (
     dimension_formula,
     min_distance_formula,
 )
-from .codes import MAX_BRUTE_FORCE_DIM, LinearCode, ProtocolInvariantError, TooLarge
+from .codes import MAX_BRUTE_FORCE_DIM, InvalidInput, LinearCode, ProtocolInvariantError, TooLarge
 from .gf2 import (
     BitMatrix,
     BitVector,
@@ -113,9 +113,9 @@ class SchemeConfig:
 
     def __post_init__(self) -> None:
         if self.files < 1:
-            raise ValueError("need at least one file")
+            raise InvalidInput("need at least one file")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+            raise InvalidInput("seed must fit in 64 bits")
 
 
 def scheme_row(storage: BermanParams, retrieval: BermanParams) -> str:
@@ -602,7 +602,7 @@ def gen_queries(
     :data:`MAX_BATCH_BITS` raises :class:`TooLarge` before the draw.
     """
     if not 0 <= demand < files:
-        raise ValueError("demand index out of range")
+        raise InvalidInput("demand index out of range")
     plans = [derived.schedule.iterations[it] for it in iterations]
     g_d = derived.retrieval_code.generator
     _check_batch_size(derived, files, len(plans))
@@ -916,7 +916,7 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     """
     derived = derive_scheme(config)
     if not 0 <= demand < config.files:
-        raise ValueError("demand index out of range")
+        raise InvalidInput("demand index out of range")
     _check_batch_size(derived, config.files)
     rng = philox_generator(config.seed)
     b, k_c = derived.b, derived.k_c

@@ -14,7 +14,7 @@ from enum import Enum
 
 from .berman import BermanParams, CodeKind, IndexTuple, build, c_vector, d_vector, families, precedes, tuple_weight
 from .codes import LinearCode, ProtocolInvariantError
-from .gf2 import BitMatrix, BitVector, LengthMismatch
+from .gf2 import BitMatrix, BitVector, LengthMismatch, reduce_word
 
 
 class ParamMismatch(ValueError):
@@ -52,14 +52,34 @@ def star_vectors(a: BitVector, b: BitVector) -> BitVector:
 
 
 def star_codes(c: LinearCode, d: LinearCode) -> LinearCode:
-    """Span of all pairwise products of generator rows."""
+    """Span of all pairwise products of generator rows.
+
+    Each distinct product is reduced against the independent products kept
+    so far (:func:`.gf2.reduce_word`) as soon as it is formed, and kept when
+    it leaves a new pivot.  Once ``length`` pivots are kept the span is the
+    whole space, whose RREF is the identity: the remaining products are
+    skipped and no back-substitution is needed.  Otherwise the kept products
+    are brought to the canonical RREF, so the result never depends on the
+    order the products were formed in.
+    """
     if c.length != d.length:
         raise LengthMismatch(f"{c.length} != {d.length}")
+    length = c.length
     if c.dimension == 0 or d.dimension == 0:
-        return LinearCode.zero(c.length)
-    # Repeated products add nothing to the span, and the RREF does not depend on row order.
-    products = tuple({gw & hw for gw in c.generator.row_words for hw in d.generator.row_words})
-    return LinearCode.from_generator(BitMatrix(len(products), c.length, products))
+        return LinearCode.zero(length)
+    pivots: dict[int, int] = {}
+    seen: set[int] = set()
+    right = d.generator.row_words
+    for gw in c.generator.row_words:
+        for hw in right:
+            if (w := gw & hw) in seen:
+                continue
+            seen.add(w)
+            if w := reduce_word(w, pivots):
+                pivots[w & -w] = w
+                if len(pivots) == length:
+                    return LinearCode.full(length)
+    return LinearCode.from_generator(BitMatrix(len(pivots), length, tuple(pivots.values())))
 
 
 def predict_star(p: BermanParams, q: BermanParams) -> Predicted:

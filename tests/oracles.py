@@ -215,6 +215,41 @@ def brute_force_schedule(g_cols, h_cols, b, k_c, d_perp, s_iterations):
     return extend(0, [], [[] for _ in range(b)])
 
 
+def loop_c_vector(n, m, t):
+    """c(t) with one bit set per subset of t's support: the index of t with
+    the other support positions zeroed."""
+    supp = [l for l in range(m) if t[l]]
+    word = 0
+    for size in range(len(supp) + 1):
+        for subset in combinations(supp, size):
+            idx = 0
+            for l in range(m):
+                idx = idx * n + (t[l] if l in subset else 0)
+            word |= 1 << idx
+    return BitVector(n**m, word)
+
+
+def loop_d_vector(n, m, t):
+    """d(t) with one bit set per filling of t's zero positions."""
+    free = [l for l in range(m) if t[l] == 0]
+    word = 0
+    for values in product(range(n), repeat=len(free)):
+        fill = dict(zip(free, values))
+        idx = 0
+        for l in range(m):
+            idx = idx * n + fill.get(l, t[l])
+        word |= 1 << idx
+    return BitVector(n**m, word)
+
+
+def all_products_star(c, d):
+    """C * D as the row reduction of every pairwise product of generator rows."""
+    if c.dimension == 0 or d.dimension == 0:
+        return LinearCode.zero(c.length)
+    products = [gw & hw for gw in c.generator.row_words for hw in d.generator.row_words]
+    return LinearCode.from_generator(BitMatrix(len(products), c.length, tuple(products)))
+
+
 def exhaustive_span(length, vectors):
     """Every GF(2) combination of the vectors, as a set of packed words."""
     words = {0}

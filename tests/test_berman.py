@@ -5,6 +5,8 @@ import math
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bermanpir import berman
 from bermanpir.berman import (
@@ -32,7 +34,7 @@ from bermanpir.berman import (
 from bermanpir.codes import LinearCode, ProtocolInvariantError, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, rank
 from bermanpir.pir import philox_generator
-from oracles import dimension_by_binomials, pointwise_reed_muller, recursion_distance
+from oracles import dimension_by_binomials, loop_c_vector, loop_d_vector, pointwise_reed_muller, recursion_distance
 
 
 def family(n, m):
@@ -130,6 +132,22 @@ class TestBasisVectors:
                 idx = tuple_to_index(n, i)
                 assert cv.bit(idx) == int(precedes(i, t))
                 assert dv.bit(idx) == int(precedes(t, i))
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [(n, m) for n in range(2, 7) for m in range(1, 5) if n**m <= 1296] + [(2, m) for m in range(5, 11)],
+    )
+    def test_words_match_the_coordinate_loops(self, n, m):
+        for t in all_tuples(n, m):
+            assert c_vector(n, m, t) == loop_c_vector(n, m, t), t
+            assert d_vector(n, m, t) == loop_d_vector(n, m, t), t
+
+    @given(st.data())
+    def test_words_match_the_coordinate_loops_up_to_the_guard(self, data):
+        n, m = data.draw(st.sampled_from(SHAPES_UP_TO_GUARD))
+        t = data.draw(st.tuples(*[st.integers(0, n - 1)] * m))
+        assert c_vector(n, m, t) == loop_c_vector(n, m, t)
+        assert d_vector(n, m, t) == loop_d_vector(n, m, t)
 
 
 class TestBuild:

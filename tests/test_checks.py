@@ -1,6 +1,8 @@
 """The verify sweep against loops that share no work between its cases, and
 the whole sweep at its length guard."""
 
+import hashlib
+import json
 import time
 from dataclasses import astuple
 
@@ -12,6 +14,9 @@ from bermanpir.codes import LinearCode
 from bermanpir.gf2 import BitVector
 from bermanpir.star import star_pairs
 from oracles import all_pairs_transitivity_case, rank_dimension_case, unshared_star_case
+
+#: SHA-256 of the JSON list of [name, ok, detail] over the (2, 9) sweep.
+GUARD_SWEEP_SHA256 = "0daf96b9f22da93d217b1eb91097004552b5e1bd752c7c8f97f864e274623fe3"
 
 
 def oracle_cases(n_max, m_max):
@@ -56,3 +61,7 @@ def test_sweep_at_the_length_guard_passes():
     print(f"{len(cases)} cases in {time.perf_counter() - start:.1f} s")
     assert len(cases) == 1824
     assert [case.name for case in cases if not case.ok] == []
+    # Every case's name, status and detail, "product dim" included, as first
+    # recorded with all products reduced at once.
+    listing = json.dumps([[case.name, case.ok, case.detail] for case in cases])
+    assert hashlib.sha256(listing.encode()).hexdigest() == GUARD_SWEEP_SHA256

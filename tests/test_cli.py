@@ -119,6 +119,16 @@ class TestParams:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
 
+    @pytest.mark.skipif(not INT_DIGITS, reason="no int-to-str digit limit")
+    def test_number_past_the_digit_limit_is_a_parse_error(self, capsys):
+        name = f"DBer(2,0,{'1' * (INT_DIGITS + 1)})"
+        assert main(["params", "--storage", name, "--retrieval", "DBer(2,1,3)"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ValueError"
+        assert error["message"].startswith("Exceeds the limit")
+
     @pytest.mark.parametrize(
         "storage, retrieval",
         (
@@ -380,6 +390,21 @@ class TestSimulate:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "RuntimeError", "message": "forced"}
+
+    def test_bare_value_error_exits_4(self, monkeypatch, capsys):
+        # Only the named refusals are parse errors; a bare ValueError from
+        # inside the library is a fault.
+        def broken(code, t):
+            raise ValueError("forced")
+
+        monkeypatch.setattr(cli, "verify_privacy_rank", broken)
+        rc = main(["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_VERIFY_FAILED
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": "forced"}
 
     def test_zero_rate_pair(self, capsys):
         rc = main(["simulate", "--storage", "Ber(3,0,2)", "--retrieval", "Ber(3,0,2)"])

@@ -2,6 +2,8 @@
 and the constructive identities behind it."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bermanpir.berman import (
     BermanParams,
@@ -32,7 +34,12 @@ from bermanpir.star import (
     star_vectors,
     verify_star_case,
 )
-from oracles import staged_mixed_products, staged_parity_products
+from oracles import all_products_star, staged_mixed_products, staged_parity_products
+
+#: Two lists of spanning rows, repeats and zero rows allowed, and their length.
+SPANNING_ROWS = st.integers(1, 20).flatmap(
+    lambda length: st.tuples(*[st.lists(st.integers(0, (1 << length) - 1), max_size=8)] * 2, st.just(length))
+)
 
 
 class TestStarVectors:
@@ -99,6 +106,33 @@ class TestStarCodes:
             a, b, c = codes
             assert star_codes(a, b) == star_codes(b, a)
             assert star_codes(star_codes(a, b), c) == star_codes(a, star_codes(b, c))
+
+    @pytest.mark.parametrize("n, m", ((3, 3), (2, 6), (5, 2), (6, 2)))
+    def test_family_pairs_match_all_products(self, n, m):
+        members = [BermanParams(kind, n, m, r) for kind in CodeKind for r in range(m + 1)]
+        for p in members:
+            for q in members:
+                assert star_codes(build(p), build(q)) == all_products_star(build(p), build(q)), (p.name, q.name)
+
+    def test_full_rank_on_the_last_distinct_product(self):
+        # The unit rows times 111 give e0, e1, e2 in that order, and only e2
+        # completes the span; times 110 the span stays one pivot short.
+        units = LinearCode.full(3)
+        assert units.generator.row_words == (0b001, 0b010, 0b100)
+        short = LinearCode.from_generator(BitMatrix(2, 3, (0b010, 0b100)))
+        for word, want in ((0b111, units), (0b110, short)):
+            d = LinearCode.from_generator(BitMatrix(1, 3, (word,)))
+            assert star_codes(units, d) == all_products_star(units, d) == want
+
+    @given(SPANNING_ROWS)
+    @example(([], [0b1011], 4))  # a zero code
+    @example(([1], [1], 1))  # length 1
+    @example(([0b0110, 0b0110, 0b0011], [0b0111, 0b0111], 4))  # repeated rows and products
+    @example(([0b001, 0b010, 0b100], [0b111], 3))  # full rank on the last distinct product
+    def test_random_codes_match_all_products(self, drawn):
+        left, right, length = drawn
+        c, d = (LinearCode.from_generator(BitMatrix(len(rows), length, tuple(rows))) for rows in (left, right))
+        assert star_codes(c, d) == all_products_star(c, d)
 
 
 class TestPredictStar:
