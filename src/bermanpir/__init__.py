@@ -18,13 +18,11 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     LengthMismatch,
-    NoSolution,
     Singular,
     invert_columns,
     nullspace_basis,
     rank,
     row_reduce,
-    solve,
 )
 from .pir import (
     ProtocolInvariantError,
@@ -61,7 +59,6 @@ __all__ = [
     "InvalidInput",
     "LengthMismatch",
     "LinearCode",
-    "NoSolution",
     "ProtocolInvariantError",
     "ScheduleNotFound",
     "SchemeConfig",
@@ -89,7 +86,6 @@ __all__ = [
     "reed_muller_code",
     "row_reduce",
     "run_retrieval",
-    "solve",
     "star_codes",
     "star_vectors",
     "verify_privacy_empirical",

@@ -202,13 +202,20 @@ def basis_vectors(params: BermanParams) -> tuple[BitVector, ...]:
     return tuple(d_vector(n, m, t) for t in all_tuples(n, m) if tuple_weight(t) <= r)
 
 
+def length_beyond(n: int, m: int, limit: int) -> str | None:
+    """None if the length ``n**m`` (``n >= 2``) is at most ``limit``, else the
+    length as text: its digits, or ``"n^m"`` at depths where ``2**m`` alone
+    exceeds ``limit``, which never form the power."""
+    if m >= limit.bit_length():  # n**m >= 2**m > limit
+        return f"{n}^{m}"
+    length = n**m
+    return str(length) if length > limit else None
+
+
 def check_length(params: BermanParams) -> None:
-    """Refuse a code longer than :data:`MAX_LENGTH`, without forming ``n**m``
-    at depths where it is too long for every n."""
-    if params.m >= MAX_LENGTH.bit_length():  # n**m >= 2**m > MAX_LENGTH
-        raise TooLarge(f"{params.name}: length {params.n}^{params.m} exceeds the guard of {MAX_LENGTH}")
-    if params.length > MAX_LENGTH:
-        raise TooLarge(f"{params.name}: length {params.length} exceeds the guard of {MAX_LENGTH}")
+    """Refuse a code longer than :data:`MAX_LENGTH` (see :func:`length_beyond`)."""
+    if length := length_beyond(params.n, params.m, MAX_LENGTH):
+        raise TooLarge(f"{params.name}: length {length} exceeds the guard of {MAX_LENGTH}")
 
 
 def check_digits(params: BermanParams) -> None:
@@ -342,7 +349,7 @@ def reed_muller_code(r: int, m: int) -> LinearCode:
 
 
 # ---------------------------------------------------------------------------
-# Coordinate symmetries (used to witness transitivity at tiny lengths).
+# Coordinate symmetries: translation invariance, checked at tiny lengths.
 
 
 def permute_vector(v: BitVector, perm: tuple[int, ...]) -> BitVector:
@@ -384,16 +391,11 @@ def coordinate_shift(n: int, m: int, a: int, b: int) -> IndexTuple:
     return tuple((y - x) % n for x, y in zip(ta, tb))
 
 
-def transitivity_witness(params: BermanParams, a: int, b: int) -> str | None:
-    """Witness a code-preserving coordinate permutation mapping a to b.
-
-    Returns ``"translation"`` when the componentwise translation taking a
-    to b preserves the code, else None.  The answer depends on a and b only
-    through :func:`coordinate_shift`.
+def transitivity_witness(params: BermanParams, a: int, b: int) -> bool:
+    """True iff the componentwise translation taking coordinate a to b
+    preserves the code.  The answer depends on a and b only through
+    :func:`coordinate_shift`.
     """
     n, m = params.n, params.m
-    code = build(params)
     shift = coordinate_shift(n, m, a, b)
-    if is_automorphism(code, translation_permutation(n, m, shift)):
-        return "translation"
-    return None
+    return is_automorphism(build(params), translation_permutation(n, m, shift))

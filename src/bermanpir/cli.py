@@ -7,10 +7,10 @@ code name or parameters, or a ``--files``, ``--seed``, ``--demand``,
 output that cannot be written, ``OutputUnwritable``: an ``--out`` path that
 cannot be opened, or a closed stdout), 3 unsupported pair or zero rate, 4
 verification failure (a broken protocol invariant, an internal GF(2) or
-protocol-step error such as ``Singular``, ``NoSolution``, ``LengthMismatch``,
-``Incomplete`` or ``ShapeMismatch``, or any other error, a bare
-``ValueError`` included), 5 no schedule (proved not to exist, or not found
-within the search budget).  Every error is one JSON object on stderr.
+protocol-step error such as ``Singular``, ``LengthMismatch``, ``Incomplete``
+or ``ShapeMismatch``, or any other error, a bare ``ValueError`` included),
+5 no schedule (proved not to exist, or not found within the search
+budget).  Every error is one JSON object on stderr.
 """
 
 from __future__ import annotations

@@ -165,19 +165,5 @@ class LinearCode:
         """Serialize: a "length dim" header line, then the generator matrix text."""
         return f"{self.length} {self.dimension}\n" + self.generator.to_text()
 
-    @classmethod
-    def from_text(cls, text: str) -> LinearCode:
-        lines = text.splitlines()
-        if not lines:
-            raise ValueError("empty code text")
-        try:
-            length, dim = (int(tok) for tok in lines[0].split())
-        except Exception as exc:
-            raise ValueError("bad code header, expected 'length dim'") from exc
-        code = cls.from_generator(BitMatrix.from_text("\n".join(lines[1:])))
-        if code.length != length or code.dimension != dim:
-            raise ValueError("code header disagrees with the generator matrix")
-        return code
-
     def __str__(self) -> str:
         return f"[{self.length},{self.dimension}] code"

@@ -38,10 +38,6 @@ class LengthMismatch(ValueError):
     """Operands have incompatible lengths or shapes."""
 
 
-class NoSolution(ValueError):
-    """The linear system is inconsistent."""
-
-
 class Singular(ValueError):
     """The selected square submatrix is not invertible."""
 
@@ -261,45 +257,16 @@ class BitVector:
             raise ValueError("expected a string of '0'/'1' characters")
         return cls.from_bits(int(c) for c in text)
 
-    @classmethod
-    def from_hex(cls, text: str, length: int) -> BitVector:
-        """Inverse of :meth:`to_hex` (most-significant bit = coordinate 0).
-
-        Rejects any character other than a hex digit, and set padding bits
-        past coordinate ``length - 1``, which :meth:`to_hex` never writes."""
-        width = 4 * ((length + 3) // 4)
-        if len(text) * 4 != width:
-            raise ValueError("hex string does not match the stated length")
-        if set(text) - set("0123456789abcdefABCDEF"):
-            raise ValueError("expected a string of hex digits")
-        value = int(text, 16) if text else 0
-        if value & ((1 << (width - length)) - 1):
-            raise ValueError("hex string sets padding bits beyond the stated length")
-        word = 0
-        for i in range(length):
-            if (value >> (width - 1 - i)) & 1:
-                word |= 1 << i
-        return cls(length, word)
-
     def bit(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise IndexError("coordinate out of range")
         return (self.word >> i) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.word >> i) & 1 for i in range(self.length))
 
     def weight(self) -> int:
         return self.word.bit_count()
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.length) if (self.word >> i) & 1)
-
-    def block(self, index: int, size: int) -> BitVector:
-        """Bits ``[index*size, (index+1)*size)`` as a new vector."""
-        if size < 0 or (index + 1) * size > self.length:
-            raise IndexError("block out of range")
-        return BitVector(size, (self.word >> (index * size)) & ((1 << size) - 1))
 
     def __xor__(self, other: BitVector) -> BitVector:
         if self.length != other.length:
@@ -500,25 +467,6 @@ class BitMatrix:
         lines.extend(self.row(i).to01() for i in range(self.rows))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> BitMatrix:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty matrix text")
-        try:
-            rows, cols = (int(tok) for tok in lines[0].split())
-        except Exception as exc:
-            raise ValueError("bad matrix header, expected 'rows cols'") from exc
-        if len(lines) - 1 != rows:
-            raise ValueError("row count does not match the header")
-        vecs = []
-        for ln in lines[1:]:
-            v = BitVector.from01(ln.strip())
-            if v.length != cols:
-                raise ValueError("row length does not match the header")
-            vecs.append(v)
-        return cls.from_rows(vecs, cols)
-
     def __str__(self) -> str:
         return self.to_text().rstrip("\n")
 
@@ -596,26 +544,6 @@ def nullspace_basis(m: BitMatrix) -> BitMatrix:
                 w |= 1 << p
         words.append(w)
     return BitMatrix(len(free), m.cols, tuple(words))
-
-
-def solve(a: BitMatrix, b: BitVector) -> BitVector:
-    """One solution ``x`` of ``a @ x^T = b^T``; raises NoSolution if none exists.
-
-    The solution is zero on every non-pivot column of ``a``.
-    """
-    if b.length != a.rows:
-        raise LengthMismatch(f"{b.length} != {a.rows}")
-    # Augment each row word with its right-hand-side bit at position `cols`.
-    aug = [a.row_words[i] | (((b.word >> i) & 1) << a.cols) for i in range(a.rows)]
-    pivots = _eliminate(aug, a.cols)
-    rhs_bit = 1 << a.cols
-    if any(w & rhs_bit for w in aug[len(pivots) :]):
-        raise NoSolution("inconsistent system")
-    word = 0
-    for i, p in enumerate(pivots):
-        if aug[i] & rhs_bit:
-            word |= 1 << p
-    return BitVector(a.cols, word)
 
 
 def invert_columns(m: BitMatrix, cols: Sequence[int]) -> BitMatrix:

@@ -279,8 +279,10 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     )
 
 
-#: Exchange-graph arcs the augmenting-path phase may scan before it gives
-#: up; listing the arcs into one iteration counts one per coordinate.
+#: Exchange-graph arcs the augmenting-path phase may scan, plus the
+#: (coordinate, stripe) elements its searches reach, before it gives up;
+#: listing the arcs into one iteration counts one per coordinate.  Counting
+#: reached elements bounds the records the search keeps, not only its time.
 SCHEDULE_BUDGET = 1_000_000
 
 
@@ -401,8 +403,9 @@ def _augment(
     element that M1 accepts to one that M2 accepts, and the set is swapped
     along it, growing by one.  When no path exists the set is a maximum
     common independent set, which proves that no schedule exists.  That
-    proof, or scanning more than :data:`SCHEDULE_BUDGET` arcs, raises
-    ScheduleNotFound, and its message says which of the two it was.
+    proof, or scanning and reaching more than :data:`SCHEDULE_BUDGET` arcs
+    and elements, raises ScheduleNotFound, and its message says which of the
+    two it was.
     """
     s_iterations, b = len(it_set), len(st_set)
     slots = b * k_c
@@ -430,7 +433,7 @@ def _augment(
         scanned += arcs
         if scanned > SCHEDULE_BUDGET:
             raise ScheduleNotFound(
-                f"schedule search scanned more than {SCHEDULE_BUDGET} exchange-graph arcs "
+                f"schedule search scanned more than {SCHEDULE_BUDGET} exchange-graph arcs and elements "
                 f"with {missing} of {slots} slots still empty"
             )
 
@@ -468,6 +471,7 @@ def _augment(
         def reach(
             j: int, fresh: int, it: int, y: tuple[int, int] | None, layer: list[tuple[int, int]]
         ) -> tuple[int, int] | None:
+            scan(fresh.bit_count())
             reached[j] |= fresh
             for s in _set_bits(fresh):
                 outer_parent[j, s] = (it, y)

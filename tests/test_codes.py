@@ -234,18 +234,6 @@ class TestStructuralInvariants:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        code = build(BermanParams.parse("DBer(3,1,2)"))
-        text = code.to_text()
-        assert text.splitlines()[0] == "9 5"
-        assert LinearCode.from_text(text) == code
-
-    def test_header_mismatch_rejected(self):
-        code = build(BermanParams.parse("DBer(3,1,2)"))
-        bad = code.to_text().replace("9 5", "9 4", 1)
-        with pytest.raises(ValueError):
-            LinearCode.from_text(bad)
-
     def test_golden_fixture(self):
         from pathlib import Path
 

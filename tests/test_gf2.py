@@ -12,7 +12,6 @@ from bermanpir.gf2 import (
     BitMatrix,
     BitVector,
     LengthMismatch,
-    NoSolution,
     Singular,
     bits_to_limbs,
     draw_bit_limbs,
@@ -21,7 +20,6 @@ from bermanpir.gf2 import (
     nullspace_basis,
     rank,
     row_reduce,
-    solve,
     words_to_limbs,
 )
 
@@ -103,14 +101,22 @@ def eliminate_reference(words, ncols):
 
 
 def outcome(fn, *args, reference=False):
-    """``fn(*args)``, or the type of the NoSolution/Singular it raised; run on
-    the column-sweep kernel when ``reference`` is set."""
+    """``fn(*args)``, or Singular if it raised that; run on the column-sweep
+    kernel when ``reference`` is set."""
     kernel = eliminate_reference if reference else gf2._eliminate
     with mock.patch.object(gf2, "_eliminate", kernel):
         try:
             return fn(*args)
-        except (NoSolution, Singular) as exc:
-            return type(exc)
+        except Singular:
+            return Singular
+
+
+def hex_reference(v):
+    """The bit string, coordinate 0 first, zero-padded to whole hex digits
+    and read as one binary number."""
+    text = v.to01()
+    text += "0" * (-len(text) % 4)
+    return format(int(text, 2), f"0{len(text) // 4}x") if text else ""
 
 
 def random_matrix(rows, cols, seed):
@@ -122,7 +128,7 @@ def random_matrix(rows, cols, seed):
 class TestBitVector:
     def test_from_bits_round_trip(self):
         v = BitVector.from_bits([1, 0, 1, 1, 0])
-        assert v.bits() == (1, 0, 1, 1, 0)
+        assert v.to01() == "10110"
         assert v.weight() == 3
         assert v.support() == (0, 2, 3)
 
@@ -143,28 +149,16 @@ class TestBitVector:
         assert a.dot(BitVector.from01("011")) == 1
         assert a.dot(BitVector.from01("111")) == 0
 
-    def test_block(self):
-        v = BitVector.from01("101101000")
-        assert v.block(0, 3).to01() == "101"
-        assert v.block(1, 3).to01() == "101"
-        assert v.block(2, 3).to01() == "000"
-
     def test_hex_convention(self):
         # Coordinate 0 is the most-significant bit of the first hex digit.
         assert BitVector.unit(9, 0).to_hex() == "800"
         assert BitVector.unit(9, 8).to_hex() == "008"
         assert BitVector.ones(4).to_hex() == "f"
-        for text in ("101101000", "000000001", "111111111"):
-            v = BitVector.from01(text)
-            assert BitVector.from_hex(v.to_hex(), v.length) == v
+        assert BitVector.from01("101101000").to_hex() == "b40"
         for length in range(13):
             for word in range(1 << length):
                 v = BitVector(length, word)
-                assert BitVector.from_hex(v.to_hex(), length) == v
-        # Text that to_hex never writes: non-digits, then set padding bits.
-        for text, length in (("-f", 8), ("0xf", 12), ("f_f", 12), (" ff", 12), ("f", 1), ("ff", 5)):
-            with pytest.raises(ValueError):
-                BitVector.from_hex(text, length)
+                assert v.to_hex() == hex_reference(v)
 
 
 class TestRowReduce:
@@ -197,27 +191,14 @@ class TestRowReduce:
 
 
 class TestEliminationKernel:
-    """The lowest-bit pivot kernel against the column sweep.  Only consistent
-    augmented systems are compared bit for bit: elsewhere the augmented bits
-    of the pivot rows are fixed only up to the tail rows' span."""
+    """The lowest-bit pivot kernel against the column sweep, on row reduction
+    and on the augmented columns that :func:`invert_columns` reads."""
 
     @given(shaped_matrices())
     @example(random_matrix(64, 12, 2))
     @example(BitMatrix(64, 12, (0b1000_0000_0001,) * 64))
     def test_row_reduce_matches(self, m):
         assert row_reduce(m) == outcome(row_reduce, m, reference=True)
-
-    @given(shaped_matrices(), st.integers(0, 2**64 - 1))
-    def test_solve_matches(self, a, seed):
-        b = BitVector(a.rows, seed & ((1 << a.rows) - 1))
-        assert outcome(solve, a, b) == outcome(solve, a, b, reference=True)
-
-    @given(shaped_matrices(), st.integers(0, 2**130 - 1))
-    def test_solve_matches_on_consistent_systems(self, a, seed):
-        b = a.mul_vector(BitVector(a.cols, seed & ((1 << a.cols) - 1)))
-        got = outcome(solve, a, b)
-        assert got == outcome(solve, a, b, reference=True)
-        assert a.mul_vector(got) == b
 
     @given(shaped_matrices(), st.permutations(range(130)))
     @example(BitMatrix.identity(12), list(range(130)))
@@ -275,45 +256,6 @@ class TestNullspace:
         assert rank(m) + basis.rows == m.cols
         for i in range(basis.rows):
             assert m.mul_vector(basis.row(i)).is_zero()
-
-
-class TestSolve:
-    def test_identity(self):
-        b = BitVector.from01("101")
-        assert solve(BitMatrix.identity(3), b) == b
-
-    def test_small_system(self):
-        a = BitMatrix.from_bits([[1, 1], [0, 1]])
-        x = solve(a, BitVector.from01("11"))
-        assert x == BitVector.from01("01")
-        # Exhaustive 2x2 oracle: x is the unique preimage.
-        preimages = [w for w in range(4) if a.mul_vector(BitVector(2, w)).to01() == "11"]
-        assert preimages == [x.word]
-
-    def test_inconsistent(self):
-        a = BitMatrix.from_bits([[1, 1], [1, 1]])
-        with pytest.raises(NoSolution):
-            solve(a, BitVector.from01("10"))
-
-    def test_length_check(self):
-        with pytest.raises(LengthMismatch):
-            solve(BitMatrix.identity(3), BitVector.zeros(2))
-
-    @given(bit_matrices(), st.integers(0, 255))
-    def test_solve_then_substitute(self, a, seed):
-        x = BitVector(a.cols, seed & ((1 << a.cols) - 1))
-        b = a.mul_vector(x)
-        got = solve(a, b)
-        assert a.mul_vector(got) == b
-
-    @given(bit_matrices(), st.integers(0, 255))
-    def test_solution_is_zero_off_the_pivots(self, a, seed):
-        # Pins which solution comes back: the unique one supported on the
-        # pivot columns of the reduced form.
-        b = a.mul_vector(BitVector(a.cols, seed & ((1 << a.cols) - 1)))
-        got = solve(a, b)
-        assert set(got.support()) <= set(row_reduce(a)[1])
-        assert a.mul_vector(got) == b
 
 
 class TestInvertColumns:
@@ -616,19 +558,3 @@ class TestMatrixInvariant:
     def test_rejects_bad_row_words(self, rows, cols, words):
         with pytest.raises(ValueError):
             BitMatrix(rows, cols, words)
-
-
-class TestSerialization:
-    def test_matrix_text_round_trip(self):
-        m = BitMatrix.from_bits([[1, 0, 1], [0, 1, 1]])
-        text = m.to_text()
-        assert text.splitlines()[0] == "2 3"
-        assert BitMatrix.from_text(text) == m
-
-    def test_empty_matrix_text(self):
-        m = BitMatrix(0, 4, ())
-        assert BitMatrix.from_text(m.to_text()) == m
-
-    def test_bad_header(self):
-        with pytest.raises(ValueError):
-            BitMatrix.from_text("nonsense\n10\n")

@@ -536,6 +536,29 @@ class TestScheduleRegression:
         finally:
             pir._derive.cache_clear()
 
+    @pytest.mark.slow
+    def test_widest_search_is_refused_within_a_memory_limit(self):
+        # 4096 servers and 3969 stripes: the augmenting search's first layer
+        # alone could reach about 16 M (coordinate, stripe) elements.  Counted
+        # in the budget, they end the search with exit 5 inside 3 GB of
+        # address space; a search that held them all ran out of memory.
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        script = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+            "from bermanpir.cli import main; raise SystemExit(main())"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "simulate", "--storage", "DBer(64,1,2)", "--retrieval", "DBer(64,0,2)"],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert proc.returncode == cli.EXIT_NO_SCHEDULE, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ScheduleNotFound"
+
 
 class TestEncodeStorage:
     def test_zero_files(self):
@@ -792,7 +815,7 @@ class TestPrivacyRank:
         assert not verify_privacy_rank(code, 4)
         assert verify_privacy_rank(build(P("DBer(2,1,2)")), 3)
 
-    def test_sampled_mode(self):
+    def test_family_route_when_no_enumeration_fits(self):
         # C(256, 15) subsets and dim D^perp = 163: no enumeration fits, so the
         # dual Ber(2,3,8) is recognised and its distance 16 read off the
         # closed form.
