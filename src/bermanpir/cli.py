@@ -5,12 +5,13 @@ Exit codes: 0 success, 2 parse error (a usage error; ``InvalidInput``: a bad
 code name or parameters, or a ``--files``, ``--seed``, ``--demand``,
 ``--nmax`` or ``--mmax`` out of range; ``TooLarge``; ``MemoryError``; and
 output that cannot be written, ``OutputUnwritable``: an ``--out`` path that
-cannot be opened, or a closed stdout), 3 unsupported pair or zero rate, 4
-verification failure (a broken protocol invariant, an internal GF(2) or
-protocol-step error such as ``Singular``, ``LengthMismatch``, ``Incomplete``
-or ``ShapeMismatch``, or any other error, a bare ``ValueError`` included),
-5 no schedule (proved not to exist, or not found within the search
-budget).  Every error is one JSON object on stderr.
+fails to open, write or close, or a stdout closed or failing), 3 unsupported
+pair or zero rate, 4 verification failure (a broken protocol invariant, an
+internal GF(2) or protocol-step error such as ``Singular``,
+``LengthMismatch``, ``Incomplete`` or ``ShapeMismatch``, or any other error,
+a bare ``ValueError`` included), 5 no schedule (proved not to exist, or not
+found within the search budget).  Every error is one JSON object on stderr,
+if stderr can take it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import io
 import json
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import NoReturn, TextIO
 
@@ -47,8 +49,8 @@ EXIT_NO_SCHEDULE = 5
 
 
 class OutputUnwritable(ValueError):
-    """The ``--out`` path cannot be opened for writing, or stdout is closed
-    (exit 2)."""
+    """The ``--out`` path cannot be opened or written, or stdout is closed or
+    cannot be written (exit 2)."""
 
 
 #: The exit code of each error class; the first row that matches wins.  An
@@ -167,9 +169,12 @@ def render_tables_text(tables: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _open_out(path: str):
+@contextmanager
+def _open_out(path: str) -> Iterator[TextIO]:
+    """``path`` open for writing; an OSError on it is an :class:`OutputUnwritable`."""
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
         raise OutputUnwritable(f"cannot write --out {path!r}: {exc.strerror or exc}") from exc
 
@@ -266,6 +271,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         files=args.files,
         seed=args.seed,
     )
+    if not 0 <= args.demand < config.files:
+        raise InvalidInput("demand index out of range")
     # The privacy check runs before the retrieval, so its scratch arrays are
     # freed before the transcript is built; the retrieval reuses the cached
     # derivation.
@@ -374,14 +381,19 @@ def main(argv: list[str] | None = None) -> int:
         if sys.stdout is not None:
             sys.stdout.flush()
         return code
-    except BrokenPipeError as exc:
-        # The reader of stdout has gone; with fd 1 on the null device the
+    except OSError as exc:
+        # --out reports its own failures and the rest runs in memory, so
+        # stdout failed; with it on the null device, as stderr below, the
         # interpreter's final flush of what is left stays silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         error: Exception = OutputUnwritable(f"cannot write stdout: {exc.strerror or exc}")
     except Exception as exc:
         error = exc
-    sys.stderr.write(_error_json(error))
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(_error_json(error))  # line-buffered: a failed write raises here
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
     return next((code for classes, code in EXIT_CODES if isinstance(error, classes)), EXIT_VERIFY_FAILED)
 
 

@@ -11,8 +11,8 @@ answers with the inner product of its two columns, so the whole response
 vector is the XOR over rows r of ``stored_r & Q_r``.  Multiplying it by a
 parity-check matrix H of ``C * D`` annihilates the random part and exposes
 the planted codeword bits, which an invertible column selection of H then
-recovers.  After all iterations each stripe holds an information set of C
-and the file follows by inverting the corresponding generator columns.
+recovers.  After all iterations each stripe holds an information set of C,
+from whose generator columns the file follows.
 
 The bulk work runs on NumPy limb arrays (see :mod:`.gf2`): the queries of a
 run of consecutive iterations are one table product of their packed message
@@ -21,8 +21,8 @@ iteration's response is one XOR reduction over the rows of ``stored & Q``.
 The matrices the stages return keep those limbs and become Python integers
 only where something reads their words; a retrieval itself reads the words
 of the response vectors and the demanded file alone.
-The column inverses that decoding and reconstruction need depend only on the
-schedule, so each pair computes them once.
+Decoding and reconstruction read the tagged pivot bases the schedule search
+built, so each pair row-reduces each iteration's and stripe's columns once.
 
 Collusion resistance: any t servers see t columns of Q, and those are
 exactly uniform as long as every t-column projection of D is the full
@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, combinations, islice
 from math import comb, gcd
 
@@ -64,7 +64,7 @@ from .gf2 import (
     draw_bit_bytes,
     draw_bit_limbs,
     flip_bits,
-    invert_columns,
+    invert_columns,  # noqa: F401  benchmarks/tracer.py patches pir.invert_columns
     limb_product,
     limbs_to_words,
     reduce_word,
@@ -190,10 +190,13 @@ class IterationPlan:
 @dataclass(frozen=True)
 class Schedule:
     """The same assignment seen both ways: per iteration, its plan; per
-    stripe, its coordinates (ascending), an information set of C."""
+    stripe, its coordinates (ascending), an information set of C; and each
+    block's tagged pivot basis (see :func:`_augment`) of H's or G_C's columns."""
 
     iterations: tuple[IterationPlan, ...]
     stripe_coords: tuple[tuple[int, ...], ...]
+    iteration_bases: tuple[dict[int, int], ...] = field(compare=False, repr=False)
+    stripe_bases: tuple[dict[int, int], ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -216,18 +219,6 @@ class SchemeDerived:
 
     def file_row(self, demand: int, stripe: int) -> int:
         return demand * self.b + stripe
-
-    @cached_property
-    def iteration_inverses(self) -> tuple[BitMatrix, ...]:
-        """Per iteration, the inverse of H's columns at its coordinates."""
-        return tuple(invert_columns(self.parity, plan.coords) for plan in self.schedule.iterations)
-
-    @cached_property
-    def stripe_inverses(self) -> tuple[BitMatrix, ...]:
-        """Per stripe, the inverse of the storage generator's columns at its
-        scheduled coordinates."""
-        g_c = self.storage_code.generator
-        return tuple(invert_columns(g_c, coords) for coords in self.schedule.stripe_coords)
 
 
 def derive_scheme(config: SchemeConfig) -> SchemeDerived:
@@ -327,9 +318,9 @@ def _solve_schedule(
     coordinates not yet found dependent, and the same mask per stripe.  A
     slot scans only the coordinates open in both masks, and each test either
     fills the slot or closes a coordinate in one mask, so the pass makes at
-    most ``(S + b) * n_s + b * k_C`` tests.  Empty slots are then filled by
-    :func:`_augment`, or it raises ScheduleNotFound.  The schedule keeps the
-    set both ways, per iteration and per stripe.
+    most ``(S + b) * n_s + b * k_C`` tests.  Then every block's tagged basis
+    is built, and empty slots are filled by :func:`_augment`, or it raises
+    ScheduleNotFound.  The schedule keeps the set both ways, and the bases.
     """
     slots = b * k_c
     if s_iterations * d_perp != slots:
@@ -372,14 +363,18 @@ def _solve_schedule(
             it_set[it][j] = s
             st_set[s][j] = it
             break
+    h_cols = tuple(w | 1 << (h.rows + j) for j, w in enumerate(h_cols))
+    g_cols = tuple(w | 1 << (g_c.rows + j) for j, w in enumerate(g_cols))
+    it_bases = [_pivots((h_cols[j] for j in members), (1 << h.rows) - 1) for members in it_set]
+    st_bases = [_pivots((g_cols[j] for j in members), (1 << g_c.rows) - 1) for members in st_set]
     if sum(map(len, it_set)) < slots:
-        _augment(g_cols, g_c.rows, h_cols, h.rows, k_c, d_perp, it_set, st_set)
+        _augment(g_cols, g_c.rows, h_cols, h.rows, k_c, d_perp, it_set, st_set, it_bases, st_bases)
 
     iterations = []
     for members in it_set:
         pairs = sorted(members.items())
         iterations.append(IterationPlan(tuple(c for c, _ in pairs), tuple(s for _, s in pairs)))
-    return Schedule(tuple(iterations), tuple(tuple(sorted(members)) for members in st_set))
+    return Schedule(tuple(iterations), tuple(tuple(sorted(m)) for m in st_set), tuple(it_bases), tuple(st_bases))
 
 
 def _augment(
@@ -391,14 +386,20 @@ def _augment(
     d_perp: int,
     it_set: list[dict[int, int]],
     st_set: list[dict[int, int]],
+    it_basis: list[dict[int, int]],
+    st_basis: list[dict[int, int]],
 ) -> None:
     """Fill a partial schedule by matroid intersection, in place.
 
-    ``g_cols`` and ``h_cols`` are the column words of G_C and H, whose row
-    counts are ``g_top`` and ``h_top``.  ``it_set`` maps each iteration's
-    coordinates to their stripes and ``st_set`` each stripe's coordinates to
-    their iterations; together they are a common independent set (see
-    :func:`_solve_schedule`).  While it is short of ``b * k_C`` elements, a
+    ``g_cols`` and ``h_cols`` are the column words of G_C and H, tagged: with
+    ``top`` rows, column j carries bit ``top + j``.  Reduced against a
+    block's basis, the :func:`_pivots` of its tagged columns, a dependent
+    column leaves only tags, which form its fundamental circuit.  ``it_set``
+    maps each iteration's coordinates to their stripes and ``st_set`` each
+    stripe's to their iterations, a common independent set (see
+    :func:`_solve_schedule`); ``it_basis`` and ``st_basis``, each block's
+    basis, are rebuilt where it changes.  While it is short of ``b * k_C``
+    elements, a
     breadth-first search finds a shortest path in the exchange graph from an
     element that M1 accepts to one that M2 accepts, and the set is swapped
     along it, growing by one.  When no path exists the set is a maximum
@@ -411,14 +412,6 @@ def _augment(
     slots = b * k_c
     n_s = len(g_cols)
     h_low, g_low = (1 << h_top) - 1, (1 << g_top) - 1
-    # Each column carries its coordinate as a tag bit above its own bits.
-    # Reduced against a block's tagged columns, a dependent column leaves only
-    # tags: its own and those of the block columns summing to it, which with
-    # it form its fundamental circuit.
-    h_cols = tuple(w | 1 << (h_top + j) for j, w in enumerate(h_cols))
-    g_cols = tuple(w | 1 << (g_top + j) for j, w in enumerate(g_cols))
-    it_basis = [_pivots((h_cols[j] for j in members), h_low) for members in it_set]
-    st_basis = [_pivots((g_cols[j] for j in members), g_low) for members in st_set]
 
     # Per iteration until it changes: the coordinates whose column is free
     # in it, and for each member coordinate the coordinates whose circuit
@@ -638,45 +631,40 @@ def decode_iteration(
     """Syndrome-decode one response vector into (stripe, coordinate, bit).
 
     The parity map annihilates the random query contribution, so the
-    syndrome equals ``H[:, J] x`` where x lists the planted codeword bits in
-    ascending coordinate order; every iteration carries exactly d_perp
-    coordinates, so the inverse of ``H[:, J]`` (computed once per pair)
-    recovers x exactly.
+    syndrome equals ``H[:, J] x`` where x holds the planted codeword bits at
+    the coordinates J.  J's d_perp columns span, so the syndrome reduced
+    against the iteration's tagged basis keeps only the tags of the columns
+    summing to it: tag j is the planted bit at coordinate j.
     """
     if response.length != derived.n_s:
         raise LengthMismatch(f"{response.length} != {derived.n_s}")
     plan = derived.schedule.iterations[iteration]
     syndrome = derived.parity.mul_vector(response)
-    bits = derived.iteration_inverses[iteration].mul_vector(syndrome)
-    return tuple(
-        (stripe, coord, bits.bit(pos))
-        for pos, (stripe, coord) in enumerate(zip(plan.stripes, plan.coords))
-    )
+    planted = reduce_word(syndrome.word, derived.schedule.iteration_bases[iteration]) >> derived.d_perp
+    return tuple((stripe, coord, planted >> coord & 1) for stripe, coord in zip(plan.stripes, plan.coords))
 
 
 def reconstruct_file(
     derived: SchemeDerived, recovered: tuple[tuple[int, int, int], ...]
 ) -> BitMatrix:
-    """Invert each stripe's generator columns to rebuild the b x k_C file.
-
-    The scheduled coordinate sets reuse the pair's inverses; any other
-    information set is inverted here."""
+    """Rebuild the b x k_C file from each stripe's bits ``y_j = f . g_j`` at
+    exactly its scheduled coordinates (else :class:`Incomplete`): solved down
+    the pivots of its tagged basis, bit r of the file row f is the parity of
+    y at the coordinates whose G_C columns sum to unit column r."""
     per_stripe: dict[int, dict[int, int]] = {}
     for stripe, coord, bit in recovered:
         per_stripe.setdefault(stripe, {})[coord] = bit
     k_c = derived.k_c
     words = []
-    for stripe in range(derived.b):
+    for stripe, (coords, basis) in enumerate(zip(derived.schedule.stripe_coords, derived.schedule.stripe_bases)):
         got = per_stripe.get(stripe, {})
-        if len(got) != k_c:
-            raise Incomplete(f"stripe {stripe} has {len(got)} of {k_c} coordinates")
-        coords = tuple(sorted(got))
-        y = sum((got[c] & 1) << pos for pos, c in enumerate(coords))
-        if coords == derived.schedule.stripe_coords[stripe]:
-            inv = derived.stripe_inverses[stripe]
-        else:
-            inv = invert_columns(derived.storage_code.generator, coords)
-        words.append(inv.left_mul(BitVector(k_c, y)).word)
+        if tuple(sorted(got)) != coords:
+            raise Incomplete(f"stripe {stripe} does not hold exactly its {k_c} scheduled coordinates")
+        z = sum(1 << (k_c + c) for c, bit in got.items() if bit & 1)
+        for pivot in sorted(basis, reverse=True):
+            if (basis[pivot] & z).bit_count() & 1:
+                z |= pivot
+        words.append(z & ((1 << k_c) - 1))
     return BitMatrix(derived.b, k_c, tuple(words))
 
 
@@ -918,9 +906,9 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     equals the stored one; a failure, or an achieved rate that strays from
     the derived one, raises :class:`ProtocolInvariantError`.
     """
-    derived = derive_scheme(config)
     if not 0 <= demand < config.files:
         raise InvalidInput("demand index out of range")
+    derived = derive_scheme(config)
     _check_batch_size(derived, config.files)
     rng = philox_generator(config.seed)
     b, k_c = derived.b, derived.k_c

@@ -432,6 +432,18 @@ class TestSimulate:
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "ValueError", "message": "demand index out of range"}
 
+    def test_out_of_range_demand_exits_2_before_derivation(self, monkeypatch, capsys):
+        # The pair has no schedule, so deriving it would exit 5.
+        def derive(config):
+            raise AssertionError("derived before the demand check")
+
+        monkeypatch.setattr(cli, "derive_scheme", derive)
+        args = ["simulate", "--storage", "DBer(3,2,5)", "--retrieval", "DBer(3,2,5)", "--demand", "3"]
+        assert main(args) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError", "message": "demand index out of range"}
+
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_VERIFY_FAILED, EXIT_NO_SCHEDULE}) == 5
 
@@ -506,6 +518,15 @@ class TestOutPath:
         assert str(path) in error["message"]
         assert not path.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_to_out_exits_2(self, capsys):
+        assert main(["tables", "--out", "/dev/full"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "OutputUnwritable"
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -574,3 +595,20 @@ class TestClosedStdout:
         proc = self.run_cli(["tables", "--out", str(out)], preexec_fn=lambda: os.close(1))
         assert (proc.returncode, proc.stderr) == (0, "")
         assert out.read_text() == cli.render_tables_text(cli.build_tables())
+
+    UNSUPPORTED = ["simulate", "--storage", "DBer(9,0,2)", "--retrieval", "Ber(2,1,2)"]
+
+    def test_fd_2_closed_keeps_the_exit_code(self):
+        # As ``bermanpir simulate ... 2>&-``: the error JSON has nowhere to go.
+        proc = self.run_cli(self.UNSUPPORTED, preexec_fn=lambda: os.close(2))
+        assert (proc.returncode, proc.stderr) == (EXIT_UNSUPPORTED, "")
+
+    def test_stderr_reader_gone_keeps_the_exit_code(self):
+        # The error JSON goes to a pipe whose read end is closed.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run_cli(self.UNSUPPORTED, preexec_fn=lambda: os.dup2(write_end, 2))
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_UNSUPPORTED

@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bermanpir"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bermanpir"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 #: (module, name) imported on purpose without a use: benchmarks/tracer.py
 #: patches the name where the module binds it.
-ALLOWED = {("codes", "invert_columns")}
+ALLOWED = {("codes", "invert_columns"), ("pir", "invert_columns")}
 
 
 def imported_names(tree):
@@ -44,3 +45,22 @@ def test_no_unused_imports(module):
     allowed = {name for mod, name in ALLOWED if mod == module}
     assert allowed <= imported_names(ast.parse(source)), "stale allow-list entry"
     assert unused - allowed == set()
+
+
+def tracer_patches():
+    """Each (module, name) that benchmarks/tracer.py's ``LAYERS`` patches a
+    function in: its defining module and every module that imports it."""
+    tree = ast.parse((ROOT / "benchmarks" / "tracer.py").read_text())
+    (layers,) = (
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "LAYERS"
+    )
+    patched = set()
+    for _, module, attr, importers, kind in ast.literal_eval(layers):
+        if kind == "func":
+            patched.update((mod, attr) for mod in (module, *importers))
+    return patched
+
+
+def test_allowed_imports_are_ones_the_tracer_patches():
+    assert ALLOWED <= tracer_patches()

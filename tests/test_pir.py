@@ -255,25 +255,19 @@ class TestDeriveScheme:
             run_retrieval(cfg("DBer(2,1,3)", "DBer(2,1,3)", files=2, seed=seed), seed % 2)
         assert pir._derive.cache_info().misses == 1
 
-    def test_inverses_once_per_pair(self, monkeypatch):
-        # The first run inverts each iteration's and each stripe's columns
-        # once; later runs of the pair invert nothing.
-        calls = []
-        invert = pir.invert_columns
-
-        def counting(m, cols):
-            calls.append(cols)
-            return invert(m, cols)
-
-        monkeypatch.setattr(pir, "invert_columns", counting)
-        pir._derive.cache_clear()
+    def test_runs_reuse_the_schedule_bases(self, monkeypatch):
+        # Decoding and reconstruction read the bases the schedule search
+        # built, so runs after derivation invert and row-reduce nothing.
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)"))
         assert d.b > 1 and d.s_iterations > 1
-        run_retrieval(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=2, seed=1), 0)
-        assert len(calls) == d.s_iterations + d.b
-        calls.clear()
-        run_retrieval(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=3, seed=2), 2)
-        assert calls == []
+
+        def fail(*args):
+            raise AssertionError("a run rebuilt a basis")
+
+        monkeypatch.setattr(pir, "invert_columns", fail)
+        monkeypatch.setattr(pir, "_pivots", fail)
+        assert run_retrieval(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=2, seed=1), 0).reconstructed_ok
+        assert run_retrieval(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=3, seed=2), 2).reconstructed_ok
 
 
 class TestSchedule:
@@ -802,6 +796,12 @@ class TestReconstruct:
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)"))
         with pytest.raises(Incomplete):
             reconstruct_file(d, ((0, 0, 0),))
+        # k_C coordinates per stripe, but one stripe's are not its scheduled set.
+        d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)"))
+        coords = [list(c) for c in d.schedule.stripe_coords]
+        coords[0][0] = min(set(range(d.n_s)) - set(coords[0]))
+        with pytest.raises(Incomplete):
+            reconstruct_file(d, tuple((stripe, c, 0) for stripe in range(d.b) for c in coords[stripe]))
 
 
 class TestPrivacyRank:
