@@ -26,8 +26,8 @@ class VerifyCase:
 
 
 #: Longest family member a sweep may build.  The sweep at ``n_max = 2,
-#: m_max = 9`` (512 coordinates) takes about 4.5 s on one core, 3.6 s of it
-#: in star products; at ``m_max = 10`` it takes about 23 s, 20 s of it in
+#: m_max = 9`` (512 coordinates) takes about 2 s on one core, 1.5 s of it
+#: in star products; at ``m_max = 10`` it takes about 11 s, 9 s of it in
 #: star products.
 MAX_SWEEP_LENGTH = 512
 

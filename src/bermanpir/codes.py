@@ -89,6 +89,16 @@ class LinearCode:
     def _pivots(self) -> dict[int, int]:
         return {w & -w: w for w in self.generator.row_words}
 
+    @cached_property
+    def row_bits(self) -> int:
+        """Set bits over all generator rows."""
+        return sum(w.bit_count() for w in self.generator.row_words)
+
+    @cached_property
+    def column_words(self) -> tuple[int, ...]:
+        """Generator column ``j`` packed over the row index, for every ``j``."""
+        return self.generator.transpose().row_words
+
     def dual(self) -> LinearCode:
         return LinearCode.from_generator(nullspace_basis(self.generator))
 

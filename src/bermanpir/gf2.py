@@ -481,7 +481,11 @@ def _eliminate(words: list[int], ncols: int) -> list[int]:
     Each row is reduced against the pivot rows kept so far, keyed by their
     lowest set bit, until it either finds a new pivot or vanishes over the
     first ``ncols`` bits (a tail row).  One back-substitution pass, highest
-    pivot first, then clears every pivot column above its own row.
+    pivot first, then clears every pivot column above its own row: it walks
+    only the set bits of ``w & later``, the row's bits in the pivot columns
+    above its own.  Each of those pivot rows is already reduced, so it has
+    no bit in any other of those columns, and XORing it in clears its own
+    bit and leaves the rest of the walk as it was.
     """
     mask = (1 << ncols) - 1
     basis: dict[int, int] = {}
@@ -493,12 +497,15 @@ def _eliminate(words: list[int], ncols: int) -> list[int]:
         else:
             tail.append(w)
     lows = sorted(basis)
-    for i in reversed(range(len(lows))):
-        w = basis[lows[i]]
-        for low in lows[i + 1 :]:
-            if w & low:
-                w ^= basis[low]
-        basis[lows[i]] = w
+    later = 0
+    for low in reversed(lows):
+        w = basis[low]
+        hits = w & later
+        while hits:
+            w ^= basis[hits & -hits]
+            hits &= hits - 1
+        basis[low] = w
+        later |= low
     words[:] = [basis[low] for low in lows] + tail
     return [low.bit_length() - 1 for low in lows]
 
@@ -531,19 +538,28 @@ def nullspace_basis(m: BitMatrix) -> BitMatrix:
     """A basis of ``{x : m @ x^T = 0}``, one basis vector per row.
 
     Row count is always ``cols - rank(m)``; for a zero-row matrix this is the
-    identity (the whole space).
+    identity (the whole space).  Free column ``f`` gives ``e_f`` plus
+    ``e_p`` for every RREF row, of pivot ``p``, that has bit ``f``.  Those
+    are read row by row, walking each row's set bits outside its pivot, so
+    the work is the number of such bits rather than free columns times rank.
     """
     rref, pivots = row_reduce(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    above = [0] * m.cols  # column f: the pivots of the rows with bit f
+    free = (1 << m.cols) - 1
+    for p, row in zip(pivots, rref.row_words):
+        pbit = 1 << p
+        free ^= pbit
+        rest = row ^ pbit
+        while rest:
+            bit = rest & -rest
+            above[bit.bit_length() - 1] |= pbit
+            rest ^= bit
     words = []
-    for f in free:
-        w = 1 << f
-        for i, p in enumerate(pivots):
-            if (rref.row_words[i] >> f) & 1:
-                w |= 1 << p
-        words.append(w)
-    return BitMatrix(len(free), m.cols, tuple(words))
+    while free:
+        bit = free & -free
+        words.append(above[bit.bit_length() - 1] | bit)
+        free ^= bit
+    return BitMatrix(len(words), m.cols, tuple(words))
 
 
 def invert_columns(m: BitMatrix, cols: Sequence[int]) -> BitMatrix:

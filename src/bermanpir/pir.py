@@ -718,7 +718,7 @@ def _privacy_verdict(retrieval_code: LinearCode, t: int) -> tuple[bool, str]:
     n_s = retrieval_code.length
     _check_collusion_size(t, n_s)
     if comb(n_s, t) <= EXHAUSTIVE_SUBSETS:
-        cols = retrieval_code.generator.transpose().row_words
+        cols = retrieval_code.column_words
         return all(_projection_rank(cols, subset) == t for subset in combinations(range(n_s), t)), "exhaustive"
     dual = retrieval_code.dual()
     if dual.dimension <= MAX_BRUTE_FORCE_DIM:
@@ -748,7 +748,7 @@ def _family_member(code: LinearCode) -> BermanParams | None:
 def _worst_case_columns(retrieval_code: LinearCode, t: int, prefer: int) -> tuple[int, ...]:
     """A size-t coordinate set minimizing the projection rank (worst case
     for privacy), preferring sets that contain the ``prefer`` coordinate."""
-    cols = retrieval_code.generator.transpose().row_words
+    cols = retrieval_code.column_words
     return min(
         combinations(range(retrieval_code.length), t),
         key=lambda subset: (_projection_rank(cols, subset), 0 if prefer in subset else 1, subset),

@@ -8,7 +8,7 @@ codeword pairs without enumerating them.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,32 +54,96 @@ def star_vectors(a: BitVector, b: BitVector) -> BitVector:
 def star_codes(c: LinearCode, d: LinearCode) -> LinearCode:
     """Span of all pairwise products of generator rows.
 
-    Each distinct product is reduced against the independent products kept
-    so far (:func:`.gf2.reduce_word`) as soon as it is formed, and kept when
-    it leaves a new pivot.  Once ``length`` pivots are kept the span is the
-    whole space, whose RREF is the identity: the remaining products are
-    skipped and no back-substitution is needed.  Otherwise the kept products
-    are brought to the canonical RREF, so the result never depends on the
-    order the products were formed in.
+    Two exact routes feed one pivot dict (:func:`.gf2.reduce_word`), and
+    :func:`_restriction_pays` picks one on each call from the factors' sizes.
+    ``c`` is taken to be the factor whose generator rows have fewer set bits
+    in all (the product commutes).
+
+    * Product loop: each distinct ``a & b``, for rows a of ``c`` and b of
+      ``d``, is reduced as soon as it is formed.
+    * Restriction: by bilinearity ``C * D`` is the sum over the rows a of
+      ``c`` of ``a * D``, which is D projected onto ``supp(a)`` and zero
+      elsewhere; :func:`_restricted_basis` reads the RREF rows of each
+      ``a * D`` off ``|supp a|`` reductions of ``d``'s column words instead
+      of forming ``dim D`` products.  The rows of sparse RREF generators
+      give sparse, often unit, vectors that reduce in a few steps.
+
+    A vector that leaves a new pivot is kept.  Once ``length`` pivots are
+    kept the span is the whole space, whose RREF is the identity: the
+    remaining vectors are skipped and no back-substitution is needed.
+    Otherwise the kept vectors are brought to the canonical RREF, so the
+    result depends neither on the route nor on the order of the vectors.
     """
     if c.length != d.length:
         raise LengthMismatch(f"{c.length} != {d.length}")
     length = c.length
     if c.dimension == 0 or d.dimension == 0:
         return LinearCode.zero(length)
+    if c.row_bits > d.row_bits:
+        c, d = d, c
     pivots: dict[int, int] = {}
-    seen: set[int] = set()
-    right = d.generator.row_words
-    for gw in c.generator.row_words:
-        for hw in right:
-            if (w := gw & hw) in seen:
-                continue
-            seen.add(w)
-            if w := reduce_word(w, pivots):
-                pivots[w & -w] = w
-                if len(pivots) == length:
-                    return LinearCode.full(length)
+    if _restriction_pays(c, d):
+        cols, k = d.column_words, d.dimension
+        for a in c.generator.row_words:
+            for w in _restricted_basis(a, cols, k):
+                if w := reduce_word(w, pivots):
+                    pivots[w & -w] = w
+                    if len(pivots) == length:
+                        return LinearCode.full(length)
+    else:
+        seen: set[int] = set()
+        right = d.generator.row_words
+        for gw in c.generator.row_words:
+            for hw in right:
+                if (w := gw & hw) in seen:
+                    continue
+                seen.add(w)
+                if w := reduce_word(w, pivots):
+                    pivots[w & -w] = w
+                    if len(pivots) == length:
+                        return LinearCode.full(length)
     return LinearCode.from_generator(BitMatrix(len(pivots), length, tuple(pivots.values())))
+
+
+def _restricted_basis(a: int, cols: tuple[int, ...], k: int) -> Iterable[int]:
+    """The RREF rows of ``a * D``, for the code D with ``k``-bit column
+    words ``cols``.
+
+    Each coordinate l of ``supp(a)``, in increasing order, has its column
+    reduced with the tag bit ``k + l`` riding along.  An independent column
+    keeps a pivot; a dependent one leaves only its tags, a relation among
+    the columns made of l and the earlier independent coordinates.  ``a * D``
+    is every vector on ``supp(a)`` orthogonal to those relations, whose RREF
+    rows are ``e_l`` plus ``e_l'`` for every relation of a dependent l' that
+    holds l, one row per independent coordinate l.
+    """
+    mask = (1 << k) - 1
+    local: dict[int, int] = {}
+    tails: dict[int, int] = {}  # independent coordinate bit: its dependent coordinates
+    rest = a
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        w = reduce_word(cols[bit.bit_length() - 1] | bit << k, local)
+        if w & mask:
+            local[w & -w] = w
+            tails[bit] = bit
+            continue
+        held = (w >> k) ^ bit
+        while held:
+            low = held & -held
+            tails[low] |= bit
+            held ^= low
+    return tails.values()
+
+
+def _restriction_pays(c: LinearCode, d: LinearCode) -> bool:
+    """Whether :func:`star_codes` restricts ``d`` to the supports of the
+    rows of ``c``, the sparser factor: when the loop would form more than
+    eight products per set bit of ``c``.  Each set bit costs a column
+    reduction of ``dim D`` bits with its tags, several times the price of one
+    product, so on dense pairs (``DBer(5,1,3)`` squared) the loop wins."""
+    return 8 * c.row_bits < c.dimension * d.dimension
 
 
 def predict_star(p: BermanParams, q: BermanParams) -> Predicted:

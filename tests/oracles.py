@@ -22,6 +22,8 @@ cases without shared work: a fresh rank of the basis, a product formed for
 every ordered pair, and one witness test per coordinate pair.  The
 point-by-point Reed-Muller construction evaluates every monomial at every
 coordinate tuple.
+
+The nullspace scan tests every pivot row at every free column.
 """
 
 from fractions import Fraction
@@ -44,7 +46,7 @@ from bermanpir.berman import (
 )
 from bermanpir.checks import VerifyCase
 from bermanpir.codes import LinearCode
-from bermanpir.gf2 import BitMatrix, rank
+from bermanpir.gf2 import BitMatrix, rank, row_reduce
 from bermanpir.pir import ZeroRate, scheme_row
 from bermanpir.star import star_vectors, verify_star_case
 
@@ -248,6 +250,20 @@ def all_products_star(c, d):
         return LinearCode.zero(c.length)
     products = [gw & hw for gw in c.generator.row_words for hw in d.generator.row_words]
     return LinearCode.from_generator(BitMatrix(len(products), c.length, tuple(products)))
+
+
+def nullspace_reference(m):
+    """The nullspace basis with every pivot row tested at every free column."""
+    rref, pivots = row_reduce(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    words = []
+    for f in free:
+        w = 1 << f
+        for i, p in enumerate(pivots):
+            if (rref.row_words[i] >> f) & 1:
+                w |= 1 << p
+        words.append(w)
+    return BitMatrix(len(free), m.cols, tuple(words))
 
 
 def exhaustive_span(length, vectors):

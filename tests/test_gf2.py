@@ -22,6 +22,7 @@ from bermanpir.gf2 import (
     row_reduce,
     words_to_limbs,
 )
+from oracles import nullspace_reference
 
 
 @st.composite
@@ -207,6 +208,48 @@ class TestEliminationKernel:
         if len(cols) < m.rows:
             return
         assert outcome(invert_columns, m, cols) == outcome(invert_columns, m, cols, reference=True)
+
+
+def dense_unitriangular(n, seed):
+    """An n x n matrix with row i holding bit i and random bits above it, so
+    its RREF is the identity and back-substitution visits many pivots."""
+    rng = np.random.default_rng(seed)
+    words = [(1 << i) | (int.from_bytes(rng.bytes(n // 8 + 1), "little") << (i + 1)) & ((1 << n) - 1)
+             for i in range(n)]
+    return BitMatrix(n, n, tuple(words))
+
+
+class TestBackSubstitutionWalk:
+    """:func:`gf2._eliminate` walks only the set later-pivot bits of each row
+    and :func:`nullspace_basis` reads the RREF rows' free bits: dense cases
+    against the column sweep, and the nullspace word for word against the
+    per-pivot scan."""
+
+    @pytest.mark.parametrize(
+        "m", (dense_unitriangular(96, 0), dense_unitriangular(130, 1), random_matrix(40, 130, 3))
+    )
+    def test_dense_rref_matches_the_column_sweep(self, m):
+        assert row_reduce(m) == outcome(row_reduce, m, reference=True)
+
+    @pytest.mark.parametrize("m, cols", (
+        (dense_unitriangular(64, 2), list(range(64))),
+        (dense_unitriangular(12, 3), list(reversed(range(12)))),
+        (random_matrix(20, 40, 4), list(range(0, 40, 2))),
+    ))
+    def test_augmented_tail_rides_along(self, m, cols):
+        got = outcome(invert_columns, m, cols)
+        assert got == outcome(invert_columns, m, cols, reference=True)
+        if got is not Singular:
+            assert got @ m.take_columns(cols) == BitMatrix.identity(m.rows)
+
+    @given(bit_matrices(max_rows=12, max_cols=40))
+    @example(BitMatrix.identity(7))  # full rank: no free column
+    @example(dense_unitriangular(20, 4))
+    @example(BitMatrix(0, 6, ()))  # no rows: the whole space
+    @example(BitMatrix(0, 0, ()))
+    @example(random_matrix(12, 40, 5))
+    def test_nullspace_matches_the_per_pivot_scan(self, m):
+        assert nullspace_basis(m) == nullspace_reference(m)
 
 
 class TestRank:

@@ -1,10 +1,13 @@
 """Star products: vector algebra, code products, the predicted-case table,
 and the constructive identities behind it."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from bermanpir import checks, star
 from bermanpir.berman import (
     BermanParams,
     CodeKind,
@@ -12,6 +15,7 @@ from bermanpir.berman import (
     build,
     c_vector,
     d_vector,
+    families,
     reed_muller_code,
     tuple_to_index,
     tuple_weight,
@@ -133,6 +137,79 @@ class TestStarCodes:
         left, right, length = drawn
         c, d = (LinearCode.from_generator(BitMatrix(len(rows), length, tuple(rows))) for rows in (left, right))
         assert star_codes(c, d) == all_products_star(c, d)
+
+
+@st.composite
+def star_factors(draw):
+    """Two codes of one length for the star-product routes: each spanned by
+    sparse rows (at most three bits), dense rows, no rows, or every unit row,
+    with repeated rows, and with a random set of columns cleared in both."""
+    length = draw(st.integers(1, 24))
+    top = (1 << length) - 1
+    dead = draw(st.integers(0, top)) if draw(st.booleans()) else 0
+
+    def factor():
+        kind = draw(st.sampled_from(("sparse", "dense", "zero", "full")))
+        if kind == "zero":
+            return LinearCode.zero(length)
+        if kind == "full":
+            words = [1 << i for i in range(length)]
+        else:
+            if kind == "sparse":
+                word = st.lists(st.integers(0, length - 1), max_size=3).map(lambda bits: sum(1 << b for b in set(bits)))
+            else:
+                word = st.integers(0, top)
+            words = draw(st.lists(word, min_size=1, max_size=10))
+            words += words[: draw(st.integers(0, 2))]
+        words = [w & ~dead for w in words]
+        return LinearCode.from_generator(BitMatrix(len(words), length, tuple(words)))
+
+    return factor(), factor()
+
+
+def forced_route(restrict):
+    """Make :func:`star.star_codes` take the restriction (True) or the product loop (False)."""
+    return mock.patch.object(star, "_restriction_pays", lambda c, d: restrict)
+
+
+class TestStarRoutes:
+    """Both routes of :func:`star_codes` against every pairwise product."""
+
+    @given(star_factors())
+    @example((LinearCode.full(6), LinearCode.from_generator(BitMatrix(2, 6, (0b111111, 0b101010)))))
+    @example((LinearCode.zero(5), LinearCode.full(5)))
+    @example(  # column 0 zero in both; repeated rows
+        (
+            LinearCode.from_generator(BitMatrix(3, 5, (0b00110, 0b00110, 0b11000))),
+            LinearCode.from_generator(BitMatrix(2, 5, (0b11110, 0b01010))),
+        )
+    )
+    def test_random_codes_on_each_route(self, factors):
+        c, d = factors
+        want = all_products_star(c, d)
+        for restrict in (True, False):
+            with forced_route(restrict):
+                assert star_codes(c, d) == want, restrict
+                assert star_codes(d, c) == want, restrict
+
+    def test_family_pairs_on_each_route(self):
+        for shape in families(64, 6):
+            if shape[0].n ** shape[0].m > 64:
+                continue
+            members = [build(p) for p in shape]
+            for i, c in enumerate(members):
+                for d in members[i:]:
+                    want = all_products_star(c, d)
+                    for restrict in (True, False):
+                        with forced_route(restrict):
+                            assert star_codes(c, d) == want, (shape[0].n, shape[0].m, restrict)
+
+    def test_default_sweep_takes_both_routes(self, monkeypatch):
+        choose = star._restriction_pays
+        taken = []
+        monkeypatch.setattr(star, "_restriction_pays", lambda c, d: taken.append(choose(c, d)) or taken[-1])
+        assert all(case.ok for case in checks.iter_verification_cases(5, 3))
+        assert True in taken and False in taken
 
 
 class TestPredictStar:
