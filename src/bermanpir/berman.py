@@ -44,7 +44,9 @@ class CodeKind(str, Enum):
     DUAL_BERMAN = "DBer"
 
 
-_NAME_RE = re.compile(r"^(Ber|DBer)\((\d+),(\d+),(\d+)\)$")
+#: ASCII digits only: ``\d`` would also match other scripts' digits, which
+#: ``int`` accepts.
+_NAME_RE = re.compile(r"^(Ber|DBer)\(([0-9]+),([0-9]+),([0-9]+)\)$")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ if stderr can take it.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -28,7 +27,6 @@ from fractions import Fraction
 from typing import NoReturn, TextIO
 
 from .berman import BermanParams
-from .checks import iter_verification_cases
 from .codes import InvalidInput, TooLarge
 from .pir import (
     ScheduleNotFound,
@@ -128,6 +126,8 @@ def build_tables() -> list[dict]:
 
 def _csv_text(rows: Iterable[Sequence[object]]) -> str:
     """``rows`` as CSV, each line ending in a bare newline."""
+    import csv  # here, so that only the csv formats load it
+
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
@@ -245,6 +245,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .checks import iter_verification_cases  # here, so that only verify loads it
+
     cases = list(iter_verification_cases(args.nmax, args.mmax))
     failures = sum(1 for c in cases if not c.ok)
     if args.format == "json":

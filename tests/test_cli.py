@@ -119,6 +119,23 @@ class TestParams:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "storage, retrieval",
+        (
+            ("DBer(٣,1,3)", "DBer(3,0,3)"),  # ARABIC-INDIC DIGIT THREE
+            ("DBer(3,0,3)", "DBer(3,1,３)"),  # FULLWIDTH DIGIT THREE
+            ("Ber(3,०,3)", "DBer(3,1,3)"),  # DEVANAGARI DIGIT ZERO
+        ),
+    )
+    def test_non_ascii_digit_is_a_parse_error(self, storage, retrieval, capsys):
+        assert main(["params", "--storage", storage, "--retrieval", retrieval]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "ValueError"
+        assert error["message"].startswith("cannot parse code name")
+
     @pytest.mark.skipif(not INT_DIGITS, reason="no int-to-str digit limit")
     def test_number_past_the_digit_limit_is_a_parse_error(self, capsys):
         name = f"DBer(2,0,{'1' * (INT_DIGITS + 1)})"

@@ -34,10 +34,13 @@ ALLOWED = {
 
 def definitions(tree):
     """Dotted names of the module-level functions and of the public methods
-    of module-level classes."""
+    of module-level classes.  Module-level dunder hooks (PEP 562
+    ``__getattr__`` and ``__dir__``) are skipped: the interpreter calls them,
+    never the program by name."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield node.name
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name
         elif isinstance(node, ast.ClassDef):
             yield from (
                 f"{node.name}.{item.name}"
@@ -71,7 +74,7 @@ def unnamed(definitions_by_module, names):
 
 def test_detector_flags_an_unnamed_function_and_method():
     tree = ast.parse(
-        "def used(): pass\ndef unused(): pass\n"
+        "def used(): pass\ndef unused(): pass\ndef __getattr__(name): pass\n"
         "class A:\n    def kept(self): pass\n    def dropped(self): pass\n    def _private(self): pass\n"
         "used()\npatch('m.A.kept')\n"
     )
