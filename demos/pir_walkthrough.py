@@ -7,7 +7,16 @@ stripe's codeword), retrieval code DBer(3,1,2), collusion resistance t=3.
 Run: python3 demos/pir_walkthrough.py
 """
 
-from bermanpir import BermanParams, SchemeConfig, derive_scheme, run_retrieval, verify_privacy_empirical, verify_privacy_rank
+from bermanpir import (
+    BermanParams,
+    BitVector,
+    SchemeConfig,
+    derive_scheme,
+    run_retrieval,
+    verify_privacy_empirical,
+    verify_privacy_rank,
+)
+from bermanpir.berman import translate
 
 config = SchemeConfig(
     storage=BermanParams.parse("DBer(3,0,2)"),
@@ -23,7 +32,10 @@ print(f"storage dimension  k_C = {derived.k_c}   (storage rate {derived.r_st})")
 print(f"product dual dim       = {derived.d_perp}  (retrieval rate {derived.r_pir})")
 print(f"collusion          t   = {derived.t}")
 print(f"stripes per file   b   = {derived.b}, iterations S = {derived.s_iterations}")
-print("per-iteration recovery plan (coordinate -> stripe):")
+schedule = derived.schedule
+print(f"iteration offsets  I_0 = W(C)      = {schedule.iteration_shifts}")
+print(f"stripe offsets     J_0 = W(E^perp) = {schedule.stripe_shifts}")
+print("per-iteration recovery plan (coordinate -> stripe), the offsets added componentwise mod n:")
 for it, plan in enumerate(derived.schedule.iterations):
     pairs = ", ".join(f"{c}->s{s}" for s, c in plan.assignments())
     print(f"  iteration {it}: {pairs}")
@@ -35,7 +47,10 @@ for it, rec in enumerate(transcript.iterations):
     print(f"iteration {it}:")
     print(f"  query column to server 0: {rec.query.column(0)}")
     print(f"  responses from all servers: {rec.response}")
-    print(f"  syndrome: {derived.parity.mul_vector(rec.response)}")
+    offset = schedule.iteration_shifts[it]
+    back = BitVector(derived.n_s, translate(rec.response.word, schedule.n, [-x for x in offset]))
+    print(f"  responses translated by -{offset}: {back}")
+    print(f"  syndrome (M_E H') r', one planted bit per stripe: {derived.parity.mul_vector(back)}")
     print(f"  recovered (stripe, coordinate, bit): {rec.recovered}")
 print("stored file 0:")
 print(transcript.stored_file)

@@ -39,7 +39,6 @@ _EXPORTS = {
         "row_reduce",
     ),
     "pir": (
-        "ScheduleNotFound",
         "SchemeConfig",
         "SchemeDerived",
         "Transcript",

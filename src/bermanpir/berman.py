@@ -194,14 +194,31 @@ def _check_tuple(n: int, m: int, t: IndexTuple) -> None:
 # Construction paths.
 
 
+def _defining_tuples(params: BermanParams) -> Iterator[tuple[int, IndexTuple]]:
+    """(coordinate, tuple) of each tuple defining the family basis, in
+    coordinate-index order: weight above r for Ber, at most r for DBer."""
+    berman = params.kind is CodeKind.BERMAN
+    for index, t in enumerate(all_tuples(params.n, params.m)):
+        if (tuple_weight(t) > params.r) is berman:
+            yield index, t
+
+
 def basis_vectors(params: BermanParams) -> tuple[BitVector, ...]:
     """The family's basis, in coordinate-index order of the defining tuples."""
-    n, m, r = params.n, params.m, params.r
-    if params.kind is CodeKind.BERMAN:
-        return tuple(
-            c_vector(n, m, t) for t in all_tuples(n, m) if r + 1 <= tuple_weight(t) <= m
-        )
-    return tuple(d_vector(n, m, t) for t in all_tuples(n, m) if tuple_weight(t) <= r)
+    vector = c_vector if params.kind is CodeKind.BERMAN else d_vector
+    return tuple(vector(params.n, params.m, t) for _, t in _defining_tuples(params))
+
+
+def weight_set(params: BermanParams) -> tuple[int, ...]:
+    """W(p): the coordinates of the defining tuples, ascending.
+
+    Restricted to W(p), the family basis is a square matrix M with
+    ``M @ M = I``.  For DBer, entry (t, s) is 1 iff t precedes s, so entry
+    (t, u) of ``M @ M`` counts the s between t and u, of which there are
+    ``2^(weight(u) - weight(t))``; all of them lie in W(p).  It is odd iff
+    ``t = u``.  For Ber the order is reversed.  So W(p) is an information
+    set of the code, and M is its own inverse."""
+    return tuple(index for index, _ in _defining_tuples(params))
 
 
 def length_beyond(n: int, m: int, limit: int) -> str | None:
@@ -351,53 +368,45 @@ def reed_muller_code(r: int, m: int) -> LinearCode:
 
 
 # ---------------------------------------------------------------------------
-# Coordinate symmetries: translation invariance, checked at tiny lengths.
+# Coordinate symmetries: the translations of Z_n^m, on words.
 
 
-def permute_vector(v: BitVector, perm: tuple[int, ...]) -> BitVector:
-    """Move the bit at coordinate ``i`` to coordinate ``perm[i]``."""
-    if len(perm) != v.length:
-        raise LengthMismatch("permutation arity does not match the vector")
-    word = 0
-    rest = v.word
-    while rest:
-        i = (rest & -rest).bit_length() - 1
-        word |= 1 << perm[i]
-        rest &= rest - 1
-    return BitVector(v.length, word)
+@lru_cache(maxsize=None)
+def _rotations(n: int, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per tuple component l: its sub-block size ``s = n^(m-1-l)``, and for
+    each a in ``0..n-1`` the mask of sub-blocks ``0..n-a-1`` inside every
+    block of size ``n*s``, the coordinates whose component l stays below n
+    when a is added to it."""
+    rotations = []
+    for l in range(m):
+        size = n ** (m - 1 - l)
+        every_block = ((1 << n**m) - 1) // ((1 << n * size) - 1)  # bit 0 of each block
+        rotations.append((size, tuple(every_block * ((1 << (n - a) * size) - 1) for a in range(n))))
+    return tuple(rotations)
 
 
-def translation_permutation(n: int, m: int, shift: IndexTuple) -> tuple[int, ...]:
-    """Componentwise modular shift of the coordinate tuples: entry ``i`` is
-    the index of tuple ``i`` moved by ``shift``."""
-    if len(shift) != m:
-        raise LengthMismatch(f"expected an {m}-tuple shift")
-    perm = [0]
-    for s in shift:  # most significant component first, as in tuple_to_index
-        perm = [p * n + (x + s) % n for p in perm for x in range(n)]
-    return tuple(perm)
+def translate(word: int, n: int, shift: IndexTuple) -> int:
+    """``word`` with the bit of each coordinate tuple i moved to ``i + shift``,
+    componentwise mod n, on length ``n^m`` for ``m = len(shift)``.
 
-
-def is_automorphism(code: LinearCode, perm: tuple[int, ...]) -> bool:
-    """True iff permuting coordinates maps the code onto itself."""
-    return all(
-        code.contains(permute_vector(code.generator.row(i), perm))
-        for i in range(code.dimension)
-    )
-
-
-def coordinate_shift(n: int, m: int, a: int, b: int) -> IndexTuple:
-    """The componentwise shift ``t_b - t_a (mod n)`` whose translation maps
-    coordinate a to coordinate b."""
-    ta, tb = index_to_tuple(n, m, a), index_to_tuple(n, m, b)
-    return tuple((y - x) % n for x, y in zip(ta, tb))
+    Adding a to component l moves sub-block x of size ``s = n^(m-1-l)`` to
+    sub-block ``x + a (mod n)`` inside each block of size ``n*s``: the low
+    sub-blocks ``x < n - a`` move up by ``a*s`` and the others down by
+    ``(n - a)*s``, two masked shifts per component.  Components may be
+    negative; they are taken mod n."""
+    for (size, lows), a in zip(_rotations(n, len(shift)), shift):
+        a %= n
+        if a:
+            low = lows[a]
+            word = (word & low) << a * size | (word & ~low) >> (n - a) * size
+    return word
 
 
 def transitivity_witness(params: BermanParams, a: int, b: int) -> bool:
-    """True iff the componentwise translation taking coordinate a to b
-    preserves the code.  The answer depends on a and b only through
-    :func:`coordinate_shift`.
-    """
+    """True iff the componentwise translation taking coordinate a to b,
+    by the tuple ``t_b - t_a (mod n)``, maps every generator row of the code
+    into the code, and so the code onto itself."""
+    code = build(params)
     n, m = params.n, params.m
-    shift = coordinate_shift(n, m, a, b)
-    return is_automorphism(build(params), translation_permutation(n, m, shift))
+    shift = tuple(y - x for x, y in zip(index_to_tuple(n, m, a), index_to_tuple(n, m, b)))
+    return all(code.contains(BitVector(code.length, translate(w, n, shift))) for w in code.generator.row_words)

@@ -9,9 +9,9 @@ fails to open, write or close, or a stdout closed or failing), 3 unsupported
 pair or zero rate, 4 verification failure (a broken protocol invariant, an
 internal GF(2) or protocol-step error such as ``Singular``,
 ``LengthMismatch``, ``Incomplete`` or ``ShapeMismatch``, or any other error,
-a bare ``ValueError`` included), 5 no schedule (proved not to exist, or not
-found within the search budget).  Every error is one JSON object on stderr,
-if stderr can take it.
+a bare ``ValueError`` included).  Exit 5 is retired: it meant "no schedule"
+while schedules came from a search, and it is never reused.  Every error is
+one JSON object on stderr, if stderr can take it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import NoReturn, TextIO
 from .berman import BermanParams
 from .codes import InvalidInput, TooLarge
 from .pir import (
-    ScheduleNotFound,
     SchemeConfig,
     UnsupportedPair,
     ZeroRate,
@@ -43,7 +42,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_VERIFY_FAILED = 4
-EXIT_NO_SCHEDULE = 5
 
 
 class OutputUnwritable(ValueError):
@@ -57,7 +55,6 @@ class OutputUnwritable(ValueError):
 #: bare ``ValueError``, which only a library fault raises.
 EXIT_CODES = (
     ((UnsupportedPair, ZeroRate), EXIT_UNSUPPORTED),
-    (ScheduleNotFound, EXIT_NO_SCHEDULE),
     ((InvalidInput, TooLarge, OutputUnwritable, MemoryError), EXIT_PARSE),
 )
 

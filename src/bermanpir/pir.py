@@ -8,11 +8,17 @@ column of a query matrix ``Q = D_rand + E`` of the same shape, whose random
 part has rows drawn uniformly from the retrieval code D and whose deliberate
 part plants single bits of the demanded file's stripes.  Server ``i``
 answers with the inner product of its two columns, so the whole response
-vector is the XOR over rows r of ``stored_r & Q_r``.  Multiplying it by a
-parity-check matrix H of ``C * D`` annihilates the random part and exposes
-the planted codeword bits, which an invertible column selection of H then
-recovers.  After all iterations each stripe holds an information set of C,
-from whose generator columns the file follows.
+vector is the XOR over rows r of ``stored_r & Q_r``.  Every Berman code is
+invariant under the translations of ``Z_n^m``, so the schedule is an
+addition table: iteration a, one per coordinate of ``I_0 = W(C)``, recovers
+coordinate ``a + c`` of stripe c, one per coordinate of
+``J_0 = W((C * D)^perp)`` (see :func:`.berman.weight_set`).  The response
+translated by -a, times the family basis H' of ``(C * D)^perp``, loses its
+random part and leaves the planted bits times ``M_E``, H' on ``J_0``, which
+is its own inverse.  After all iterations each stripe c holds C's codeword
+on ``I_0 + c``; translated back it is read through ``M_C``, the family basis
+of C on ``I_0``, also its own inverse.  So ``b = d_perp`` and ``S = k_C``,
+and neither step eliminates anything once the pair is derived.
 
 The bulk work runs on NumPy limb arrays (see :mod:`.gf2`): the queries of a
 run of consecutive iterations are one table product of their packed message
@@ -21,8 +27,6 @@ iteration's response is one XOR reduction over the rows of ``stored & Q``.
 The matrices the stages return keep those limbs and become Python integers
 only where something reads their words; a retrieval itself reads the words
 of the response vectors and the demanded file alone.
-Decoding and reconstruction read the tagged pivot bases the schedule search
-built, so each pair row-reduces each iteration's and stripe's columns once.
 
 Collusion resistance: any t servers see t columns of Q, and those are
 exactly uniform as long as every t-column projection of D is the full
@@ -38,23 +42,26 @@ order is documented in :func:`run_retrieval`.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, islice
-from math import comb, gcd
+from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 
 from .berman import (
     BermanParams,
     CodeKind,
+    basis_vectors,
     build,
     check_digits,
     check_length,
     dimension_formula,
     min_distance_formula,
+    translate,
+    weight_set,
 )
 from .codes import MAX_BRUTE_FORCE_DIM, InvalidInput, LinearCode, ProtocolInvariantError, TooLarge
 from .gf2 import (
@@ -79,10 +86,6 @@ class UnsupportedPair(ValueError):
 
 class ZeroRate(ValueError):
     """The product code fills the whole space, leaving nothing to retrieve."""
-
-
-class ScheduleNotFound(RuntimeError):
-    """No schedule: proved not to exist, or not found within the budget."""
 
 
 class Incomplete(ValueError):
@@ -189,14 +192,17 @@ class IterationPlan:
 
 @dataclass(frozen=True)
 class Schedule:
-    """The same assignment seen both ways: per iteration, its plan; per
-    stripe, its coordinates (ascending), an information set of C; and each
-    block's tagged pivot basis (see :func:`_augment`) of H's or G_C's columns."""
+    """The addition table of two weight sets of ``Z_n^m``: iteration i and
+    stripe p meet at the coordinate of ``iteration_shifts[i] +
+    stripe_shifts[p]``, the tuples added componentwise mod n.  Seen per
+    iteration, its plan; per stripe, its coordinates in iteration order, a
+    translate of an information set of C."""
 
+    n: int
+    iteration_shifts: tuple[tuple[int, ...], ...]
+    stripe_shifts: tuple[tuple[int, ...], ...]
     iterations: tuple[IterationPlan, ...]
     stripe_coords: tuple[tuple[int, ...], ...]
-    iteration_bases: tuple[dict[int, int], ...] = field(compare=False, repr=False)
-    stripe_bases: tuple[dict[int, int], ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -207,15 +213,24 @@ class SchemeDerived:
     storage_code: LinearCode
     retrieval_code: LinearCode
     product_code: LinearCode
-    parity: BitMatrix  # generator of (C*D)^perp, the syndrome map H
+    parity: BitMatrix  # M_E H': a parity-check matrix of C*D, the identity on J_0
+    systematic: BitMatrix  # M_C B_C: a generator of C, the identity on I_0
     k_c: int
     d_perp: int
     t: int
     r_st: Fraction
     r_pir: Fraction
-    b: int
-    s_iterations: int
     schedule: Schedule
+
+    @property
+    def b(self) -> int:
+        """Stripes per file: one per coordinate of ``J_0``."""
+        return self.d_perp
+
+    @property
+    def s_iterations(self) -> int:
+        """Iterations: one per coordinate of ``I_0``."""
+        return self.k_c
 
     def file_row(self, demand: int, stripe: int) -> int:
         return demand * self.b + stripe
@@ -229,13 +244,23 @@ def derive_scheme(config: SchemeConfig) -> SchemeDerived:
 
 @lru_cache(maxsize=None)
 def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
-    """Derive codes, rates, the syndrome map, and a feasible schedule.
+    """Derive codes, rates, the syndrome map, and the schedule.
 
     Refusals by name (unsupported pair, zero rate) come before the length
-    guard, and both before any arithmetic on ``n^m``.  The product code is
-    constructed outright and its dual dimension must match the case table's
-    rate; stripes and iterations are the smallest integers making
-    ``b * k_C = S * d_perp`` exact.
+    guard, and both before any arithmetic on ``n^m``.  The product code E is
+    constructed outright and its dimension must match the case table's
+    rate.  H' is the family basis of the member ``E^perp`` that the table
+    names, ``n - dim E`` rows, and ``M_E`` is H' on ``J_0 = W(E^perp)``;
+    ``B_C`` and ``M_C`` are the same for C on ``I_0 = W(C)`` (see
+    :func:`.berman.weight_set`).  The products ``M_E H'`` and ``M_C B_C``
+    are formed once, so decoding and reconstruction each multiply by one
+    matrix.  Three checks, each on one table product, make ``M_E H'`` a
+    parity-check matrix of E: it is the identity on ``J_0``, so
+    ``M_E @ M_E = I`` and its rows are independent; it annihilates E's
+    generator; and ``M_C B_C`` is the identity on ``I_0``, so
+    ``M_C @ M_C = I``.  Each raises :class:`ProtocolInvariantError`, even
+    under ``python -O``.  The schedule is the addition table of ``I_0`` and
+    ``J_0`` (:func:`_addition_table`), so ``S = k_C`` and ``b = d_perp``.
     """
     product = _product(storage, retrieval)
     check_length(storage)
@@ -244,296 +269,67 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     d = build(retrieval)
     n_s = c.length
     e = star_codes(c, d)
-    e_dual = e.dual()
-    d_perp = e_dual.dimension
-    if Fraction(d_perp, n_s) != r_pir:
+    perp = product.dual
+    iteration_set, stripe_set = weight_set(storage), weight_set(perp)
+    if n_s - e.dimension != len(stripe_set) or Fraction(len(stripe_set), n_s) != r_pir:
         raise ProtocolInvariantError("constructed product dimension disagrees with the case table")
-    k_c = c.dimension
-    g = gcd(d_perp, k_c)
-    b = d_perp // g
-    s_iterations = b * k_c // d_perp
-    schedule = _solve_schedule(c.generator, e_dual.generator, b, k_c, d_perp, s_iterations)
+    parity = _self_inverse_product(perp, stripe_set, "syndrome")
+    if (parity @ e.generator.transpose()).limbs.any():
+        raise ProtocolInvariantError("the syndrome map does not annihilate the product code")
     return SchemeDerived(
         n_s=n_s,
         storage_code=c,
         retrieval_code=d,
         product_code=e,
-        parity=e_dual.generator,
-        k_c=k_c,
-        d_perp=d_perp,
+        parity=parity,
+        systematic=_self_inverse_product(storage, iteration_set, "storage"),
+        k_c=c.dimension,
+        d_perp=len(stripe_set),
         t=t,
         r_st=r_st,
         r_pir=r_pir,
-        b=b,
-        s_iterations=s_iterations,
-        schedule=schedule,
+        schedule=_addition_table(storage.n, storage.m, iteration_set, stripe_set),
     )
 
 
-#: Exchange-graph arcs the augmenting-path phase may scan, plus the
-#: (coordinate, stripe) elements its searches reach, before it gives up;
-#: listing the arcs into one iteration counts one per coordinate.  Counting
-#: reached elements bounds the records the search keeps, not only its time.
-SCHEDULE_BUDGET = 1_000_000
+def _self_inverse_product(params: BermanParams, coords: tuple[int, ...], name: str) -> BitMatrix:
+    """``M B``, where B is the family basis of ``params`` and M is B on its
+    weight set ``coords``; raises :class:`ProtocolInvariantError` unless its
+    columns ``coords``, ``M @ M``, are the identity."""
+    basis = BitMatrix.from_rows(basis_vectors(params), params.length)
+    product = basis.take_columns(coords) @ basis
+    if product.take_columns(coords) != BitMatrix.identity(len(coords)):
+        raise ProtocolInvariantError(f"the {name} basis on its weight set is not its own inverse")
+    return product
 
 
-def _set_bits(word: int) -> Iterator[int]:
-    """The indices of ``word``'s set bits, lowest first."""
-    while word:
-        low = word & -word
-        yield low.bit_length() - 1
-        word ^= low
+def _addition_table(n: int, m: int, iteration_set: tuple[int, ...], stripe_set: tuple[int, ...]) -> Schedule:
+    """The schedule whose iteration a (of ``I_0 = W(C)``) recovers, for
+    stripe c (of ``J_0 = W(E^perp)``), coordinate ``a + c``.
 
+    Iteration a covers ``J_0 + a``, a translate of an information set of
+    ``E^perp``, so its columns of H' are independent; stripe c covers
+    ``I_0 + c``, a translate of an information set of C.  Every Berman code
+    is invariant under the translations of ``Z_n^m``, so both stay
+    information sets, and addition commutes, so both views cover the same
+    coordinates.  The table is formed on the tuples' digits at once; each
+    stripe lists its coordinates in iteration order."""
+    place = n ** np.arange(m - 1, -1, -1)
 
-def _pivots(words: Iterable[int], low: int) -> dict[int, int]:
-    """Pivot dict of independent tagged column words (see :func:`_augment`)."""
-    pivots: dict[int, int] = {}
-    for w in words:
-        w = reduce_word(w, pivots)
-        if not w & low:
-            raise ProtocolInvariantError("a schedule block holds dependent columns")
-        pivots[w & -w] = w
-    return pivots
+    def digits(coords: tuple[int, ...]) -> np.ndarray:
+        return np.asarray(coords)[:, None] // place % n
 
-
-def _solve_schedule(
-    g_c: BitMatrix, h: BitMatrix, b: int, k_c: int, d_perp: int, s_iterations: int
-) -> Schedule:
-    """A schedule as a common independent set of two matroids (Edmonds, 1970).
-
-    The ground set has one element (coordinate j, iteration it, stripe s) per
-    triple.  M1 is M(H) on each iteration, with one parallel copy of column j
-    per stripe; M2 is M(G_C) on each stripe, with one parallel copy per
-    iteration.  A common independent set of size ``b * k_C = S * d_perp``
-    gives every iteration an invertible column selection of H and every stripe
-    an information set of C: a schedule.
-
-    Greedy pass: slot ``p`` belongs to iteration ``p // d_perp`` and serves
-    stripe ``p % b``, so stripes are served round-robin; it takes the first
-    coordinate from ``p mod n_s`` onward that keeps both column sets
-    independent, or stays empty.  Iterations are filled one after another,
-    and bases only grow, so a coordinate found dependent stays dependent: the
-    pass keeps, for the current iteration, each coordinate's H column reduced
-    so far (resumed with :func:`.gf2.reduce_word`) and a mask of the
-    coordinates not yet found dependent, and the same mask per stripe.  A
-    slot scans only the coordinates open in both masks, and each test either
-    fills the slot or closes a coordinate in one mask, so the pass makes at
-    most ``(S + b) * n_s + b * k_C`` tests.  Then every block's tagged basis
-    is built, and empty slots are filled by :func:`_augment`, or it raises
-    ScheduleNotFound.  The schedule keeps the set both ways, and the bases.
-    """
-    slots = b * k_c
-    if s_iterations * d_perp != slots:
-        raise ScheduleNotFound(
-            f"no schedule exists: {b} stripes of {k_c} coordinates do not fill "
-            f"{s_iterations} iterations of {d_perp}"
-        )
-    if h.rows > d_perp or g_c.rows > k_c:
-        raise ValueError("H may have at most d_perp rows and G_C at most k_C rows")
-    n_s = g_c.cols
-    g_cols = g_c.transpose().row_words
-    h_cols = h.transpose().row_words
-    it_set: list[dict[int, int]] = [{} for _ in range(s_iterations)]  # coordinate -> stripe
-    st_set: list[dict[int, int]] = [{} for _ in range(b)]  # coordinate -> iteration
-    st_basis: list[dict[int, int]] = [{} for _ in range(b)]
-    every = (1 << n_s) - 1
-    st_open = [every] * b  # per stripe, the coordinates not yet dependent in it
-    for p in range(slots):
-        it, s = p // d_perp, p % b
-        if p % d_perp == 0:  # a new iteration: empty basis, every coordinate open
-            it_basis: dict[int, int] = {}
-            h_red = list(h_cols)
-            it_open = every
-        start = p % n_s
-        candidates = it_open & st_open[s]
-        ahead = candidates >> start << start
-        for j in chain(_set_bits(ahead), _set_bits(candidates ^ ahead)):
-            w = h_red[j] = reduce_word(h_red[j], it_basis)
-            if not w:
-                it_open ^= 1 << j
-                continue
-            g = reduce_word(g_cols[j], st_basis[s])
-            if not g:
-                st_open[s] ^= 1 << j
-                continue
-            it_basis[w & -w] = w
-            st_basis[s][g & -g] = g
-            it_open ^= 1 << j
-            st_open[s] ^= 1 << j
-            it_set[it][j] = s
-            st_set[s][j] = it
-            break
-    h_cols = tuple(w | 1 << (h.rows + j) for j, w in enumerate(h_cols))
-    g_cols = tuple(w | 1 << (g_c.rows + j) for j, w in enumerate(g_cols))
-    it_bases = [_pivots((h_cols[j] for j in members), (1 << h.rows) - 1) for members in it_set]
-    st_bases = [_pivots((g_cols[j] for j in members), (1 << g_c.rows) - 1) for members in st_set]
-    if sum(map(len, it_set)) < slots:
-        _augment(g_cols, g_c.rows, h_cols, h.rows, k_c, d_perp, it_set, st_set, it_bases, st_bases)
-
-    iterations = []
-    for members in it_set:
-        pairs = sorted(members.items())
-        iterations.append(IterationPlan(tuple(c for c, _ in pairs), tuple(s for _, s in pairs)))
-    return Schedule(tuple(iterations), tuple(tuple(sorted(m)) for m in st_set), tuple(it_bases), tuple(st_bases))
-
-
-def _augment(
-    g_cols: tuple[int, ...],
-    g_top: int,
-    h_cols: tuple[int, ...],
-    h_top: int,
-    k_c: int,
-    d_perp: int,
-    it_set: list[dict[int, int]],
-    st_set: list[dict[int, int]],
-    it_basis: list[dict[int, int]],
-    st_basis: list[dict[int, int]],
-) -> None:
-    """Fill a partial schedule by matroid intersection, in place.
-
-    ``g_cols`` and ``h_cols`` are the column words of G_C and H, tagged: with
-    ``top`` rows, column j carries bit ``top + j``.  Reduced against a
-    block's basis, the :func:`_pivots` of its tagged columns, a dependent
-    column leaves only tags, which form its fundamental circuit.  ``it_set``
-    maps each iteration's coordinates to their stripes and ``st_set`` each
-    stripe's to their iterations, a common independent set (see
-    :func:`_solve_schedule`); ``it_basis`` and ``st_basis``, each block's
-    basis, are rebuilt where it changes.  While it is short of ``b * k_C``
-    elements, a
-    breadth-first search finds a shortest path in the exchange graph from an
-    element that M1 accepts to one that M2 accepts, and the set is swapped
-    along it, growing by one.  When no path exists the set is a maximum
-    common independent set, which proves that no schedule exists.  That
-    proof, or scanning and reaching more than :data:`SCHEDULE_BUDGET` arcs
-    and elements, raises ScheduleNotFound, and its message says which of the
-    two it was.
-    """
-    s_iterations, b = len(it_set), len(st_set)
-    slots = b * k_c
-    n_s = len(g_cols)
-    h_low, g_low = (1 << h_top) - 1, (1 << g_top) - 1
-
-    # Per iteration until it changes: the coordinates whose column is free
-    # in it, and for each member coordinate the coordinates whose circuit
-    # holds it.  Per stripe until it changes: each coordinate's reduced column.
-    it_arcs: list[tuple[list[int], dict[int, list[int]]] | None] = [None] * s_iterations
-    st_reduced: list[dict[int, int]] = [{} for _ in range(b)]
-    scanned = 0
-    missing = slots - sum(map(len, it_set))
-
-    def scan(arcs: int) -> None:
-        nonlocal scanned
-        scanned += arcs
-        if scanned > SCHEDULE_BUDGET:
-            raise ScheduleNotFound(
-                f"schedule search scanned more than {SCHEDULE_BUDGET} exchange-graph arcs and elements "
-                f"with {missing} of {slots} slots still empty"
-            )
-
-    def iteration_arcs(it: int) -> tuple[list[int], dict[int, list[int]]]:
-        if (arcs := it_arcs[it]) is None:
-            free: list[int] = []
-            holders: dict[int, list[int]] = {}
-            for j in range(n_s):
-                w = reduce_word(h_cols[j], it_basis[it])
-                if w & h_low:
-                    free.append(j)
-                else:
-                    for member in _set_bits(w >> h_top ^ 1 << j):
-                        holders.setdefault(member, []).append(j)
-            scan(n_s)
-            arcs = it_arcs[it] = (free, holders)
-        return arcs
-
-    def stripe_reduced(s: int, j: int) -> int:
-        if (w := st_reduced[s].get(j)) is None:
-            w = st_reduced[s][j] = reduce_word(g_cols[j], st_basis[s])
-        return w
-
-    every_stripe = (1 << b) - 1
-    while missing:
-        short = sum(1 << s for s in range(b) if len(st_set[s]) < k_c)
-        # An element (j, it, s) off the set has out-arcs that depend on
-        # (j, s) alone, so the search keys it by (j, s) and records the
-        # iteration it was reached through as part of its parent.  A sink is
-        # taken when first reached, which keeps the path a shortest one.
-        reached = [0] * n_s  # per coordinate, a mask of the stripes reached
-        outer_parent: dict[tuple[int, int], tuple[int, tuple[int, int] | None]] = {}
-        inner_parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-        def reach(
-            j: int, fresh: int, it: int, y: tuple[int, int] | None, layer: list[tuple[int, int]]
-        ) -> tuple[int, int] | None:
-            scan(fresh.bit_count())
-            reached[j] |= fresh
-            for s in _set_bits(fresh):
-                outer_parent[j, s] = (it, y)
-                layer.append((j, s))
-            # A sink: the lowest stripe short of k_C in which column j is free.
-            for s in _set_bits(fresh & short):
-                if stripe_reduced(s, j) & g_low:
-                    return j, s
-            return None
-
-        frontier: list[tuple[int, int]] = []
-        sink = None
-        for it in range(s_iterations):
-            if len(it_set[it]) < d_perp:
-                for j in iteration_arcs(it)[0]:
-                    fresh = every_stripe & ~reached[j]
-                    if fresh and (sink := reach(j, fresh, it, None, frontier)):
-                        break
-                if sink:
-                    break
-        while frontier and not sink:
-            inner: list[tuple[int, int]] = []  # set elements, as (coordinate, iteration)
-            for j, s in frontier:
-                circuit = stripe_reduced(s, j) >> g_top ^ 1 << j
-                for member in _set_bits(circuit):
-                    y = (member, st_set[s][member])
-                    if y not in inner_parent:
-                        inner_parent[y] = (j, s)
-                        inner.append(y)
-                scan(circuit.bit_count())
-            frontier = []
-            for member, it in inner:
-                holders = iteration_arcs(it)[1].get(member, ())
-                for j in holders:
-                    fresh = every_stripe & ~reached[j]
-                    if j == member:  # its copy in its own stripe is the element itself
-                        fresh &= ~(1 << it_set[it][member])
-                    if fresh and (sink := reach(j, fresh, it, (member, it), frontier)):
-                        break
-                if sink:
-                    break
-                scan(len(holders))
-        if not sink:
-            raise ScheduleNotFound(
-                f"no schedule exists: at most {slots - missing} of {slots} slots can be filled "
-                "(no augmenting path)"
-            )
-        added, dropped = [], []
-        j, s = sink
-        it, y = outer_parent[j, s]
-        added.append((j, it, s))
-        while y is not None:
-            member, it = y
-            dropped.append((member, it, it_set[it][member]))
-            j, s = inner_parent[y]
-            it, y = outer_parent[j, s]
-            added.append((j, it, s))
-        for j, it, s in dropped:
-            del it_set[it][j], st_set[s][j]
-        for j, it, s in added:
-            it_set[it][j] = s
-            st_set[s][j] = it
-        for it in {it for _, it, _ in added}:
-            it_basis[it] = _pivots((h_cols[j] for j in it_set[it]), h_low)
-            it_arcs[it] = None
-        for s in {s for _, _, s in added}:
-            st_basis[s] = _pivots((g_cols[j] for j in st_set[s]), g_low)
-            st_reduced[s] = {}
-        missing -= 1
+    rows, cols = digits(iteration_set), digits(stripe_set)
+    table = (rows[:, None] + cols[None]) % n @ place
+    order = np.argsort(table, axis=1)
+    coords = np.take_along_axis(table, order, axis=1)
+    return Schedule(
+        n=n,
+        iteration_shifts=tuple(map(tuple, rows.tolist())),
+        stripe_shifts=tuple(map(tuple, cols.tolist())),
+        iterations=tuple(IterationPlan(tuple(c), tuple(s)) for c, s in zip(coords.tolist(), order.tolist())),
+        stripe_coords=tuple(map(tuple, table.T.tolist())),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -630,41 +426,51 @@ def decode_iteration(
 ) -> tuple[tuple[int, int, int], ...]:
     """Syndrome-decode one response vector into (stripe, coordinate, bit).
 
-    The parity map annihilates the random query contribution, so the
-    syndrome equals ``H[:, J] x`` where x holds the planted codeword bits at
-    the coordinates J.  J's d_perp columns span, so the syndrome reduced
-    against the iteration's tagged basis keeps only the tags of the columns
-    summing to it: tag j is the planted bit at coordinate j.
+    Iteration a plants stripe p's bit at coordinate ``a + c`` for the p-th
+    c of ``J_0``.  The response translated by -a, ``r'(j) = r(j + a)``,
+    holds them at ``J_0`` itself, and its random part stays a codeword of
+    the translation-invariant product code, which H' annihilates.  So
+    ``H' r' = M_E x`` for the planted bits x, and ``x = M_E (H' r')``, since
+    ``M_E`` is its own inverse: one product with the derived ``M_E H'``.
+    Bit p of x is stripe p's bit.
     """
     if response.length != derived.n_s:
         raise LengthMismatch(f"{response.length} != {derived.n_s}")
-    plan = derived.schedule.iterations[iteration]
-    syndrome = derived.parity.mul_vector(response)
-    planted = reduce_word(syndrome.word, derived.schedule.iteration_bases[iteration]) >> derived.d_perp
-    return tuple((stripe, coord, planted >> coord & 1) for stripe, coord in zip(plan.stripes, plan.coords))
+    schedule = derived.schedule
+    plan = schedule.iterations[iteration]
+    back = [-x for x in schedule.iteration_shifts[iteration]]
+    planted = derived.parity.mul_vector(BitVector(derived.n_s, translate(response.word, schedule.n, back))).word
+    return tuple((stripe, coord, planted >> stripe & 1) for stripe, coord in zip(plan.stripes, plan.coords))
 
 
 def reconstruct_file(
     derived: SchemeDerived, recovered: tuple[tuple[int, int, int], ...]
 ) -> BitMatrix:
     """Rebuild the b x k_C file from each stripe's bits ``y_j = f . g_j`` at
-    exactly its scheduled coordinates (else :class:`Incomplete`): solved down
-    the pivots of its tagged basis, bit r of the file row f is the parity of
-    y at the coordinates whose G_C columns sum to unit column r."""
+    exactly its scheduled coordinates ``I_0 + c`` (else :class:`Incomplete`).
+
+    Translated by -c, the stripe's codeword ``u = f G_C`` is a codeword u'
+    of C, read on ``I_0`` as y'.  So ``u' = f' B_C`` with ``f' = y' M_C``:
+    ``u' = y' (M_C B_C)``, one product with the derived matrix.  Bit r of the
+    file row, u at the RREF pivot ``P_r``, is bit ``P_r - c`` of u': u'
+    translated back by c, read at the pivots."""
     per_stripe: dict[int, dict[int, int]] = {}
     for stripe, coord, bit in recovered:
         per_stripe.setdefault(stripe, {})[coord] = bit
-    k_c = derived.k_c
+    schedule, k_c = derived.schedule, derived.k_c
+    pivots = derived.storage_code.information_set()
+    rows = derived.systematic.row_words
     words = []
-    for stripe, (coords, basis) in enumerate(zip(derived.schedule.stripe_coords, derived.schedule.stripe_bases)):
+    for stripe, (coords, shift) in enumerate(zip(schedule.stripe_coords, schedule.stripe_shifts)):
         got = per_stripe.get(stripe, {})
-        if tuple(sorted(got)) != coords:
+        if got.keys() != set(coords):
             raise Incomplete(f"stripe {stripe} does not hold exactly its {k_c} scheduled coordinates")
-        z = sum(1 << (k_c + c) for c, bit in got.items() if bit & 1)
-        for pivot in sorted(basis, reverse=True):
-            if (basis[pivot] & z).bit_count() & 1:
-                z |= pivot
-        words.append(z & ((1 << k_c) - 1))
+        u = 0  # y' (M_C B_C): the rows of the coordinates whose bit is 1
+        for coord, row in zip(coords, rows):
+            if got[coord] & 1:
+                u ^= row
+        u = translate(u, schedule.n, shift)
+        words.append(sum((u >> p & 1) << r for r, p in enumerate(pivots)))
     return BitMatrix(derived.b, k_c, tuple(words))
 
 
@@ -781,7 +587,7 @@ def verify_privacy_empirical(config: SchemeConfig, t: int) -> float:
         raise TooLarge("colluding sets exceed the exhaustive enumeration guard")
     derived = derive_scheme(config)
     d = derived.retrieval_code
-    embed = LinearCode(derived.n_s, derived.parity).information_set()[0]
+    embed = LinearCode.from_generator(derived.parity).information_set()[0]
     subset = _worst_case_columns(d, t, prefer=embed)
     restricted = d.generator.take_columns(subset)
     shift = 1 << subset.index(embed) if embed in subset else 0

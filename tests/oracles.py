@@ -9,7 +9,8 @@ themselves, not just span bookkeeping.
 The retrieval loop redoes one retrieval's queries and responses on Python
 integers, one row at a time, from the documented Philox draw order.
 
-The schedule finder decides a tiny scheduling instance by exhaustive search.
+The per-bit translation moves a word's set bits one at a time through a
+permutation of the coordinate indices.
 
 The per-row triple restates the paper's table rows as hand-written sums of
 the dimension formula's terms, independent of the star-product case table.
@@ -168,53 +169,19 @@ def loop_retrieval(derived, files, seed, demand):
     return file_words[demand], queries, responses
 
 
-def column_rank(cols):
-    """Rank over GF(2) of integer column words, by a basis keyed on the
-    highest set bit."""
-    basis = {}
-    for w in cols:
-        while w and w.bit_length() in basis:
-            w ^= basis[w.bit_length()]
-        if w:
-            basis[w.bit_length()] = w
-    return len(basis)
-
-
-def brute_force_schedule(g_cols, h_cols, b, k_c, d_perp, s_iterations):
-    """Some schedule of a tiny instance, or None when it has none.
-
-    A schedule gives each of the ``s_iterations`` iterations ``d_perp``
-    distinct coordinates with independent columns in ``h_cols``, each
-    labelled with one of ``b`` stripes, so that every stripe ends with
-    ``k_c`` coordinates whose ``g_cols`` are independent.  Every labelled
-    iteration choice is listed, and iterations, being interchangeable, take
-    choices in nondecreasing list order; a partial assignment that already
-    breaks a stripe is dropped.  Returns per iteration its sorted
-    (coordinate, stripe) pairs.
-    """
-    choices = [
-        tuple(zip(coords, stripes))
-        for coords in combinations(range(len(h_cols)), d_perp)
-        if column_rank([h_cols[j] for j in coords]) == d_perp
-        for stripes in product(range(b), repeat=d_perp)
-    ]
-
-    def extend(first, taken, per_stripe):
-        if len(taken) == s_iterations:
-            return taken
-        for i in range(first, len(choices)):
-            grown = [list(coords) for coords in per_stripe]
-            for j, s in choices[i]:
-                grown[s].append(j)
-            if all(len(c) <= k_c and column_rank([g_cols[j] for j in c]) == len(c) for c in grown):
-                found = extend(i, taken + [choices[i]], grown)
-                if found is not None:
-                    return found
-        return None
-
-    if s_iterations * d_perp != b * k_c:
-        return None
-    return extend(0, [], [[] for _ in range(b)])
+def per_bit_translation(word, n, shift):
+    """``word`` translated by ``shift`` one set bit at a time: ``perm[i]`` is
+    the index of tuple ``i`` moved by ``shift`` componentwise mod n, and the
+    bit at coordinate ``i`` moves to ``perm[i]``."""
+    perm = [0]
+    for s in shift:  # most significant component first, as in tuple_to_index
+        perm = [p * n + (x + s) % n for p in perm for x in range(n)]
+    moved = 0
+    while word:
+        i = (word & -word).bit_length() - 1
+        moved |= 1 << perm[i]
+        word &= word - 1
+    return moved
 
 
 def loop_c_vector(n, m, t):

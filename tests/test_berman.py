@@ -29,13 +29,22 @@ from bermanpir.berman import (
     recursive_membership,
     reed_muller_code,
     transitivity_witness,
+    translate,
     tuple_to_index,
     tuple_weight,
+    weight_set,
 )
 from bermanpir.codes import LinearCode, ProtocolInvariantError, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, rank
 from bermanpir.pir import philox_generator
-from oracles import dimension_by_binomials, loop_c_vector, loop_d_vector, pointwise_reed_muller, recursion_distance
+from oracles import (
+    dimension_by_binomials,
+    loop_c_vector,
+    loop_d_vector,
+    per_bit_translation,
+    pointwise_reed_muller,
+    recursion_distance,
+)
 
 
 def family(n, m):
@@ -346,3 +355,50 @@ class TestStructuralProperties:
                 for a in range(params.length):
                     for b in range(params.length):
                         assert transitivity_witness(params, a, b), (params.name, a, b)
+
+
+def shapes_up_to(length):
+    """Every (n, m) with n >= 2 and n^m <= length."""
+    return tuple((n, m) for m in range(1, length.bit_length()) for n in range(2, length + 1) if n**m <= length)
+
+
+class TestTranslation:
+    def test_every_shift_up_to_length_64_moves_every_bit(self):
+        # One unit word per coordinate, under every shift of every shape.
+        for n, m in shapes_up_to(64):
+            for shift in all_tuples(n, m):
+                for i in range(n**m):
+                    assert translate(1 << i, n, shift) == per_bit_translation(1 << i, n, shift), (n, m, shift, i)
+
+    @pytest.mark.parametrize("n, m", ((2, 12), (4, 6), (16, 3), (64, 2)))
+    def test_random_words_match_the_per_bit_reference(self, n, m):
+        rng = philox_generator(n * 100 + m)
+        for _ in range(20):
+            word = int.from_bytes(rng.bytes(n**m // 8), "little")
+            shift = tuple(int(x) for x in rng.integers(0, n, size=m))
+            assert translate(word, n, shift) == per_bit_translation(word, n, shift), (n, m, shift)
+            # Negative components are taken mod n, so -shift undoes shift.
+            assert translate(translate(word, n, shift), n, [-x for x in shift]) == word
+
+
+class TestWeightSet:
+    def test_family_basis_on_the_weight_set_is_its_own_inverse(self):
+        # The lemma: restricted to W(p), the family basis squares to I, for
+        # every member of length up to 256.
+        checked = 0
+        for n, m in shapes_up_to(256):
+            for params in family(n, m):
+                coords = weight_set(params)
+                assert len(coords) == dimension_formula(params)
+                if not coords:
+                    continue
+                square = BitMatrix.from_rows(basis_vectors(params)).take_columns(coords)
+                assert square @ square == BitMatrix.identity(len(coords)), params.name
+                checked += 1
+        assert checked == 969
+
+    def test_weights_of_the_set(self):
+        for params in family(3, 3):
+            weights = {tuple_weight(index_to_tuple(3, 3, i)) for i in weight_set(params)}
+            expected = range(params.r + 1, 4) if params.kind is CodeKind.BERMAN else range(params.r + 1)
+            assert weights == set(expected), params.name

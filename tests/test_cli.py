@@ -14,7 +14,6 @@ import pytest
 from bermanpir import berman, checks, cli, gf2, pir
 from bermanpir.berman import BermanParams
 from bermanpir.cli import (
-    EXIT_NO_SCHEDULE,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNSUPPORTED,
@@ -450,7 +449,7 @@ class TestSimulate:
         assert json.loads(captured.err) == {"error": "ValueError", "message": "demand index out of range"}
 
     def test_out_of_range_demand_exits_2_before_derivation(self, monkeypatch, capsys):
-        # The pair has no schedule, so deriving it would exit 5.
+        # Deriving would raise and fail the test, so the demand is checked first.
         def derive(config):
             raise AssertionError("derived before the demand check")
 
@@ -462,7 +461,9 @@ class TestSimulate:
         assert json.loads(captured.err) == {"error": "ValueError", "message": "demand index out of range"}
 
     def test_exit_codes_are_distinct(self):
-        assert len({EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_VERIFY_FAILED, EXIT_NO_SCHEDULE}) == 5
+        assert len({EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_VERIFY_FAILED}) == 4
+        # 5 meant "no schedule" while schedules came from a search; it stays retired.
+        assert 5 not in {code for _, code in cli.EXIT_CODES}
 
 
 class TestSizeGuard:

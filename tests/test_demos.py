@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     "demo, digest",
     (
         ("code_families.py", "96253c1f2c181a3fe7ccb98e06456885d39cd2c234f6f8cd79ea874013ed295a"),
-        ("pir_walkthrough.py", "cca3cd6d33d3f2a577e0b4f0cd181555beefe5abca60c4944a307b46509d231c"),
+        ("pir_walkthrough.py", "a71da043bbe503ef142c7c1e9c2111edf3b6c343b287aeef40c6003a57c2dfbe"),
         ("star_products.py", "ade3a75c91cf2ceed9d286ec62a9530cbb3b57f82c42622ae673c92c00ace391"),
     ),
 )

@@ -1,8 +1,10 @@
 """Tooling: every module-level function and public method of the library is
 named somewhere in the program (``src/``, ``demos/``, ``benchmarks/``), or
-is kept on purpose because a test compares against it."""
+is kept on purpose because a test compares against it; and every exception
+class the library defines is raised somewhere in ``src/``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -104,3 +106,41 @@ def test_allowed_entry_is_compared_in_its_test(entry):
     oracles = {n.name: n for n in ast.parse((TESTS / "oracles.py").read_text()).body if isinstance(n, ast.FunctionDef)}
     names.update(*(named(oracles[name]) for name in names & oracles.keys()))
     assert entry.rpartition(".")[2] in names
+
+
+def raised(tree):
+    """The names a ``raise`` statement of the tree raises: ``raise X``,
+    ``raise X(...)`` and ``raise m.X(...)`` give X."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def exception_classes(module):
+    """The exception classes ``module`` defines, by qualified name."""
+    return {
+        f"{module.__name__.rpartition('.')[2]}.{name}"
+        for name, value in vars(module).items()
+        if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__
+    }
+
+
+def test_detector_flags_an_exception_class_nothing_raises():
+    tree = ast.parse(
+        "raise A('x')\nraise m.B\ntry:\n    pass\nexcept C:\n    raise\nerror = D()\n"
+    )
+    assert raised(tree) == {"A", "B"}
+
+
+def test_every_exception_class_is_raised():
+    names = set().union(*(raised(ast.parse(p.read_text())) for p in SRC.glob("*.py")))
+    modules = [importlib.import_module(f"bermanpir.{p.stem}") for p in SRC.glob("*.py") if p.stem != "__init__"]
+    classes = set().union(*map(exception_classes, modules))
+    assert len(classes) > 10
+    assert {c for c in classes if c.rpartition(".")[2] not in names} == set(), "defined but never raised"

@@ -10,12 +10,12 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bermanpir import berman, cli, gf2, pir
@@ -25,7 +25,6 @@ from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns, 
 from bermanpir.pir import (
     Incomplete,
     ProtocolInvariantError,
-    ScheduleNotFound,
     SchemeConfig,
     ShapeMismatch,
     UnsupportedPair,
@@ -96,34 +95,9 @@ def planted_words(d, plan, files, demand):
     return words
 
 
-@st.composite
-def bit_matrices(draw, rows, cols):
-    """Random rows, or rows of full rank: an identity block in random
-    columns, the other columns random."""
-    words = draw(st.lists(st.integers(0, 2**cols - 1), min_size=rows, max_size=rows))
-    if draw(st.booleans()):
-        pivots = draw(st.permutations(range(cols)))[:rows]
-        mask = sum(1 << p for p in pivots)
-        words = [w & ~mask | 1 << p for w, p in zip(words, pivots)]
-    return BitMatrix(rows, cols, tuple(words))
-
-
-@st.composite
-def schedule_instances(draw):
-    """(G_C, H, b, k_C, d_perp, S) on at most 6 coordinates and 6 slots, with
-    b and S minimal as in the derivation."""
-    n_s = draw(st.integers(2, 6))
-    k_c, d_perp = draw(st.sampled_from(
-        [(k, d) for k in range(1, n_s + 1) for d in range(1, n_s + 1) if k * d // gcd(k, d) <= 6]
-    ))
-    g = gcd(k_c, d_perp)
-    return draw(bit_matrices(k_c, n_s)), draw(bit_matrices(d_perp, n_s)), d_perp // g, k_c, d_perp, k_c // g
-
-
 def rescanned_stripe_coords(schedule, stripe):
-    """The coordinates the iterations assign to ``stripe``, ascending."""
-    coords = (c for plan in schedule.iterations for s, c in zip(plan.stripes, plan.coords) if s == stripe)
-    return tuple(sorted(coords))
+    """The coordinates the iterations assign to ``stripe``, in iteration order."""
+    return tuple(c for plan in schedule.iterations for s, c in zip(plan.stripes, plan.coords) if s == stripe)
 
 
 def check_schedule(schedule, g_c, h, b, k_c, d_perp, s_iterations):
@@ -256,8 +230,9 @@ class TestDeriveScheme:
         assert pir._derive.cache_info().misses == 1
 
     def test_runs_reuse_the_schedule_bases(self, monkeypatch):
-        # Decoding and reconstruction read the bases the schedule search
-        # built, so runs after derivation invert and row-reduce nothing.
+        # Decoding and reconstruction read the products M_E H' and M_C B_C
+        # that derivation formed, so runs after derivation invert and
+        # row-reduce nothing.
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)"))
         assert d.b > 1 and d.s_iterations > 1
 
@@ -265,7 +240,7 @@ class TestDeriveScheme:
             raise AssertionError("a run rebuilt a basis")
 
         monkeypatch.setattr(pir, "invert_columns", fail)
-        monkeypatch.setattr(pir, "_pivots", fail)
+        monkeypatch.setattr(gf2, "_eliminate", fail)
         assert run_retrieval(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=2, seed=1), 0).reconstructed_ok
         assert run_retrieval(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=3, seed=2), 2).reconstructed_ok
 
@@ -292,46 +267,50 @@ class TestSchedule:
                 assert len(coords) == d.k_c
                 invert_columns(d.storage_code.generator, coords)
 
-    def test_infeasible_search_is_reported(self):
-        from bermanpir.pir import _solve_schedule
+    def test_table_adds_the_weight_sets(self):
+        # Iteration i meets stripe p at I_0[i] + J_0[p], the tuples added
+        # componentwise mod n, with I_0 = W(C) and J_0 = W(E^perp); so
+        # S = k_C and b = d_perp, also where gcd(k_C, d_perp) = 8.
+        for storage, retrieval in ACCEPTANCE_PAIRS + (("DBer(2,1,7)", "DBer(2,2,7)"), ("Ber(3,2,5)", "DBer(3,0,5)")):
+            config = cfg(storage, retrieval)
+            d = derive_scheme(config)
+            n, m = config.storage.n, config.storage.m
+            perp = pir.predict_star(config.storage, config.retrieval).dual
+            shifts = [berman.index_to_tuple(n, m, i) for i in berman.weight_set(config.storage)]
+            assert d.schedule.iteration_shifts == tuple(shifts)
+            shifts = [berman.index_to_tuple(n, m, i) for i in berman.weight_set(perp)]
+            assert d.schedule.stripe_shifts == tuple(shifts)
+            assert (d.s_iterations, d.b) == (d.k_c, d.d_perp)
+            for a, plan in zip(d.schedule.iteration_shifts, d.schedule.iterations):
+                for stripe, coord in plan.assignments():
+                    c = d.schedule.stripe_shifts[stripe]
+                    assert coord == berman.tuple_to_index(n, [(x + y) % n for x, y in zip(a, c)])
+        assert derive_scheme(cfg("DBer(2,1,7)", "DBer(2,2,7)")).b == 64
 
-        d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)"))
-        # Too few slots for the stripe demand: reported, never silently dropped.
-        with pytest.raises(ScheduleNotFound, match="no schedule exists"):
-            _solve_schedule(d.storage_code.generator, d.parity, d.b, d.k_c, d.d_perp, 0)
-        # Enough slots but impossible independence: a one-row parity map can
-        # never supply two independent columns in one iteration.
-        from bermanpir.gf2 import BitMatrix
+    def test_syndrome_map_is_a_parity_check_of_the_product(self):
+        # H', the family basis of the member E^perp, and the derived syndrome
+        # map M_E H': against the product formed from every pair of generator
+        # rows, the rows of each are orthogonal to E and independent, n - dim E
+        # of them.
+        from oracles import all_products_star
 
-        flat_parity = BitMatrix(1, d.n_s, (d.parity.row_words[0],))
-        with pytest.raises(ScheduleNotFound, match="no schedule exists"):
-            _solve_schedule(d.storage_code.generator, flat_parity, 2, 1, 2, 1)
-
-    @given(schedule_instances())
-    @settings(max_examples=200)
-    def test_agrees_with_brute_force(self, instance):
-        from oracles import brute_force_schedule
-
-        g_c, h, b, k_c, d_perp, s_iterations = instance
-        expected = brute_force_schedule(
-            g_c.transpose().row_words, h.transpose().row_words, b, k_c, d_perp, s_iterations
-        )
-        try:
-            schedule = pir._solve_schedule(g_c, h, b, k_c, d_perp, s_iterations)
-        except ScheduleNotFound as exc:
-            assert expected is None
-            assert "no schedule exists" in str(exc)
-            return
-        assert expected is not None
-        check_schedule(schedule, g_c, h, b, k_c, d_perp, s_iterations)
+        pairs = list(supported_pairs(shapes_up_to(64)))
+        assert len(pairs) == 444
+        for storage, retrieval, _ in pairs:
+            d = derive_scheme(SchemeConfig(storage, retrieval))
+            e = all_products_star(d.storage_code, d.retrieval_code)
+            family_basis = BitMatrix.from_rows(berman.basis_vectors(pir.predict_star(storage, retrieval).dual))
+            for h in (family_basis, d.parity):
+                assert all((row & w).bit_count() % 2 == 0 for row in h.row_words for w in e.generator.row_words)
+                assert h.rows == rank(h) == d.n_s - e.dimension, (storage.name, retrieval.name)
 
 
 class TestScheduleRegression:
     #: SHA-256 over every pair of SHAPES_UP_TO_36 of its name and, per
     #: iteration, its coordinates and their stripes.
-    SCHEDULES_SHA256 = "4803f9e91c363364064777380b1e54283d321bd757eeca42b6238cb8a1b52a3c"
+    SCHEDULES_SHA256 = "c0926b58bf78fd6b2aec47469a54acb91108b2817eebef9b6d0a8329dc0db320"
 
-    #: Pairs with n^m <= 64 that the former depth-first search gave up on.
+    #: Pairs with n^m <= 64 that an early depth-first schedule search gave up on.
     FORMERLY_OVER_BUDGET = (
         ("DBer(4,1,2)", "DBer(4,0,2)"),
         ("DBer(5,1,2)", "DBer(5,0,2)"),
@@ -380,119 +359,24 @@ class TestScheduleRegression:
         assert summary["reconstructed_ok"] is True
         assert summary["privacy_rank_ok"] is True
 
-    def test_proven_infeasible_search_exits_5(self, monkeypatch, capsys):
-        # Derive with only the first row of H: no iteration of d_perp >= 2
-        # coordinates can be scheduled on it.
-        real = pir._solve_schedule
-
-        def flat(g_c, h, *sizes):
-            return real(g_c, BitMatrix(1, h.cols, h.row_words[:1]), *sizes)
-
-        monkeypatch.setattr(pir, "_solve_schedule", flat)
-        pir._derive.cache_clear()
-        argv = ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)"]
-        assert cli.main(argv) == cli.EXIT_NO_SCHEDULE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        error = json.loads(lines[0])
-        assert error["error"] == "ScheduleNotFound"
-        assert error["message"].startswith("no schedule exists")
-
-    @pytest.mark.parametrize("refusal", ("infeasible", "over-budget"))
-    def test_refused_schedule_exits_5_before_the_privacy_check(self, refusal, monkeypatch, capsys):
-        if refusal == "infeasible":
-            real = pir._solve_schedule
-            monkeypatch.setattr(
-                pir, "_solve_schedule", lambda g_c, h, *sizes: real(g_c, BitMatrix(1, h.cols, h.row_words[:1]), *sizes)
-            )
-            pair = ("DBer(3,0,2)", "DBer(3,1,2)")
-        else:
-            monkeypatch.setattr(pir, "SCHEDULE_BUDGET", 0)
-            pair = ("DBer(4,1,3)", "DBer(4,1,3)")
-
-        def no_privacy_check(*args):
-            raise AssertionError("privacy check ran before the schedule search")
-
-        monkeypatch.setattr(cli, "verify_privacy_rank", no_privacy_check)
-        pir._derive.cache_clear()
-        assert cli.main(["simulate", "--storage", pair[0], "--retrieval", pair[1]]) == cli.EXIT_NO_SCHEDULE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "ScheduleNotFound"
-
-    def test_over_budget_search_says_so(self, monkeypatch):
-        monkeypatch.setattr(pir, "SCHEDULE_BUDGET", 0)
-        pir._derive.cache_clear()
-        with pytest.raises(ScheduleNotFound, match="scanned more than 0 exchange-graph arcs"):
-            derive_scheme(cfg("DBer(4,1,3)", "DBer(4,1,3)"))
-
-    #: Pairs up to 256 servers whose search runs past SCHEDULE_BUDGET.  The
-    #: former depth-first search gave up on each of them too.
-    OVER_BUDGET_UP_TO_256 = frozenset((
-        ("DBer(11,1,2)", "DBer(11,0,2)"),
-        ("Ber(5,2,3)", "DBer(5,0,3)"),
-        ("DBer(5,2,3)", "DBer(5,0,3)"),
-        ("DBer(12,1,2)", "DBer(12,0,2)"),
-        ("DBer(13,1,2)", "DBer(13,0,2)"),
-        ("DBer(14,1,2)", "DBer(14,0,2)"),
-        ("Ber(6,2,3)", "DBer(6,0,3)"),
-        ("DBer(6,1,3)", "DBer(6,1,3)"),
-        ("DBer(6,2,3)", "DBer(6,0,3)"),
-        ("DBer(15,1,2)", "DBer(15,0,2)"),
-        ("Ber(3,2,5)", "DBer(3,0,5)"),
-        ("Ber(3,3,5)", "DBer(3,0,5)"),
-        ("Ber(3,3,5)", "DBer(3,1,5)"),
-        ("Ber(3,4,5)", "DBer(3,0,5)"),
-        ("Ber(3,4,5)", "DBer(3,1,5)"),
-        ("DBer(3,2,5)", "DBer(3,1,5)"),
-        ("DBer(3,2,5)", "DBer(3,2,5)"),
-        ("DBer(3,3,5)", "DBer(3,0,5)"),
-        ("DBer(3,3,5)", "DBer(3,1,5)"),
-        ("DBer(3,4,5)", "DBer(3,0,5)"),
-        ("Ber(2,2,8)", "DBer(2,0,8)"),
-        ("Ber(2,3,8)", "DBer(2,0,8)"),
-        ("Ber(2,3,8)", "DBer(2,1,8)"),
-        ("Ber(2,4,8)", "DBer(2,0,8)"),
-        ("Ber(4,2,4)", "DBer(4,0,4)"),
-        ("Ber(4,3,4)", "DBer(4,0,4)"),
-        ("Ber(4,3,4)", "DBer(4,1,4)"),
-        ("DBer(16,1,2)", "DBer(16,0,2)"),
-        ("DBer(2,3,8)", "Ber(2,7,8)"),
-        ("DBer(2,3,8)", "DBer(2,0,8)"),
-        ("DBer(2,4,8)", "Ber(2,6,8)"),
-        ("DBer(2,4,8)", "Ber(2,7,8)"),
-        ("DBer(2,4,8)", "DBer(2,0,8)"),
-        ("DBer(2,4,8)", "DBer(2,1,8)"),
-        ("DBer(2,5,8)", "Ber(2,7,8)"),
-        ("DBer(2,5,8)", "DBer(2,0,8)"),
-        ("DBer(4,1,4)", "DBer(4,2,4)"),
-        ("DBer(4,2,4)", "DBer(4,0,4)"),
-        ("DBer(4,2,4)", "DBer(4,1,4)"),
-        ("DBer(4,3,4)", "DBer(4,0,4)"),
-    ))
-
     @pytest.mark.slow
-    def test_every_pair_up_to_256_servers_derives_or_is_refused(self):
-        for storage, retrieval, _ in supported_pairs(shapes_up_to(256)):
+    def test_every_pair_up_to_256_servers_derives_and_reconstructs(self):
+        pairs = list(supported_pairs(shapes_up_to(256)))
+        assert len(pairs) == 1425
+        for storage, retrieval, _ in pairs:
             try:
                 d = derive_scheme(SchemeConfig(storage, retrieval))
-            except ScheduleNotFound:
-                assert (storage.name, retrieval.name) in self.OVER_BUDGET_UP_TO_256
-                continue
+                check_schedule(
+                    d.schedule, d.storage_code.generator, d.parity, d.b, d.k_c, d.d_perp, d.s_iterations
+                )
+                assert run_retrieval(SchemeConfig(storage, retrieval, seed=2), 0).reconstructed_ok
             finally:
                 pir._derive.cache_clear()
-            check_schedule(
-                d.schedule, d.storage_code.generator, d.parity, d.b, d.k_c, d.d_perp, d.s_iterations
-            )
 
     @pytest.mark.parametrize(
         "storage, retrieval",
-        # Slot counts 1456, 1467 and 3441: deeper than the interpreter's
-        # recursion limit; then the pairs the depth-first search gave up on.
+        # Pairs whose former schedule searches went deeper than the
+        # interpreter's recursion limit or gave up.
         (("Ber(5,1,3)", "DBer(5,0,3)"), ("DBer(2,1,8)", "DBer(2,2,8)"), ("DBer(2,2,8)", "DBer(2,2,8)"))
         + FORMERLY_OVER_BUDGET,
     )
@@ -501,41 +385,34 @@ class TestScheduleRegression:
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
-        "storage, retrieval, refused",
+        "storage, retrieval",
         # 512 and 1024 servers, across the shapes (8,3), (2,9), (32,2), (4,5)
-        # and (2,10): each pair reconstructs, or its schedule search runs
-        # over the budget (exit 5).
+        # and (2,10).
         (
-            ("DBer(8,1,3)", "Ber(8,1,3)", None),
-            ("Ber(8,2,3)", "DBer(8,0,3)", ScheduleNotFound),
-            ("Ber(2,6,9)", "DBer(2,6,9)", None),
-            ("DBer(2,4,9)", "Ber(2,7,9)", None),
-            ("DBer(32,0,2)", "Ber(32,1,2)", None),
-            ("Ber(4,3,5)", "DBer(4,3,5)", None),
-            ("DBer(4,2,5)", "DBer(4,0,5)", ScheduleNotFound),
-            ("DBer(2,2,10)", "Ber(2,8,10)", None),
-            ("DBer(2,4,10)", "DBer(2,3,10)", None),
-            ("DBer(2,2,10)", "DBer(2,2,10)", None),
+            ("DBer(8,1,3)", "Ber(8,1,3)"),
+            ("Ber(8,2,3)", "DBer(8,0,3)"),
+            ("Ber(2,6,9)", "DBer(2,6,9)"),
+            ("DBer(2,4,9)", "Ber(2,7,9)"),
+            ("DBer(32,0,2)", "Ber(32,1,2)"),
+            ("Ber(4,3,5)", "DBer(4,3,5)"),
+            ("DBer(4,2,5)", "DBer(4,0,5)"),
+            ("DBer(2,2,10)", "Ber(2,8,10)"),
+            ("DBer(2,4,10)", "DBer(2,3,10)"),
+            ("DBer(2,2,10)", "DBer(2,2,10)"),
         ),
     )
-    def test_large_pairs_reconstruct_or_are_refused(self, storage, retrieval, refused):
+    def test_large_pairs_reconstruct(self, storage, retrieval):
         config = cfg(storage, retrieval, files=2, seed=5)
         assert 512 <= config.storage.length <= 1024
         try:
-            if refused:
-                with pytest.raises(refused):
-                    run_retrieval(config, 1)
-            else:
-                assert run_retrieval(config, 1).reconstructed_ok
+            assert run_retrieval(config, 1).reconstructed_ok
         finally:
             pir._derive.cache_clear()
 
     @pytest.mark.slow
-    def test_widest_search_is_refused_within_a_memory_limit(self):
-        # 4096 servers and 3969 stripes: the augmenting search's first layer
-        # alone could reach about 16 M (coordinate, stripe) elements.  Counted
-        # in the budget, they end the search with exit 5 inside 3 GB of
-        # address space; a search that held them all ran out of memory.
+    def test_widest_pair_reconstructs_within_a_memory_limit(self, tmp_path):
+        # 4096 servers: 3969 stripes over 127 iterations, in a fresh
+        # interpreter with 3 GB of address space and two minutes.
         root = Path(__file__).resolve().parent.parent
         path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
@@ -543,15 +420,16 @@ class TestScheduleRegression:
             "import resource; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
             "from bermanpir.cli import main; raise SystemExit(main())"
         )
+        out = tmp_path / "transcript.json"
         proc = subprocess.run(
-            [sys.executable, "-c", script, "simulate", "--storage", "DBer(64,1,2)", "--retrieval", "DBer(64,0,2)"],
-            capture_output=True, text=True, env=env, timeout=600,
+            [sys.executable, "-c", script, "simulate", "--storage", "DBer(64,1,2)", "--retrieval", "DBer(64,0,2)",
+             "--format", "json", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
         )
-        assert proc.returncode == cli.EXIT_NO_SCHEDULE, proc.stderr
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "ScheduleNotFound"
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        summary = json.loads(proc.stdout)
+        assert (summary["b"], summary["S"]) == (3969, 127)
+        assert summary["reconstructed_ok"] is True
 
 
 class TestEncodeStorage:
@@ -675,7 +553,7 @@ class TestLoopOracle:
             ("DBer(2,1,7)", "DBer(2,2,7)"),  # 128 servers, two limbs
             ("DBer(2,1,8)", "DBer(2,1,8)"),  # 256 servers, four limbs
             ("DBer(2,1,8)", "DBer(2,3,8)"),  # messages of two limbs, queries of four
-            ("Ber(3,1,3)", "DBer(3,0,3)"),  # schedule found by augmenting paths
+            ("Ber(3,1,3)", "DBer(3,0,3)"),  # 20 iterations of 7 stripes
         ),
     )
     @pytest.mark.parametrize("seed", (3, 2**64 - 5))
@@ -780,11 +658,14 @@ class TestReconstruct:
         assert reconstruct_file(d, triples) == BitMatrix.zeros(d.b, d.k_c)
 
     def test_pivot_coordinates_copy_through(self):
-        d = derive_scheme(cfg("DBer(2,1,3)", "DBer(2,1,3)"))
+        # E^perp = DBer(2,0,3), so the one stripe's offset is the zero tuple,
+        # and its coordinates W(C) are the RREF pivots of C = RM(1,3).
+        d = derive_scheme(cfg("DBer(2,1,3)", "Ber(2,1,3)"))
         rng = philox_generator(8)
         file0 = BitMatrix(d.b, d.k_c, tuple(int(w) for w in rng.integers(0, 1 << d.k_c, size=d.b)))
         encoded = file0 @ d.storage_code.generator
         pivots = d.storage_code.information_set()
+        assert d.schedule.stripe_coords == (pivots,)
         triples = tuple(
             (stripe, coord, encoded.entry(stripe, coord))
             for stripe in range(d.b)
@@ -1002,15 +883,15 @@ class TestRunRetrieval:
         "storage, retrieval, files, seed, demand, digest",
         (
             ("DBer(2,1,6)", "DBer(2,2,6)", 256, 0, 0,
-             "bedf485c16001ba1bdb88d498d22025778b047cfca1e57005ed0ae160a9bd942"),
+             "593ef51f6aa804d996a66134f3a3b0693926a9b4c2c0aabc22b3a0807e65e399"),
             ("DBer(2,0,8)", "DBer(2,1,8)", 2, 7, 1,
-             "143e2d5fdd829399c6cfd48d0f43838bcd7b53bbe540282c0b016faca5300373"),
+             "7e443470b5faa47514e47ddc11e32f357c8bc5ef70868a621800853c97c3506c"),
             ("Ber(3,1,3)", "DBer(3,0,3)", 3, 11, 2,
-             "fdceed4d9a22db4bce7c1c30dc00043fb22aa1901635d8ac4f0e5b07744e9d46"),
+             "fbed38cee8ea0c96c765fb7be0bc5a2f2c00f84fe219e84d1ccab91b54619b90"),
             # 5 files of 39 32-bit words each: the first query draw starts
             # on the second half of a 64-bit Philox output.
             ("DBer(2,1,6)", "DBer(2,2,6)", 5, 2**63 + 12345, 3,
-             "a4a807976be0a4d5045d4f6a1019dbf8de0c2825273d3e104d2fa524aa7982c7"),
+             "49f53be87a428fb7f3267b8507be410b9f02795aa5063afcffeffc1188588266"),
         ),
     )
     def test_golden_transcript_digests(self, storage, retrieval, files, seed, demand, digest):
@@ -1201,3 +1082,63 @@ class TestProtocolInvariants:
         proc = self.run_optimized(FLIPPED_RUN_RETRIEVAL)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "ProtocolInvariantError\n"
+
+    @staticmethod
+    def flipped_row(vectors, row, coord):
+        """``vectors`` with bit ``coord`` of vector ``row`` flipped."""
+        return tuple(BitVector(v.length, v.word ^ (1 << coord if i == row else 0)) for i, v in enumerate(vectors))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        (
+            # One product row fewer than the case table gives.
+            ("star_codes", "product dimension disagrees"),
+            # A bit of H' off its weight set: H' no longer annihilates E.
+            ("parity", "does not annihilate"),
+            # I_0, then J_0, moved to the first coordinates: M_C, then M_E, is
+            # not its own inverse.
+            ("iteration set", "storage basis on its weight set is not its own inverse"),
+            ("stripe set", "syndrome basis on its weight set is not its own inverse"),
+        ),
+    )
+    def test_derivation_checks_refuse_a_broken_pair(self, corrupt, message, monkeypatch, capsys):
+        storage, retrieval = P("Ber(3,1,2)"), P("DBer(3,0,2)")
+        perp = pir.predict_star(storage, retrieval).dual
+        if corrupt == "star_codes":
+            real_star = pir.star_codes
+
+            def star(c, d):
+                e = real_star(c, d)
+                return LinearCode(e.length, BitMatrix(e.dimension - 1, e.length, e.generator.row_words[1:]))
+
+            monkeypatch.setattr(pir, "star_codes", star)
+        elif corrupt == "parity":
+            real_basis = pir.basis_vectors
+            outside = min(set(range(9)) - set(berman.weight_set(perp)))
+            def basis(p):
+                return self.flipped_row(real_basis(p), 0, outside) if p == perp else real_basis(p)
+
+            monkeypatch.setattr(pir, "basis_vectors", basis)
+        else:
+            real_set = pir.weight_set
+            moved = storage if corrupt == "iteration set" else perp
+            def first_coordinates(p):
+                return tuple(range(len(real_set(p)))) if p == moved else real_set(p)
+
+            monkeypatch.setattr(pir, "weight_set", first_coordinates)
+
+        def no_privacy_check(*args):
+            raise AssertionError("privacy check ran before derivation")
+
+        monkeypatch.setattr(cli, "verify_privacy_rank", no_privacy_check)
+        pir._derive.cache_clear()
+        try:
+            with pytest.raises(ProtocolInvariantError, match=message):
+                derive_scheme(SchemeConfig(storage, retrieval))
+            argv = ["simulate", "--storage", storage.name, "--retrieval", retrieval.name]
+            assert cli.main(argv) == cli.EXIT_VERIFY_FAILED
+        finally:
+            pir._derive.cache_clear()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ProtocolInvariantError"
