@@ -17,6 +17,8 @@ from bermanpir import (
     verify_privacy_rank,
 )
 from bermanpir.berman import translate
+from bermanpir.gf2 import draw_bit_limbs
+from bermanpir.pir import decode_iteration, gen_queries, philox_generator
 
 config = SchemeConfig(
     storage=BermanParams.parse("DBer(3,0,2)"),
@@ -36,22 +38,29 @@ schedule = derived.schedule
 print(f"iteration offsets  I_0 = W(C)      = {schedule.iteration_shifts}")
 print(f"stripe offsets     J_0 = W(E^perp) = {schedule.stripe_shifts}")
 print("per-iteration recovery plan (coordinate -> stripe), the offsets added componentwise mod n:")
-for it, plan in enumerate(derived.schedule.iterations):
-    pairs = ", ".join(f"{c}->s{s}" for s, c in plan.assignments())
+for it, row in enumerate(schedule.coords):
+    pairs = ", ".join(f"{c}->s{s}" for c, s in sorted(zip(row, range(derived.b))))
     print(f"  iteration {it}: {pairs}")
 
 print()
 print("=== One full retrieval of file 0 ===")
 transcript = run_retrieval(config, demand=0)
-for it, rec in enumerate(transcript.iterations):
+# The transcript keeps only the responses; the queries are redrawn from the
+# same seeded stream: the library first, then one batch per iteration.
+rng = philox_generator(config.seed)
+draw_bit_limbs(rng, config.files, derived.b, derived.k_c)
+for it, response in enumerate(transcript.responses):
+    query = gen_queries(derived, config.files, 0, range(it, it + 1), rng)
     print(f"iteration {it}:")
-    print(f"  query column to server 0: {rec.query.column(0)}")
-    print(f"  responses from all servers: {rec.response}")
+    print(f"  query column to server 0: {query.column(0)}")
+    print(f"  responses from all servers: {response}")
     offset = schedule.iteration_shifts[it]
-    back = BitVector(derived.n_s, translate(rec.response.word, schedule.n, [-x for x in offset]))
+    back = BitVector(derived.n_s, translate(response.word, schedule.n, [-x for x in offset]))
     print(f"  responses translated by -{offset}: {back}")
     print(f"  syndrome (M_E H') r', one planted bit per stripe: {derived.parity.mul_vector(back)}")
-    print(f"  recovered (stripe, coordinate, bit): {rec.recovered}")
+    word = decode_iteration(derived, it, response)
+    recovered = tuple(sorted(((p, c, word >> p & 1) for p, c in enumerate(schedule.coords[it])), key=lambda t: t[1]))
+    print(f"  recovered (stripe, coordinate, bit): {recovered}")
 print("stored file 0:")
 print(transcript.stored_file)
 print("reconstructed file:")

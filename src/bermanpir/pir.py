@@ -46,7 +46,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -86,10 +86,6 @@ class UnsupportedPair(ValueError):
 
 class ZeroRate(ValueError):
     """The product code fills the whole space, leaving nothing to retrieve."""
-
-
-class Incomplete(ValueError):
-    """A stripe is missing recovered coordinates."""
 
 
 class ShapeMismatch(ValueError):
@@ -180,29 +176,17 @@ def closed_form_triple(storage: BermanParams, retrieval: BermanParams) -> tuple[
 
 
 @dataclass(frozen=True)
-class IterationPlan:
-    """One iteration's recovered coordinates (ascending) and their stripes."""
-
-    coords: tuple[int, ...]
-    stripes: tuple[int, ...]
-
-    def assignments(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.stripes, self.coords))
-
-
-@dataclass(frozen=True)
 class Schedule:
-    """The addition table of two weight sets of ``Z_n^m``: iteration i and
-    stripe p meet at the coordinate of ``iteration_shifts[i] +
-    stripe_shifts[p]``, the tuples added componentwise mod n.  Seen per
-    iteration, its plan; per stripe, its coordinates in iteration order, a
-    translate of an information set of C."""
+    """The addition table of two weight sets of ``Z_n^m``: ``coords[i][p]``
+    is the coordinate where iteration i meets stripe p, the tuple
+    ``iteration_shifts[i] + stripe_shifts[p]`` added componentwise mod n.
+    A row holds one iteration's coordinates in stripe order; a column, one
+    stripe's in iteration order, a translate of an information set of C."""
 
     n: int
     iteration_shifts: tuple[tuple[int, ...], ...]
     stripe_shifts: tuple[tuple[int, ...], ...]
-    iterations: tuple[IterationPlan, ...]
-    stripe_coords: tuple[tuple[int, ...], ...]
+    coords: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -312,8 +296,7 @@ def _addition_table(n: int, m: int, iteration_set: tuple[int, ...], stripe_set: 
     ``I_0 + c``, a translate of an information set of C.  Every Berman code
     is invariant under the translations of ``Z_n^m``, so both stay
     information sets, and addition commutes, so both views cover the same
-    coordinates.  The table is formed on the tuples' digits at once; each
-    stripe lists its coordinates in iteration order."""
+    coordinates.  The table is formed on the tuples' digits at once."""
     place = n ** np.arange(m - 1, -1, -1)
 
     def digits(coords: tuple[int, ...]) -> np.ndarray:
@@ -321,14 +304,11 @@ def _addition_table(n: int, m: int, iteration_set: tuple[int, ...], stripe_set: 
 
     rows, cols = digits(iteration_set), digits(stripe_set)
     table = (rows[:, None] + cols[None]) % n @ place
-    order = np.argsort(table, axis=1)
-    coords = np.take_along_axis(table, order, axis=1)
     return Schedule(
         n=n,
         iteration_shifts=tuple(map(tuple, rows.tolist())),
         stripe_shifts=tuple(map(tuple, cols.tolist())),
-        iterations=tuple(IterationPlan(tuple(c), tuple(s)) for c, s in zip(coords.tolist(), order.tolist())),
-        stripe_coords=tuple(map(tuple, table.T.tolist())),
+        coords=tuple(map(tuple, table.tolist())),
     )
 
 
@@ -389,24 +369,23 @@ def gen_queries(
     straight into one array of table indexes, so the message bits are never
     held one per byte or packed into limbs.  The whole run is then one
     table product with the generator's limbs, so each of its tables is
-    built once per run.  Last, for each assigned (stripe, coordinate)
-    pair of each iteration, bit ``coordinate`` of the demanded file's stripe
-    row of that iteration's query is flipped.  A run over
-    :data:`MAX_BATCH_BITS` raises :class:`TooLarge` before the draw.
+    built once per run.  Last, for each stripe p of each iteration i, bit
+    ``coords[i][p]`` of the demanded file's stripe-p row of that
+    iteration's query is flipped.  A run over :data:`MAX_BATCH_BITS` raises
+    :class:`TooLarge` before the draw.
     """
     if not 0 <= demand < files:
         raise InvalidInput("demand index out of range")
-    plans = [derived.schedule.iterations[it] for it in iterations]
     g_d = derived.retrieval_code.generator
-    _check_batch_size(derived, files, len(plans))
-    rows = files * derived.b
-    messages = np.empty(((g_d.rows + 7) // 8, len(plans) * rows), dtype=np.uint8)
-    draw_bit_bytes(rng, len(plans), rows, g_d.rows, messages.T)
+    _check_batch_size(derived, files, len(iterations))
+    b, rows = derived.b, files * derived.b
+    messages = np.empty(((g_d.rows + 7) // 8, len(iterations) * rows), dtype=np.uint8)
+    draw_bit_bytes(rng, len(iterations), rows, g_d.rows, messages.T)
     limbs = limb_product(messages, g_d.limbs)
     flip_bits(
         limbs,
-        [i * rows + derived.file_row(demand, stripe) for i, plan in enumerate(plans) for stripe in plan.stripes],
-        [coord for plan in plans for coord in plan.coords],
+        [i * rows + derived.file_row(demand, p) for i in range(len(iterations)) for p in range(b)],
+        [coord for it in iterations for coord in derived.schedule.coords[it]],
     )
     return BitMatrix.from_limbs(limbs, derived.n_s)
 
@@ -421,10 +400,9 @@ def respond_all(stored: BitMatrix, q: BitMatrix) -> BitVector:
     return BitVector(q.cols, limbs_to_words(folded[None])[0])
 
 
-def decode_iteration(
-    derived: SchemeDerived, iteration: int, response: BitVector
-) -> tuple[tuple[int, int, int], ...]:
-    """Syndrome-decode one response vector into (stripe, coordinate, bit).
+def decode_iteration(derived: SchemeDerived, iteration: int, response: BitVector) -> int:
+    """Syndrome-decode one response vector into a b-bit word whose bit p is
+    stripe p's bit, read at coordinate ``coords[iteration][p]``.
 
     Iteration a plants stripe p's bit at coordinate ``a + c`` for the p-th
     c of ``J_0``.  The response translated by -a, ``r'(j) = r(j + a)``,
@@ -432,46 +410,44 @@ def decode_iteration(
     the translation-invariant product code, which H' annihilates.  So
     ``H' r' = M_E x`` for the planted bits x, and ``x = M_E (H' r')``, since
     ``M_E`` is its own inverse: one product with the derived ``M_E H'``.
-    Bit p of x is stripe p's bit.
+    An iteration outside ``0..S-1`` raises :class:`IndexError`.
     """
     if response.length != derived.n_s:
         raise LengthMismatch(f"{response.length} != {derived.n_s}")
+    if not 0 <= iteration < derived.s_iterations:
+        raise IndexError(f"iteration {iteration} outside 0..{derived.s_iterations - 1}")
     schedule = derived.schedule
-    plan = schedule.iterations[iteration]
     back = [-x for x in schedule.iteration_shifts[iteration]]
-    planted = derived.parity.mul_vector(BitVector(derived.n_s, translate(response.word, schedule.n, back))).word
-    return tuple((stripe, coord, planted >> stripe & 1) for stripe, coord in zip(plan.stripes, plan.coords))
+    return derived.parity.mul_vector(BitVector(derived.n_s, translate(response.word, schedule.n, back))).word
 
 
-def reconstruct_file(
-    derived: SchemeDerived, recovered: tuple[tuple[int, int, int], ...]
-) -> BitMatrix:
-    """Rebuild the b x k_C file from each stripe's bits ``y_j = f . g_j`` at
-    exactly its scheduled coordinates ``I_0 + c`` (else :class:`Incomplete`).
+def reconstruct_file(derived: SchemeDerived, recovered: list[int]) -> BitMatrix:
+    """Rebuild the b x k_C file from the S decoded words, bit p of word i
+    being stripe p's bit ``y = f . g`` at ``coords[i][p]``; a list of other
+    than S words, or a word with a bit at or above b, raises
+    :class:`~.gf2.LengthMismatch`.
 
-    Translated by -c, the stripe's codeword ``u = f G_C`` is a codeword u'
-    of C, read on ``I_0`` as y'.  So ``u' = f' B_C`` with ``f' = y' M_C``:
-    ``u' = y' (M_C B_C)``, one product with the derived matrix.  Bit r of the
-    file row, u at the RREF pivot ``P_r``, is bit ``P_r - c`` of u': u'
-    translated back by c, read at the pivots."""
-    per_stripe: dict[int, dict[int, int]] = {}
-    for stripe, coord, bit in recovered:
-        per_stripe.setdefault(stripe, {})[coord] = bit
-    schedule, k_c = derived.schedule, derived.k_c
+    Stripe p, of shift c, holds its codeword ``u = f G_C`` on ``I_0 + c``.
+    Translated by -c it is a codeword u' of C, read on ``I_0`` as y', bit p
+    of each word in iteration order.  So ``u' = f' B_C`` with
+    ``f' = y' M_C``: ``u' = y' (M_C B_C)``, the XOR of the rows of the
+    derived matrix that those bits select.  Bit r of the file row, u at the
+    RREF pivot ``P_r``, is bit ``P_r - c`` of u': u' translated back by c,
+    read at the pivots."""
+    b, schedule = derived.b, derived.schedule
+    if len(recovered) != derived.s_iterations or any(word >> b for word in recovered):
+        raise LengthMismatch(f"reconstruction takes {derived.s_iterations} words of {b} bits")
     pivots = derived.storage_code.information_set()
     rows = derived.systematic.row_words
     words = []
-    for stripe, (coords, shift) in enumerate(zip(schedule.stripe_coords, schedule.stripe_shifts)):
-        got = per_stripe.get(stripe, {})
-        if got.keys() != set(coords):
-            raise Incomplete(f"stripe {stripe} does not hold exactly its {k_c} scheduled coordinates")
-        u = 0  # y' (M_C B_C): the rows of the coordinates whose bit is 1
-        for coord, row in zip(coords, rows):
-            if got[coord] & 1:
+    for p, shift in enumerate(schedule.stripe_shifts):
+        u = 0
+        for word, row in zip(recovered, rows):
+            if word >> p & 1:
                 u ^= row
         u = translate(u, schedule.n, shift)
-        words.append(sum((u >> p & 1) << r for r, p in enumerate(pivots)))
-    return BitMatrix(derived.b, k_c, tuple(words))
+        words.append(sum((u >> q & 1) << r for r, q in enumerate(pivots)))
+    return BitMatrix(b, derived.k_c, tuple(words))
 
 
 # ---------------------------------------------------------------------------
@@ -628,16 +604,9 @@ def verify_privacy_empirical(config: SchemeConfig, t: int) -> float:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    plan: IterationPlan
-    query: BitMatrix
-    response: BitVector
-    recovered: tuple[tuple[int, int, int], ...]
-
-
-@dataclass(frozen=True)
 class Transcript:
-    """Complete record of one simulated retrieval."""
+    """Record of one simulated retrieval: its schedule and one response
+    vector per iteration, not the queries, which the seed redraws."""
 
     config: SchemeConfig
     demand: int
@@ -646,7 +615,8 @@ class Transcript:
     r_pir: Fraction
     b: int
     s_iterations: int
-    iterations: tuple[IterationRecord, ...]
+    schedule: Schedule
+    responses: tuple[BitVector, ...]
     recovered_file: BitMatrix
     stored_file: BitMatrix
     reconstructed_ok: bool
@@ -657,7 +627,9 @@ class Transcript:
         return "".join(self.iter_json())
 
     def iter_json(self) -> Iterator[str]:
-        """:meth:`to_json` in pieces, so a writer need not hold the whole text."""
+        """:meth:`to_json` in pieces, so a writer need not hold the whole text.
+        Each iteration lists its coordinates ascending, ``"J"``, and in that
+        order each with its stripe, ``"assignments"``."""
         payload = {
             "config": {
                 "storage": self.config.storage.name,
@@ -675,11 +647,11 @@ class Transcript:
             },
             "iterations": [
                 {
-                    "J": list(rec.plan.coords),
-                    "assignments": [list(pair) for pair in rec.plan.assignments()],
-                    "responses_hex": rec.response.to_hex(),
+                    "J": sorted(row),
+                    "assignments": sorted(([p, coord] for p, coord in enumerate(row)), key=lambda pair: pair[1]),
+                    "responses_hex": response.to_hex(),
                 }
-                for rec in self.iterations
+                for row, response in zip(self.schedule.coords, self.responses)
             ],
             "reconstructed_ok": self.reconstructed_ok,
             "achieved_rate": float(self.achieved_rate),
@@ -704,13 +676,14 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     The S iterations are cut into runs of consecutive iterations, each as
     long as :data:`MAX_BATCH_BITS` allows, and each run's queries come from
     one :func:`gen_queries` call; the draws are the same one batch per
-    iteration in order, however the runs fall.  Each run reads its planted
-    bits of the stored matrix with one gather.  Every iteration is still
-    answered by :func:`respond_all` and decoded by :func:`decode_iteration`
-    on its own, and checks that the response vector minus its planted
-    contribution lies in the product code and that each recovered bit
-    equals the stored one; a failure, or an achieved rate that strays from
-    the derived one, raises :class:`ProtocolInvariantError`.
+    iteration in order, however the runs fall.  A retrieval holds one run
+    of queries at a time and keeps only the response vectors.  Every
+    iteration is answered by :func:`respond_all` and decoded by
+    :func:`decode_iteration` on its own.  It gathers the demanded stripes'
+    stored bits at ``coords[it]`` and checks that the response vector minus
+    them lies in the product code and that the decoded word equals them; a
+    failure, or an achieved rate that strays from the derived one, raises
+    :class:`ProtocolInvariantError`.
     """
     if not 0 <= demand < config.files:
         raise InvalidInput("demand index out of range")
@@ -721,44 +694,35 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     library = BitMatrix.from_limbs(draw_bit_limbs(rng, config.files, b, k_c), k_c)
     stored = encode_storage(derived, library)
 
-    records = []
-    recovered: list[tuple[int, int, int]] = []
-    plans = derived.schedule.iterations
+    coords = derived.schedule.coords
+    s_iterations = len(coords)
+    first = derived.file_row(demand, 0)
     rows = config.files * b
     run = MAX_BATCH_BITS // _query_bits(derived, config.files)
-    for start in range(0, len(plans), run):
-        iterations = range(start, min(start + run, len(plans)))
-        queries = gen_queries(derived, config.files, demand, iterations, rng)
-        planted = iter(
-            take_bits(
-                stored.limbs,
-                [derived.file_row(demand, stripe) for it in iterations for stripe in plans[it].stripes],
-                [coord for it in iterations for coord in plans[it].coords],
-            )
-        )
+    responses, recovered = [], []
+    for start in range(0, s_iterations, run):
+        iterations = range(start, min(start + run, s_iterations))
+        queries = gen_queries(derived, config.files, demand, iterations, rng).limbs
         for i, it in enumerate(iterations):
-            plan = plans[it]
-            query = BitMatrix.from_limbs(queries.limbs[i * rows : (i + 1) * rows], derived.n_s)
-            response = respond_all(stored, query)
-            got = decode_iteration(derived, it, response)
-            recovered.extend(got)
-            bits = list(islice(planted, len(plan.coords)))
-            embed_word = sum(1 << coord for coord, bit in zip(plan.coords, bits) if bit)
-            residue = BitVector(derived.n_s, response.word ^ embed_word)
-            if not derived.product_code.contains(residue):
+            response = respond_all(stored, BitMatrix.from_limbs(queries[i * rows : (i + 1) * rows], derived.n_s))
+            word = decode_iteration(derived, it, response)
+            bits = take_bits(stored.limbs, range(first, first + b), coords[it])
+            embed_word = sum(1 << coord for coord, bit in zip(coords[it], bits) if bit)
+            if not derived.product_code.contains(BitVector(derived.n_s, response.word ^ embed_word)):
                 raise ProtocolInvariantError(f"iteration {it}: response residue left the product code")
-            for (stripe, coord, bit), want in zip(got, bits):
-                if bit != want:
-                    raise ProtocolInvariantError(
-                        f"iteration {it}: recovered bit of stripe {stripe} at coordinate {coord} is wrong"
-                    )
-            records.append(IterationRecord(plan, query, response, got))
+            wrong = word ^ sum(bit << p for p, bit in enumerate(bits))
+            if wrong:
+                p = (wrong & -wrong).bit_length() - 1
+                raise ProtocolInvariantError(
+                    f"iteration {it}: recovered bit of stripe {p} at coordinate {coords[it][p]} is wrong"
+                )
+            responses.append(response)
+            recovered.append(word)
+        del queries  # hold one run of queries at a time
 
-    rebuilt = reconstruct_file(derived, tuple(recovered))
-    first = derived.file_row(demand, 0)
+    rebuilt = reconstruct_file(derived, recovered)
     demanded = BitMatrix.from_limbs(library.limbs[first : first + b], k_c)
-    s_actual = len(derived.schedule.iterations)
-    achieved = Fraction(derived.b * derived.k_c, s_actual * derived.n_s)
+    achieved = Fraction(b * k_c, s_iterations * derived.n_s)
     if achieved != derived.r_pir:
         raise ProtocolInvariantError("achieved rate strayed from the derived rate")
     return Transcript(
@@ -767,12 +731,13 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
         t=derived.t,
         r_st=derived.r_st,
         r_pir=derived.r_pir,
-        b=derived.b,
-        s_iterations=s_actual,
-        iterations=tuple(records),
+        b=b,
+        s_iterations=s_iterations,
+        schedule=derived.schedule,
+        responses=tuple(responses),
         recovered_file=rebuilt,
         stored_file=demanded,
         reconstructed_ok=rebuilt == demanded,
-        downloaded_bits=s_actual * derived.n_s,
+        downloaded_bits=s_iterations * derived.n_s,
         achieved_rate=achieved,
     )

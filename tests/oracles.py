@@ -157,9 +157,9 @@ def loop_retrieval(derived, files, seed, demand):
     stored = row_table_product([w for f in file_words for w in f], derived.storage_code.generator.row_words)
     g_d = derived.retrieval_code.generator
     queries, responses = [], []
-    for plan in derived.schedule.iterations:
+    for row in derived.schedule.coords:
         q = row_table_product(random_bits(rng, files * b, g_d.rows), g_d.row_words)
-        for stripe, coord in zip(plan.stripes, plan.coords):
+        for stripe, coord in enumerate(row):
             q[demand * b + stripe] ^= 1 << coord
         response = 0
         for s_row, q_row in zip(stored, q):

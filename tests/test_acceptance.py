@@ -146,7 +146,7 @@ def test_criterion_6_end_to_end():
         exact_rate = Fraction(product.length - product.dimension, product.length)
         probe = derive_scheme(SchemeConfig(P(storage), P(retrieval), files=2, seed=0))
         assert probe.s_iterations == probe.b * probe.k_c // probe.d_perp  # minimal S
-        assert len(probe.schedule.iterations) == probe.s_iterations
+        assert len(probe.schedule.coords) == probe.s_iterations
         for seed in range(100):
             config = SchemeConfig(P(storage), P(retrieval), files=2, seed=seed)
             transcript = run_retrieval(config, demand=seed % 2)

@@ -368,7 +368,7 @@ class TestSimulate:
             assert out.endswith(expected)
 
     @pytest.mark.parametrize(
-        "error", (gf2.Singular, gf2.LengthMismatch, pir.Incomplete, pir.ShapeMismatch)
+        "error", (gf2.Singular, gf2.LengthMismatch, pir.ShapeMismatch)
     )
     def test_protocol_internal_errors_exit_4(self, error, monkeypatch, capsys):
         def fail(*args):

@@ -1,6 +1,7 @@
 """Protocol machinery: scheme derivation, scheduling, encoding, queries,
 responses, decoding, reconstruction, privacy checks, end-to-end runs."""
 
+import csv
 import hashlib
 import importlib.util
 import json
@@ -21,9 +22,8 @@ from hypothesis import strategies as st
 from bermanpir import berman, cli, gf2, pir
 from bermanpir.berman import BermanParams, CodeKind, build
 from bermanpir.codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge
-from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, invert_columns, rank
+from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, draw_bit_limbs, invert_columns, rank
 from bermanpir.pir import (
-    Incomplete,
     ProtocolInvariantError,
     SchemeConfig,
     ShapeMismatch,
@@ -87,31 +87,45 @@ def supported_pairs(shapes):
                 yield storage, retrieval, t
 
 
-def planted_words(d, plan, files, demand):
-    """The bits one iteration plants into Q, one word per file row."""
+def planted_words(d, it, files, demand):
+    """The bits iteration ``it`` plants into Q, one word per file row."""
     words = [0] * (files * d.b)
-    for stripe, coord in zip(plan.stripes, plan.coords):
+    for stripe, coord in enumerate(d.schedule.coords[it]):
         words[d.file_row(demand, stripe)] |= 1 << coord
     return words
 
 
-def rescanned_stripe_coords(schedule, stripe):
-    """The coordinates the iterations assign to ``stripe``, in iteration order."""
-    return tuple(c for plan in schedule.iterations for s, c in zip(plan.stripes, plan.coords) if s == stripe)
+def stripe_coords(schedule, stripe):
+    """Column ``stripe`` of the table: the stripe's coordinates in iteration order."""
+    return tuple(row[stripe] for row in schedule.coords)
+
+
+def sorted_plan(row):
+    """One iteration's coordinates ascending and their stripes, as the
+    transcript lists them."""
+    order = sorted(range(len(row)), key=row.__getitem__)
+    return [[row[p] for p in order], order]
+
+
+def regenerated_queries(d, files, seed, demand):
+    """Every query of one retrieval, stacked as one run: the documented
+    stream draws the M files first, then one batch per iteration."""
+    rng = philox_generator(seed)
+    draw_bit_limbs(rng, files, d.b, d.k_c)
+    return gen_queries(d, files, demand, range(d.s_iterations), rng)
 
 
 def check_schedule(schedule, g_c, h, b, k_c, d_perp, s_iterations):
-    """Every iteration holds d_perp distinct coordinates with invertible
-    columns of H; every stripe holds k_C with invertible columns of G_C,
-    and the stripe view agrees with the iterations."""
-    assert len(schedule.iterations) == s_iterations
-    for plan in schedule.iterations:
-        assert len(set(plan.coords)) == len(plan.coords) == d_perp
-        invert_columns(h, plan.coords)
-    assert len(schedule.stripe_coords) == b
+    """Every iteration (row) holds d_perp distinct coordinates with
+    invertible columns of H; every stripe (column) holds k_C with
+    invertible columns of G_C."""
+    assert len(schedule.coords) == s_iterations
+    for row in schedule.coords:
+        assert len(set(row)) == len(row) == d_perp
+        invert_columns(h, row)
+    assert {len(row) for row in schedule.coords} == {b}
     for stripe in range(b):
-        coords = schedule.stripe_coords[stripe]
-        assert coords == rescanned_stripe_coords(schedule, stripe)
+        coords = stripe_coords(schedule, stripe)
         assert len(coords) == k_c
         invert_columns(g_c, coords)
 
@@ -249,21 +263,25 @@ class TestSchedule:
     def test_single_iteration_example(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)"))
         assert (d.k_c, d.d_perp, d.b, d.s_iterations) == (1, 4, 4, 1)
-        (plan,) = d.schedule.iterations
-        assert len(plan.coords) == 4
-        assert sorted(plan.stripes) == [0, 1, 2, 3]
-        invert_columns(d.parity, plan.coords)  # invertible by construction
+        (row,) = d.schedule.coords
+        assert len(set(row)) == len(row) == 4
+        assert sorted(sorted_plan(row)[1]) == [0, 1, 2, 3]
+        invert_columns(d.parity, row)  # invertible by construction
 
     def test_invariants_all_pairs(self):
         for storage, retrieval in ACCEPTANCE_PAIRS:
-            d = derive_scheme(cfg(storage, retrieval))
-            assert len(d.schedule.iterations) == d.s_iterations
-            for plan in d.schedule.iterations:
-                assert len(set(plan.coords)) == len(plan.coords) == d.d_perp
-                assert plan.coords == tuple(sorted(plan.coords))
-                invert_columns(d.parity, plan.coords)
+            config = cfg(storage, retrieval)
+            d = derive_scheme(config)
+            assert len(d.schedule.coords) == d.s_iterations
+            published = json.loads(run_retrieval(config, 0).to_json())["iterations"]
+            assert len(published) == d.s_iterations
+            for row, it in zip(d.schedule.coords, published):
+                assert len(set(row)) == len(row) == d.d_perp
+                assert it["J"] == sorted(row)
+                assert it["assignments"] == [[p, row[p]] for p in sorted_plan(row)[1]]
+                invert_columns(d.parity, row)
             for stripe in range(d.b):
-                coords = d.schedule.stripe_coords[stripe]
+                coords = stripe_coords(d.schedule, stripe)
                 assert len(coords) == d.k_c
                 invert_columns(d.storage_code.generator, coords)
 
@@ -281,8 +299,10 @@ class TestSchedule:
             shifts = [berman.index_to_tuple(n, m, i) for i in berman.weight_set(perp)]
             assert d.schedule.stripe_shifts == tuple(shifts)
             assert (d.s_iterations, d.b) == (d.k_c, d.d_perp)
-            for a, plan in zip(d.schedule.iteration_shifts, d.schedule.iterations):
-                for stripe, coord in plan.assignments():
+            assert len(d.schedule.coords) == d.s_iterations
+            for a, row in zip(d.schedule.iteration_shifts, d.schedule.coords):
+                assert len(row) == d.b
+                for stripe, coord in enumerate(row):
                     c = d.schedule.stripe_shifts[stripe]
                     assert coord == berman.tuple_to_index(n, [(x + y) % n for x, y in zip(a, c)])
         assert derive_scheme(cfg("DBer(2,1,7)", "DBer(2,2,7)")).b == 64
@@ -307,7 +327,7 @@ class TestSchedule:
 
 class TestScheduleRegression:
     #: SHA-256 over every pair of SHAPES_UP_TO_36 of its name and, per
-    #: iteration, its coordinates and their stripes.
+    #: iteration, its coordinates ascending and their stripes.
     SCHEDULES_SHA256 = "c0926b58bf78fd6b2aec47469a54acb91108b2817eebef9b6d0a8329dc0db320"
 
     #: Pairs with n^m <= 64 that an early depth-first schedule search gave up on.
@@ -329,16 +349,32 @@ class TestScheduleRegression:
     def test_schedules_are_pinned(self):
         digest = hashlib.sha256()
         for storage, retrieval, _ in supported_pairs(SHAPES_UP_TO_36):
-            plans = derive_scheme(SchemeConfig(storage, retrieval)).schedule.iterations
-            record = [storage.name, retrieval.name, [[p.coords, p.stripes] for p in plans]]
+            coords = derive_scheme(SchemeConfig(storage, retrieval)).schedule.coords
+            record = [storage.name, retrieval.name, [sorted_plan(row) for row in coords]]
             digest.update(json.dumps(record).encode())
         assert digest.hexdigest() == self.SCHEDULES_SHA256
 
     def test_stripe_view_matches_iterations(self):
+        # Decoding reads row i translated by -I_0[i] as J_0, in stripe order;
+        # reconstruction reads column p translated by -J_0[p] as I_0, in
+        # iteration order.
         for storage, retrieval, _ in supported_pairs(shapes_up_to(64)):
             d = derive_scheme(SchemeConfig(storage, retrieval))
-            expected = tuple(rescanned_stripe_coords(d.schedule, s) for s in range(d.b))
-            assert d.schedule.stripe_coords == expected, (storage.name, retrieval.name)
+            n, m = storage.n, storage.m
+            schedule = d.schedule
+            iteration_set = berman.weight_set(storage)
+            stripe_set = berman.weight_set(pir.predict_star(storage, retrieval).dual)
+
+            def moved(coords, shift):
+                return tuple(
+                    berman.tuple_to_index(n, [(x - y) % n for x, y in zip(berman.index_to_tuple(n, m, c), shift)])
+                    for c in coords
+                )
+
+            for row, a in zip(schedule.coords, schedule.iteration_shifts):
+                assert moved(row, a) == stripe_set, (storage.name, retrieval.name)
+            for stripe, c in enumerate(schedule.stripe_shifts):
+                assert moved(stripe_coords(schedule, stripe), c) == iteration_set, (storage.name, retrieval.name)
 
     def test_every_pair_up_to_64_servers_reconstructs(self):
         pairs = list(supported_pairs(shapes_up_to(64)))
@@ -478,7 +514,7 @@ class TestQueries:
         g_d = d.retrieval_code.generator
         rand = BitMatrix(2 * d.b, g_d.rows, random_bits(philox_generator(7), 2 * d.b, g_d.rows)) @ g_d
         embed = BitMatrix(q.rows, q.cols, tuple(a ^ r for a, r in zip(q.row_words, rand.row_words)))
-        assert list(embed.row_words) == planted_words(d, d.schedule.iterations[0], 2, demand)
+        assert list(embed.row_words) == planted_words(d, 0, 2, demand)
         # At most one planted bit per coordinate, all on the demanded rows.
         for j in range(d.n_s):
             assert embed.column(j).weight() <= 1
@@ -492,7 +528,7 @@ class TestQueries:
     def test_random_rows_are_retrieval_codewords(self):
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=2))
         q = gen_queries(d, 2, 0, range(0, 1), philox_generator(13))
-        planted = planted_words(d, d.schedule.iterations[0], 2, 0)
+        planted = planted_words(d, 0, 2, 0)
         for word, embed in zip(q.row_words, planted):
             assert d.retrieval_code.contains(BitVector(q.cols, word ^ embed))
 
@@ -544,7 +580,8 @@ class TestRandomBits:
 
 class TestLoopOracle:
     """Every query, response and recovered file of ``run_retrieval`` against
-    the row-at-a-time Python-integer loop of :func:`oracles.loop_retrieval`."""
+    the row-at-a-time Python-integer loop of :func:`oracles.loop_retrieval`;
+    the queries are regenerated from the documented stream."""
 
     @pytest.mark.parametrize(
         "storage, retrieval",
@@ -565,10 +602,8 @@ class TestLoopOracle:
         for demand in range(3):
             file_words, queries, responses = loop_retrieval(d, 3, seed, demand)
             transcript = run_retrieval(config, demand)
-            assert len(transcript.iterations) == len(queries)
-            for rec, q, r in zip(transcript.iterations, queries, responses):
-                assert rec.query.row_words == q
-                assert rec.response.word == r
+            assert regenerated_queries(d, 3, seed, demand).row_words == tuple(w for q in queries for w in q)
+            assert [r.word for r in transcript.responses] == responses
             assert transcript.recovered_file.row_words == file_words
             assert transcript.stored_file.row_words == file_words
             assert transcript.reconstructed_ok
@@ -619,8 +654,7 @@ class TestDecode:
         stored = encode_storage(d, BitMatrix.zeros(2 * d.b, d.k_c))
         q = gen_queries(d, 2, 0, range(0, 1), philox_generator(3))
         r = respond_all(stored, q)
-        for _, _, bit in decode_iteration(d, 0, r):
-            assert bit == 0
+        assert decode_iteration(d, 0, r) == 0
 
     def test_recovers_ground_truth(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2, seed=5))
@@ -631,8 +665,10 @@ class TestDecode:
         demand = 1
         q = gen_queries(d, 2, demand, range(0, 1), rng)
         r = respond_all(stored, q)
-        for stripe, coord, bit in decode_iteration(d, 0, r):
-            assert bit == encoded.entry(d.file_row(demand, stripe), coord)
+        word = decode_iteration(d, 0, r)
+        assert word >> d.b == 0
+        for stripe, coord in enumerate(d.schedule.coords[0]):
+            assert word >> stripe & 1 == encoded.entry(d.file_row(demand, stripe), coord)
 
     def test_invariant_under_rerandomization(self):
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=2))
@@ -642,20 +678,24 @@ class TestDecode:
             got = []
             for it in range(d.s_iterations):
                 q = gen_queries(d, 2, 0, range(it, it + 1), philox_generator(seed + it))
-                got.extend(decode_iteration(d, it, respond_all(stored, q)))
-            recovered.append(sorted(got))
+                got.append(decode_iteration(d, it, respond_all(stored, q)))
+            recovered.append(got)
         assert recovered[0] == recovered[1]
+
+    def test_refuses_an_iteration_outside_the_schedule(self):
+        # -1 would otherwise decode with the last iteration's shift.
+        d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)"))
+        response = BitVector.zeros(d.n_s)
+        assert decode_iteration(d, d.s_iterations - 1, response) == 0
+        for it in (-1, d.s_iterations):
+            with pytest.raises(IndexError):
+                decode_iteration(d, it, response)
 
 
 class TestReconstruct:
     def test_zero_bits_zero_file(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)"))
-        triples = tuple(
-            (stripe, coord, 0)
-            for stripe in range(d.b)
-            for coord in d.schedule.stripe_coords[stripe]
-        )
-        assert reconstruct_file(d, triples) == BitMatrix.zeros(d.b, d.k_c)
+        assert reconstruct_file(d, [0] * d.s_iterations) == BitMatrix.zeros(d.b, d.k_c)
 
     def test_pivot_coordinates_copy_through(self):
         # E^perp = DBer(2,0,3), so the one stripe's offset is the zero tuple,
@@ -665,24 +705,18 @@ class TestReconstruct:
         file0 = BitMatrix(d.b, d.k_c, tuple(int(w) for w in rng.integers(0, 1 << d.k_c, size=d.b)))
         encoded = file0 @ d.storage_code.generator
         pivots = d.storage_code.information_set()
-        assert d.schedule.stripe_coords == (pivots,)
-        triples = tuple(
-            (stripe, coord, encoded.entry(stripe, coord))
-            for stripe in range(d.b)
-            for coord in pivots
-        )
-        assert reconstruct_file(d, triples) == file0
+        assert d.b == 1 and stripe_coords(d.schedule, 0) == pivots
+        recovered = [encoded.entry(0, coord) for coord in pivots]
+        assert reconstruct_file(d, recovered) == file0
 
-    def test_incomplete(self):
-        d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)"))
-        with pytest.raises(Incomplete):
-            reconstruct_file(d, ((0, 0, 0),))
-        # k_C coordinates per stripe, but one stripe's are not its scheduled set.
+    def test_refuses_a_wrong_count_or_a_high_bit(self):
+        # S words of b bits each, no fewer, no more, and no bit at or above b.
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)"))
-        coords = [list(c) for c in d.schedule.stripe_coords]
-        coords[0][0] = min(set(range(d.n_s)) - set(coords[0]))
-        with pytest.raises(Incomplete):
-            reconstruct_file(d, tuple((stripe, c, 0) for stripe in range(d.b) for c in coords[stripe]))
+        s, b = d.s_iterations, d.b
+        assert reconstruct_file(d, [(1 << b) - 1] * s).rows == b
+        for recovered in ([0] * (s - 1), [0] * (s + 1), [1 << b] + [0] * (s - 1), [0] * (s - 1) + [-1]):
+            with pytest.raises(LengthMismatch):
+                reconstruct_file(d, recovered)
 
 
 class TestPrivacyRank:
@@ -856,12 +890,13 @@ class TestRunRetrieval:
         assert transcript.reconstructed_ok
         retrieval = build(P("DBer(3,1,2)"))
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)"))
-        for rec in transcript.iterations:
+        queries = regenerated_queries(d, 1, 2, 0).row_words
+        for it in range(d.s_iterations):
             # Queries still carry the random retrieval-code part.
-            planted = planted_words(d, rec.plan, 1, 0)
+            planted = planted_words(d, it, 1, 0)
             assert sum(w.bit_count() for w in planted) == d.d_perp
-            for word, embed in zip(rec.query.row_words, planted):
-                assert retrieval.contains(BitVector(rec.query.cols, word ^ embed))
+            for word, embed in zip(queries[it * d.b : (it + 1) * d.b], planted):
+                assert retrieval.contains(BitVector(d.n_s, word ^ embed))
 
     def test_parity_storage_scheme(self):
         transcript = run_retrieval(cfg("Ber(3,0,3)", "DBer(3,0,3)", files=1, seed=4), 0)
@@ -918,8 +953,28 @@ class TestRunRetrieval:
         split = run_retrieval(config, 3)
         assert runs == [2, 2, 2, 1]
         assert split.to_json() == whole.to_json()
-        for a, b in zip(split.iterations, whole.iterations):
-            assert a.query == b.query
+
+    def test_retrieval_holds_one_run_of_queries(self):
+        # 40 files of 1486 stripes on 2048 servers: each of the 67 queries
+        # takes 15 MB, one run under the batch guard, and keeping them all
+        # would take a gigabyte.  The peak is the child's own.
+        root = Path(__file__).resolve().parent.parent
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        script = (
+            "import resource, sys; from bermanpir.cli import main; rc = main(); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); raise SystemExit(rc)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "simulate", "--storage", "DBer(2,2,11)", "--retrieval", "DBer(2,2,11)",
+             "--files", "40", "--demand", "39", "--format", "csv"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        (summary,) = csv.DictReader(proc.stdout.splitlines())
+        assert summary["reconstructed_ok"] == "True"
+        peak_kb = int(proc.stderr.splitlines()[-1])
+        assert peak_kb < 300 << 10
 
     def test_oversized_library_is_refused_before_any_draw(self, monkeypatch):
         config = cfg("DBer(2,1,3)", "DBer(2,1,3)", files=10**12)
@@ -971,7 +1026,7 @@ class TestRunRetrieval:
     @pytest.mark.parametrize(
         "stage, flip_first, message",
         (
-            ("decode_iteration", lambda got: ((*got[0][:2], got[0][2] ^ 1), *got[1:]), "recovered bit"),
+            ("decode_iteration", lambda word: word ^ 1, "recovered bit"),
             ("take_bits", lambda bits: [bits[0] ^ 1, *bits[1:]], "left the product code"),
         ),
     )
