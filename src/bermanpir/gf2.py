@@ -10,24 +10,26 @@ Bulk kernels run on NumPy *limbs*: a matrix's rows as a little-endian
 bit ``j % 64`` of limb ``j // 64``.  :func:`words_to_limbs` and
 :func:`limbs_to_words` convert between the two forms, and
 :func:`bits_to_limbs` packs a 0/1 array.  Uniform bits are never unpacked:
-:func:`draw_bit_bytes` takes whole 64-bit Philox outputs and packs each
-row's bits a byte at a time straight from the generator's bytes, and
-:func:`draw_bit_limbs` writes those bytes into limbs.  A :class:`BitMatrix`
-holds row words (one word per row) or limbs, whichever it was built from,
-and derives the other form lazily the first time something reads it, so a
-matrix that only feeds limb kernels is never converted to words.  Matrix
-products use the "method of four Russians": the right operand's rows are
-grouped eight at a time, each group's 256 XOR combinations are tabulated
-once, and every output row then gathers one table row per group, indexed
-by the matching byte of the left operand's row, a block of rows at a time
-(:func:`limb_product`).  Those bytes come from the left operand's limbs or,
-for random queries, straight from :func:`draw_bit_bytes`.
+one generator, :func:`_draw_groups`, takes whole 64-bit Philox outputs and
+packs each row's bits a byte at a time straight from the generator's bytes,
+and two consumers spend those bytes: :func:`draw_bit_limbs` writes them into
+limbs, and :func:`draw_product` looks them up in a product's tables.  A
+:class:`BitMatrix` holds row words (one word per row) or limbs, whichever it
+was built from, and derives the other form lazily the first time something
+reads it, so a matrix that only feeds limb kernels is never converted to
+words.  Matrix products use the "method of four Russians": the right
+operand's rows are grouped eight at a time, each group's 256 XOR
+combinations are tabulated once, and every output row then gathers one
+table row per group, indexed by the matching byte of the left operand's
+row, a block of rows at a time.  Those bytes come from the left operand's
+limbs (:func:`limb_product`) or, for random queries, straight from the
+draw (:func:`draw_product`).
 Transposes and column selections unpack to a 0/1 array, index it, and pack.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,18 +92,22 @@ _TOP_BITS = LIMB.type(0x8080808080808080)
 _GATHER_TOP = LIMB.type(0x0002040810204081)
 
 
-#: Bytes of generator words that one block of :func:`draw_bit_bytes` holds
-#: (or one call's words, if more).  Its packing reads the block once per
-#: eight columns, so the block is kept small enough to stay in cache.
+#: Bytes of generator words that one block of :func:`_draw_groups` holds (or
+#: one call's words, if more).  Its packing reads the block once per eight
+#: columns, so the block is kept small enough to stay in cache.  The block's
+#: raw 64-bit outputs are drawn at most this many bytes at a time, so the
+#: generator's output array is never a second copy of a large block.
 DRAW_BYTES = 1 << 16
 
 
-def draw_bit_bytes(rng: np.random.Generator, calls: int, rows: int, cols: int, out: np.ndarray) -> None:
-    """Write the packed bits of ``calls`` consecutive ``rng.integers(0, 2,
-    (rows, cols), uint8)`` draws to ``out``, a uint8 array (or a view with
-    any strides) of ``calls * rows`` rows: ``out[r, g]`` becomes bits ``8g``
-    to ``8g + 7`` of row ``r``, lowest first, zero past ``cols``, for the
-    first ``ceil(cols/8)`` columns; the others are left as they are.
+def _draw_groups(rng: np.random.Generator, calls: int, rows: int, cols: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The packed bits of ``calls`` consecutive ``rng.integers(0, 2, (rows,
+    cols), uint8)`` draws, stacked into ``calls * rows`` rows, one group of
+    eight columns of one block of calls at a time: each item is ``(start,
+    g, index)``, where ``index[r]`` holds bits ``8g`` to ``8g + 7`` of row
+    ``start + r``, lowest first, zero past ``cols``.  ``index`` is a uint64
+    array that the next item overwrites, so a consumer uses it before asking
+    for more.
 
     Each such uint8 call takes ``ceil(rows * cols / 4)`` fresh 32-bit words
     from the generator and spends them a byte at a time, least significant
@@ -114,9 +120,9 @@ def draw_bit_bytes(rng: np.random.Generator, calls: int, rows: int, cols: int, o
     carried half is taken first with one uint32 draw, then every pair of
     words is one raw output (``random_raw``), and an odd last word is one
     more uint32 draw, whose high half the generator carries on exactly as
-    the uint8 calls would.  Byte ``g`` of row ``i`` is then the top bits of
+    the uint8 calls would.  Group ``g`` of row ``i`` is then the top bits of
     the 8 bytes from ``i * cols + 8g`` on, read as one unaligned word; the
-    last byte of a row masks off the next row's bytes, and 8 bytes of slack
+    last group of a row masks off the next row's bytes, and 8 bytes of slack
     after the words hold the last row's overhang.  The calls are drawn in
     blocks of at most :data:`DRAW_BYTES` of words (at least one call each),
     so the scratch memory does not grow with their number."""
@@ -124,8 +130,9 @@ def draw_bit_bytes(rng: np.random.Generator, calls: int, rows: int, cols: int, o
     if not per_call:
         return
     step = max(1, DRAW_BYTES // (4 * per_call))
+    raw_step = max(1, DRAW_BYTES // 8)
     buf = np.empty(4 * per_call * min(step, calls) + 8, dtype=np.uint8)
-    packed = np.empty((min(step, calls), rows), dtype=LIMB)
+    packed = np.empty(min(step, calls) * rows, dtype=LIMB)
     for lo in range(0, calls, step):
         n = min(step, calls - lo)
         count = n * per_call
@@ -135,35 +142,34 @@ def draw_bit_bytes(rng: np.random.Generator, calls: int, rows: int, cols: int, o
         if carried:
             words[:1] = rng.integers(0, 1 << 32, size=1, dtype=np.uint32)
         pairs, odd = divmod(count - carried, 2)
-        words[carried : carried + 2 * pairs] = rng.bit_generator.random_raw(pairs).astype("<u8", copy=False).view("<u4")
+        for at in range(0, pairs, raw_step):
+            outputs = rng.bit_generator.random_raw(min(raw_step, pairs - at)).astype("<u8", copy=False).view("<u4")
+            words[carried + 2 * at : carried + 2 * at + len(outputs)] = outputs
         if odd:
             words[-1:] = rng.integers(0, 1 << 32, size=1, dtype=np.uint32)
+        index = packed[: n * rows]
         for g in range(0, cols, 8):
             lanes = np.ndarray((n, rows), dtype="<u8", buffer=buf, offset=g, strides=(4 * per_call, cols))
-            np.bitwise_and(lanes, _TOP_BITS & LIMB.type((1 << 8 * min(8, cols - g)) - 1), out=packed[:n])
-            packed[:n] *= _GATHER_TOP
-            packed[:n] >>= 56
-            out[lo * rows : (lo + n) * rows, g >> 3] = packed[:n].reshape(-1)
+            np.bitwise_and(lanes, _TOP_BITS & LIMB.type((1 << 8 * min(8, cols - g)) - 1), out=index.reshape(n, rows))
+            index *= _GATHER_TOP
+            index >>= 56
+            yield lo * rows, g >> 3, index
 
 
 def draw_bit_limbs(rng: np.random.Generator, calls: int, rows: int, cols: int) -> np.ndarray:
     """The limbs of ``calls`` consecutive ``rng.integers(0, 2, (rows, cols),
     uint8)`` draws, stacked into ``calls * rows`` rows, each limb byte written
-    straight from the generator's words by :func:`draw_bit_bytes`."""
+    straight from the generator's words by :func:`_draw_groups`."""
     limbs = np.zeros((calls * rows, (cols + 63) // 64), dtype=LIMB)
-    draw_bit_bytes(rng, calls, rows, cols, limbs.view(np.uint8))
+    out = limbs.view(np.uint8)
+    for start, g, index in _draw_groups(rng, calls, rows, cols):
+        out[start : start + len(index), g] = index
     return limbs
 
 
 def _limbs_to_bits(limbs: np.ndarray, cols: int) -> np.ndarray:
     """Inverse of :func:`bits_to_limbs`: a ``rows x cols`` uint8 array."""
     return np.unpackbits(limbs.view(np.uint8), axis=1, count=cols, bitorder="little")
-
-
-def flip_bits(limbs: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> None:
-    """Flip bit ``cols[i]`` of row ``rows[i]`` of ``limbs`` in place, for every ``i``."""
-    cols = np.asarray(cols, dtype=LIMB)
-    np.bitwise_xor.at(limbs, (np.asarray(rows, dtype=np.intp), cols >> 6), LIMB.type(1) << (cols & 63))
 
 
 def take_bits(limbs: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> list[int]:
@@ -183,8 +189,9 @@ def span_table(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-#: Bytes of output rows that one gather of :func:`limb_product` fills, so its
-#: scratch memory does not grow with the height of the left operand.
+#: Bytes of output rows that one gather of :func:`limb_product` or
+#: :func:`draw_product` fills, so its scratch memory does not grow with the
+#: height of the left operand.
 GATHER_BYTES = 1 << 18
 
 
@@ -195,9 +202,8 @@ def limb_product(index: np.ndarray, right: np.ndarray) -> np.ndarray:
     ``index[g]`` holds byte ``g`` of every row of the left operand: its bits
     ``8g`` to ``8g + 7``, zero past ``k``, so a short last group's byte never
     indexes past its table.  The bytes are the left operand's limb bytes
-    (``BitMatrix @``) or come straight from the generator
-    (:func:`draw_bit_bytes`).  Every group of eight rows of ``right`` gets
-    its :func:`span_table`, built once per call.  Each output row XORs in one
+    (``BitMatrix @``).  Every group of eight rows of ``right`` gets its
+    :func:`span_table`, built once per call.  Each output row XORs in one
     table row per group, the one its byte names, gathered with ``np.take``
     for a block of :data:`GATHER_BYTES` of output rows at a time.
     """
@@ -212,6 +218,31 @@ def limb_product(index: np.ndarray, right: np.ndarray) -> np.ndarray:
             n = min(block, height - lo)
             rows[:n] = index[g >> 3, lo : lo + n]  # np.take is fastest on intp indexes
             out[lo : lo + n] ^= np.take(table, rows[:n], axis=0)
+    return out
+
+
+def draw_product(rng: np.random.Generator, calls: int, rows: int, right: np.ndarray) -> np.ndarray:
+    """The GF(2) product of ``calls`` consecutive ``rng.integers(0, 2, (rows,
+    k), uint8)`` draws, stacked into ``calls * rows`` rows, and the ``k x W``
+    limb array ``right``, without holding the drawn bits.
+
+    Every group of eight rows of ``right`` gets its :func:`span_table`, built
+    once per call.  :func:`_draw_groups` hands over the packed bits of each
+    block of drawn rows, one byte per group of each row, and each output row
+    of the block XORs in one table row per group, the one its byte names,
+    gathered with ``np.take`` for at most :data:`GATHER_BYTES` of output
+    rows at a time.  A short last group's bytes are zero past ``k``, so they
+    never index past its table.
+    """
+    k, width = right.shape
+    out = np.zeros((calls * rows, width), dtype=LIMB)
+    tables = [span_table(right[g : g + 8]) for g in range(0, k, 8)]
+    block = max(1, GATHER_BYTES // (8 * max(1, width)))
+    for start, g, index in _draw_groups(rng, calls, rows, k):
+        index = index.view(np.int64)  # the same values as int64, which np.take reads without a cast
+        for lo in range(0, len(index), block):
+            part = out[start + lo : start + min(lo + block, len(index))]
+            part ^= np.take(tables[g], index[lo : lo + block], axis=0)
     return out
 
 

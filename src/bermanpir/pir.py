@@ -21,9 +21,10 @@ of C on ``I_0``, also its own inverse.  So ``b = d_perp`` and ``S = k_C``,
 and neither step eliminates anything once the pair is derived.
 
 The bulk work runs on NumPy limb arrays (see :mod:`.gf2`): the queries of a
-run of consecutive iterations are one table product of their packed message
-bits with D's generator, so its tables are built once per run, and each
-iteration's response is one XOR reduction over the rows of ``stored & Q``.
+run of consecutive iterations are drawn straight into one table product with
+D's generator, so its tables are built once per run and the message bits are
+never held, and each iteration's response is one XOR reduction over the rows
+of ``stored & Q``.
 The matrices the stages return keep those limbs and become Python integers
 only where something reads their words; a retrieval itself reads the words
 of the response vectors and the demanded file alone.
@@ -68,11 +69,9 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     LengthMismatch,
-    draw_bit_bytes,
     draw_bit_limbs,
-    flip_bits,
+    draw_product,
     invert_columns,  # noqa: F401  benchmarks/tracer.py patches pir.invert_columns
-    limb_product,
     limbs_to_words,
     reduce_word,
     take_bits,
@@ -363,15 +362,15 @@ def gen_queries(
     Every row starts as an independent uniform codeword of the retrieval
     code.  Each iteration, in order, draws one row-major batch of
     ``M*b x k_D`` uniform message bits, the bits of ``rng.integers(0, 2,
-    (M*b, k_D), uint8)``.  These are consecutive calls, so
-    :func:`~.gf2.draw_bit_bytes` draws the whole run's bits together from
-    whole Philox outputs and packs each row's bits a byte at a time,
-    straight into one array of table indexes, so the message bits are never
-    held one per byte or packed into limbs.  The whole run is then one
-    table product with the generator's limbs, so each of its tables is
-    built once per run.  Last, for each stripe p of each iteration i, bit
-    ``coords[i][p]`` of the demanded file's stripe-p row of that
-    iteration's query is flipped.  A run over :data:`MAX_BATCH_BITS` raises
+    (M*b, k_D), uint8)``.  These are consecutive calls, so the whole run is
+    one :func:`~.gf2.draw_product` with the generator's limbs: it draws the
+    run's bits together from whole Philox outputs, packs each row's bits a
+    byte at a time and looks each byte up at once in its group's table,
+    built once per run, so the message bits are never held.  Last, for
+    each stripe p of each iteration i, bit ``coords[i][p]`` of the demanded
+    file's stripe-p row of that iteration's query is flipped, all of the
+    run's bits by one fancy-index XOR: each row holds one of them, so no
+    two share a limb.  A run over :data:`MAX_BATCH_BITS` raises
     :class:`TooLarge` before the draw.
     """
     if not 0 <= demand < files:
@@ -379,14 +378,10 @@ def gen_queries(
     g_d = derived.retrieval_code.generator
     _check_batch_size(derived, files, len(iterations))
     b, rows = derived.b, files * derived.b
-    messages = np.empty(((g_d.rows + 7) // 8, len(iterations) * rows), dtype=np.uint8)
-    draw_bit_bytes(rng, len(iterations), rows, g_d.rows, messages.T)
-    limbs = limb_product(messages, g_d.limbs)
-    flip_bits(
-        limbs,
-        [i * rows + derived.file_row(demand, p) for i in range(len(iterations)) for p in range(b)],
-        [coord for it in iterations for coord in derived.schedule.coords[it]],
-    )
+    limbs = draw_product(rng, len(iterations), rows, g_d.limbs)
+    planted = np.arange(len(iterations))[:, None] * rows + derived.file_row(demand, np.arange(b))
+    coords = np.array([derived.schedule.coords[it] for it in iterations], dtype=np.uint64).reshape(planted.shape)
+    limbs[planted, coords >> 6] ^= np.uint64(1) << (coords & 63)
     return BitMatrix.from_limbs(limbs, derived.n_s)
 
 
@@ -677,12 +672,16 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     long as :data:`MAX_BATCH_BITS` allows, and each run's queries come from
     one :func:`gen_queries` call; the draws are the same one batch per
     iteration in order, however the runs fall.  A retrieval holds one run
-    of queries at a time and keeps only the response vectors.  Every
+    of queries at a time and keeps only the response vectors.  One
+    :func:`~.gf2.take_bits` call first gathers the S*b planted bits, the
+    demanded stripes' stored bits at every row of ``coords``.  Every
     iteration is answered by :func:`respond_all` and decoded by
-    :func:`decode_iteration` on its own.  It gathers the demanded stripes'
-    stored bits at ``coords[it]`` and checks that the response vector minus
-    them lies in the product code and that the decoded word equals them; a
-    failure, or an achieved rate that strays from the derived one, raises
+    :func:`decode_iteration` on its own, and checks, in this order, that
+    the response vector minus its planted bits lies in the product code and
+    that the decoded word equals them.  Last, the achieved rate is read off
+    what the retrieval produced: the rebuilt file's ``b*k_C`` bits over the
+    summed lengths of the kept responses, the downloaded bits.  A failed
+    check, or an achieved rate that strays from the derived one, raises
     :class:`ProtocolInvariantError`.
     """
     if not 0 <= demand < config.files:
@@ -698,6 +697,7 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     s_iterations = len(coords)
     first = derived.file_row(demand, 0)
     rows = config.files * b
+    planted = take_bits(stored.limbs, list(range(first, first + b)) * s_iterations, [c for row in coords for c in row])
     run = MAX_BATCH_BITS // _query_bits(derived, config.files)
     responses, recovered = [], []
     for start in range(0, s_iterations, run):
@@ -706,7 +706,7 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
         for i, it in enumerate(iterations):
             response = respond_all(stored, BitMatrix.from_limbs(queries[i * rows : (i + 1) * rows], derived.n_s))
             word = decode_iteration(derived, it, response)
-            bits = take_bits(stored.limbs, range(first, first + b), coords[it])
+            bits = planted[it * b : (it + 1) * b]
             embed_word = sum(1 << coord for coord, bit in zip(coords[it], bits) if bit)
             if not derived.product_code.contains(BitVector(derived.n_s, response.word ^ embed_word)):
                 raise ProtocolInvariantError(f"iteration {it}: response residue left the product code")
@@ -722,9 +722,10 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
 
     rebuilt = reconstruct_file(derived, recovered)
     demanded = BitMatrix.from_limbs(library.limbs[first : first + b], k_c)
-    achieved = Fraction(b * k_c, s_iterations * derived.n_s)
+    downloaded = sum(response.length for response in responses)
+    achieved = Fraction(rebuilt.rows * rebuilt.cols, downloaded)
     if achieved != derived.r_pir:
-        raise ProtocolInvariantError("achieved rate strayed from the derived rate")
+        raise ProtocolInvariantError(f"achieved rate {achieved} strayed from the derived rate {derived.r_pir}")
     return Transcript(
         config=config,
         demand=demand,
@@ -738,6 +739,6 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
         recovered_file=rebuilt,
         stored_file=demanded,
         reconstructed_ok=rebuilt == demanded,
-        downloaded_bits=s_iterations * derived.n_s,
+        downloaded_bits=downloaded,
         achieved_rate=achieved,
     )

@@ -491,22 +491,20 @@ class TestDrawBitLimbs:
     @example(seed=3, rows=5632, k=22, cols=64, calls=1, pre=0)  # a retrieve_wide query batch
     @example(seed=4, rows=2, k=3, cols=5, calls=1, pre=1)  # the last row's group reads the slack
     @example(seed=5, rows=3, k=16, cols=9, calls=2, pre=0)
+    @example(seed=6, rows=5, k=22, cols=256, calls=2, pre=1)  # four limbs per row
     def test_raw_byte_product_matches_row_xor(self, gather_bytes, draw_bytes, seed, rows, k, cols, calls, pre):
-        # The product fed straight from the generator's bytes, written through
-        # a transposed view as a query run writes them, equals the row-XOR
-        # product of the separate uint8 draws.  With DRAW_BYTES = 8 every
-        # call is its own block of the draw, so a carried half word passes
-        # from block to block.
+        # The product drawn straight into the table lookups equals the
+        # row-XOR product of the separate uint8 draws.  With DRAW_BYTES = 8
+        # every call is its own block of the draw, so a carried half word
+        # passes from block to block.
         batched = np.random.Generator(np.random.Philox(key=seed))
         separate = np.random.Generator(np.random.Philox(key=seed))
         batched.integers(0, 256, size=pre, dtype=np.uint8)
         separate.integers(0, 256, size=pre, dtype=np.uint8)
-        index = np.empty(((k + 7) // 8, calls * rows), dtype=np.uint8)
         left = BitMatrix(calls * rows, k, limbs_to_words(bits_to_limbs(separate_draws(separate, calls, rows, k))))
         right = random_matrix(k, cols, seed % 2**32)
         with mock.patch.multiple(gf2, GATHER_BYTES=gather_bytes, DRAW_BYTES=draw_bytes):
-            gf2.draw_bit_bytes(batched, calls, rows, k, index.T)
-            product = BitMatrix.from_limbs(gf2.limb_product(index, right.limbs), cols)
+            product = BitMatrix.from_limbs(gf2.draw_product(batched, calls, rows, right.limbs), cols)
         assert product == matmul_reference(left, right)
         assert philox_state(batched) == philox_state(separate)
 

@@ -553,6 +553,31 @@ class TestQueries:
         assert run.row_words == tuple(w for q in single for w in q.row_words)
         assert rng.integers(0, 1 << 32, dtype=np.uint32) == after_run
 
+    def test_a_run_tabulates_each_group_once_and_multiplies_no_messages(self, monkeypatch):
+        # The run's draw goes straight into the four-Russians lookup: each
+        # group of eight generator rows is tabulated once per run, however
+        # many iterations it holds, and no packed message array is
+        # multiplied afterwards.
+        # 256 files draw one block per iteration.
+        d = derive_scheme(cfg("DBer(2,1,6)", "DBer(2,2,6)", files=256))
+        k_d = d.retrieval_code.generator.rows
+        assert d.s_iterations > 1 and k_d > 8
+        built = []
+        honest = gf2.span_table
+
+        def counting(rows):
+            built.append(len(rows))
+            return honest(rows)
+
+        def no_product(*args):
+            raise AssertionError("limb_product on the query path")
+
+        monkeypatch.setattr(gf2, "span_table", counting)
+        monkeypatch.setattr(gf2, "limb_product", no_product)
+        gen_queries(d, 256, 2, range(0, d.s_iterations), philox_generator(17))
+        assert len(built) == -(-k_d // 8)
+        assert sum(built) == k_d
+
 
 class TestRandomBits:
     @staticmethod
@@ -985,7 +1010,7 @@ class TestRunRetrieval:
 
         monkeypatch.setattr(pir, "philox_generator", no_draw)
         monkeypatch.setattr(pir, "draw_bit_limbs", no_draw)
-        monkeypatch.setattr(pir, "draw_bit_bytes", no_draw)
+        monkeypatch.setattr(pir, "draw_product", no_draw)
         tracemalloc.start()
         try:
             with pytest.raises(TooLarge):
@@ -1037,6 +1062,19 @@ class TestRunRetrieval:
         monkeypatch.setattr(pir, stage, lambda *args: flip_first(honest(*args)))
         with pytest.raises(ProtocolInvariantError, match=message):
             run_retrieval(cfg("DBer(2,1,6)", "DBer(2,2,6)", files=256, seed=3), 5)
+
+    def test_a_short_rebuilt_file_fails_the_rate_check(self, monkeypatch):
+        # The achieved rate is read off what the retrieval produced, so a
+        # rebuilt file one row short strays from the derived rate.
+        honest = pir.reconstruct_file
+
+        def short(derived, recovered):
+            rebuilt = honest(derived, recovered)
+            return BitMatrix(rebuilt.rows - 1, rebuilt.cols, rebuilt.row_words[:-1])
+
+        monkeypatch.setattr(pir, "reconstruct_file", short)
+        with pytest.raises(ProtocolInvariantError, match="achieved rate"):
+            run_retrieval(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2), 1)
 
     def test_zero_rate_propagates(self):
         with pytest.raises(ZeroRate):
