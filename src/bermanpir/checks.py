@@ -98,10 +98,13 @@ def _reed_muller(m: int, r: int) -> VerifyCase:
 
 
 def _transitivity(p: BermanParams) -> VerifyCase:
-    """The shift from coordinate 0 to b is b's own tuple, so the tests from 0
-    cover every translation of ``Z_n^m`` exactly once."""
+    """The shift from coordinate 0 to b is b's own tuple, so testing the unit
+    coordinates ``n^0 < n^1 < ... < n^(m-1)`` tests the translations that
+    generate ``Z_n^m``.  Every coordinate below ``n^l`` is a sum of the first
+    l units, so the first unit that fails is also the first failing
+    coordinate."""
     name = f"transitivity {p.name}"
-    for b in range(p.length):
+    for b in (p.n**level for level in range(p.m)):
         if not berman.transitivity_witness(p, 0, b):
             return VerifyCase(name, False, f"no witness maps 0 to {b}")
     return VerifyCase(name, True, "family: translation")

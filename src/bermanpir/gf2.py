@@ -21,9 +21,10 @@ words.  Matrix products use the "method of four Russians": the right
 operand's rows are grouped eight at a time, each group's 256 XOR
 combinations are tabulated once, and every output row then gathers one
 table row per group, indexed by the matching byte of the left operand's
-row, a block of rows at a time.  Those bytes come from the left operand's
-limbs (:func:`limb_product`) or, for random queries, straight from the
-draw (:func:`draw_product`).
+row, a block of rows at a time.  One helper, :func:`_gather_xor`, does
+every such lookup; its bytes come from the left operand's limbs
+(:func:`limb_product`) or, for random queries, straight from the draw
+(:func:`draw_product`).
 Transposes and column selections unpack to a 0/1 array, index it, and pack.
 """
 
@@ -189,10 +190,21 @@ def span_table(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-#: Bytes of output rows that one gather of :func:`limb_product` or
-#: :func:`draw_product` fills, so its scratch memory does not grow with the
-#: height of the left operand.
+#: Bytes of output rows that one gather of :func:`_gather_xor` fills, so its
+#: scratch memory does not grow with the height of the left operand.
 GATHER_BYTES = 1 << 18
+
+
+def _gather_xor(out: np.ndarray, table: np.ndarray, index: np.ndarray) -> None:
+    """``out[r] ^= table[index[r]]`` for every row ``r`` of the limb array
+    ``out``: the four-Russians lookup of one group, gathered with ``np.take``
+    for at most :data:`GATHER_BYTES` of output rows at a time.  ``np.take``
+    is fastest on intp indexes, so any other index type is cast one block at
+    a time."""
+    block = max(1, GATHER_BYTES // (8 * max(1, out.shape[1])))
+    for lo in range(0, len(index), block):
+        part = out[lo : lo + block]  # XOR into a view: `out[...] ^=` would copy the block back onto itself
+        part ^= np.take(table, index[lo : lo + block].astype(np.intp, copy=False), axis=0)
 
 
 def limb_product(index: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -202,22 +214,13 @@ def limb_product(index: np.ndarray, right: np.ndarray) -> np.ndarray:
     ``index[g]`` holds byte ``g`` of every row of the left operand: its bits
     ``8g`` to ``8g + 7``, zero past ``k``, so a short last group's byte never
     indexes past its table.  The bytes are the left operand's limb bytes
-    (``BitMatrix @``).  Every group of eight rows of ``right`` gets its
-    :func:`span_table`, built once per call.  Each output row XORs in one
-    table row per group, the one its byte names, gathered with ``np.take``
-    for a block of :data:`GATHER_BYTES` of output rows at a time.
+    (``BitMatrix @``).  Each group of eight rows of ``right`` gets its
+    :func:`span_table`, which :func:`_gather_xor` reads once and which is
+    dropped before the next group's is built.
     """
-    k, width = right.shape
-    height = index.shape[1]
-    out = np.zeros((height, width), dtype=LIMB)
-    block = max(1, GATHER_BYTES // (8 * max(1, width)))
-    rows = np.empty(min(block, height), dtype=np.intp)
-    for g in range(0, k, 8):
-        table = span_table(right[g : g + 8])
-        for lo in range(0, height, block):
-            n = min(block, height - lo)
-            rows[:n] = index[g >> 3, lo : lo + n]  # np.take is fastest on intp indexes
-            out[lo : lo + n] ^= np.take(table, rows[:n], axis=0)
+    out = np.zeros((index.shape[1], right.shape[1]), dtype=LIMB)
+    for g in range(0, len(right), 8):
+        _gather_xor(out, span_table(right[g : g + 8]), index[g >> 3])
     return out
 
 
@@ -228,21 +231,15 @@ def draw_product(rng: np.random.Generator, calls: int, rows: int, right: np.ndar
 
     Every group of eight rows of ``right`` gets its :func:`span_table`, built
     once per call.  :func:`_draw_groups` hands over the packed bits of each
-    block of drawn rows, one byte per group of each row, and each output row
-    of the block XORs in one table row per group, the one its byte names,
-    gathered with ``np.take`` for at most :data:`GATHER_BYTES` of output
-    rows at a time.  A short last group's bytes are zero past ``k``, so they
-    never index past its table.
+    block of drawn rows, one byte per group of each row, and
+    :func:`_gather_xor` looks them up in the group's table.  A short last
+    group's bytes are zero past ``k``, so they never index past its table.
     """
-    k, width = right.shape
-    out = np.zeros((calls * rows, width), dtype=LIMB)
+    k = len(right)
+    out = np.zeros((calls * rows, right.shape[1]), dtype=LIMB)
     tables = [span_table(right[g : g + 8]) for g in range(0, k, 8)]
-    block = max(1, GATHER_BYTES // (8 * max(1, width)))
     for start, g, index in _draw_groups(rng, calls, rows, k):
-        index = index.view(np.int64)  # the same values as int64, which np.take reads without a cast
-        for lo in range(0, len(index), block):
-            part = out[start + lo : start + min(lo + block, len(index))]
-            part ^= np.take(tables[g], index[lo : lo + block], axis=0)
+        _gather_xor(out[start : start + len(index)], tables[g], index.view(np.int64))  # intp on 64-bit hosts: no cast
     return out
 
 
@@ -286,7 +283,7 @@ class BitVector:
     def from01(cls, text: str) -> BitVector:
         if set(text) - {"0", "1"}:
             raise ValueError("expected a string of '0'/'1' characters")
-        return cls.from_bits(int(c) for c in text)
+        return cls(len(text), int(text[::-1] or "0", 2))
 
     def bit(self, i: int) -> int:
         if not 0 <= i < self.length:
@@ -318,16 +315,13 @@ class BitVector:
         return self.word == 0
 
     def to01(self) -> str:
-        return "".join("1" if (self.word >> i) & 1 else "0" for i in range(self.length))
+        """Coordinate 0 first: the word's binary digits, reversed."""
+        return format(self.word, f"0{self.length}b")[::-1] if self.length else ""
 
     def to_hex(self) -> str:
         """Hex string, most-significant bit of the first digit = coordinate 0."""
-        width = 4 * ((self.length + 3) // 4)
-        value = 0
-        for i in range(self.length):
-            if (self.word >> i) & 1:
-                value |= 1 << (width - 1 - i)
-        return format(value, f"0{width // 4}x") if width else ""
+        digits = -(-self.length // 4)
+        return format(int(self.to01(), 2) << (4 * digits - self.length), f"0{digits}x") if digits else ""
 
     def __str__(self) -> str:
         return self.to01()

@@ -721,7 +721,7 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
         del queries  # hold one run of queries at a time
 
     rebuilt = reconstruct_file(derived, recovered)
-    demanded = BitMatrix.from_limbs(library.limbs[first : first + b], k_c)
+    demanded = BitMatrix.from_limbs(library.limbs[first : first + b].copy(), k_c)  # not a view: keep no library alive
     downloaded = sum(response.length for response in responses)
     achieved = Fraction(rebuilt.rows * rebuilt.cols, downloaded)
     if achieved != derived.r_pir:

@@ -460,6 +460,26 @@ class TestSimulate:
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "ValueError", "message": "demand index out of range"}
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        (
+            ("--files", "0", "need at least one file"),
+            ("--seed", "-1", "seed must fit in 64 bits"),
+            ("--seed", str(2**64), "seed must fit in 64 bits"),
+        ),
+    )
+    def test_out_of_range_config_exits_2(self, flag, value, message, capsys):
+        assert main([*self.ARGS, flag, value]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+
+    def test_largest_seed_is_accepted(self, capsys):
+        assert main([*self.ARGS, "--seed", str(2**64 - 1), "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == (
+            '"DBer(3,0,2)","DBer(3,1,2)",2,18446744073709551615,0,9,3,4,1,True,0.444,0.444,True'
+        )
+
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_VERIFY_FAILED}) == 4
         # 5 meant "no schedule" while schedules came from a search; it stays retired.

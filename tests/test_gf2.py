@@ -1,5 +1,6 @@
 """Word-packed GF(2) algebra: worked examples plus algebraic properties."""
 
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -115,7 +116,7 @@ def outcome(fn, *args, reference=False):
 def hex_reference(v):
     """The bit string, coordinate 0 first, zero-padded to whole hex digits
     and read as one binary number."""
-    text = v.to01()
+    text = "".join(str(v.bit(i)) for i in range(v.length))
     text += "0" * (-len(text) % 4)
     return format(int(text, 2), f"0{len(text) // 4}x") if text else ""
 
@@ -132,6 +133,16 @@ class TestBitVector:
         assert v.to01() == "10110"
         assert v.weight() == 3
         assert v.support() == (0, 2, 3)
+
+    @given(st.integers(0, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+    @example((0, 0))
+    def test_bit_strings_match_the_bit_loop(self, vector):
+        length, word = vector
+        v = BitVector(length, word)
+        text = "".join(str(v.bit(i)) for i in range(length))
+        assert v.to01() == text
+        assert BitVector.from01(text) == v == BitVector.from_bits(int(c) for c in text)
+        assert v.to_hex() == hex_reference(v)
 
     def test_xor_is_addition(self):
         a = BitVector.from01("1100")
@@ -383,6 +394,24 @@ class TestBulkKernels:
         b = random_matrix(k, cols, cols)
         with mock.patch.object(gf2, "GATHER_BYTES", gather_bytes):
             assert a @ b == matmul_reference(a, b)
+
+    def test_table_product_holds_one_span_table_at_a_time(self, monkeypatch):
+        # k = 70 rows: ceil(70 / 8) = 9 groups, each tabulated once, and each
+        # table gone before the next group's is built.
+        a = random_matrix(5, 70, 1)
+        b = random_matrix(70, 130, 2)
+        built = []
+        honest = gf2.span_table
+
+        def counting(rows):
+            assert all(ref() is None for ref in built), "an earlier group's table is still held"
+            table = honest(rows)
+            built.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(gf2, "span_table", counting)
+        assert a @ b == matmul_reference(a, b)
+        assert len(built) == -(-70 // 8) == 9
 
     def test_table_product_shape_check(self):
         with pytest.raises(LengthMismatch):

@@ -707,6 +707,12 @@ class TestDecode:
             recovered.append(got)
         assert recovered[0] == recovered[1]
 
+    @pytest.mark.parametrize("extra", (-1, 1))
+    def test_refuses_a_response_of_the_wrong_length(self, extra):
+        d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)"))
+        with pytest.raises(LengthMismatch):
+            decode_iteration(d, 0, BitVector.zeros(d.n_s + extra))
+
     def test_refuses_an_iteration_outside_the_schedule(self):
         # -1 would otherwise decode with the last iteration's shift.
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)"))
@@ -884,6 +890,16 @@ class TestPrivacyEmpirical:
         with pytest.raises(TooLarge):
             verify_privacy_empirical(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=5), 3)
 
+    def test_query_randomness_guard(self, monkeypatch):
+        # dim DBer(2,2,4) = 11, so two files take 22 > 20 random bits; the
+        # guard refuses before anything is derived or enumerated.
+        def derive(config):
+            raise AssertionError("derived past the query randomness guard")
+
+        monkeypatch.setattr(pir, "derive_scheme", derive)
+        with pytest.raises(TooLarge, match="query randomness"):
+            verify_privacy_empirical(cfg("DBer(2,0,4)", "DBer(2,2,4)", files=2), 1)
+
     def test_colluding_set_guard(self, monkeypatch):
         # C(9, 3) = 84 colluding sets are searched for the worst case.
         config = cfg("DBer(3,0,2)", "DBer(3,1,2)")
@@ -909,6 +925,13 @@ class TestRunRetrieval:
         assert transcript.reconstructed_ok
         assert transcript.achieved_rate == Fraction(4, 9)
         assert transcript.downloaded_bits == 9
+
+    def test_stored_file_keeps_no_library_alive(self):
+        # The demanded file's rows are copied out of the M-file library, so
+        # a kept transcript does not hold the other files' bits.
+        transcript = run_retrieval(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2, seed=1), 1)
+        assert transcript.stored_file.limbs.base is None
+        assert transcript.reconstructed_ok
 
     def test_single_file_is_legal(self):
         transcript = run_retrieval(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=1, seed=2), 0)

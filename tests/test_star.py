@@ -33,6 +33,7 @@ from bermanpir.star import (
     berman_basis_identity,
     disjoint_support_product,
     predict_star,
+    predicted_code,
     star_case_sweep,
     star_codes,
     star_vectors,
@@ -239,6 +240,10 @@ class TestPredictStar:
         assert predict_star(p("Ber(2,0,3)"), p("Ber(2,1,3)")) == p("DBer(2,3,3)")
         # Degree sum beyond m needs the explicit full-space answer.
         assert predict_star(p("Ber(2,0,4)"), p("Ber(2,0,4)")) is FULL_SPACE
+
+    def test_no_predicted_code_for_an_undefined_case(self):
+        with pytest.raises(UndefinedCase):
+            predicted_code(3, 3, UNDEFINED)
 
     def test_param_mismatch(self):
         with pytest.raises(ParamMismatch):
