@@ -7,11 +7,11 @@ code name or parameters, or a ``--files``, ``--seed``, ``--demand``,
 output that cannot be written, ``OutputUnwritable``: an ``--out`` path that
 fails to open, write or close, or a stdout closed or failing), 3 unsupported
 pair or zero rate, 4 verification failure (a broken protocol invariant, an
-internal GF(2) or protocol-step error such as ``Singular``,
-``LengthMismatch`` or ``ShapeMismatch``, or any other error, a bare
-``ValueError`` included).  Exit 5 is retired: it meant "no schedule"
-while schedules came from a search, and it is never reused.  Every error is
-one JSON object on stderr, if stderr can take it.
+internal GF(2) or protocol-step error such as ``LengthMismatch`` or
+``ShapeMismatch``, or any other error, a bare ``ValueError`` included).
+Exit 5 is retired: it meant "no schedule" while schedules came from a
+search, and it is never reused.  Every error is one JSON object on stderr,
+if stderr can take it.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ Transposes and column selections unpack to a 0/1 array, index it, and pack.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -257,44 +257,13 @@ class BitVector:
             raise ValueError("word has bits beyond the vector length")
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> BitVector:
-        bits = list(bits)
-        word = 0
-        for i, b in enumerate(bits):
-            if b & 1:
-                word |= 1 << i
-        return cls(len(bits), word)
-
-    @classmethod
-    def zeros(cls, length: int) -> BitVector:
-        return cls(length, 0)
-
-    @classmethod
-    def ones(cls, length: int) -> BitVector:
-        return cls(length, (1 << length) - 1)
-
-    @classmethod
-    def unit(cls, length: int, index: int) -> BitVector:
-        if not 0 <= index < length:
-            raise ValueError("unit index out of range")
-        return cls(length, 1 << index)
-
-    @classmethod
     def from01(cls, text: str) -> BitVector:
         if set(text) - {"0", "1"}:
             raise ValueError("expected a string of '0'/'1' characters")
         return cls(len(text), int(text[::-1] or "0", 2))
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError("coordinate out of range")
-        return (self.word >> i) & 1
-
     def weight(self) -> int:
         return self.word.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if (self.word >> i) & 1)
 
     def __xor__(self, other: BitVector) -> BitVector:
         if self.length != other.length:
@@ -400,26 +369,11 @@ class BitMatrix:
         return f"BitMatrix(rows={self.rows!r}, cols={self.cols!r}, row_words={self.row_words!r})"
 
     @classmethod
-    def from_rows(cls, rows: Sequence[BitVector], cols: int | None = None) -> BitMatrix:
-        if cols is None:
-            if not rows:
-                raise ValueError("cannot infer column count from an empty row list")
-            cols = rows[0].length
+    def from_rows(cls, rows: Sequence[BitVector], cols: int) -> BitMatrix:
         for v in rows:
             if v.length != cols:
                 raise LengthMismatch("rows of differing lengths")
         return cls(len(rows), cols, tuple(v.word for v in rows))
-
-    @classmethod
-    def from_bits(cls, entries: Sequence[Sequence[int]], cols: int | None = None) -> BitMatrix:
-        rows = [BitVector.from_bits(r) for r in entries]
-        if cols is None and not rows:
-            cols = 0
-        return cls.from_rows(rows, cols)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> BitMatrix:
-        return cls(rows, cols, (0,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> BitMatrix:

@@ -43,11 +43,12 @@ order is documented in :func:`run_retrieval`.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -74,6 +75,7 @@ from .gf2 import (
     invert_columns,  # noqa: F401  benchmarks/tracer.py patches pir.invert_columns
     limbs_to_words,
     reduce_word,
+    span_table,
     take_bits,
 )
 from .star import predict_star, star_codes
@@ -540,7 +542,10 @@ def verify_privacy_empirical(config: SchemeConfig, t: int) -> float:
     colluding set T of size t, found among every size-t coordinate set
     (allowed while there are at most :data:`EXHAUSTIVE_SUBSETS`), and one
     embedded coordinate.  The query randomness is enumerated exhaustively
-    (allowed while ``dim(D) * M <= 20``).
+    (allowed while ``dim(D) * M <= 20``): the words of one
+    :func:`.gf2.span_table` of D's generator on T are its codewords there,
+    with multiplicity, and one count of their M-tuples serves every demand,
+    with the embedded bit XORed into the demanded row.
     The uniform distribution is included as a reference point, so a
     single-demand instance still measures deviation from uniformity.
     Once the size guards pass, D and ``(C*D)^perp`` come from
@@ -563,20 +568,12 @@ def verify_privacy_empirical(config: SchemeConfig, t: int) -> float:
     restricted = d.generator.take_columns(subset)
     shift = 1 << subset.index(embed) if embed in subset else 0
 
+    words = limbs_to_words(span_table(restricted.limbs))  # every restricted codeword, with multiplicity
+    counts = Counter(product(words, repeat=rows))
+    total = len(words) ** rows
+
     def distribution(demand: int) -> dict[tuple[int, ...], float]:
-        counts: dict[tuple[int, ...], int] = {}
-        total = 1 << (k_d * rows)
-        for packed in range(total):
-            key = []
-            rest = packed
-            for _ in range(rows):
-                msg = rest & ((1 << k_d) - 1)
-                rest >>= k_d
-                key.append(restricted.left_mul(BitVector(k_d, msg)).word)
-            key[demand] ^= shift
-            key_t = tuple(key)
-            counts[key_t] = counts.get(key_t, 0) + 1
-        return {k: v / total for k, v in counts.items()}
+        return {key[:demand] + (key[demand] ^ shift,) + key[demand + 1 :]: c / total for key, c in counts.items()}
 
     dists = [distribution(demand) for demand in range(config.files)]
     outcomes = 1 << (rows * t)

@@ -200,9 +200,6 @@ class StarCaseResult:
     def predicted_name(self) -> str:
         return self.predicted.name if isinstance(self.predicted, BermanParams) else self.predicted.value
 
-    def label(self) -> str:
-        return f"{self.left.name} * {self.right.name} = {self.predicted_name}"
-
 
 def verify_star_case(p: BermanParams, q: BermanParams, product: LinearCode | None = None) -> StarCaseResult:
     """Construct both sides and compare spans; raises on UNDEFINED cases.

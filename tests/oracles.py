@@ -25,6 +25,10 @@ point-by-point Reed-Muller construction evaluates every monomial at every
 coordinate tuple.
 
 The nullspace scan tests every pivot row at every free column.
+
+The packed-message privacy loop counts each demand's restricted query
+distribution on its own, one ``left_mul`` per file row of every packed
+message tuple.
 """
 
 from fractions import Fraction
@@ -34,7 +38,7 @@ from math import comb, inf
 
 import numpy as np
 
-from bermanpir import BitVector, berman
+from bermanpir import BitVector, berman, pir
 from bermanpir.berman import (
     CodeKind,
     all_tuples,
@@ -48,7 +52,7 @@ from bermanpir.berman import (
 from bermanpir.checks import VerifyCase
 from bermanpir.codes import LinearCode
 from bermanpir.gf2 import BitMatrix, rank, row_reduce
-from bermanpir.pir import ZeroRate, scheme_row
+from bermanpir.pir import ZeroRate, derive_scheme, scheme_row
 from bermanpir.star import star_vectors, verify_star_case
 
 
@@ -169,6 +173,36 @@ def loop_retrieval(derived, files, seed, demand):
     return file_words[demand], queries, responses
 
 
+def packed_message_privacy(config, t):
+    """``pir.verify_privacy_empirical(config, t)``, with every demand's
+    distribution counted over all packed message tuples: one ``left_mul``
+    of the restricted generator per file row, the embedded bit XORed into
+    the demanded row."""
+    derived = derive_scheme(config)
+    d = derived.retrieval_code
+    embed = LinearCode.from_generator(derived.parity).information_set()[0]
+    subset = pir._worst_case_columns(d, t, prefer=embed)
+    restricted = d.generator.take_columns(subset)
+    shift = 1 << subset.index(embed) if embed in subset else 0
+    rows, k_d = config.files, restricted.rows
+    total = 1 << (k_d * rows)
+    mask = (1 << k_d) - 1
+    dists = []
+    for demand in range(rows):
+        counts = {}
+        for packed in range(total):
+            key = [restricted.left_mul(BitVector(k_d, (packed >> (i * k_d)) & mask)).word for i in range(rows)]
+            key[demand] ^= shift
+            counts[tuple(key)] = counts.get(tuple(key), 0) + 1
+        dists.append({key: c / total for key, c in counts.items()})
+    outcomes = 1 << (rows * t)
+    dists.append({tuple((w >> (i * t)) & ((1 << t) - 1) for i in range(rows)): 1 / outcomes for w in range(outcomes)})
+    return max(
+        0.5 * sum(abs(p.get(key, 0.0) - q.get(key, 0.0)) for key in p.keys() | q.keys())
+        for p, q in combinations(dists, 2)
+    )
+
+
 def per_bit_translation(word, n, shift):
     """``word`` translated by ``shift`` one set bit at a time: ``perm[i]`` is
     the index of tuple ``i`` moved by ``shift`` componentwise mod n, and the
@@ -254,7 +288,7 @@ def staged_parity_products(n, m):
     built = {}
     size = n**m
     e0 = star_vectors(c_vector(n, m, (1,) * m), c_vector(n, m, (2,) * m))
-    assert e0 == BitVector.unit(size, 0)
+    assert e0 == BitVector(size, 1)
     built[(0,) * m] = e0
     for k in range(1, m + 1):
         for v in all_tuples(n, m):
@@ -269,7 +303,7 @@ def staged_parity_products(n, m):
             for count in range(len(supp)):
                 for subset in combinations(supp, count):
                     acc = acc ^ built[tuple(v[p] if p in subset else 0 for p in range(m))]
-            assert acc == BitVector.unit(size, tuple_to_index(n, v)), v
+            assert acc == BitVector(size, 1 << tuple_to_index(n, v)), v
             built[v] = acc
     assert len(built) == size
     return built
@@ -298,7 +332,7 @@ def staged_mixed_products(n, m, r2):
         if tuple_weight(j) != r2:
             continue
         e = star_vectors(c_vector(n, m, j), d_vector(n, m, j))
-        assert e == BitVector.unit(size, tuple_to_index(n, j))
+        assert e == BitVector(size, 1 << tuple_to_index(n, j))
         built[j] = e
     for k in range(1, r2 + 1):
         for jp in all_tuples(n, m):
@@ -316,7 +350,7 @@ def staged_mixed_products(n, m, r2):
             for v in _between(jp, j, m):
                 if v != jp:
                     acc = acc ^ built[v]
-            assert acc == BitVector.unit(size, tuple_to_index(n, jp)), jp
+            assert acc == BitVector(size, 1 << tuple_to_index(n, jp)), jp
             built[jp] = acc
     for l in range(1, m - r2 + 1):
         for j in all_tuples(n, m):
@@ -328,7 +362,7 @@ def staged_mixed_products(n, m, r2):
             for v in _between(jp, j, m):
                 if v != j:
                     acc = acc ^ built[v]
-            assert acc == BitVector.unit(size, tuple_to_index(n, j)), j
+            assert acc == BitVector(size, 1 << tuple_to_index(n, j)), j
             built[j] = acc
     assert len(built) == size
     return built

@@ -115,7 +115,7 @@ def test_criterion_4_star_case_sweep():
     results = list(star_case_sweep(4, 3))
     assert results
     for res in results:
-        assert res.verified, res.label()
+        assert res.verified, f"{res.left.name} * {res.right.name}"
     # n = 2 members coincide with the independently built Reed-Muller codes.
     for m in (1, 2, 3):
         for r in range(m + 1):

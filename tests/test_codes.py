@@ -24,11 +24,11 @@ class TestFromSpanningSet:
     def test_empty_is_zero_code(self):
         code = LinearCode.from_spanning_set(4, [])
         assert code.dimension == 0
-        assert code.contains(BitVector.zeros(4))
-        assert not code.contains(BitVector.ones(4))
+        assert code.contains(BitVector(4))
+        assert not code.contains(BitVector(4, (1 << 4) - 1))
 
     def test_repetition(self):
-        code = LinearCode.from_spanning_set(4, [BitVector.ones(4)])
+        code = LinearCode.from_spanning_set(4, [BitVector(4, (1 << 4) - 1)])
         assert code.dimension == 1
 
     def test_weight_filtered_indicators(self):
@@ -44,14 +44,14 @@ class TestFromSpanningSet:
 class TestContains:
     def test_zero_vector_everywhere(self):
         for params in small_family(3, 2):
-            assert build(params).contains(BitVector.zeros(params.length))
+            assert build(params).contains(BitVector(params.length))
 
     def test_repetition_member(self):
-        assert build(BermanParams.parse("DBer(3,0,2)")).contains(BitVector.ones(9))
+        assert build(BermanParams.parse("DBer(3,0,2)")).contains(BitVector(9, (1 << 9) - 1))
 
     def test_odd_weight_rejected(self):
         code = build(BermanParams.parse("Ber(3,0,2)"))
-        v = BitVector.unit(9, 0)
+        v = BitVector(9, 1)
         assert not code.contains(v)
         # Exhaustive span oracle at length 9.
         words = exhaustive_span(9, [code.generator.row(i) for i in range(code.dimension)])
@@ -112,7 +112,7 @@ def random_code(length, dim, seed):
 
 class TestMinDistance:
     def test_repetition(self):
-        assert LinearCode.from_spanning_set(9, [BitVector.ones(9)]).min_distance_bruteforce() == 9
+        assert LinearCode.from_spanning_set(9, [BitVector(9, (1 << 9) - 1)]).min_distance_bruteforce() == 9
 
     def test_family_examples(self):
         assert build(BermanParams.parse("Ber(3,1,2)")).min_distance_bruteforce() == 4
@@ -175,7 +175,7 @@ class TestInformationSet:
         assert LinearCode.full(4).information_set() == (0, 1, 2, 3)
 
     def test_repetition(self):
-        assert LinearCode.from_spanning_set(9, [BitVector.ones(9)]).information_set() == (0,)
+        assert LinearCode.from_spanning_set(9, [BitVector(9, (1 << 9) - 1)]).information_set() == (0,)
 
     def test_invertibility(self):
         code = build(BermanParams.parse("DBer(3,1,2)"))
@@ -194,8 +194,8 @@ class TestProjectColumns:
         assert LinearCode.full(6).project_columns({1, 3, 5}) == LinearCode.full(3)
 
     def test_repetition(self):
-        rep9 = LinearCode.from_spanning_set(9, [BitVector.ones(9)])
-        assert rep9.project_columns({0, 4, 8}) == LinearCode.from_spanning_set(3, [BitVector.ones(3)])
+        rep9 = LinearCode.from_spanning_set(9, [BitVector(9, (1 << 9) - 1)])
+        assert rep9.project_columns({0, 4, 8}) == LinearCode.from_spanning_set(3, [BitVector(3, (1 << 3) - 1)])
 
     def test_every_triple_projection_is_onto(self):
         # Equivalent to the dual distance being 4: all 3-column selections

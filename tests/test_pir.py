@@ -63,6 +63,10 @@ def cfg(storage, retrieval, files=1, seed=0):
     return SchemeConfig(P(storage), P(retrieval), files=files, seed=seed)
 
 
+def zeros(rows, cols):
+    return BitMatrix(rows, cols, (0,) * rows)
+
+
 def random_library(d, files, rng):
     """A library of ``files`` random files: one ``files*b x k_C`` matrix."""
     rows = files * d.b
@@ -319,7 +323,7 @@ class TestSchedule:
         for storage, retrieval, _ in pairs:
             d = derive_scheme(SchemeConfig(storage, retrieval))
             e = all_products_star(d.storage_code, d.retrieval_code)
-            family_basis = BitMatrix.from_rows(berman.basis_vectors(pir.predict_star(storage, retrieval).dual))
+            family_basis = BitMatrix.from_rows(berman.basis_vectors(pir.predict_star(storage, retrieval).dual), d.n_s)
             for h in (family_basis, d.parity):
                 assert all((row & w).bit_count() % 2 == 0 for row in h.row_words for w in e.generator.row_words)
                 assert h.rows == rank(h) == d.n_s - e.dimension, (storage.name, retrieval.name)
@@ -471,15 +475,15 @@ class TestScheduleRegression:
 class TestEncodeStorage:
     def test_zero_files(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
-        assert encode_storage(d, BitMatrix.zeros(2 * d.b, d.k_c)) == BitMatrix.zeros(2 * d.b, d.n_s)
+        assert encode_storage(d, zeros(2 * d.b, d.k_c)) == zeros(2 * d.b, d.n_s)
 
     def test_repetition_broadcast(self):
         d = derive_scheme(cfg("DBer(2,1,3)", "DBer(2,1,3)"))
         # k_C = 4, b = 1: a single stripe; every server stores one codeword bit.
-        file0 = BitMatrix.from_bits([[1, 0, 1, 1]])
-        stored = encode_storage(d, file0)
-        codeword = d.storage_code.generator.left_mul(BitVector.from_bits([1, 0, 1, 1]))
-        assert stored == BitMatrix.from_rows([codeword])
+        message = BitVector.from01("1011")
+        stored = encode_storage(d, BitMatrix.from_rows([message], 4))
+        codeword = d.storage_code.generator.left_mul(message)
+        assert stored == BitMatrix.from_rows([codeword], d.n_s)
 
     def test_rows_are_codewords(self):
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=2))
@@ -494,7 +498,7 @@ class TestEncodeStorage:
         # files, then whole files of the wrong width.
         for rows, cols in ((1, 1), (0, 1), (5, 1), (7, 1), (4, 2)):
             with pytest.raises(ShapeMismatch):
-                encode_storage(d, BitMatrix.zeros(rows, cols))
+                encode_storage(d, zeros(rows, cols))
 
 
 class TestQueries:
@@ -651,32 +655,32 @@ class TestRespond:
     def test_respond_all_shape_check(self):
         # Same number of entries, transposed shape: still rejected.
         with pytest.raises(LengthMismatch):
-            respond_all(BitMatrix.zeros(3, 2), BitMatrix.zeros(2, 3))
+            respond_all(zeros(3, 2), zeros(2, 3))
 
     def test_zero_query(self):
-        stored = BitMatrix.from_bits([[1, 0, 1, 1], [0, 1, 1, 0]])
-        assert respond_all(stored, BitMatrix.zeros(2, 4)) == BitVector.zeros(4)
+        stored = BitMatrix.from_rows([BitVector.from01("1011"), BitVector.from01("0110")], 4)
+        assert respond_all(stored, zeros(2, 4)) == BitVector(4)
 
     def test_unit_query_reads_a_bit(self):
-        stored = BitMatrix.from_bits([[1, 0, 1, 1], [0, 1, 1, 0]])
+        stored = BitMatrix.from_rows([BitVector.from01("1011"), BitVector.from01("0110")], 4)
         for r in range(2):
             for i in range(4):
                 q = BitMatrix(2, 4, tuple(1 << i if row == r else 0 for row in range(2)))
-                expected = BitVector.unit(4, i) if stored.entry(r, i) else BitVector.zeros(4)
+                expected = BitVector(4, stored.entry(r, i) << i)
                 assert respond_all(stored, q) == expected
 
     def test_length_check(self):
-        q = BitMatrix.zeros(2, 3)
+        q = zeros(2, 3)
         with pytest.raises(LengthMismatch):
-            respond_all(BitMatrix.zeros(5, 3), q)  # rows differ
+            respond_all(zeros(5, 3), q)  # rows differ
         with pytest.raises(LengthMismatch):
-            respond_all(BitMatrix.zeros(2, 4), q)  # columns differ
+            respond_all(zeros(2, 4), q)  # columns differ
 
 
 class TestDecode:
     def test_zero_storage_recovers_zeros(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
-        stored = encode_storage(d, BitMatrix.zeros(2 * d.b, d.k_c))
+        stored = encode_storage(d, zeros(2 * d.b, d.k_c))
         q = gen_queries(d, 2, 0, range(0, 1), philox_generator(3))
         r = respond_all(stored, q)
         assert decode_iteration(d, 0, r) == 0
@@ -711,12 +715,12 @@ class TestDecode:
     def test_refuses_a_response_of_the_wrong_length(self, extra):
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)"))
         with pytest.raises(LengthMismatch):
-            decode_iteration(d, 0, BitVector.zeros(d.n_s + extra))
+            decode_iteration(d, 0, BitVector(d.n_s + extra))
 
     def test_refuses_an_iteration_outside_the_schedule(self):
         # -1 would otherwise decode with the last iteration's shift.
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)"))
-        response = BitVector.zeros(d.n_s)
+        response = BitVector(d.n_s)
         assert decode_iteration(d, d.s_iterations - 1, response) == 0
         for it in (-1, d.s_iterations):
             with pytest.raises(IndexError):
@@ -726,7 +730,7 @@ class TestDecode:
 class TestReconstruct:
     def test_zero_bits_zero_file(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)"))
-        assert reconstruct_file(d, [0] * d.s_iterations) == BitMatrix.zeros(d.b, d.k_c)
+        assert reconstruct_file(d, [0] * d.s_iterations) == zeros(d.b, d.k_c)
 
     def test_pivot_coordinates_copy_through(self):
         # E^perp = DBer(2,0,3), so the one stripe's offset is the zero tuple,
@@ -889,6 +893,33 @@ class TestPrivacyEmpirical:
     def test_guard(self):
         with pytest.raises(TooLarge):
             verify_privacy_empirical(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=5), 3)
+
+    def test_intermediate_distance(self):
+        # t = 3 of the 4 servers see the demanded row's embedded bit through
+        # a 1-dimensional retrieval code.
+        assert verify_privacy_empirical(cfg("Ber(2,0,2)", "DBer(2,0,2)"), 3) == 0.75
+
+    @pytest.mark.parametrize(
+        "storage, retrieval, files, t",
+        [
+            ("Ber(2,0,2)", "DBer(2,0,2)", 1, 3),
+            ("Ber(2,0,2)", "DBer(2,0,2)", 2, 0),
+            ("DBer(2,1,2)", "DBer(2,0,2)", 3, 2),
+            ("Ber(2,0,3)", "DBer(2,0,3)", 1, 4),
+            ("Ber(2,1,3)", "DBer(2,1,3)", 1, 4),
+            ("Ber(2,1,3)", "DBer(2,1,3)", 2, 2),
+            ("DBer(3,0,2)", "Ber(3,1,2)", 1, 3),
+            ("DBer(3,0,2)", "DBer(3,1,2)", 2, 3),
+            ("DBer(3,0,2)", "DBer(3,1,2)", 2, 4),
+            ("Ber(3,1,2)", "DBer(3,0,2)", 3, 4),
+            ("DBer(2,1,4)", "DBer(2,1,4)", 1, 4),
+        ],
+    )
+    def test_matches_the_packed_message_loop(self, storage, retrieval, files, t):
+        from oracles import packed_message_privacy
+
+        config = cfg(storage, retrieval, files=files)
+        assert verify_privacy_empirical(config, t) == packed_message_privacy(config, t)
 
     def test_query_randomness_guard(self, monkeypatch):
         # dim DBer(2,2,4) = 11, so two files take 22 > 20 random bits; the
