@@ -38,7 +38,7 @@ schedule = derived.schedule
 print(f"iteration offsets  I_0 = W(C)      = {schedule.iteration_shifts}")
 print(f"stripe offsets     J_0 = W(E^perp) = {schedule.stripe_shifts}")
 print("per-iteration recovery plan (coordinate -> stripe), the offsets added componentwise mod n:")
-for it, row in enumerate(schedule.coords):
+for it, row in enumerate(schedule.coords.tolist()):
     pairs = ", ".join(f"{c}->s{s}" for c, s in sorted(zip(row, range(derived.b))))
     print(f"  iteration {it}: {pairs}")
 
@@ -59,7 +59,7 @@ for it, response in enumerate(transcript.responses):
     print(f"  responses translated by -{offset}: {back}")
     print(f"  syndrome (M_E H') r', one planted bit per stripe: {derived.parity.mul_vector(back)}")
     word = decode_iteration(derived, it, response)
-    recovered = tuple(sorted(((p, c, word >> p & 1) for p, c in enumerate(schedule.coords[it])), key=lambda t: t[1]))
+    recovered = tuple(sorted(((p, c, word >> p & 1) for p, c in enumerate(schedule.coords[it].tolist())), key=lambda t: t[1]))
     print(f"  recovered (stripe, coordinate, bit): {recovered}")
 print("stored file 0:")
 print(transcript.stored_file)

@@ -24,7 +24,12 @@ table row per group, indexed by the matching byte of the left operand's
 row, a block of rows at a time.  One helper, :func:`_gather_xor`, does
 every such lookup; its bytes come from the left operand's limbs
 (:func:`limb_product`) or, for random queries, straight from the draw
-(:func:`draw_product`).
+(:func:`draw_product`).  The first group's lookup writes the output rows
+and later groups XOR into them, so no product zeroes its output first.
+:func:`draw_product` reads every group's table for every block of the
+draw, so it builds them all in one stacked :func:`span_table`: its eight
+doubling steps run once per product, not once per group.
+:func:`limb_product` reads each table once, so it keeps one at a time.
 Transposes and column selections unpack to a 0/1 array, index it, and pack.
 """
 
@@ -183,10 +188,14 @@ def take_bits(limbs: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> li
 def span_table(rows: np.ndarray) -> np.ndarray:
     """Every XOR combination of the limb rows ``rows``: entry ``x`` of the
     ``2^len(rows)``-row table is the XOR of the rows that the bits of ``x``
-    select, so entry 0 is zero."""
-    table = np.zeros((1 << len(rows), rows.shape[1]), dtype=LIMB)
-    for i, row in enumerate(rows):
-        table[1 << i : 2 << i] = table[: 1 << i] ^ row
+    select, so entry 0 is zero.  A stack of equally many rows per group,
+    shape ``(groups, r, W)``, gives one table per group, all built by the
+    same ``r`` doubling steps."""
+    r = rows.shape[-2]
+    table = np.empty((*rows.shape[:-2], 1 << r, rows.shape[-1]), dtype=LIMB)
+    table[..., 0, :] = 0
+    for i in range(r):
+        np.bitwise_xor(table[..., : 1 << i, :], rows[..., i, None, :], out=table[..., 1 << i : 2 << i, :])
     return table
 
 
@@ -195,16 +204,23 @@ def span_table(rows: np.ndarray) -> np.ndarray:
 GATHER_BYTES = 1 << 18
 
 
-def _gather_xor(out: np.ndarray, table: np.ndarray, index: np.ndarray) -> None:
+def _gather_xor(out: np.ndarray, table: np.ndarray, index: np.ndarray, first: bool) -> None:
     """``out[r] ^= table[index[r]]`` for every row ``r`` of the limb array
     ``out``: the four-Russians lookup of one group, gathered with ``np.take``
-    for at most :data:`GATHER_BYTES` of output rows at a time.  ``np.take``
-    is fastest on intp indexes, so any other index type is cast one block at
-    a time."""
+    for at most :data:`GATHER_BYTES` of output rows at a time.  The first
+    group of a product (``first``) writes its rows instead, so ``out`` may
+    start uninitialised and is never zeroed; ``mode="clip"`` lets ``np.take``
+    write into ``out`` unbuffered, and no index is out of range to clip.
+    ``np.take`` is fastest on intp indexes, so any other index type is cast
+    one block at a time."""
     block = max(1, GATHER_BYTES // (8 * max(1, out.shape[1])))
     for lo in range(0, len(index), block):
-        part = out[lo : lo + block]  # XOR into a view: `out[...] ^=` would copy the block back onto itself
-        part ^= np.take(table, index[lo : lo + block].astype(np.intp, copy=False), axis=0)
+        part = out[lo : lo + block]  # a view: `out[...] ^=` would copy the block back onto itself
+        rows = index[lo : lo + block].astype(np.intp, copy=False)
+        if first:
+            np.take(table, rows, axis=0, out=part, mode="clip")
+        else:
+            part ^= np.take(table, rows, axis=0)
 
 
 def limb_product(index: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -216,11 +232,15 @@ def limb_product(index: np.ndarray, right: np.ndarray) -> np.ndarray:
     indexes past its table.  The bytes are the left operand's limb bytes
     (``BitMatrix @``).  Each group of eight rows of ``right`` gets its
     :func:`span_table`, which :func:`_gather_xor` reads once and which is
-    dropped before the next group's is built.
+    dropped before the next group's is built, so a long ``right`` never has
+    all its tables held at once.  With ``k = 0`` the product is zero.
     """
-    out = np.zeros((index.shape[1], right.shape[1]), dtype=LIMB)
+    shape = (index.shape[1], right.shape[1])
+    if not len(right):
+        return np.zeros(shape, dtype=LIMB)
+    out = np.empty(shape, dtype=LIMB)
     for g in range(0, len(right), 8):
-        _gather_xor(out, span_table(right[g : g + 8]), index[g >> 3])
+        _gather_xor(out, span_table(right[g : g + 8]), index[g >> 3], first=not g)
     return out
 
 
@@ -229,17 +249,27 @@ def draw_product(rng: np.random.Generator, calls: int, rows: int, right: np.ndar
     k), uint8)`` draws, stacked into ``calls * rows`` rows, and the ``k x W``
     limb array ``right``, without holding the drawn bits.
 
-    Every group of eight rows of ``right`` gets its :func:`span_table`, built
-    once per call.  :func:`_draw_groups` hands over the packed bits of each
-    block of drawn rows, one byte per group of each row, and
-    :func:`_gather_xor` looks them up in the group's table.  A short last
-    group's bytes are zero past ``k``, so they never index past its table.
+    Every group's table is built at once: ``right``, zero-padded to whole
+    groups of eight rows (or its k rows if fewer), goes through one stacked
+    :func:`span_table`, eight doubling steps in all rather than eight per
+    group.  :func:`_draw_groups` hands over the packed bits of each block of
+    drawn rows, one byte per group of each row, and :func:`_gather_xor`
+    looks them up in the group's table; group 0 comes first in every block,
+    so it writes the block's rows.  A short last group's bytes are zero past
+    ``k``, so they never index its padding.  With ``k = 0`` nothing is
+    drawn and the product is zero.
     """
-    k = len(right)
-    out = np.zeros((calls * rows, right.shape[1]), dtype=LIMB)
-    tables = [span_table(right[g : g + 8]) for g in range(0, k, 8)]
+    k, width = right.shape
+    if not k:
+        return np.zeros((calls * rows, width), dtype=LIMB)
+    size = min(8, k)
+    groups = np.zeros((-(-k // size), size, width), dtype=LIMB)
+    groups.reshape(len(groups) * size, width)[:k] = right
+    tables = span_table(groups)
+    out = np.empty((calls * rows, width), dtype=LIMB)
     for start, g, index in _draw_groups(rng, calls, rows, k):
-        _gather_xor(out[start : start + len(index)], tables[g], index.view(np.int64))  # intp on 64-bit hosts: no cast
+        # intp on 64-bit hosts: no cast
+        _gather_xor(out[start : start + len(index)], tables[g], index.view(np.int64), first=not g)
     return out
 
 

@@ -23,8 +23,13 @@ and neither step eliminates anything once the pair is derived.
 The bulk work runs on NumPy limb arrays (see :mod:`.gf2`): the queries of a
 run of consecutive iterations are drawn straight into one table product with
 D's generator, so its tables are built once per run and the message bits are
-never held, and each iteration's response is one XOR reduction over the rows
-of ``stored & Q``.
+never held.  The run is answered in place: its limbs are ANDed with the
+stored limbs where they lie and XOR-folded over each query's rows, so no
+second run-sized array is held, which would double the run's transient heap.
+The schedule and the stripe readout are read-only int32 tables, formed once
+per pair one tuple component at a time, so a run's coordinates are a slice,
+the planted bits one gather, and reconstruction reads each stripe's file bits
+where they stand, with no translation.
 The matrices the stages return keep those limbs and become Python integers
 only where something reads their words; a retrieval itself reads the words
 of the response vectors and the demanded file alone.
@@ -45,7 +50,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -176,18 +181,42 @@ def closed_form_triple(storage: BermanParams, retrieval: BermanParams) -> tuple[
     return _rates(storage, retrieval, product)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """The addition table of two weight sets of ``Z_n^m``: ``coords[i][p]``
+    """The addition table of two weight sets of ``Z_n^m``: ``coords[i, p]``
     is the coordinate where iteration i meets stripe p, the tuple
     ``iteration_shifts[i] + stripe_shifts[p]`` added componentwise mod n.
-    A row holds one iteration's coordinates in stripe order; a column, one
-    stripe's in iteration order, a translate of an information set of C."""
+    A row holds one iteration's coordinates in stripe order, ``J_0 + a``
+    for iteration a of ``I_0 = W(C)``: a translate of an information set of
+    ``E^perp``, so its columns of H' are independent.  A column holds one
+    stripe's in iteration order, ``I_0 + c`` for stripe c of
+    ``J_0 = W(E^perp)``: a translate of an information set of C.  Every
+    Berman code is invariant under the translations of ``Z_n^m``, so both
+    stay information sets, and addition commutes, so both views cover the
+    same coordinates.
+
+    ``coords`` is one read-only int32 array of S rows and b columns, so a
+    run of iterations is a slice of it and all its coordinates one
+    ``ravel``.  Two schedules are equal when their shifts and tables are;
+    the hash reads the shifts alone, which fix the table."""
 
     n: int
     iteration_shifts: tuple[tuple[int, ...], ...]
     stripe_shifts: tuple[tuple[int, ...], ...]
-    coords: tuple[tuple[int, ...], ...]
+    coords: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.iteration_shifts == other.iteration_shifts
+            and self.stripe_shifts == other.stripe_shifts
+            and np.array_equal(self.coords, other.coords)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.iteration_shifts, self.stripe_shifts))
 
 
 @dataclass(frozen=True)
@@ -206,6 +235,11 @@ class SchemeDerived:
     r_st: Fraction
     r_pir: Fraction
     schedule: Schedule
+    #: ``readout[p, r]``: the coordinate of stripe p's translated codeword
+    #: that holds bit r of its file row (:func:`reconstruct_file`).  A
+    #: read-only int32 array that the schedule and C fix, so it plays no
+    #: part in equality.
+    readout: np.ndarray = field(compare=False)
 
     @property
     def b(self) -> int:
@@ -245,7 +279,8 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     generator; and ``M_C B_C`` is the identity on ``I_0``, so
     ``M_C @ M_C = I``.  Each raises :class:`ProtocolInvariantError`, even
     under ``python -O``.  The schedule is the addition table of ``I_0`` and
-    ``J_0`` (:func:`_addition_table`), so ``S = k_C`` and ``b = d_perp``.
+    ``J_0``, so ``S = k_C`` and ``b = d_perp``; the stripe readout is the
+    table of C's RREF pivots minus ``J_0`` (both by :func:`_sum_table`).
     """
     product = _product(storage, retrieval)
     check_length(storage)
@@ -261,6 +296,8 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     parity = _self_inverse_product(perp, stripe_set, "syndrome")
     if (parity @ e.generator.transpose()).limbs.any():
         raise ProtocolInvariantError("the syndrome map does not annihilate the product code")
+    n, m = storage.n, storage.m
+    shifts, offsets = _digits(n, m, iteration_set), _digits(n, m, stripe_set)
     return SchemeDerived(
         n_s=n_s,
         storage_code=c,
@@ -273,7 +310,13 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
         t=t,
         r_st=r_st,
         r_pir=r_pir,
-        schedule=_addition_table(storage.n, storage.m, iteration_set, stripe_set),
+        schedule=Schedule(
+            n=n,
+            iteration_shifts=tuple(map(tuple, shifts.tolist())),
+            stripe_shifts=tuple(map(tuple, offsets.tolist())),
+            coords=_sum_table(n, shifts, offsets),
+        ),
+        readout=_sum_table(n, -offsets % n, _digits(n, m, c.information_set())),
     )
 
 
@@ -288,29 +331,29 @@ def _self_inverse_product(params: BermanParams, coords: tuple[int, ...], name: s
     return product
 
 
-def _addition_table(n: int, m: int, iteration_set: tuple[int, ...], stripe_set: tuple[int, ...]) -> Schedule:
-    """The schedule whose iteration a (of ``I_0 = W(C)``) recovers, for
-    stripe c (of ``J_0 = W(E^perp)``), coordinate ``a + c``.
-
-    Iteration a covers ``J_0 + a``, a translate of an information set of
-    ``E^perp``, so its columns of H' are independent; stripe c covers
-    ``I_0 + c``, a translate of an information set of C.  Every Berman code
-    is invariant under the translations of ``Z_n^m``, so both stay
-    information sets, and addition commutes, so both views cover the same
-    coordinates.  The table is formed on the tuples' digits at once."""
+def _digits(n: int, m: int, coords: tuple[int, ...]) -> np.ndarray:
+    """The coordinates' tuples of ``Z_n^m``, one int32 row of m digits each,
+    most significant first."""
     place = n ** np.arange(m - 1, -1, -1)
+    return (np.asarray(coords, dtype=np.int64)[:, None] // place % n).astype(np.int32)
 
-    def digits(coords: tuple[int, ...]) -> np.ndarray:
-        return np.asarray(coords)[:, None] // place % n
 
-    rows, cols = digits(iteration_set), digits(stripe_set)
-    table = (rows[:, None] + cols[None]) % n @ place
-    return Schedule(
-        n=n,
-        iteration_shifts=tuple(map(tuple, rows.tolist())),
-        stripe_shifts=tuple(map(tuple, cols.tolist())),
-        coords=tuple(map(tuple, table.tolist())),
-    )
+def _sum_table(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The read-only int32 table whose entry ``[i, j]`` is the coordinate of
+    the digit tuples ``rows[i] + cols[j]``, added componentwise mod n.
+
+    The table is built one component at a time, most significant first:
+    each step multiplies it by n and adds one digit sum, so nothing beside
+    it is larger than one table of int32 digits.  (All components at once
+    would form a table of m-digit tuples, and a copy of it, in int64.)"""
+    table = np.zeros((len(rows), len(cols)), dtype=np.int32)
+    for component in range(rows.shape[1]):
+        digit = np.add.outer(rows[:, component], cols[:, component])
+        digit %= n
+        table *= n
+        table += digit
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +412,20 @@ def gen_queries(
     run's bits together from whole Philox outputs, packs each row's bits a
     byte at a time and looks each byte up at once in its group's table,
     built once per run, so the message bits are never held.  Last, for
-    each stripe p of each iteration i, bit ``coords[i][p]`` of the demanded
+    each stripe p of each iteration i, bit ``coords[i, p]`` of the demanded
     file's stripe-p row of that iteration's query is flipped, all of the
-    run's bits by one fancy-index XOR: each row holds one of them, so no
-    two share a limb.  A run over :data:`MAX_BATCH_BITS` raises
-    :class:`TooLarge` before the draw.
+    run's bits by one fancy-index XOR over the run's slice of ``coords``:
+    each row holds one of them, so no two share a limb.  A run over
+    :data:`MAX_BATCH_BITS` raises :class:`TooLarge` before the draw.
     """
+    return BitMatrix.from_limbs(_draw_run(derived, files, demand, iterations, rng), derived.n_s)
+
+
+def _draw_run(
+    derived: SchemeDerived, files: int, demand: int, iterations: range, rng: np.random.Generator
+) -> np.ndarray:
+    """The limbs of :func:`gen_queries`' matrix, still writable, so that
+    :func:`run_retrieval` can answer the run in place."""
     if not 0 <= demand < files:
         raise InvalidInput("demand index out of range")
     g_d = derived.retrieval_code.generator
@@ -382,24 +433,38 @@ def gen_queries(
     b, rows = derived.b, files * derived.b
     limbs = draw_product(rng, len(iterations), rows, g_d.limbs)
     planted = np.arange(len(iterations))[:, None] * rows + derived.file_row(demand, np.arange(b))
-    coords = np.array([derived.schedule.coords[it] for it in iterations], dtype=np.uint64).reshape(planted.shape)
-    limbs[planted, coords >> 6] ^= np.uint64(1) << (coords & 63)
-    return BitMatrix.from_limbs(limbs, derived.n_s)
+    coords = derived.schedule.coords[iterations.start : iterations.stop]
+    limbs[planted, coords >> 6] ^= np.uint64(1) << (coords & 63).astype(np.uint64)
+    return limbs
+
+
+def _answer_run(queries: np.ndarray, stored: np.ndarray) -> np.ndarray:
+    """The response limbs of a run of queries, one row per query.
+
+    ``queries`` holds the run's query limbs, shape ``(iterations, M*b, W)``,
+    and is overwritten: each query is ANDed with the stored limbs in place,
+    then XOR-folded over its rows.  Folding in place holds no second
+    run-sized array; a second one would double the retrieval's transient
+    heap, and with it the page faults of every run."""
+    np.bitwise_and(queries, stored, out=queries)
+    return np.bitwise_xor.reduce(queries, axis=1)
 
 
 def respond_all(stored: BitMatrix, q: BitMatrix) -> BitVector:
     """Every server's answer.  Bit ``i`` is the inner product of stored
     column ``i`` and query column ``i``, so the whole vector is one parity
-    fold over rows: the XOR of ``stored_r & q_r``, on limbs."""
+    fold over rows: the XOR of ``stored_r & q_r``, on limbs.  It is the
+    one-query case of the fold that answers each run of
+    :func:`run_retrieval`."""
     if (stored.rows, stored.cols) != (q.rows, q.cols):
         raise LengthMismatch(f"stored {stored.rows} x {stored.cols} != query {q.rows} x {q.cols}")
-    folded = np.bitwise_xor.reduce(stored.limbs & q.limbs, axis=0)
-    return BitVector(q.cols, limbs_to_words(folded[None])[0])
+    folded = _answer_run(q.limbs[None].copy(), stored.limbs)
+    return BitVector(q.cols, limbs_to_words(folded)[0])
 
 
 def decode_iteration(derived: SchemeDerived, iteration: int, response: BitVector) -> int:
     """Syndrome-decode one response vector into a b-bit word whose bit p is
-    stripe p's bit, read at coordinate ``coords[iteration][p]``.
+    stripe p's bit, read at coordinate ``coords[iteration, p]``.
 
     Iteration a plants stripe p's bit at coordinate ``a + c`` for the p-th
     c of ``J_0``.  The response translated by -a, ``r'(j) = r(j + a)``,
@@ -420,7 +485,7 @@ def decode_iteration(derived: SchemeDerived, iteration: int, response: BitVector
 
 def reconstruct_file(derived: SchemeDerived, recovered: list[int]) -> BitMatrix:
     """Rebuild the b x k_C file from the S decoded words, bit p of word i
-    being stripe p's bit ``y = f . g`` at ``coords[i][p]``; a list of other
+    being stripe p's bit ``y = f . g`` at ``coords[i, p]``; a list of other
     than S words, or a word with a bit at or above b, raises
     :class:`~.gf2.LengthMismatch`.
 
@@ -429,21 +494,20 @@ def reconstruct_file(derived: SchemeDerived, recovered: list[int]) -> BitMatrix:
     of each word in iteration order.  So ``u' = f' B_C`` with
     ``f' = y' M_C``: ``u' = y' (M_C B_C)``, the XOR of the rows of the
     derived matrix that those bits select.  Bit r of the file row, u at the
-    RREF pivot ``P_r``, is bit ``P_r - c`` of u': u' translated back by c,
-    read at the pivots."""
-    b, schedule = derived.b, derived.schedule
+    RREF pivot ``P_r``, is bit ``P_r - c`` of u', which the derived
+    ``readout[p, r]`` names: so u' is read where it stands and never
+    translated back."""
+    b = derived.b
     if len(recovered) != derived.s_iterations or any(word >> b for word in recovered):
         raise LengthMismatch(f"reconstruction takes {derived.s_iterations} words of {b} bits")
-    pivots = derived.storage_code.information_set()
     rows = derived.systematic.row_words
     words = []
-    for p, shift in enumerate(schedule.stripe_shifts):
+    for p, readout in enumerate(derived.readout):
         u = 0
         for word, row in zip(recovered, rows):
             if word >> p & 1:
                 u ^= row
-        u = translate(u, schedule.n, shift)
-        words.append(sum((u >> q & 1) << r for r, q in enumerate(pivots)))
+        words.append(sum((u >> q & 1) << r for r, q in enumerate(readout.tolist())))
     return BitMatrix(b, derived.k_c, tuple(words))
 
 
@@ -549,8 +613,8 @@ def verify_privacy_empirical(config: SchemeConfig, t: int) -> float:
     The uniform distribution is included as a reference point, so a
     single-demand instance still measures deviation from uniformity.
     Once the size guards pass, D and ``(C*D)^perp`` come from
-    :func:`derive_scheme`, so a pair the scheme does not support or cannot
-    schedule raises as derivation does.
+    :func:`derive_scheme`, so a pair the scheme does not support raises as
+    derivation does.
     """
     _check_collusion_size(t, config.storage.length)
     rows = config.files
@@ -643,7 +707,7 @@ class Transcript:
                     "assignments": sorted(([p, coord] for p, coord in enumerate(row)), key=lambda pair: pair[1]),
                     "responses_hex": response.to_hex(),
                 }
-                for row, response in zip(self.schedule.coords, self.responses)
+                for row, response in zip(map(np.ndarray.tolist, self.schedule.coords), self.responses)
             ],
             "reconstructed_ok": self.reconstructed_ok,
             "achieved_rate": float(self.achieved_rate),
@@ -666,13 +730,16 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     anything is drawn.
 
     The S iterations are cut into runs of consecutive iterations, each as
-    long as :data:`MAX_BATCH_BITS` allows, and each run's queries come from
-    one :func:`gen_queries` call; the draws are the same one batch per
+    long as :data:`MAX_BATCH_BITS` allows, and each run's queries are drawn
+    as :func:`gen_queries` draws them; the draws are the same one batch per
     iteration in order, however the runs fall.  A retrieval holds one run
     of queries at a time and keeps only the response vectors.  One
     :func:`~.gf2.take_bits` call first gathers the S*b planted bits, the
-    demanded stripes' stored bits at every row of ``coords``.  Every
-    iteration is answered by :func:`respond_all` and decoded by
+    demanded stripes' stored bits at every entry of ``coords``, in one
+    ``ravel`` of it.  Each run is answered in place: the drawn limbs are
+    ANDed with the stored limbs and XOR-folded over each query's rows, the
+    fold that :func:`respond_all` applies to one query, so no second
+    run-sized array is ever held.  Every iteration is then decoded by
     :func:`decode_iteration` on its own, and checks, in this order, that
     the response vector minus its planted bits lies in the product code and
     that the decoded word equals them.  Last, the achieved rate is read off
@@ -686,36 +753,37 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     derived = derive_scheme(config)
     _check_batch_size(derived, config.files)
     rng = philox_generator(config.seed)
-    b, k_c = derived.b, derived.k_c
+    b, k_c, n_s = derived.b, derived.k_c, derived.n_s
     library = BitMatrix.from_limbs(draw_bit_limbs(rng, config.files, b, k_c), k_c)
-    stored = encode_storage(derived, library)
+    stored = encode_storage(derived, library).limbs
 
     coords = derived.schedule.coords
     s_iterations = len(coords)
     first = derived.file_row(demand, 0)
-    rows = config.files * b
-    planted = take_bits(stored.limbs, list(range(first, first + b)) * s_iterations, [c for row in coords for c in row])
+    planted = take_bits(stored, np.tile(np.arange(first, first + b), s_iterations), coords.ravel())
     run = MAX_BATCH_BITS // _query_bits(derived, config.files)
     responses, recovered = [], []
     for start in range(0, s_iterations, run):
         iterations = range(start, min(start + run, s_iterations))
-        queries = gen_queries(derived, config.files, demand, iterations, rng).limbs
-        for i, it in enumerate(iterations):
-            response = respond_all(stored, BitMatrix.from_limbs(queries[i * rows : (i + 1) * rows], derived.n_s))
+        queries = _draw_run(derived, config.files, demand, iterations, rng)
+        folded = _answer_run(queries.reshape(len(iterations), *stored.shape), stored)
+        del queries  # hold one run of queries at a time
+        for it, response_word in zip(iterations, limbs_to_words(folded)):
+            response = BitVector(n_s, response_word)
             word = decode_iteration(derived, it, response)
+            row = coords[it].tolist()
             bits = planted[it * b : (it + 1) * b]
-            embed_word = sum(1 << coord for coord, bit in zip(coords[it], bits) if bit)
-            if not derived.product_code.contains(BitVector(derived.n_s, response.word ^ embed_word)):
+            embed_word = sum(1 << coord for coord, bit in zip(row, bits) if bit)
+            if not derived.product_code.contains(BitVector(n_s, response.word ^ embed_word)):
                 raise ProtocolInvariantError(f"iteration {it}: response residue left the product code")
             wrong = word ^ sum(bit << p for p, bit in enumerate(bits))
             if wrong:
                 p = (wrong & -wrong).bit_length() - 1
                 raise ProtocolInvariantError(
-                    f"iteration {it}: recovered bit of stripe {p} at coordinate {coords[it][p]} is wrong"
+                    f"iteration {it}: recovered bit of stripe {p} at coordinate {row[p]} is wrong"
                 )
             responses.append(response)
             recovered.append(word)
-        del queries  # hold one run of queries at a time
 
     rebuilt = reconstruct_file(derived, recovered)
     demanded = BitMatrix.from_limbs(library.limbs[first : first + b].copy(), k_c)  # not a view: keep no library alive

@@ -161,7 +161,7 @@ def loop_retrieval(derived, files, seed, demand):
     stored = row_table_product([w for f in file_words for w in f], derived.storage_code.generator.row_words)
     g_d = derived.retrieval_code.generator
     queries, responses = [], []
-    for row in derived.schedule.coords:
+    for row in derived.schedule.coords.tolist():
         q = row_table_product(random_bits(rng, files * b, g_d.rows), g_d.row_words)
         for stripe, coord in enumerate(row):
             q[demand * b + stripe] ^= 1 << coord

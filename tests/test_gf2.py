@@ -413,6 +413,24 @@ class TestBulkKernels:
         assert a @ b == matmul_reference(a, b)
         assert len(built) == -(-70 // 8) == 9
 
+    @pytest.mark.parametrize("rows, k, cols", ((3, 0, 70), (0, 9, 70), (3, 9, 0), (0, 0, 0)))
+    def test_empty_table_products(self, rows, k, cols):
+        # No rows, no columns, or k = 0: products start from np.empty and the
+        # first group writes them, so with no group at all they must still
+        # come back zero.  A freed block of ones sits where np.empty may
+        # hand it out again.
+        a, b = random_matrix(rows, k, 1), random_matrix(k, cols, 2)
+        ones = np.full(2 * rows * ((cols + 63) // 64), np.iinfo(np.uint64).max, dtype=np.uint64)
+        del ones
+        assert a @ b == BitMatrix(rows, cols, (0,) * rows)
+        rng = np.random.Generator(np.random.Philox(key=5))
+        before = philox_state(rng)
+        product = gf2.draw_product(rng, 2, rows, b.limbs)
+        assert product.shape == (2 * rows, (cols + 63) // 64)
+        if not k:
+            assert not product.any()
+            assert philox_state(rng) == before
+
     def test_table_product_shape_check(self):
         with pytest.raises(LengthMismatch):
             BitMatrix(2, 3, (0, 0)) @ BitMatrix(2, 3, (0, 0))

@@ -101,7 +101,7 @@ def planted_words(d, it, files, demand):
 
 def stripe_coords(schedule, stripe):
     """Column ``stripe`` of the table: the stripe's coordinates in iteration order."""
-    return tuple(row[stripe] for row in schedule.coords)
+    return tuple(schedule.coords[:, stripe].tolist())
 
 
 def sorted_plan(row):
@@ -138,6 +138,41 @@ def duplicate_column(code):
     """``code`` with column 1 of its generator overwritten by column 0."""
     words = tuple((w & ~2) | ((w & 1) << 1) for w in code.generator.row_words)
     return LinearCode.from_generator(BitMatrix(code.dimension, code.length, words))
+
+
+def child_env():
+    """The environment of a fresh interpreter that imports this checkout's ``src``."""
+    root = Path(__file__).resolve().parent.parent
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
+def simulate_with_peak(*args):
+    """``bermanpir simulate`` with ``args`` in a fresh interpreter: the
+    finished process and the child's own peak RSS in KiB."""
+    script = (
+        "import resource, sys; from bermanpir.cli import main; rc = main(); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); raise SystemExit(rc)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "simulate", *args], capture_output=True, text=True, env=child_env(), timeout=120
+    )
+    return proc, int(proc.stderr.splitlines()[-1])
+
+
+#: Warm retrievals of ``retrieve_wide``'s pair in one process; prints the
+#: minor page faults of the last 200.
+WARM_RETRIEVAL_FAULTS = """
+import dataclasses, resource
+from bermanpir import pir
+from bermanpir.berman import BermanParams
+config = pir.SchemeConfig(BermanParams.parse("DBer(2,1,6)"), BermanParams.parse("DBer(2,2,6)"), 256, 0)
+for op in range(250):
+    if op == 50:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert pir.run_retrieval(dataclasses.replace(config, seed=op), op % 256).reconstructed_ok
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +364,37 @@ class TestSchedule:
                 assert h.rows == rank(h) == d.n_s - e.dimension, (storage.name, retrieval.name)
 
 
+class TestTables:
+    """The schedule and the stripe readout are read-only int32 tables; a
+    schedule compares by value."""
+
+    def test_equal_schedules_compare_and_hash_equal(self):
+        schedule = derive_scheme(cfg("DBer(2,1,6)", "DBer(2,2,6)")).schedule
+        assert schedule.coords.dtype == np.int32
+        twin = pir.Schedule(schedule.n, schedule.iteration_shifts, schedule.stripe_shifts, schedule.coords.copy())
+        assert twin == schedule and hash(twin) == hash(schedule)
+        coords = schedule.coords.copy()
+        coords[3, 5] ^= 1
+        other = pir.Schedule(schedule.n, schedule.iteration_shifts, schedule.stripe_shifts, coords)
+        assert other != schedule
+
+    def test_tables_are_read_only(self):
+        d = derive_scheme(cfg("DBer(2,1,6)", "DBer(2,2,6)"))
+        assert d.readout.dtype == np.int32 and d.readout.shape == (d.b, d.k_c)
+        for table in (d.schedule.coords, d.readout):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+    def test_fresh_derivations_compare_equal(self):
+        config = cfg("Ber(3,1,2)", "DBer(3,0,2)")
+        first = derive_scheme(config)
+        pir._derive.cache_clear()
+        second = derive_scheme(config)
+        assert second is not first
+        assert second == first and hash(second) == hash(first)
+        assert np.array_equal(second.readout, first.readout)
+
+
 class TestScheduleRegression:
     #: SHA-256 over every pair of SHAPES_UP_TO_36 of its name and, per
     #: iteration, its coordinates ascending and their stripes.
@@ -354,7 +420,7 @@ class TestScheduleRegression:
         digest = hashlib.sha256()
         for storage, retrieval, _ in supported_pairs(SHAPES_UP_TO_36):
             coords = derive_scheme(SchemeConfig(storage, retrieval)).schedule.coords
-            record = [storage.name, retrieval.name, [sorted_plan(row) for row in coords]]
+            record = [storage.name, retrieval.name, [sorted_plan(row) for row in coords.tolist()]]
             digest.update(json.dumps(record).encode())
         assert digest.hexdigest() == self.SCHEDULES_SHA256
 
@@ -558,10 +624,10 @@ class TestQueries:
         assert rng.integers(0, 1 << 32, dtype=np.uint32) == after_run
 
     def test_a_run_tabulates_each_group_once_and_multiplies_no_messages(self, monkeypatch):
-        # The run's draw goes straight into the four-Russians lookup: each
-        # group of eight generator rows is tabulated once per run, however
-        # many iterations it holds, and no packed message array is
-        # multiplied afterwards.
+        # The run's draw goes straight into the four-Russians lookup: the
+        # groups of eight generator rows are tabulated once per run, in one
+        # stacked call, however many iterations it holds, and no packed
+        # message array is multiplied afterwards.
         # 256 files draw one block per iteration.
         d = derive_scheme(cfg("DBer(2,1,6)", "DBer(2,2,6)", files=256))
         k_d = d.retrieval_code.generator.rows
@@ -570,7 +636,7 @@ class TestQueries:
         honest = gf2.span_table
 
         def counting(rows):
-            built.append(len(rows))
+            built.append(rows.shape[:-1])
             return honest(rows)
 
         def no_product(*args):
@@ -579,8 +645,7 @@ class TestQueries:
         monkeypatch.setattr(gf2, "span_table", counting)
         monkeypatch.setattr(gf2, "limb_product", no_product)
         gen_queries(d, 256, 2, range(0, d.s_iterations), philox_generator(17))
-        assert len(built) == -(-k_d // 8)
-        assert sum(built) == k_d
+        assert built == [(-(-k_d // 8), 8)]
 
 
 class TestRandomBits:
@@ -1018,13 +1083,13 @@ class TestRunRetrieval:
         config = cfg("DBer(2,1,6)", "DBer(2,2,6)", files=5, seed=2**63 + 12345)
         d = derive_scheme(config)
         runs = []
-        honest = pir.gen_queries
+        honest = pir._draw_run
 
         def recording(derived, files, demand, iterations, rng):
             runs.append(len(iterations))
             return honest(derived, files, demand, iterations, rng)
 
-        monkeypatch.setattr(pir, "gen_queries", recording)
+        monkeypatch.setattr(pir, "_draw_run", recording)
         whole = run_retrieval(config, 3)
         assert runs == [d.s_iterations] == [7]
         runs.clear()
@@ -1037,23 +1102,42 @@ class TestRunRetrieval:
         # 40 files of 1486 stripes on 2048 servers: each of the 67 queries
         # takes 15 MB, one run under the batch guard, and keeping them all
         # would take a gigabyte.  The peak is the child's own.
-        root = Path(__file__).resolve().parent.parent
-        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-        script = (
-            "import resource, sys; from bermanpir.cli import main; rc = main(); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); raise SystemExit(rc)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "simulate", "--storage", "DBer(2,2,11)", "--retrieval", "DBer(2,2,11)",
-             "--files", "40", "--demand", "39", "--format", "csv"],
-            capture_output=True, text=True, env=env, timeout=120,
+        proc, peak_kb = simulate_with_peak(
+            "--storage", "DBer(2,2,11)", "--retrieval", "DBer(2,2,11)", "--files", "40", "--demand", "39",
+            "--format", "csv",
         )
         assert proc.returncode == cli.EXIT_OK, proc.stderr
         (summary,) = csv.DictReader(proc.stdout.splitlines())
         assert summary["reconstructed_ok"] == "True"
-        peak_kb = int(proc.stderr.splitlines()[-1])
         assert peak_kb < 300 << 10
+
+    @pytest.mark.slow
+    def test_largest_schedule_table_within_a_memory_bound(self):
+        # S = 1586 iterations of b = 2510 stripes on 4096 servers: the
+        # schedule and the stripe readout are int32 tables built one tuple
+        # component at a time.  A table of whole digit tuples peaked at
+        # 782 MB; this one peaks near 230 MB.
+        proc, peak_kb = simulate_with_peak(
+            "--storage", "DBer(2,5,12)", "--retrieval", "DBer(2,0,12)", "--files", "1", "--format", "csv"
+        )
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stdout == (
+            "storage,retrieval,files,seed,demand,servers,t,b,S,reconstructed_ok,achieved_rate,theoretical_rate,"
+            "privacy_rank_ok\n"
+            '"DBer(2,5,12)","DBer(2,0,12)",1,0,0,4096,1,2510,1586,True,0.613,0.613,True\n'
+        )
+        assert peak_kb < 350 << 10
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor page faults")
+    def test_warm_retrievals_take_no_page_faults(self):
+        # Each run is folded in place.  A second run-sized array would double
+        # the run's transient heap, and glibc would then return and refault
+        # it on every op: about 120 minor faults per op instead of none.
+        proc = subprocess.run(
+            [sys.executable, "-c", WARM_RETRIEVAL_FAULTS], capture_output=True, text=True, env=child_env(), timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) / 200 < 5
 
     def test_oversized_library_is_refused_before_any_draw(self, monkeypatch):
         config = cfg("DBer(2,1,3)", "DBer(2,1,3)", files=10**12)
@@ -1140,14 +1224,16 @@ class TestRunRetrieval:
 
 
 def flip_first_response_bit(monkeypatch):
-    """Make every server response vector arrive with coordinate 0 flipped."""
-    honest = pir.respond_all
+    """Make every server response vector arrive with coordinate 0 flipped:
+    the fold that answers each run, and so every query, flips it."""
+    honest = pir._answer_run
 
-    def flipped(stored, q):
-        response = honest(stored, q)
-        return BitVector(response.length, response.word ^ 1)
+    def flipped(queries, stored):
+        folded = honest(queries, stored)
+        folded[:, 0] ^= np.uint64(1)
+        return folded
 
-    monkeypatch.setattr(pir, "respond_all", flipped)
+    monkeypatch.setattr(pir, "_answer_run", flipped)
 
 
 FLIPPED_SIMULATE = """
