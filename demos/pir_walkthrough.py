@@ -52,7 +52,7 @@ draw_bit_limbs(rng, config.files, derived.b, derived.k_c)
 for it, response in enumerate(transcript.responses):
     query = gen_queries(derived, config.files, 0, range(it, it + 1), rng)
     print(f"iteration {it}:")
-    print(f"  query column to server 0: {query.column(0)}")
+    print(f"  query column to server 0: {query.transpose().row(0)}")
     print(f"  responses from all servers: {response}")
     offset = schedule.iteration_shifts[it]
     back = BitVector(derived.n_s, translate(response.word, schedule.n, [-x for x in offset]))

@@ -6,7 +6,7 @@ Run: python3 demos/star_products.py
 
 from bermanpir import BermanParams, predict_star, star_codes, star_vectors, verify_star_case
 from bermanpir.berman import build, c_vector, d_vector
-from bermanpir.star import FULL_SPACE, star_case_sweep
+from bermanpir.star import FULL_SPACE, star_pairs
 
 print("=== Coordinatewise products of basis vectors ===")
 a = c_vector(3, 2, (1, 2))
@@ -37,7 +37,8 @@ print(f"  dim(DBer(3,0,2) * DBer(3,1,2)) = {product.dimension}")
 print()
 print("=== Full sweep over n <= 4, m <= 3 ===")
 total = verified = special = 0
-for res in star_case_sweep(4, 3):
+for p, q in star_pairs(4, 3):
+    res = verify_star_case(p, q)
     total += 1
     verified += res.verified
     special += res.predicted is FULL_SPACE

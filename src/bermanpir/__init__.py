@@ -35,7 +35,6 @@ _EXPORTS = {
         "Singular",
         "invert_columns",
         "nullspace_basis",
-        "rank",
         "row_reduce",
     ),
     "pir": (

@@ -124,16 +124,6 @@ def all_tuples(n: int, m: int):
     return product(range(n), repeat=m)
 
 
-def tuple_to_index(n: int, t: IndexTuple) -> int:
-    """Coordinate index of a tuple; the first component is most significant."""
-    idx = 0
-    for x in t:
-        if not 0 <= x < n:
-            raise ValueError("tuple component out of range")
-        idx = idx * n + x
-    return idx
-
-
 def index_to_tuple(n: int, m: int, index: int) -> IndexTuple:
     if not 0 <= index < n**m:
         raise ValueError("index out of range")
@@ -146,13 +136,6 @@ def index_to_tuple(n: int, m: int, index: int) -> IndexTuple:
 
 def tuple_weight(t: IndexTuple) -> int:
     return sum(1 for x in t if x)
-
-
-def precedes(j: IndexTuple, i: IndexTuple) -> bool:
-    """True iff supp(j) is contained in supp(i) and j matches i there."""
-    if len(j) != len(i):
-        raise LengthMismatch("tuples of differing arity")
-    return all(a == 0 or a == b for a, b in zip(j, i))
 
 
 def c_vector(n: int, m: int, t: IndexTuple) -> BitVector:

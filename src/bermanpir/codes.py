@@ -3,6 +3,10 @@
 Because every code stores the RREF of its generator with zero rows dropped,
 two codes span the same space iff they compare equal, and membership tests
 reduce a word against at most ``dim`` pivot rows.
+
+Only what the package, its demos and its benchmark harness call is defined
+here; the projection and text form of a code that the tests compare against
+live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -162,18 +166,6 @@ class LinearCode:
         if self.dimension == 0:
             raise ZeroCode("the zero code has no information set")
         return tuple((rw & -rw).bit_length() - 1 for rw in self.generator.row_words)
-
-    def project_columns(self, cols: Iterable[int]) -> LinearCode:
-        """The code ``{c_T : c in C}`` on the (ascending) coordinate set T."""
-        sel = sorted(set(cols))
-        for j in sel:
-            if not 0 <= j < self.length:
-                raise IndexError("column out of range")
-        return LinearCode.from_generator(self.generator.take_columns(sel))
-
-    def to_text(self) -> str:
-        """Serialize: a "length dim" header line, then the generator matrix text."""
-        return f"{self.length} {self.dimension}\n" + self.generator.to_text()
 
     def __str__(self) -> str:
         return f"[{self.length},{self.dimension}] code"

@@ -31,6 +31,10 @@ draw, so it builds them all in one stacked :func:`span_table`: its eight
 doubling steps run once per product, not once per group.
 :func:`limb_product` reads each table once, so it keeps one at a time.
 Transposes and column selections unpack to a 0/1 array, index it, and pack.
+
+The module defines only what the package, its demos and its benchmark
+harness call.  Operations that only the tests need (rank, a dot product, a
+single entry) are one integer expression or live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -292,9 +296,6 @@ class BitVector:
             raise ValueError("expected a string of '0'/'1' characters")
         return cls(len(text), int(text[::-1] or "0", 2))
 
-    def weight(self) -> int:
-        return self.word.bit_count()
-
     def __xor__(self, other: BitVector) -> BitVector:
         if self.length != other.length:
             raise LengthMismatch(f"{self.length} != {other.length}")
@@ -304,14 +305,6 @@ class BitVector:
         if self.length != other.length:
             raise LengthMismatch(f"{self.length} != {other.length}")
         return BitVector(self.length, self.word & other.word)
-
-    def dot(self, other: BitVector) -> int:
-        if self.length != other.length:
-            raise LengthMismatch(f"{self.length} != {other.length}")
-        return (self.word & other.word).bit_count() & 1
-
-    def is_zero(self) -> bool:
-        return self.word == 0
 
     def to01(self) -> str:
         """Coordinate 0 first: the word's binary digits, reversed."""
@@ -412,11 +405,6 @@ class BitMatrix:
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.row_words[i])
 
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("entry out of range")
-        return (self.row_words[i] >> j) & 1
-
     def column_word(self, j: int) -> int:
         """Column ``j`` packed into an integer over the row index."""
         if not 0 <= j < self.cols:
@@ -426,9 +414,6 @@ class BitMatrix:
             if (rw >> j) & 1:
                 word |= 1 << i
         return word
-
-    def column(self, j: int) -> BitVector:
-        return BitVector(self.rows, self.column_word(j))
 
     def take_columns(self, cols: Sequence[int]) -> BitMatrix:
         """Submatrix of the listed columns, in the order given."""
@@ -537,10 +522,6 @@ def row_reduce(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     words = list(m.row_words)
     pivots = _eliminate(words, m.cols)
     return BitMatrix(m.rows, m.cols, tuple(words)), tuple(pivots)
-
-
-def rank(m: BitMatrix) -> int:
-    return len(row_reduce(m)[1])
 
 
 def nullspace_basis(m: BitMatrix) -> BitMatrix:

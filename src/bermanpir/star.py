@@ -4,6 +4,11 @@ for every pairing inside the Berman family and span-equality verification.
 The product of two codes is the span of the coordinatewise products of
 their generator rows; bilinearity makes that equal to the span over all
 codeword pairs without enumerating them.
+
+Only what the package, its demos and its benchmark harness call is defined
+here.  The paper's constructive identities (the disjoint-support product
+and the Berman basis identity), which no command runs, are checked by the
+tests through ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .berman import BermanParams, CodeKind, IndexTuple, build, c_vector, d_vector, families, precedes, tuple_weight
-from .codes import LinearCode, ProtocolInvariantError
+from .berman import BermanParams, CodeKind, build, families
+from .codes import LinearCode
 from .gf2 import BitMatrix, BitVector, LengthMismatch, reduce_word
 
 
@@ -23,14 +28,6 @@ class ParamMismatch(ValueError):
 
 class UndefinedCase(ValueError):
     """The product is not covered by a known case."""
-
-
-class OverlappingSupport(ValueError):
-    """The two index tuples share a nonzero position."""
-
-
-class PreconditionViolated(ValueError):
-    """The basis-identity preconditions do not hold."""
 
 
 class StarSpecial(Enum):
@@ -224,36 +221,3 @@ def star_pairs(n_max: int, m_max: int) -> Iterator[tuple[BermanParams, BermanPar
             for q in members:
                 if predict_star(p, q) is not UNDEFINED:
                     yield p, q
-
-
-def star_case_sweep(n_max: int, m_max: int) -> Iterator[StarCaseResult]:
-    """:func:`star_pairs`, each verified by span equality."""
-    for p, q in star_pairs(n_max, m_max):
-        yield verify_star_case(p, q)
-
-
-def disjoint_support_product(n: int, m: int, j1: IndexTuple, j2: IndexTuple) -> BitVector:
-    """d(j1) * d(j2) for disjoint supports equals d(j1 + j2); returns it."""
-    if any(a and b for a, b in zip(j1, j2)):
-        raise OverlappingSupport("index tuples share a nonzero position")
-    merged = tuple(a or b for a, b in zip(j1, j2))
-    result = d_vector(n, m, merged)
-    if result != star_vectors(d_vector(n, m, j1), d_vector(n, m, j2)):
-        raise ProtocolInvariantError(f"d({j1}) * d({j2}) is not d({merged})")
-    return result
-
-
-def berman_basis_identity(n: int, m: int, j: IndexTuple, k: IndexTuple) -> BitVector:
-    """c(j - k) computed as c(j)*d(k) + c(j)*d(0), for a weight-1 k below j.
-
-    The returned vector is checked against the direct construction of
-    c(j') where j' is j with the k-supported component zeroed.
-    """
-    if tuple_weight(k) != 1 or not precedes(k, j):
-        raise PreconditionViolated("need weight(k) = 1 and k below j")
-    cj = c_vector(n, m, j)
-    rhs = star_vectors(cj, d_vector(n, m, k)) ^ star_vectors(cj, d_vector(n, m, (0,) * m))
-    j_prime = tuple(0 if k[l] else j[l] for l in range(m))
-    if rhs != c_vector(n, m, j_prime):
-        raise ProtocolInvariantError(f"c({j})*d({k}) + c({j})*d(0) is not c({j_prime})")
-    return rhs

@@ -29,6 +29,11 @@ The nullspace scan tests every pivot row at every free column.
 The packed-message privacy loop counts each demand's restricted query
 distribution on its own, one ``left_mul`` per file row of every packed
 message tuple.
+
+The remaining references are operations no command runs, kept here for the
+tests that compare against them: the rank of a matrix, the coordinate index
+of a tuple and the partial order on tuples, a code's projection and text
+form, and the paper's two constructive star-product identities.
 """
 
 from fractions import Fraction
@@ -39,21 +44,83 @@ from math import comb, inf
 import numpy as np
 
 from bermanpir import BitVector, berman, pir
-from bermanpir.berman import (
-    CodeKind,
-    all_tuples,
-    c_vector,
-    d_vector,
-    index_to_tuple,
-    precedes,
-    tuple_to_index,
-    tuple_weight,
-)
+from bermanpir.berman import CodeKind, all_tuples, c_vector, d_vector, index_to_tuple, tuple_weight
 from bermanpir.checks import VerifyCase
-from bermanpir.codes import LinearCode
-from bermanpir.gf2 import BitMatrix, rank, row_reduce
+from bermanpir.codes import LinearCode, ProtocolInvariantError
+from bermanpir.gf2 import BitMatrix, LengthMismatch, row_reduce
 from bermanpir.pir import ZeroRate, derive_scheme, scheme_row
 from bermanpir.star import star_vectors, verify_star_case
+
+
+class OverlappingSupport(ValueError):
+    """The two index tuples share a nonzero position."""
+
+
+class PreconditionViolated(ValueError):
+    """The basis-identity preconditions do not hold."""
+
+
+def rank(m):
+    """The number of pivots of the matrix's reduced row-echelon form."""
+    return len(row_reduce(m)[1])
+
+
+def tuple_to_index(n, t):
+    """Coordinate index of a tuple; the first component is most significant."""
+    idx = 0
+    for x in t:
+        if not 0 <= x < n:
+            raise ValueError("tuple component out of range")
+        idx = idx * n + x
+    return idx
+
+
+def precedes(j, i):
+    """True iff supp(j) is contained in supp(i) and j matches i there."""
+    if len(j) != len(i):
+        raise LengthMismatch("tuples of differing arity")
+    return all(a == 0 or a == b for a, b in zip(j, i))
+
+
+def project_columns(code, cols):
+    """The code ``{c_T : c in C}`` on the (ascending) coordinate set T."""
+    sel = sorted(set(cols))
+    for j in sel:
+        if not 0 <= j < code.length:
+            raise IndexError("column out of range")
+    return LinearCode.from_generator(code.generator.take_columns(sel))
+
+
+def code_to_text(code):
+    """A "length dim" header line, then the generator matrix text."""
+    return f"{code.length} {code.dimension}\n" + code.generator.to_text()
+
+
+def disjoint_support_product(n, m, j1, j2):
+    """d(j1) * d(j2) for disjoint supports equals d(j1 + j2); returns it."""
+    if any(a and b for a, b in zip(j1, j2)):
+        raise OverlappingSupport("index tuples share a nonzero position")
+    merged = tuple(a or b for a, b in zip(j1, j2))
+    result = d_vector(n, m, merged)
+    if result != star_vectors(d_vector(n, m, j1), d_vector(n, m, j2)):
+        raise ProtocolInvariantError(f"d({j1}) * d({j2}) is not d({merged})")
+    return result
+
+
+def berman_basis_identity(n, m, j, k):
+    """c(j - k) computed as c(j)*d(k) + c(j)*d(0), for a weight-1 k below j.
+
+    The returned vector is checked against the direct construction of
+    c(j') where j' is j with the k-supported component zeroed.
+    """
+    if tuple_weight(k) != 1 or not precedes(k, j):
+        raise PreconditionViolated("need weight(k) = 1 and k below j")
+    cj = c_vector(n, m, j)
+    rhs = star_vectors(cj, d_vector(n, m, k)) ^ star_vectors(cj, d_vector(n, m, (0,) * m))
+    j_prime = tuple(0 if k[l] else j[l] for l in range(m))
+    if rhs != c_vector(n, m, j_prime):
+        raise ProtocolInvariantError(f"c({j})*d({k}) + c({j})*d(0) is not c({j_prime})")
+    return rhs
 
 
 def per_row_triple(storage, retrieval):
@@ -116,11 +183,11 @@ def recursion_distance(kind, n, r, m):
 
 def per_server_responses(stored, q):
     """Each server's answer on its own: bit i is the dot product of stored
-    column i and query column i."""
+    column i and query column i, each column gathered bit by bit."""
     word = 0
     for i in range(q.cols):
-        if stored.column(i).dot(q.column(i)):
-            word |= 1 << i
+        a, b = (sum((w >> i & 1) << r for r, w in enumerate(m.row_words)) for m in (stored, q))
+        word |= ((a & b).bit_count() & 1) << i
     return BitVector(q.cols, word)
 
 

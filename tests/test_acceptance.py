@@ -22,7 +22,7 @@ from bermanpir.berman import (
 )
 from bermanpir.cli import build_tables, render_tables_csv
 from bermanpir.codes import MAX_BRUTE_FORCE_DIM
-from bermanpir.gf2 import BitMatrix, rank
+from bermanpir.gf2 import BitMatrix
 from bermanpir.pir import (
     SchemeConfig,
     derive_scheme,
@@ -30,8 +30,14 @@ from bermanpir.pir import (
     verify_privacy_empirical,
     verify_privacy_rank,
 )
-from bermanpir.star import berman_basis_identity, disjoint_support_product, star_case_sweep, star_codes
-from oracles import staged_mixed_products, staged_parity_products
+from bermanpir.star import star_codes, star_pairs, verify_star_case
+from oracles import (
+    berman_basis_identity,
+    disjoint_support_product,
+    rank,
+    staged_mixed_products,
+    staged_parity_products,
+)
 from test_cli import GOLDEN, PUBLISHED_CELLS
 
 P = BermanParams.parse
@@ -112,7 +118,7 @@ def test_criterion_3_duality_containment():
 
 @criterion("4 star-product case sweep", 120)
 def test_criterion_4_star_case_sweep():
-    results = list(star_case_sweep(4, 3))
+    results = [verify_star_case(p, q) for p, q in star_pairs(4, 3)]
     assert results
     for res in results:
         assert res.verified, f"{res.left.name} * {res.right.name}"

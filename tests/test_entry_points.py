@@ -1,14 +1,13 @@
 """Tooling: every module-level function and public method of the library is
-named somewhere in the program (``src/``, ``demos/``, ``benchmarks/``), or
-is kept on purpose because a test compares against it; and every exception
-class the library defines is raised somewhere in ``src/``."""
+named somewhere in the program (``src/``, ``demos/``, ``benchmarks/``), with
+no exceptions: a reference that only tests compare against belongs in
+``tests/oracles.py``, whose every function a test names in turn; and every
+exception class the library defines is raised somewhere in ``src/``."""
 
 import ast
 import importlib
 from collections import defaultdict
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bermanpir"
@@ -26,22 +25,6 @@ TRACER = ROOT / "benchmarks" / "tracer.py"
 
 #: Module names whose attributes are never definitions of ours.
 NUMPY = {"np", "numpy"}
-
-#: Definitions that nothing in the program names, each with the test that
-#: compares against it (directly or through a function of ``oracles.py``).
-ALLOWED = {
-    "berman.tuple_to_index": "test_berman.py::TestIndexing::test_round_trip_exhaustive",
-    "codes.LinearCode.project_columns": "test_codes.py::TestProjectColumns::test_every_triple_projection_is_onto",
-    "codes.LinearCode.to_text": "test_codes.py::TestSerialization::test_golden_fixture",
-    "gf2.BitVector.weight": "test_pir.py::TestQueries::test_embedding_structure",
-    "gf2.BitVector.dot": "test_pir.py::TestRespond::test_respond_all_matches_per_server_loop",
-    "gf2.BitVector.is_zero": "test_gf2.py::TestNullspace::test_rank_nullity_and_orthogonality",
-    "gf2.BitMatrix.entry": "test_pir.py::TestDecode::test_recovers_ground_truth",
-    "gf2.rank": "test_berman.py::TestBuild::test_basis_sets_are_independent",
-    "star.disjoint_support_product": "test_star.py::TestConstructiveIdentities::test_disjoint_exhaustive",
-    "star.berman_basis_identity": "test_star.py::TestConstructiveIdentities::test_basis_identity_exhaustive",
-}
-
 
 def definitions(tree):
     """Dotted names of the module-level functions and of the public methods
@@ -124,15 +107,14 @@ def overrides(namespace):
     return found
 
 
-def unnamed(definitions_by_module, names, used=()):
+def unnamed(definitions_by_module, names):
     """The definitions that no reference of ``names`` (pairs of
     :func:`named`) names.  ``K.m``, for a class K that has definitions,
     names only ``K.m``; ``np.m`` names nothing; ``x.m`` on any other base
     names every function and method m; a bare ``m`` names the module-level
     functions m.  A reference owned by a definition counts only once that
-    definition is named or listed in ``used``, and never for the definition
-    itself: the named set is a fixed point, reached from the references no
-    definition owns."""
+    definition is named, and never for the definition itself: the named set
+    is a fixed point, reached from the references no definition owns."""
     by_last = defaultdict(set)
     for module, defined in definitions_by_module.items():
         for name in defined:
@@ -151,23 +133,23 @@ def unnamed(definitions_by_module, names, used=()):
         return set() if x in NUMPY else by_last[m]
 
     reached = set()
-    todo = [None, *used]
+    todo = [None]
     while todo:
         owner = todo.pop()
         for reference in by_owner[owner]:
             new = resolve(reference) - reached - {owner}
             reached |= new
-            todo.extend(new.difference(used))
+            todo.extend(new)
     return {d for found in by_last.values() for d in found} - reached
 
 
-def flagged(source, strings=False, used=()):
+def flagged(source, strings=False):
     """What the detector flags in a library of one module, ``m``, with this
     source, which is run to find its overrides."""
     tree = ast.parse(source)
     namespace = {"__name__": "m"}
     exec(compile(tree, "m", "exec"), namespace)
-    return unnamed({"m": list(definitions(tree))}, named(tree, "m", strings) | overrides(namespace), used)
+    return unnamed({"m": list(definitions(tree))}, named(tree, "m", strings) | overrides(namespace))
 
 
 def test_detector_flags_an_unnamed_function_and_method():
@@ -211,7 +193,7 @@ def test_detector_counts_uses_inside_a_definition_once_it_is_used():
         "def unused(c): return c.to_text() or unused(c)\n"
     )
     assert flagged(source) == {"m.unused", "m.C.to_text"}
-    assert flagged(source, used={"m.unused"}) == {"m.unused"}
+    assert flagged(source + "main = unused\n") == set()
 
 
 def test_detector_counts_an_override_of_an_outside_base_as_used():
@@ -223,37 +205,22 @@ def test_detector_counts_an_override_of_an_outside_base_as_used():
     assert flagged(source) == {"m.P.extra", "m.Q.extra"}
 
 
-def test_every_definition_is_named_or_allowed():
+def test_every_definition_is_named():
     modules = [importlib.import_module(f"bermanpir.{p.stem}") for p in SRC.glob("*.py") if p.stem != "__init__"]
     names = set().union(
         *(named(ast.parse(p.read_text()), p.stem if p.parent == SRC else None, p == TRACER) for p in PROGRAM),
         *(overrides(vars(module)) for module in modules),
     )
     defined = {p.stem: list(definitions(ast.parse(p.read_text()))) for p in SRC.glob("*.py")}
-    found = unnamed(defined, names, used=ALLOWED)
-    assert found - set(ALLOWED) == set(), "named nowhere in the program"
-    assert set(ALLOWED) - found == set(), "stale allow-list entry"
+    assert unnamed(defined, names) == set(), "named nowhere in the program"
 
 
-def last_names(references):
-    return {reference.rpartition(".")[2] for _, reference in references}
-
-
-def find_test(path, qualname):
-    """The class or function node of ``qualname`` (a list of names) in ``path``."""
-    node = ast.parse(path.read_text())
-    for part in qualname:
-        node = next(n for n in node.body if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == part)
-    return node
-
-
-@pytest.mark.parametrize("entry", sorted(ALLOWED))
-def test_allowed_entry_is_compared_in_its_test(entry):
-    file, *qualname = ALLOWED[entry].split("::")
-    names = last_names(named(ast.Module([find_test(TESTS / file, qualname)], [])))
-    oracles = {n.name: n for n in ast.parse((TESTS / "oracles.py").read_text()).body if isinstance(n, ast.FunctionDef)}
-    names.update(*(last_names(named(ast.Module([oracles[name]], []))) for name in names & oracles.keys()))
-    assert entry.rpartition(".")[2] in names
+def test_every_oracle_is_named_by_a_test():
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    names = named(tree, "oracles").union(*(named(ast.parse(p.read_text())) for p in TESTS.glob("test_*.py")))
+    defined = list(definitions(tree))
+    assert len(defined) > 20
+    assert unnamed({"oracles": defined}, names) == set(), "named by no test"
 
 
 def raised(tree):

@@ -19,11 +19,10 @@ from bermanpir.gf2 import (
     invert_columns,
     limbs_to_words,
     nullspace_basis,
-    rank,
     row_reduce,
     words_to_limbs,
 )
-from oracles import nullspace_reference
+from oracles import nullspace_reference, rank
 
 
 @st.composite
@@ -132,7 +131,7 @@ class TestBitVector:
         v = BitVector.from01("10110")
         assert v == BitVector(5, 0b01101)
         assert v.to01() == "10110"
-        assert v.weight() == 3
+        assert v.word.bit_count() == 3
 
     @given(st.integers(0, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
     @example((0, 0))
@@ -154,12 +153,6 @@ class TestBitVector:
             BitVector(3) ^ BitVector(4)
         with pytest.raises(ValueError):
             BitVector(2, 4)
-
-    def test_dot(self):
-        a = BitVector.from01("110")
-        assert a.dot(BitVector.from01("101")) == 1
-        assert a.dot(BitVector.from01("011")) == 1
-        assert a.dot(BitVector.from01("111")) == 0
 
     def test_hex_convention(self):
         # Coordinate 0 is the most-significant bit of the first hex digit.
@@ -292,7 +285,7 @@ class TestNullspace:
         from oracles import exhaustive_span
 
         for w in exhaustive_span(4, [basis.row(i) for i in range(3)]):
-            assert m.mul_vector(BitVector(4, w)).is_zero()
+            assert m.mul_vector(BitVector(4, w)).word == 0
         assert rank(basis) == 3
 
     def test_nullspace_realizes_duality(self):
@@ -309,7 +302,7 @@ class TestNullspace:
         basis = nullspace_basis(m)
         assert rank(m) + basis.rows == m.cols
         for i in range(basis.rows):
-            assert m.mul_vector(basis.row(i)).is_zero()
+            assert m.mul_vector(basis.row(i)).word == 0
 
 
 class TestInvertColumns:
@@ -621,7 +614,7 @@ class TestLimbBackedMatrix:
         assert np.array_equal(words.limbs, limbs)
         if rows and cols:
             for i, j in zip(rng.integers(0, rows, 8).tolist(), rng.integers(0, cols, 8).tolist()):
-                assert built().entry(i, j) == words.entry(i, j)
+                assert built().row_words[i] >> j & 1 == int(words.limbs[i, j >> 6]) >> (j & 63) & 1
         right = random_matrix(cols, inner, seed + 1)
         assert built() @ right == words @ right
         left = random_matrix(inner, rows, seed + 2)

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from bermanpir import berman, cli, gf2, pir
 from bermanpir.berman import BermanParams, CodeKind, build
 from bermanpir.codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge
-from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, draw_bit_limbs, invert_columns, rank
+from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, draw_bit_limbs, invert_columns
 from bermanpir.pir import (
     ProtocolInvariantError,
     SchemeConfig,
@@ -147,11 +148,13 @@ def child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
 
 
-def simulate_with_peak(*args):
+def simulate_with_peak(*args, address_space=None):
     """``bermanpir simulate`` with ``args`` in a fresh interpreter: the
-    finished process and the child's own peak RSS in KiB."""
+    finished process and the child's own peak RSS in KiB.  With
+    ``address_space`` (bytes), the child's ``RLIMIT_AS`` is set to it first."""
+    limit = f"resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space})); " if address_space else ""
     script = (
-        "import resource, sys; from bermanpir.cli import main; rc = main(); "
+        f"import resource, sys; {limit}from bermanpir.cli import main; rc = main(); "
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); raise SystemExit(rc)"
     )
     proc = subprocess.run(
@@ -328,6 +331,8 @@ class TestSchedule:
         # Iteration i meets stripe p at I_0[i] + J_0[p], the tuples added
         # componentwise mod n, with I_0 = W(C) and J_0 = W(E^perp); so
         # S = k_C and b = d_perp, also where gcd(k_C, d_perp) = 8.
+        from oracles import tuple_to_index
+
         for storage, retrieval in ACCEPTANCE_PAIRS + (("DBer(2,1,7)", "DBer(2,2,7)"), ("Ber(3,2,5)", "DBer(3,0,5)")):
             config = cfg(storage, retrieval)
             d = derive_scheme(config)
@@ -343,7 +348,7 @@ class TestSchedule:
                 assert len(row) == d.b
                 for stripe, coord in enumerate(row):
                     c = d.schedule.stripe_shifts[stripe]
-                    assert coord == berman.tuple_to_index(n, [(x + y) % n for x, y in zip(a, c)])
+                    assert coord == tuple_to_index(n, [(x + y) % n for x, y in zip(a, c)])
         assert derive_scheme(cfg("DBer(2,1,7)", "DBer(2,2,7)")).b == 64
 
     def test_syndrome_map_is_a_parity_check_of_the_product(self):
@@ -351,7 +356,7 @@ class TestSchedule:
         # map M_E H': against the product formed from every pair of generator
         # rows, the rows of each are orthogonal to E and independent, n - dim E
         # of them.
-        from oracles import all_products_star
+        from oracles import all_products_star, rank
 
         pairs = list(supported_pairs(shapes_up_to(64)))
         assert len(pairs) == 444
@@ -428,6 +433,8 @@ class TestScheduleRegression:
         # Decoding reads row i translated by -I_0[i] as J_0, in stripe order;
         # reconstruction reads column p translated by -J_0[p] as I_0, in
         # iteration order.
+        from oracles import tuple_to_index
+
         for storage, retrieval, _ in supported_pairs(shapes_up_to(64)):
             d = derive_scheme(SchemeConfig(storage, retrieval))
             n, m = storage.n, storage.m
@@ -437,7 +444,7 @@ class TestScheduleRegression:
 
             def moved(coords, shift):
                 return tuple(
-                    berman.tuple_to_index(n, [(x - y) % n for x, y in zip(berman.index_to_tuple(n, m, c), shift)])
+                    tuple_to_index(n, [(x - y) % n for x, y in zip(berman.index_to_tuple(n, m, c), shift)])
                     for c in coords
                 )
 
@@ -537,6 +544,28 @@ class TestScheduleRegression:
         assert (summary["b"], summary["S"]) == (3969, 127)
         assert summary["reconstructed_ok"] is True
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "storage, retrieval",
+        # The slowest pairs of a stratified census of 1025-4096 servers: the
+        # longest derive (elimination chains on 4075 servers), the longest
+        # run (4017 iterations) and the longest privacy verdict (the family
+        # route).  Each took about 8 s and at most 150 MB on a 2-CPU host, so
+        # the bounds are 60 s and 300 MB, under 3 GB of address space.
+        (("Ber(4075,0,1)", "DBer(4075,0,1)"), ("DBer(2,9,12)", "Ber(2,11,12)"), ("DBer(2,6,12)", "DBer(2,1,12)")),
+    )
+    def test_top_band_census(self, storage, retrieval):
+        start = time.perf_counter()
+        proc, peak_kb = simulate_with_peak(
+            "--storage", storage, "--retrieval", retrieval, "--format", "csv", address_space=3 << 30
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        (summary,) = csv.DictReader(proc.stdout.splitlines())
+        assert summary["reconstructed_ok"] == summary["privacy_rank_ok"] == "True"
+        assert elapsed < 60
+        assert peak_kb < 300 << 10
+
 
 class TestEncodeStorage:
     def test_zero_files(self):
@@ -586,13 +615,13 @@ class TestQueries:
         embed = BitMatrix(q.rows, q.cols, tuple(a ^ r for a, r in zip(q.row_words, rand.row_words)))
         assert list(embed.row_words) == planted_words(d, 0, 2, demand)
         # At most one planted bit per coordinate, all on the demanded rows.
-        for j in range(d.n_s):
-            assert embed.column(j).weight() <= 1
+        for column in embed.transpose().row_words:
+            assert column.bit_count() <= 1
         for row in range(embed.rows):
             stripe_rows = range(demand * d.b, (demand + 1) * d.b)
             if row not in stripe_rows:
-                assert embed.row(row).is_zero()
-        planted = sum(embed.row(i).weight() for i in range(embed.rows))
+                assert embed.row_words[row] == 0
+        planted = sum(w.bit_count() for w in embed.row_words)
         assert planted == d.d_perp
 
     def test_random_rows_are_retrieval_codewords(self):
@@ -731,7 +760,7 @@ class TestRespond:
         for r in range(2):
             for i in range(4):
                 q = BitMatrix(2, 4, tuple(1 << i if row == r else 0 for row in range(2)))
-                expected = BitVector(4, stored.entry(r, i) << i)
+                expected = BitVector(4, (stored.row_words[r] >> i & 1) << i)
                 assert respond_all(stored, q) == expected
 
     def test_length_check(self):
@@ -762,7 +791,7 @@ class TestDecode:
         word = decode_iteration(d, 0, r)
         assert word >> d.b == 0
         for stripe, coord in enumerate(d.schedule.coords[0]):
-            assert word >> stripe & 1 == encoded.entry(d.file_row(demand, stripe), coord)
+            assert word >> stripe & 1 == encoded.row_words[d.file_row(demand, stripe)] >> coord & 1
 
     def test_invariant_under_rerandomization(self):
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=2))
@@ -806,7 +835,7 @@ class TestReconstruct:
         encoded = file0 @ d.storage_code.generator
         pivots = d.storage_code.information_set()
         assert d.b == 1 and stripe_coords(d.schedule, 0) == pivots
-        recovered = [encoded.entry(0, coord) for coord in pivots]
+        recovered = [encoded.row_words[0] >> coord & 1 for coord in pivots]
         assert reconstruct_file(d, recovered) == file0
 
     def test_refuses_a_wrong_count_or_a_high_bit(self):
@@ -855,6 +884,8 @@ class TestPrivacyRank:
         assert not verify_privacy_rank(broken, 8)
 
     def test_dual_route_agrees_with_exhaustive(self, monkeypatch):
+        from oracles import rank
+
         monkeypatch.setattr(pir, "EXHAUSTIVE_SUBSETS", 0)
         verdicts = set()
         for n, m in SHAPES_UP_TO_36:
@@ -1263,6 +1294,18 @@ with pytest.MonkeyPatch.context() as mp:
         print(type(exc).__name__)
 """
 
+FLIPPED_DECODE_SIMULATE = """
+import sys
+from bermanpir import cli, pir
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+honest = pir.decode_iteration
+pir.decode_iteration = lambda *args: honest(*args) ^ 1
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+CLEAN_SIMULATE = "import sys; from bermanpir import cli; sys.exit(cli.main(sys.argv[1:]))"
+
 CORRUPTED_DIMENSION_SIMULATE = """
 import sys
 from bermanpir import berman, cli
@@ -1308,6 +1351,24 @@ class TestProtocolInvariants:
             assert proc.returncode == cli.EXIT_VERIFY_FAILED, proc.stderr
             assert proc.stdout == ""
             assert json.loads(proc.stderr)["error"] == "ProtocolInvariantError"
+
+    def test_decoded_word_check_survives_python_O(self):
+        # A decoded word with bit 0 flipped fails iteration 0's recovered-bit
+        # check with asserts stripped; a clean run prints the same bytes
+        # with and without -O.
+        proc = self.run_optimized(FLIPPED_DECODE_SIMULATE, *self.ARGS)
+        assert proc.returncode == cli.EXIT_VERIFY_FAILED, proc.stderr
+        assert proc.stdout == ""
+        error = json.loads(proc.stderr)
+        assert error["error"] == "ProtocolInvariantError"
+        assert error["message"].startswith("iteration 0: recovered bit of stripe 0 ")
+        args = [*self.ARGS, "--format", "json"]
+        optimized = self.run_optimized(CLEAN_SIMULATE, *args)
+        plain = subprocess.run(
+            [sys.executable, "-c", CLEAN_SIMULATE, *args], capture_output=True, text=True, env=child_env(), timeout=300
+        )
+        assert optimized.returncode == plain.returncode == cli.EXIT_OK, optimized.stderr + plain.stderr
+        assert optimized.stdout == plain.stdout != ""
 
     def test_run_retrieval_raises_under_python_O(self):
         # The library call itself, not only the CLI, keeps its response check

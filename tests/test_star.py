@@ -17,7 +17,6 @@ from bermanpir.berman import (
     d_vector,
     families,
     reed_muller_code,
-    tuple_to_index,
     tuple_weight,
 )
 from bermanpir.codes import LinearCode
@@ -26,20 +25,25 @@ from bermanpir.pir import philox_generator
 from bermanpir.star import (
     FULL_SPACE,
     UNDEFINED,
-    OverlappingSupport,
     ParamMismatch,
-    PreconditionViolated,
     UndefinedCase,
-    berman_basis_identity,
-    disjoint_support_product,
     predict_star,
     predicted_code,
-    star_case_sweep,
     star_codes,
+    star_pairs,
     star_vectors,
     verify_star_case,
 )
-from oracles import all_products_star, staged_mixed_products, staged_parity_products
+from oracles import (
+    OverlappingSupport,
+    PreconditionViolated,
+    all_products_star,
+    berman_basis_identity,
+    disjoint_support_product,
+    staged_mixed_products,
+    staged_parity_products,
+    tuple_to_index,
+)
 
 #: Two lists of spanning rows, repeats and zero rows allowed, and their length.
 SPANNING_ROWS = st.integers(1, 20).flatmap(
@@ -280,7 +284,7 @@ class TestVerifyStarCase:
                         assert res.verified, f"{res.left.name} * {res.right.name}"
 
     def test_full_sweep(self):
-        results = list(star_case_sweep(4, 3))
+        results = [verify_star_case(p, q) for p, q in star_pairs(4, 3)]
         assert len(results) == 345
         assert all(res.verified for res in results)
 
