@@ -62,13 +62,7 @@ class LinearCode:
     @classmethod
     def from_spanning_set(cls, length: int, vectors: Iterable[BitVector]) -> LinearCode:
         """The span of ``vectors``; an empty set gives the zero code."""
-        vecs = list(vectors)
-        for v in vecs:
-            if v.length != length:
-                raise LengthMismatch(f"{v.length} != {length}")
-        if not vecs:
-            return cls.zero(length)
-        return cls.from_generator(BitMatrix.from_rows(vecs, length))
+        return cls.from_generator(BitMatrix.from_rows(list(vectors), length))
 
     @classmethod
     def from_generator(cls, matrix: BitMatrix) -> LinearCode:

@@ -32,6 +32,12 @@ doubling steps run once per product, not once per group.
 :func:`limb_product` reads each table once, so it keeps one at a time.
 Transposes and column selections unpack to a 0/1 array, index it, and pack.
 
+Row reduction has one kernel, :func:`_eliminate`, which brings whole rows to
+reduced row-echelon form: :func:`row_reduce` and :func:`nullspace_basis`
+read that form, and :func:`invert_columns` reads an inverse off the RREF of
+``[A | I]``.  Each operation has one implementation: ``left_mul`` is a
+one-row product and ``column_word`` a row of the transpose.
+
 The module defines only what the package, its demos and its benchmark
 harness call.  Operations that only the tests need (rank, a dot product, a
 single entry) are one integer expression or live in ``tests/oracles.py``.
@@ -324,13 +330,16 @@ class BitMatrix:
 
     It holds the form it was built from, row words (one packed word per row)
     or limbs (:meth:`from_limbs`), and derives the other on first use, then
-    keeps it.  Equality and hashing mean (rows, cols, row words) either way.
+    keeps it.  Row words given as any sequence are stored as a tuple, so a
+    later change to that sequence does not reach the matrix.  Equality and
+    hashing mean (rows, cols, row words) either way.
     """
 
     rows: int
     cols: int
 
-    def __init__(self, rows: int, cols: int, row_words: tuple[int, ...] = ()) -> None:
+    def __init__(self, rows: int, cols: int, row_words: Sequence[int] = ()) -> None:
+        row_words = tuple(row_words)
         if rows < 0 or cols < 0:
             raise ValueError("negative shape")
         if len(row_words) != rows:
@@ -395,7 +404,7 @@ class BitMatrix:
     def from_rows(cls, rows: Sequence[BitVector], cols: int) -> BitMatrix:
         for v in rows:
             if v.length != cols:
-                raise LengthMismatch("rows of differing lengths")
+                raise LengthMismatch(f"{v.length} != {cols}")
         return cls(len(rows), cols, tuple(v.word for v in rows))
 
     @classmethod
@@ -409,11 +418,7 @@ class BitMatrix:
         """Column ``j`` packed into an integer over the row index."""
         if not 0 <= j < self.cols:
             raise IndexError("column out of range")
-        word = 0
-        for i, rw in enumerate(self.row_words):
-            if (rw >> j) & 1:
-                word |= 1 << i
-        return word
+        return self.transpose().row_words[j]
 
     def take_columns(self, cols: Sequence[int]) -> BitMatrix:
         """Submatrix of the listed columns, in the order given."""
@@ -424,21 +429,15 @@ class BitMatrix:
         return BitMatrix.from_limbs(bits_to_limbs(bits), len(index))
 
     def transpose(self) -> BitMatrix:
-        """All columns at once: row ``j`` of the result is ``column_word(j)``."""
+        """All columns at once: row ``j`` of the result holds column ``j``,
+        bit ``i`` of it from row ``i``."""
         bits = _limbs_to_bits(self.limbs, self.cols)
         return BitMatrix.from_limbs(bits_to_limbs(bits.T), self.rows)
 
     def left_mul(self, v: BitVector) -> BitVector:
-        """Row vector times matrix: ``v @ self`` (length = cols)."""
-        if v.length != self.rows:
-            raise LengthMismatch(f"{v.length} != {self.rows}")
-        word = 0
-        rest = v.word
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            word ^= self.row_words[i]
-            rest &= rest - 1
-        return BitVector(self.cols, word)
+        """Row vector times matrix: ``v @ self`` (length = cols), as a
+        one-row product."""
+        return (BitMatrix(1, v.length, (v.word,)) @ self).row(0)
 
     def mul_vector(self, v: BitVector) -> BitVector:
         """Matrix times column vector: ``self @ v^T`` (length = rows)."""
@@ -465,31 +464,24 @@ class BitMatrix:
         return self.to_text().rstrip("\n")
 
 
-def _eliminate(words: list[int], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination, in place, over the first ``ncols`` columns.
-
-    Bits at ``ncols`` and above ride along with their rows (an augmented
-    right-hand side).  Pivot row ``i`` ends up at index ``i``; the pivot
-    columns come back strictly increasing.
+def _eliminate(words: list[int]) -> list[int]:
+    """Gauss-Jordan elimination of whole rows, in place.  Pivot row ``i`` ends
+    up at index ``i`` and the rows that vanish come back as zeros after them;
+    the pivot columns come back strictly increasing.
 
     Each row is reduced against the pivot rows kept so far, keyed by their
-    lowest set bit, until it either finds a new pivot or vanishes over the
-    first ``ncols`` bits (a tail row).  One back-substitution pass, highest
-    pivot first, then clears every pivot column above its own row: it walks
-    only the set bits of ``w & later``, the row's bits in the pivot columns
-    above its own.  Each of those pivot rows is already reduced, so it has
-    no bit in any other of those columns, and XORing it in clears its own
-    bit and leaves the rest of the walk as it was.
+    lowest set bit, until it either finds a new pivot or vanishes.  One
+    back-substitution pass, highest pivot first, then clears every pivot
+    column above its own row: it walks only the set bits of ``w & later``,
+    the row's bits in the pivot columns above its own.  Each of those pivot
+    rows is already reduced, so it has no bit in any other of those columns,
+    and XORing it in clears its own bit and leaves the rest of the walk as
+    it was.
     """
-    mask = (1 << ncols) - 1
     basis: dict[int, int] = {}
-    tail: list[int] = []
     for w in words:
-        w = reduce_word(w, basis)
-        if w & mask:
+        if w := reduce_word(w, basis):
             basis[w & -w] = w
-        else:
-            tail.append(w)
     lows = sorted(basis)
     later = 0
     for low in reversed(lows):
@@ -500,7 +492,7 @@ def _eliminate(words: list[int], ncols: int) -> list[int]:
             hits &= hits - 1
         basis[low] = w
         later |= low
-    words[:] = [basis[low] for low in lows] + tail
+    words[:] = [basis[low] for low in lows] + [0] * (len(words) - len(lows))
     return [low.bit_length() - 1 for low in lows]
 
 
@@ -520,7 +512,7 @@ def row_reduce(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
     Rows of zeros sink to the bottom.
     """
     words = list(m.row_words)
-    pivots = _eliminate(words, m.cols)
+    pivots = _eliminate(words)
     return BitMatrix(m.rows, m.cols, tuple(words)), tuple(pivots)
 
 
@@ -553,16 +545,20 @@ def nullspace_basis(m: BitMatrix) -> BitMatrix:
 
 
 def invert_columns(m: BitMatrix, cols: Sequence[int]) -> BitMatrix:
-    """Inverse of the square submatrix ``m[:, cols]``.
+    """Inverse of the square submatrix ``A = m[:, cols]``, read off the right
+    half of the RREF of ``[A | I]``.
 
     ``cols`` must list exactly ``m.rows`` column indices (in the caller's
-    order); raises Singular when the submatrix has no inverse.
+    order).  ``[A | I]`` has full rank, so its pivots are ``0 .. k-1``, and
+    its RREF ``[I | A^-1]``, iff ``A`` is invertible; otherwise raises
+    Singular.
     """
     k = m.rows
     if len(cols) != k:
         raise LengthMismatch(f"need {k} column indices, got {len(cols)}")
     sub = m.take_columns(cols)
-    aug = [sub.row_words[i] | (1 << (k + i)) for i in range(k)]  # [sub | I]
-    if len(_eliminate(aug, k)) < k:
+    aug = BitMatrix(k, 2 * k, tuple(w | 1 << (k + i) for i, w in enumerate(sub.row_words)))  # [A | I]
+    rref, pivots = row_reduce(aug)
+    if pivots != tuple(range(k)):
         raise Singular("selected columns are linearly dependent")
-    return BitMatrix(k, k, tuple(w >> k for w in aug))
+    return BitMatrix(k, k, tuple(w >> k for w in rref.row_words))

@@ -27,8 +27,12 @@ coordinate tuple.
 The nullspace scan tests every pivot row at every free column.
 
 The packed-message privacy loop counts each demand's restricted query
-distribution on its own, one ``left_mul`` per file row of every packed
-message tuple.
+distribution on its own, one row XOR per file row of every packed message
+tuple.
+
+The column scan and the row XOR are the bit loops that the transpose and
+the vector-matrix product are checked against: a column gathered one row
+bit at a time, and ``v @ M`` as the XOR of the rows of M that v selects.
 
 The remaining references are operations no command runs, kept here for the
 tests that compare against them: the rank of a matrix, the coordinate index
@@ -181,13 +185,30 @@ def recursion_distance(kind, n, r, m):
     return min(n * recursion_distance(kind, n, r, m - 1), recursion_distance(kind, n, r - 1, m - 1))
 
 
+def column_scan(m, j):
+    """Column ``j`` of ``m`` packed over the row index, one row bit at a time."""
+    word = 0
+    for i, rw in enumerate(m.row_words):
+        word |= (rw >> j & 1) << i
+    return word
+
+
+def row_xor(word, m):
+    """``v @ m`` for the row vector v with packed bits ``word``: the XOR of
+    the rows of ``m`` that its set bits select."""
+    out = 0
+    for i, rw in enumerate(m.row_words):
+        if word >> i & 1:
+            out ^= rw
+    return out
+
+
 def per_server_responses(stored, q):
     """Each server's answer on its own: bit i is the dot product of stored
     column i and query column i, each column gathered bit by bit."""
     word = 0
     for i in range(q.cols):
-        a, b = (sum((w >> i & 1) << r for r, w in enumerate(m.row_words)) for m in (stored, q))
-        word |= ((a & b).bit_count() & 1) << i
+        word |= ((column_scan(stored, i) & column_scan(q, i)).bit_count() & 1) << i
     return BitVector(q.cols, word)
 
 
@@ -242,7 +263,7 @@ def loop_retrieval(derived, files, seed, demand):
 
 def packed_message_privacy(config, t):
     """``pir.verify_privacy_empirical(config, t)``, with every demand's
-    distribution counted over all packed message tuples: one ``left_mul``
+    distribution counted over all packed message tuples: one :func:`row_xor`
     of the restricted generator per file row, the embedded bit XORed into
     the demanded row."""
     derived = derive_scheme(config)
@@ -258,7 +279,7 @@ def packed_message_privacy(config, t):
     for demand in range(rows):
         counts = {}
         for packed in range(total):
-            key = [restricted.left_mul(BitVector(k_d, (packed >> (i * k_d)) & mask)).word for i in range(rows)]
+            key = [row_xor((packed >> (i * k_d)) & mask, restricted) for i in range(rows)]
             key[demand] ^= shift
             counts[tuple(key)] = counts.get(tuple(key), 0) + 1
         dists.append({key: c / total for key, c in counts.items()})

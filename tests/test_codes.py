@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bermanpir.berman import BermanParams, CodeKind, all_tuples, build, c_vector, min_distance_formula, tuple_weight
 from bermanpir.codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge, ZeroCode
-from bermanpir.gf2 import BitMatrix, BitVector, bits_to_limbs, invert_columns, limbs_to_words
+from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, bits_to_limbs, invert_columns, limbs_to_words
 from oracles import code_to_text, exhaustive_span, project_columns
 
 
@@ -30,6 +30,10 @@ class TestFromSpanningSet:
     def test_repetition(self):
         code = LinearCode.from_spanning_set(4, [BitVector(4, (1 << 4) - 1)])
         assert code.dimension == 1
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch, match="^3 != 4$"):
+            LinearCode.from_spanning_set(4, [BitVector(3)])
 
     def test_weight_filtered_indicators(self):
         rows = [c_vector(3, 2, t) for t in all_tuples(3, 2) if 1 <= tuple_weight(t) <= 2]

@@ -22,7 +22,7 @@ from bermanpir.gf2 import (
     row_reduce,
     words_to_limbs,
 )
-from oracles import nullspace_reference, rank
+from oracles import column_scan, nullspace_reference, rank, row_xor
 
 
 @st.composite
@@ -36,7 +36,7 @@ def bit_matrices(draw, max_rows=6, max_cols=8):
 
 def transpose_reference(m):
     """Transpose by one bit-by-bit column scan per column."""
-    return BitMatrix(m.cols, m.rows, tuple(m.column_word(j) for j in range(m.cols)))
+    return BitMatrix(m.cols, m.rows, tuple(column_scan(m, j) for j in range(m.cols)))
 
 
 def take_columns_reference(m, cols):
@@ -53,14 +53,7 @@ def take_columns_reference(m, cols):
 
 def matmul_reference(a, b):
     """Product as an XOR of the rows of ``b`` selected by each row of ``a``."""
-    words = []
-    for rw in a.row_words:
-        w = 0
-        for k in range(a.cols):
-            if (rw >> k) & 1:
-                w ^= b.row_words[k]
-        words.append(w)
-    return BitMatrix(a.rows, b.cols, tuple(words))
+    return BitMatrix(a.rows, b.cols, tuple(row_xor(rw, b) for rw in a.row_words))
 
 
 @st.composite
@@ -79,13 +72,13 @@ def shaped_matrices(draw):
     return BitMatrix(rows, cols, tuple(draw(st.lists(word, min_size=rows, max_size=rows))))
 
 
-def eliminate_reference(words, ncols):
-    """Gauss-Jordan by column sweep: for each column, find a pivot row and
-    clear the column from every other row."""
+def eliminate_reference(words):
+    """Gauss-Jordan by column sweep over every column the words reach: for
+    each column, find a pivot row and clear the column from every other row."""
     nrows = len(words)
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(max(words, default=0).bit_length()):
         if r == nrows:
             break
         bit = 1 << c
@@ -197,7 +190,7 @@ class TestRowReduce:
 
 class TestEliminationKernel:
     """The lowest-bit pivot kernel against the column sweep, on row reduction
-    and on the augmented columns that :func:`invert_columns` reads."""
+    and on the RREF of ``[A | I]`` that :func:`invert_columns` reads."""
 
     @given(shaped_matrices())
     @example(random_matrix(64, 12, 2))
@@ -639,3 +632,14 @@ class TestMatrixInvariant:
     def test_rejects_bad_row_words(self, rows, cols, words):
         with pytest.raises(ValueError):
             BitMatrix(rows, cols, words)
+
+    def test_row_words_are_copied_to_a_tuple(self):
+        # Row words given as a list compare and hash like a tuple, and a
+        # later change to the list does not reach the matrix.
+        words = [1, 2]
+        m = BitMatrix(2, 2, words)
+        assert m == BitMatrix(2, 2, (1, 2))
+        assert hash(m) == hash(BitMatrix(2, 2, (1, 2)))
+        words[0] = 3
+        assert m.row_words == (1, 2)
+        assert m == BitMatrix(2, 2, (1, 2))
