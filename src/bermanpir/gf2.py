@@ -10,9 +10,10 @@ Bulk kernels run on NumPy *limbs*: a matrix's rows as a little-endian
 bit ``j % 64`` of limb ``j // 64``.  :func:`words_to_limbs` and
 :func:`limbs_to_words` convert between the two forms, and
 :func:`bits_to_limbs` packs a 0/1 array.  Uniform bits are never unpacked:
-one generator, :func:`_draw_groups`, takes whole 64-bit Philox outputs and
-packs each row's bits a byte at a time straight from the generator's bytes,
-and two consumers spend those bytes: :func:`draw_bit_limbs` writes them into
+one generator, :func:`_draw_groups`, takes whole 64-bit Philox outputs, one
+``random_raw`` read per block of calls, and packs each row's bits a byte at
+a time straight from the generator's bytes, and two consumers spend those
+bytes: :func:`draw_bit_limbs` writes them into
 limbs, and :func:`draw_product` looks them up in a product's tables.  A
 :class:`BitMatrix` holds row words (one word per row) or limbs, whichever it
 was built from, and derives the other form lazily the first time something
@@ -24,8 +25,10 @@ table row per group, indexed by the matching byte of the left operand's
 row, a block of rows at a time.  One helper, :func:`_gather_xor`, does
 every such lookup; its bytes come from the left operand's limbs
 (:func:`limb_product`) or, for random queries, straight from the draw
-(:func:`draw_product`).  The first group's lookup writes the output rows
-and later groups XOR into them, so no product zeroes its output first.
+(:func:`draw_product`).  The first group's lookup writes the output rows,
+so no product zeroes its output first, and each later group gathers into
+one scratch block of rows, allocated once per product, and XORs it into
+them in place, so no group allocates a temporary.
 :func:`draw_product` reads every group's table for every block of the
 draw, so it builds them all in one stacked :func:`span_table`: its eight
 doubling steps run once per product, not once per group.
@@ -113,7 +116,7 @@ _GATHER_TOP = LIMB.type(0x0002040810204081)
 #: columns, so the block is kept small enough to stay in cache.  The block's
 #: raw 64-bit outputs are drawn at most this many bytes at a time, so the
 #: generator's output array is never a second copy of a large block.
-DRAW_BYTES = 1 << 16
+DRAW_BYTES = 1 << 17
 
 
 def _draw_groups(rng: np.random.Generator, calls: int, rows: int, cols: int) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -123,7 +126,8 @@ def _draw_groups(rng: np.random.Generator, calls: int, rows: int, cols: int) -> 
     g, index)``, where ``index[r]`` holds bits ``8g`` to ``8g + 7`` of row
     ``start + r``, lowest first, zero past ``cols``.  ``index`` is a uint64
     array that the next item overwrites, so a consumer uses it before asking
-    for more.
+    for more.  Group 0 of a block comes first, and the first block is the
+    longest.
 
     Each such uint8 call takes ``ceil(rows * cols / 4)`` fresh 32-bit words
     from the generator and spends them a byte at a time, least significant
@@ -136,40 +140,50 @@ def _draw_groups(rng: np.random.Generator, calls: int, rows: int, cols: int) -> 
     carried half is taken first with one uint32 draw, then every pair of
     words is one raw output (``random_raw``), and an odd last word is one
     more uint32 draw, whose high half the generator carries on exactly as
-    the uint8 calls would.  Group ``g`` of row ``i`` is then the top bits of
-    the 8 bytes from ``i * cols + 8g`` on, read as one unaligned word; the
-    last group of a row masks off the next row's bytes, and 8 bytes of slack
-    after the words hold the last row's overhang.  The calls are drawn in
-    blocks of at most :data:`DRAW_BYTES` of words (at least one call each),
-    so the scratch memory does not grow with their number."""
+    the uint8 calls would.  The state is read once per call: a block leaves
+    a half carried iff it drew an odd last word, since raw outputs leave the
+    carry alone.  Group ``g`` of row ``i`` is then the top bits of the 8
+    bytes from ``i * cols + 8g`` on, read as one unaligned word, under a
+    mask formed once per call; the last group of a row masks off the next
+    row's bytes, and 8 bytes of slack after the words hold the last row's
+    overhang.  The calls are drawn in blocks of at most :data:`DRAW_BYTES`
+    of words (at least one call each), so the scratch memory does not grow
+    with their number, and a block's raw outputs are one ``random_raw``
+    read when they fit in that bound, as one call of a retrieval's queries
+    does.  Each read's output array is dropped as soon as it is copied into
+    the words, not held while the block is packed: held, it lifted a
+    retrieval's transient heap far enough that, for some environment sizes,
+    glibc trimmed and refaulted the heap on every op."""
     per_call = -(-rows * cols // 4)
-    if not per_call:
+    if not per_call * calls:
         return
-    step = max(1, DRAW_BYTES // (4 * per_call))
+    step = min(calls, max(1, DRAW_BYTES // (4 * per_call)))
     raw_step = max(1, DRAW_BYTES // 8)
-    buf = np.empty(4 * per_call * min(step, calls) + 8, dtype=np.uint8)
-    packed = np.empty(min(step, calls) * rows, dtype=LIMB)
+    buf = np.empty(4 * per_call * step + 8, dtype=np.uint8)
+    packed = np.empty(step * rows, dtype=LIMB)
+    masks = [_TOP_BITS & LIMB.type((1 << 8 * min(8, cols - g)) - 1) for g in range(0, cols, 8)]
+    lanes = np.ndarray((step, rows, len(masks)), dtype="<u8", buffer=buf, strides=(4 * per_call, cols, 8))
+    carried = rng.bit_generator.state["has_uint32"]
     for lo in range(0, calls, step):
         n = min(step, calls - lo)
         count = n * per_call
         buf[4 * count : 4 * count + 8] = 0
         words = buf[: 4 * count].view("<u4")
-        carried = rng.bit_generator.state["has_uint32"]
         if carried:
             words[:1] = rng.integers(0, 1 << 32, size=1, dtype=np.uint32)
         pairs, odd = divmod(count - carried, 2)
         for at in range(0, pairs, raw_step):
-            outputs = rng.bit_generator.random_raw(min(raw_step, pairs - at)).astype("<u8", copy=False).view("<u4")
-            words[carried + 2 * at : carried + 2 * at + len(outputs)] = outputs
+            size = min(raw_step, pairs - at)
+            words[carried + 2 * at : carried + 2 * (at + size)].view("<u8")[:] = rng.bit_generator.random_raw(size)
         if odd:
             words[-1:] = rng.integers(0, 1 << 32, size=1, dtype=np.uint32)
+        carried = odd
         index = packed[: n * rows]
-        for g in range(0, cols, 8):
-            lanes = np.ndarray((n, rows), dtype="<u8", buffer=buf, offset=g, strides=(4 * per_call, cols))
-            np.bitwise_and(lanes, _TOP_BITS & LIMB.type((1 << 8 * min(8, cols - g)) - 1), out=index.reshape(n, rows))
+        for g, mask in enumerate(masks):
+            np.bitwise_and(lanes[:n, :, g], mask, out=index.reshape(n, rows))
             index *= _GATHER_TOP
             index >>= 56
-            yield lo * rows, g >> 3, index
+            yield lo * rows, g, index
 
 
 def draw_bit_limbs(rng: np.random.Generator, calls: int, rows: int, cols: int) -> np.ndarray:
@@ -214,23 +228,31 @@ def span_table(rows: np.ndarray) -> np.ndarray:
 GATHER_BYTES = 1 << 18
 
 
-def _gather_xor(out: np.ndarray, table: np.ndarray, index: np.ndarray, first: bool) -> None:
+def _gather_rows(width: int) -> int:
+    """Rows of ``width`` limbs that one gather of :func:`_gather_xor` fills."""
+    return max(1, GATHER_BYTES // (8 * max(1, width)))
+
+
+def _gather_xor(out: np.ndarray, table: np.ndarray, index: np.ndarray, scratch: np.ndarray | None) -> None:
     """``out[r] ^= table[index[r]]`` for every row ``r`` of the limb array
-    ``out``: the four-Russians lookup of one group, gathered with ``np.take``
-    for at most :data:`GATHER_BYTES` of output rows at a time.  The first
-    group of a product (``first``) writes its rows instead, so ``out`` may
-    start uninitialised and is never zeroed; ``mode="clip"`` lets ``np.take``
-    write into ``out`` unbuffered, and no index is out of range to clip.
-    ``np.take`` is fastest on intp indexes, so any other index type is cast
-    one block at a time."""
-    block = max(1, GATHER_BYTES // (8 * max(1, out.shape[1])))
+    ``out``: the four-Russians lookup of one group, gathered with the
+    table's ``take`` for at most :func:`_gather_rows` output rows at a time.
+    The first group of a product passes no ``scratch`` and writes its rows
+    instead, so ``out`` may start uninitialised and is never zeroed; every
+    later group gathers into the first rows of ``scratch``, a limb array of
+    at least ``min(len(out), _gather_rows(W))`` rows that the product
+    allocates once, and XORs them in place, so no group makes a temporary.
+    ``mode="clip"`` lets ``take`` write into its ``out`` unbuffered, and no
+    index is out of range to clip.  ``take`` is fastest on intp indexes, so
+    any other index type is cast one block at a time."""
+    block = _gather_rows(out.shape[1])
     for lo in range(0, len(index), block):
         part = out[lo : lo + block]  # a view: `out[...] ^=` would copy the block back onto itself
         rows = index[lo : lo + block].astype(np.intp, copy=False)
-        if first:
-            np.take(table, rows, axis=0, out=part, mode="clip")
+        if scratch is None:
+            table.take(rows, axis=0, out=part, mode="clip")
         else:
-            part ^= np.take(table, rows, axis=0)
+            part ^= table.take(rows, axis=0, out=scratch[: len(part)], mode="clip")
 
 
 def limb_product(index: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -243,14 +265,17 @@ def limb_product(index: np.ndarray, right: np.ndarray) -> np.ndarray:
     (``BitMatrix @``).  Each group of eight rows of ``right`` gets its
     :func:`span_table`, which :func:`_gather_xor` reads once and which is
     dropped before the next group's is built, so a long ``right`` never has
-    all its tables held at once.  With ``k = 0`` the product is zero.
+    all its tables held at once.  The groups after the first share one
+    scratch block of output rows, allocated only if there are any.  With
+    ``k = 0`` the product is zero.
     """
     shape = (index.shape[1], right.shape[1])
     if not len(right):
         return np.zeros(shape, dtype=LIMB)
     out = np.empty(shape, dtype=LIMB)
+    scratch = np.empty((min(shape[0], _gather_rows(shape[1])), shape[1]), dtype=LIMB) if len(right) > 8 else None
     for g in range(0, len(right), 8):
-        _gather_xor(out, span_table(right[g : g + 8]), index[g >> 3], first=not g)
+        _gather_xor(out, span_table(right[g : g + 8]), index[g >> 3], scratch if g else None)
     return out
 
 
@@ -265,9 +290,11 @@ def draw_product(rng: np.random.Generator, calls: int, rows: int, right: np.ndar
     group.  :func:`_draw_groups` hands over the packed bits of each block of
     drawn rows, one byte per group of each row, and :func:`_gather_xor`
     looks them up in the group's table; group 0 comes first in every block,
-    so it writes the block's rows.  A short last group's bytes are zero past
-    ``k``, so they never index its padding.  With ``k = 0`` nothing is
-    drawn and the product is zero.
+    so it writes the block's rows.  With more than one group, the later
+    ones share one scratch block of output rows, sized by the first (and
+    longest) block of the draw, so it never outgrows the rows it serves.
+    A short last group's bytes are zero past ``k``, so they never index its
+    padding.  With ``k = 0`` nothing is drawn and the product is zero.
     """
     k, width = right.shape
     if not k:
@@ -277,9 +304,12 @@ def draw_product(rng: np.random.Generator, calls: int, rows: int, right: np.ndar
     groups.reshape(len(groups) * size, width)[:k] = right
     tables = span_table(groups)
     out = np.empty((calls * rows, width), dtype=LIMB)
+    scratch = None
     for start, g, index in _draw_groups(rng, calls, rows, k):
+        if scratch is None and k > 8:
+            scratch = np.empty((min(len(index), _gather_rows(width)), width), dtype=LIMB)
         # intp on 64-bit hosts: no cast
-        _gather_xor(out[start : start + len(index)], tables[g], index.view(np.int64), first=not g)
+        _gather_xor(out[start : start + len(index)], tables[g], index.view(np.int64), scratch if g else None)
     return out
 
 

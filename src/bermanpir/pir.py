@@ -29,7 +29,8 @@ second run-sized array is held, which would double the run's transient heap.
 The schedule and the stripe readout are read-only int32 tables, formed once
 per pair one tuple component at a time, so a run's coordinates are a slice,
 the planted bits one gather, and reconstruction reads each stripe's file bits
-where they stand, with no translation.
+where they stand, with no translation.  The checks and the rebuild walk the
+set planted bits of each iteration once, in Python integers.
 The matrices the stages return keep those limbs and become Python integers
 only where something reads their words; a retrieval itself reads the words
 of the response vectors and the demanded file alone.
@@ -53,7 +54,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb
 
 import numpy as np
@@ -496,18 +497,20 @@ def reconstruct_file(derived: SchemeDerived, recovered: list[int]) -> BitMatrix:
     derived matrix that those bits select.  Bit r of the file row, u at the
     RREF pivot ``P_r``, is bit ``P_r - c`` of u', which the derived
     ``readout[p, r]`` names: so u' is read where it stands and never
-    translated back."""
+    translated back.  The XORs walk only the set bits of each word, adding
+    its row to the u' of each stripe it names, and the readout is read as
+    one list."""
     b = derived.b
     if len(recovered) != derived.s_iterations or any(word >> b for word in recovered):
         raise LengthMismatch(f"reconstruction takes {derived.s_iterations} words of {b} bits")
-    rows = derived.systematic.row_words
-    words = []
-    for p, readout in enumerate(derived.readout):
-        u = 0
-        for word, row in zip(recovered, rows):
-            if word >> p & 1:
-                u ^= row
-        words.append(sum((u >> q & 1) << r for r, q in enumerate(readout.tolist())))
+    codewords = [0] * b  # u' of each stripe
+    for word, row in zip(recovered, derived.systematic.row_words):
+        while word:
+            low = word & -word
+            codewords[low.bit_length() - 1] ^= row
+            word ^= low
+    readouts = derived.readout.tolist()
+    words = [sum([(u >> q & 1) << r for r, q in enumerate(readout)]) for u, readout in zip(codewords, readouts)]
     return BitMatrix(b, derived.k_c, tuple(words))
 
 
@@ -742,7 +745,11 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     run-sized array is ever held.  Every iteration is then decoded by
     :func:`decode_iteration` on its own, and checks, in this order, that
     the response vector minus its planted bits lies in the product code and
-    that the decoded word equals them.  Last, the achieved rate is read off
+    that the decoded word equals them; the run's coordinate rows come out
+    in one ``tolist``, and one pass over each iteration's set planted bits
+    builds both the word they embed and the decoded word they should give.
+    A wrong decoded word names its iteration, its lowest wrong stripe and
+    that stripe's coordinate.  Last, the achieved rate is read off
     what the retrieval produced: the rebuilt file's ``b*k_C`` bits over the
     summed lengths of the kept responses, the downloaded bits.  A failed
     check, or an achieved rate that strays from the derived one, raises
@@ -768,15 +775,17 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
         queries = _draw_run(derived, config.files, demand, iterations, rng)
         folded = _answer_run(queries.reshape(len(iterations), *stored.shape), stored)
         del queries  # hold one run of queries at a time
-        for it, response_word in zip(iterations, limbs_to_words(folded)):
+        rows = coords[iterations.start : iterations.stop].tolist()
+        for it, response_word, row in zip(iterations, limbs_to_words(folded), rows):
             response = BitVector(n_s, response_word)
             word = decode_iteration(derived, it, response)
-            row = coords[it].tolist()
-            bits = planted[it * b : (it + 1) * b]
-            embed_word = sum(1 << coord for coord, bit in zip(row, bits) if bit)
-            if not derived.product_code.contains(BitVector(n_s, response.word ^ embed_word)):
+            embed_word = expected = 0
+            for p in compress(range(b), planted[it * b : (it + 1) * b]):
+                embed_word |= 1 << row[p]
+                expected |= 1 << p
+            if not derived.product_code.contains(BitVector(n_s, response_word ^ embed_word)):
                 raise ProtocolInvariantError(f"iteration {it}: response residue left the product code")
-            wrong = word ^ sum(bit << p for p, bit in enumerate(bits))
+            wrong = word ^ expected
             if wrong:
                 p = (wrong & -wrong).bit_length() - 1
                 raise ProtocolInvariantError(

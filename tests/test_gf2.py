@@ -512,7 +512,11 @@ class TestDrawBitLimbs:
         assert batched.integers(0, 1 << 32, dtype=np.uint32) == separate.integers(0, 1 << 32, dtype=np.uint32)
         assert batched.integers(0, 2**63) == separate.integers(0, 2**63)
 
-    @pytest.mark.parametrize("gather_bytes, draw_bytes", ((8, 8), (24, 24), (gf2.GATHER_BYTES, gf2.DRAW_BYTES)))
+    # (1 << 18, 1 << 16): a retrieve_wide call (121 KB of words) outgrows
+    # its block bound and is read in several slices.
+    @pytest.mark.parametrize(
+        "gather_bytes, draw_bytes", ((8, 8), (24, 24), (1 << 18, 1 << 16), (gf2.GATHER_BYTES, gf2.DRAW_BYTES))
+    )
     @given(
         seed=st.integers(0, 2**64 - 1),
         rows=st.integers(0, 12),
@@ -525,6 +529,8 @@ class TestDrawBitLimbs:
     @example(seed=4, rows=2, k=3, cols=5, calls=1, pre=1)  # the last row's group reads the slack
     @example(seed=5, rows=3, k=16, cols=9, calls=2, pre=0)
     @example(seed=6, rows=5, k=22, cols=256, calls=2, pre=1)  # four limbs per row
+    @example(seed=7, rows=5632, k=22, cols=64, calls=7, pre=0)  # a whole retrieve_wide run: one scratch, seven blocks
+    @example(seed=8, rows=9, k=65, cols=130, calls=3, pre=1)  # nine groups, a 1-bit last one, from a carried half word
     def test_raw_byte_product_matches_row_xor(self, gather_bytes, draw_bytes, seed, rows, k, cols, calls, pre):
         # The product drawn straight into the table lookups equals the
         # row-XOR product of the separate uint8 draws.  With DRAW_BYTES = 8

@@ -1241,6 +1241,21 @@ class TestRunRetrieval:
         with pytest.raises(ProtocolInvariantError, match=message):
             run_retrieval(cfg("DBer(2,1,6)", "DBer(2,2,6)", files=256, seed=3), 5)
 
+    def test_wide_retrieval_names_the_first_wrong_stripe_and_its_coordinate(self, monkeypatch):
+        # Bit 3 of iteration 2's decoded word is wrong, so the check names
+        # iteration 2, stripe 3 and the coordinate stripe 3 was read at.
+        config = cfg("DBer(2,1,6)", "DBer(2,2,6)", files=256, seed=3)
+        coords = derive_scheme(config).schedule.coords
+        honest = pir.decode_iteration
+
+        def flip(derived, iteration, response):
+            return honest(derived, iteration, response) ^ (1 << 3 if iteration == 2 else 0)
+
+        monkeypatch.setattr(pir, "decode_iteration", flip)
+        with pytest.raises(ProtocolInvariantError) as info:
+            run_retrieval(config, 5)
+        assert str(info.value) == f"iteration 2: recovered bit of stripe 3 at coordinate {coords[2, 3]} is wrong"
+
     def test_a_short_rebuilt_file_fails_the_rate_check(self, monkeypatch):
         # The achieved rate is read off what the retrieval produced, so a
         # rebuilt file one row short strays from the derived rate.
