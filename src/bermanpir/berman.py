@@ -11,9 +11,9 @@ suite cross-checks them against each other:
 * an explicit basis of downward/upward indicator vectors on the partial
   order ``j <= i  iff  j agrees with i on j's nonzero positions``; each is
   the Kronecker product of one value set per component (``{0, t_l}`` or
-  ``{0}`` below t, ``{t_l}`` or all of ``Z_n`` above it), so its word is
-  built a component at a time by shifted copies rather than a coordinate
-  at a time,
+  ``{0}`` below t, ``{t_l}`` or all of ``Z_n`` above it), so one pass over
+  the components, least significant first, spreads every basis word at
+  once by shifted copies, rather than a tuple or a coordinate at a time,
 * a recursive membership test that splits a vector into its n blocks,
 * closed-form dimension and minimum-distance formulas.
 """
@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import combinations, product
+from functools import cached_property, lru_cache
+from itertools import combinations
 from math import log10
 
 from .codes import InvalidInput, LinearCode, ProtocolInvariantError, TooLarge
-from .gf2 import BitVector, LengthMismatch
+from .gf2 import BitMatrix, BitVector, LengthMismatch
 
 IndexTuple = tuple[int, ...]
 
@@ -83,9 +83,14 @@ class BermanParams:
         other = CodeKind.DUAL_BERMAN if self.kind is CodeKind.BERMAN else CodeKind.BERMAN
         return BermanParams(other, self.n, self.m, self.r)
 
-    @property
+    @cached_property
     def name(self) -> str:
+        """``Kind(n,r,m)``, formed on first use and kept outside the fields,
+        so equality, hashing, ``repr`` and pickles see only the fields."""
         return f"{self.kind.value}({self.n},{self.r},{self.m})"
+
+    def __getstate__(self) -> dict[str, object]:
+        return {"kind": self.kind, "n": self.n, "m": self.m, "r": self.r}
 
     @classmethod
     def parse(cls, text: str) -> BermanParams:
@@ -119,11 +124,6 @@ def families(n_max: int, m_max: int) -> Iterator[tuple[BermanParams, ...]]:
 # Coordinate tuples and the partial order.
 
 
-def all_tuples(n: int, m: int):
-    """All m-tuples over {0,...,n-1} in coordinate-index order."""
-    return product(range(n), repeat=m)
-
-
 def index_to_tuple(n: int, m: int, index: int) -> IndexTuple:
     if not 0 <= index < n**m:
         raise ValueError("index out of range")
@@ -134,36 +134,41 @@ def index_to_tuple(n: int, m: int, index: int) -> IndexTuple:
     return tuple(reversed(digits))
 
 
-def tuple_weight(t: IndexTuple) -> int:
-    return sum(1 for x in t if x)
-
-
 def c_vector(n: int, m: int, t: IndexTuple) -> BitVector:
     """Indicator of all tuples preceding ``t``; weight is 2^weight(t)."""
     _check_tuple(n, m, t)
-    return BitVector(n**m, _product_word(n, [(0, x) if x else (0,) for x in t]))
+    return BitVector(n**m, _tuple_word(n, t, True))
 
 
 def d_vector(n: int, m: int, t: IndexTuple) -> BitVector:
     """Indicator of all tuples succeeding ``t``; weight is n^(m-weight(t))."""
     _check_tuple(n, m, t)
-    return BitVector(n**m, _product_word(n, [(x,) if x else range(n) for x in t]))
+    return BitVector(n**m, _tuple_word(n, t, False))
 
 
-def _product_word(n: int, component_sets: list[Iterable[int]]) -> int:
-    """Indicator word of the tuples whose component l lies in ``component_sets[l]``.
+def _tuple_word(n: int, t: IndexTuple, berman: bool) -> int:
+    """The word of c(t) (``berman``) or d(t), one :func:`_spread` per
+    component, least significant first."""
+    words = [1]
+    for l, x in enumerate(reversed(t)):
+        words = _spread(words, x, n**l, n, berman)
+    return words[0]
 
-    The set is a Kronecker product, built least significant component
-    first: the word over the last components, of ``size`` coordinates, is
-    copied to offset ``x * size`` for each value x of the next component
-    up, one shift and OR per value."""
-    word, size = 1, 1
-    for values in reversed(component_sets):
-        spread = 0
-        for x in values:
-            spread |= word << x * size
-        word, size = spread, size * n
-    return word
+
+def _spread(words: list[int], x: int, size: int, n: int, berman: bool) -> list[int]:
+    """The Kronecker step: ``words``, each over the last components
+    (``size`` coordinates), spread under the value x of the next component
+    up.  c(t) takes that component's values in ``{0, x}``, or ``{0}`` for
+    x = 0; d(t) takes x, or all of Z_n for x = 0.  One shifted copy per
+    value, or for all of Z_n one multiply by the word that sets bit 0 of
+    each of the n blocks."""
+    shift = x * size
+    if berman:
+        return [w | w << shift for w in words] if x else words
+    if x:
+        return [w << shift for w in words]
+    every_block = ((1 << n * size) - 1) // ((1 << size) - 1)
+    return [w * every_block for w in words]
 
 
 def _check_tuple(n: int, m: int, t: IndexTuple) -> None:
@@ -177,23 +182,41 @@ def _check_tuple(n: int, m: int, t: IndexTuple) -> None:
 # Construction paths.
 
 
-def _defining_tuples(params: BermanParams) -> Iterator[tuple[int, IndexTuple]]:
-    """(coordinate, tuple) of each tuple defining the family basis, in
-    coordinate-index order: weight above r for Ber, at most r for DBer."""
+def _basis(params: BermanParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The coordinates and words of the family basis, the c(t) (Ber) or d(t)
+    (DBer) of each defining tuple t, in coordinate order: weight above r for
+    Ber, at most r for DBer.
+
+    One pass builds every word at once, least significant component first.
+    Each word over the components seen so far carries its coordinate and
+    weight, and the values x of the next component up are taken in order,
+    each spreading every word (:func:`_spread`).  A DBer word is dropped
+    once its weight passes r, a Ber word once the components left can no
+    longer lift its weight past r.  Coordinates ``c + x * size``, for c
+    below ``size``, come out ascending."""
+    n, r = params.n, params.r
     berman = params.kind is CodeKind.BERMAN
-    for index, t in enumerate(all_tuples(params.n, params.m)):
-        if (tuple_weight(t) > params.r) is berman:
-            yield index, t
+    coords, weights, words, size = [0], [0], [1], 1
+    for left in reversed(range(params.m)):  # the components after this one
+        # The words kept under x = 0, which adds no weight, and under x > 0.
+        kept = [[i for i, w in enumerate(weights) if (w + up + left > r if berman else w + up <= r)] for up in (0, 1)]
+        coords = [coords[i] + x * size for x in range(n) for i in kept[x > 0]]
+        weights = [weights[i] + (x > 0) for x in range(n) for i in kept[x > 0]]
+        parts = [[words[i] for i in k] for k in kept]
+        words = [w for x in range(n) if parts[x > 0] for w in _spread(parts[x > 0], x, size, n, berman)]
+        size *= n
+    return tuple(coords), tuple(words)
 
 
-def basis_vectors(params: BermanParams) -> tuple[BitVector, ...]:
-    """The family's basis, in coordinate-index order of the defining tuples."""
-    vector = c_vector if params.kind is CodeKind.BERMAN else d_vector
-    return tuple(vector(params.n, params.m, t) for _, t in _defining_tuples(params))
+def basis_words(params: BermanParams) -> tuple[int, ...]:
+    """The family basis as words, in coordinate order of the defining tuples
+    (:func:`_basis`)."""
+    return _basis(params)[1]
 
 
 def weight_set(params: BermanParams) -> tuple[int, ...]:
-    """W(p): the coordinates of the defining tuples, ascending.
+    """W(p): the coordinates of the defining tuples, ascending, read off the
+    same pass as the basis (:func:`_basis`).
 
     Restricted to W(p), the family basis is a square matrix M with
     ``M @ M = I``.  For DBer, entry (t, s) is 1 iff t precedes s, so entry
@@ -201,7 +224,7 @@ def weight_set(params: BermanParams) -> tuple[int, ...]:
     ``2^(weight(u) - weight(t))``; all of them lie in W(p).  It is odd iff
     ``t = u``.  For Ber the order is reversed.  So W(p) is an information
     set of the code, and M is its own inverse."""
-    return tuple(index for index, _ in _defining_tuples(params))
+    return _basis(params)[0]
 
 
 def length_beyond(n: int, m: int, limit: int) -> str | None:
@@ -241,26 +264,31 @@ def check_digits(params: BermanParams) -> None:
 
 @lru_cache(maxsize=None)
 def basis_span(params: BermanParams) -> LinearCode:
-    """The span of the family basis, canonicalized and not yet checked: its
-    dimension is the basis rank, which :func:`build` holds to the closed form."""
+    """The span of the family basis, canonicalized by elimination of its
+    words (:func:`basis_words`) and not yet checked: its dimension is the
+    basis rank, which :func:`build` holds to the closed form."""
     check_length(params)
-    return LinearCode.from_spanning_set(params.length, basis_vectors(params))
+    words = basis_words(params)
+    return LinearCode.from_generator(BitMatrix(len(words), params.length, words))
 
 
 @lru_cache(maxsize=None)
 def build(params: BermanParams) -> LinearCode:
     """The code spanned by the family basis, canonicalized: :func:`basis_span`
-    once its dimension is checked against :func:`dimension_formula`."""
+    once its dimension is checked against :func:`dimension_formula`.  The
+    basis words are formed again on each miss, not kept: one pass forms
+    them cheaply, and at 4096 coordinates they take up to 2 MB."""
     code = basis_span(params)
     if code.dimension != dimension_formula(params):
         raise ProtocolInvariantError(f"{params.name}: basis rank disagrees with the closed form")
     return code
 
 
+@lru_cache(maxsize=None)
 def dimension_formula(params: BermanParams) -> int:
     """The sum of ``comb(m, w) * (n-1)^w`` over the weights w of the defining
     tuples (``r < w <= m`` for Ber, ``w <= r`` for DBer), each term got from
-    the last by one exact multiply and divide."""
+    the last by one exact multiply and divide; worked out once per member."""
     n, m, r = params.n, params.m, params.r
     lo, hi = (r + 1, m) if params.kind is CodeKind.BERMAN else (0, r)
     total, term = 0, 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,7 +75,10 @@ class LinearCode:
         return cls(length, BitMatrix(0, length, ()))
 
     @classmethod
+    @lru_cache(maxsize=None)
     def full(cls, length: int) -> LinearCode:
+        """The whole space, whose RREF is the identity: one shared instance
+        per length, since a code never changes."""
         return cls(length, BitMatrix.identity(length))
 
     def contains(self, v: BitVector) -> bool:

@@ -62,7 +62,7 @@ import numpy as np
 from .berman import (
     BermanParams,
     CodeKind,
-    basis_vectors,
+    basis_words,
     build,
     check_digits,
     check_length,
@@ -322,10 +322,12 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
 
 
 def _self_inverse_product(params: BermanParams, coords: tuple[int, ...], name: str) -> BitMatrix:
-    """``M B``, where B is the family basis of ``params`` and M is B on its
-    weight set ``coords``; raises :class:`ProtocolInvariantError` unless its
+    """``M B``, where B is the family basis of ``params``, its words
+    (:func:`.berman.basis_words`) taken as rows, and M is B on its weight
+    set ``coords``; raises :class:`ProtocolInvariantError` unless its
     columns ``coords``, ``M @ M``, are the identity."""
-    basis = BitMatrix.from_rows(basis_vectors(params), params.length)
+    words = basis_words(params)
+    basis = BitMatrix(len(words), params.length, words)
     product = basis.take_columns(coords) @ basis
     if product.take_columns(coords) != BitMatrix.identity(len(coords)):
         raise ProtocolInvariantError(f"the {name} basis on its weight set is not its own inverse")

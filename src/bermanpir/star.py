@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .berman import BermanParams, CodeKind, build, families
 from .codes import LinearCode
@@ -65,7 +66,8 @@ def star_codes(c: LinearCode, d: LinearCode) -> LinearCode:
 
     A vector that leaves a new pivot is kept.  Once ``length`` pivots are
     kept the span is the whole space, whose RREF is the identity: the
-    remaining vectors are skipped and no back-substitution is needed.
+    remaining vectors are skipped, no back-substitution is needed, and the
+    one shared :meth:`.LinearCode.full` is returned.
     Otherwise the kept vectors are brought to the canonical RREF, so the
     result depends neither on the route nor on the order of the vectors.
     """
@@ -141,8 +143,10 @@ def _restriction_pays(c: LinearCode, d: LinearCode) -> bool:
     return 8 * c.row_bits < c.dimension * d.dimension
 
 
+@lru_cache(maxsize=None)
 def predict_star(p: BermanParams, q: BermanParams) -> Predicted:
-    """The product's identity, by case analysis on the two family members.
+    """The product's identity, by case analysis on the two family members,
+    worked out once per ordered pair.
 
     Degenerate operands are screened first: a zero-code factor annihilates
     the product, and the full space absorbs any nonzero factor (every

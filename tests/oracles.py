@@ -34,10 +34,15 @@ The column scan and the row XOR are the bit loops that the transpose and
 the vector-matrix product are checked against: a column gathered one row
 bit at a time, and ``v @ M`` as the XOR of the rows of M that v selects.
 
+The tuple basis forms the family basis one defining tuple at a time, by
+``c_vector`` or ``d_vector``, from an enumeration of every coordinate tuple;
+the library's one-pass basis is checked against it.
+
 The remaining references are operations no command runs, kept here for the
 tests that compare against them: the rank of a matrix, the coordinate index
-of a tuple and the partial order on tuples, a code's projection and text
-form, and the paper's two constructive star-product identities.
+of a tuple, the tuples in coordinate order, a tuple's weight and the partial
+order on tuples, a code's projection and text form, and the paper's two
+constructive star-product identities.
 """
 
 from fractions import Fraction
@@ -48,7 +53,7 @@ from math import comb, inf
 import numpy as np
 
 from bermanpir import BitVector, berman, pir
-from bermanpir.berman import CodeKind, all_tuples, c_vector, d_vector, index_to_tuple, tuple_weight
+from bermanpir.berman import CodeKind, c_vector, d_vector, index_to_tuple
 from bermanpir.checks import VerifyCase
 from bermanpir.codes import LinearCode, ProtocolInvariantError
 from bermanpir.gf2 import BitMatrix, LengthMismatch, row_reduce
@@ -77,6 +82,32 @@ def tuple_to_index(n, t):
             raise ValueError("tuple component out of range")
         idx = idx * n + x
     return idx
+
+
+def all_tuples(n, m):
+    """All m-tuples over {0,...,n-1} in coordinate-index order."""
+    return product(range(n), repeat=m)
+
+
+def tuple_weight(t):
+    """The number of nonzero components."""
+    return sum(1 for x in t if x)
+
+
+def defining_tuples(params):
+    """(coordinate, tuple) of each tuple defining the family basis, in
+    coordinate-index order: weight above r for Ber, at most r for DBer."""
+    berman_kind = params.kind is CodeKind.BERMAN
+    for index, t in enumerate(all_tuples(params.n, params.m)):
+        if (tuple_weight(t) > params.r) is berman_kind:
+            yield index, t
+
+
+def tuple_basis(params):
+    """(coordinate, word) of each family basis vector, formed one defining
+    tuple at a time: c(t) for Ber, d(t) for DBer."""
+    vector = c_vector if params.kind is CodeKind.BERMAN else d_vector
+    return [(index, vector(params.n, params.m, t).word) for index, t in defining_tuples(params)]
 
 
 def precedes(j, i):
@@ -457,9 +488,10 @@ def staged_mixed_products(n, m, r2):
 
 
 def rank_dimension_case(p):
-    """The dimension case from a fresh rank of the family basis."""
-    vectors = berman.basis_vectors(p)
-    got = rank(BitMatrix.from_rows(list(vectors), p.length)) if vectors else 0
+    """The dimension case from a fresh rank of the family basis, formed one
+    tuple at a time."""
+    words = [word for _, word in tuple_basis(p)]
+    got = rank(BitMatrix(len(words), p.length, words)) if words else 0
     want = berman.dimension_formula(p)
     return VerifyCase(f"dimension {p.name}", got == want, f"rank {got}, formula {want}")
 

@@ -12,13 +12,11 @@ from fractions import Fraction
 from bermanpir.berman import (
     BermanParams,
     CodeKind,
-    all_tuples,
-    basis_vectors,
+    basis_words,
     build,
     dimension_formula,
     min_distance_formula,
     reed_muller_code,
-    tuple_weight,
 )
 from bermanpir.cli import build_tables, render_tables_csv
 from bermanpir.codes import MAX_BRUTE_FORCE_DIM
@@ -32,11 +30,13 @@ from bermanpir.pir import (
 )
 from bermanpir.star import star_codes, star_pairs, verify_star_case
 from oracles import (
+    all_tuples,
     berman_basis_identity,
     disjoint_support_product,
     rank,
     staged_mixed_products,
     staged_parity_products,
+    tuple_weight,
 )
 from test_cli import GOLDEN, PUBLISHED_CELLS
 
@@ -90,8 +90,8 @@ def test_criterion_1_tables():
 @criterion("2 closed forms vs brute force", 120)
 def test_criterion_2_closed_forms():
     for params in sweep_params():
-        vectors = basis_vectors(params)
-        got_rank = rank(BitMatrix.from_rows(list(vectors), params.length)) if vectors else 0
+        words = basis_words(params)
+        got_rank = rank(BitMatrix(len(words), params.length, words)) if words else 0
         assert got_rank == dimension_formula(params), params.name
         if params.is_zero_code:
             continue

@@ -1,7 +1,9 @@
 """Family constructions: index conventions, basis vectors, the recursion,
 the closed forms, and the structural properties they must satisfy."""
 
+import dataclasses
 import math
+import pickle
 import sys
 
 import pytest
@@ -13,9 +15,8 @@ from bermanpir.berman import (
     MAX_LENGTH,
     BermanParams,
     CodeKind,
-    all_tuples,
     basis_span,
-    basis_vectors,
+    basis_words,
     build,
     c_vector,
     check_digits,
@@ -29,13 +30,13 @@ from bermanpir.berman import (
     reed_muller_code,
     transitivity_witness,
     translate,
-    tuple_weight,
     weight_set,
 )
 from bermanpir.codes import LinearCode, ProtocolInvariantError, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch
 from bermanpir.pir import philox_generator
 from oracles import (
+    all_tuples,
     dimension_by_binomials,
     loop_c_vector,
     loop_d_vector,
@@ -44,7 +45,9 @@ from oracles import (
     precedes,
     rank,
     recursion_distance,
+    tuple_basis,
     tuple_to_index,
+    tuple_weight,
 )
 
 
@@ -64,6 +67,16 @@ class TestParams:
     def test_name_round_trip(self):
         for text in ("Ber(3,0,2)", "DBer(2,1,5)", "Ber(6,2,2)"):
             assert BermanParams.parse(text).name == text
+
+    def test_name_is_kept_outside_the_fields(self):
+        # The name is formed once, and equality, hashing, repr and pickles
+        # still see only the four fields.
+        p, fresh = BermanParams.parse("DBer(5,2,3)"), BermanParams(CodeKind.DUAL_BERMAN, 5, 3, 2)
+        before = (hash(p), repr(p), pickle.dumps(p))
+        assert p.name == "DBer(5,2,3)" and p.name is p.name
+        assert (hash(p), repr(p), pickle.dumps(p)) == before == (hash(fresh), repr(fresh), pickle.dumps(fresh))
+        assert p == fresh and pickle.loads(pickle.dumps(p)) == p
+        assert [f.name for f in dataclasses.fields(p)] == ["kind", "n", "m", "r"]
 
     def test_parse_rejects_noise(self):
         for text in ("Ber(3,0)", "Foo(2,1,1)", "Ber(1,0,1)", "DBer(2,3,2)", "ber(2,1,2)"):
@@ -161,6 +174,32 @@ class TestBasisVectors:
         assert d_vector(n, m, t) == loop_d_vector(n, m, t)
 
 
+#: Every (n, m) with n <= 6 and n^m <= 1296: the shapes whose members the
+#: one-pass basis is checked on, all of them, from the zero code to the full space.
+BASIS_SHAPES = tuple((n, m) for n in range(2, 7) for m in range(1, 11) if n**m <= 1296)
+
+
+class TestBasisPass:
+    """The one-pass basis against the basis formed one defining tuple at a
+    time by ``c_vector`` or ``d_vector``: the same words, with the same
+    coordinates, in the same order."""
+
+    @staticmethod
+    def check(params):
+        want = tuple_basis(params)
+        assert weight_set(params) == tuple(coord for coord, _ in want), params.name
+        assert basis_words(params) == tuple(word for _, word in want), params.name
+
+    @pytest.mark.parametrize("n, m", BASIS_SHAPES)
+    def test_matches_the_tuple_basis(self, n, m):
+        for params in family(n, m):
+            self.check(params)
+
+    @pytest.mark.parametrize("name", ("DBer(2,4,12)", "Ber(2,6,12)", "DBer(64,1,2)"))
+    def test_matches_the_tuple_basis_at_the_top_band(self, name):
+        self.check(BermanParams.parse(name))
+
+
 class TestBuild:
     def test_zero_code_members(self):
         for n, m in ((2, 1), (3, 2), (4, 2)):
@@ -181,9 +220,9 @@ class TestBuild:
         for n in (2, 3, 4):
             for m in (1, 2, 3):
                 for params in family(n, m):
-                    vectors = basis_vectors(params)
-                    got = rank(BitMatrix.from_rows(list(vectors), params.length)) if vectors else 0
-                    assert got == dimension_formula(params) == len(vectors)
+                    words = basis_words(params)
+                    got = rank(BitMatrix(len(words), params.length, words)) if words else 0
+                    assert got == dimension_formula(params) == len(words)
 
     def test_build_is_the_checked_basis_span(self, monkeypatch):
         params = BermanParams.parse("DBer(3,1,2)")
@@ -265,7 +304,7 @@ class TestClosedForms:
             for params in family(n, m):
                 if params.is_zero_code:
                     continue
-                weights = {v.word.bit_count() for v in basis_vectors(params)}
+                weights = {w.bit_count() for w in basis_words(params)}
                 assert min_distance_formula(params) in weights, params.name
 
 
@@ -393,7 +432,8 @@ class TestWeightSet:
                 assert len(coords) == dimension_formula(params)
                 if not coords:
                     continue
-                square = BitMatrix.from_rows(basis_vectors(params), params.length).take_columns(coords)
+                words = basis_words(params)
+                square = BitMatrix(len(words), params.length, words).take_columns(coords)
                 assert square @ square == BitMatrix.identity(len(coords)), params.name
                 checked += 1
         assert checked == 969

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bermanpir.berman import BermanParams, CodeKind, all_tuples, build, c_vector, min_distance_formula, tuple_weight
+from bermanpir.berman import BermanParams, CodeKind, build, c_vector, min_distance_formula
 from bermanpir.codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge, ZeroCode
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, bits_to_limbs, invert_columns, limbs_to_words
-from oracles import code_to_text, exhaustive_span, project_columns
+from oracles import all_tuples, code_to_text, exhaustive_span, project_columns, tuple_weight
 
 
 def small_family(n_max=4, m_max=3):
@@ -62,6 +62,13 @@ class TestContains:
         assert v.word not in words
 
 
+class TestFull:
+    def test_one_shared_instance_per_length(self):
+        assert LinearCode.full(7) is LinearCode.full(7)
+        assert LinearCode.full(7) is not LinearCode.full(8)
+        assert LinearCode.full(7).generator == BitMatrix.identity(7)
+
+
 class TestDual:
     def test_full_space_dual_is_zero(self):
         assert LinearCode.full(5).dual() == LinearCode.zero(5)
@@ -86,10 +93,10 @@ class TestEqual:
         assert code == code
 
     def test_span_is_order_free(self):
-        from bermanpir.berman import basis_vectors
+        from bermanpir.berman import basis_words
 
         params = BermanParams.parse("DBer(2,1,3)")
-        shuffled = list(reversed(basis_vectors(params)))
+        shuffled = [BitVector(8, w) for w in reversed(basis_words(params))]
         assert LinearCode.from_spanning_set(8, shuffled) == build(params)
 
     def test_distinct_dimensions_differ(self):

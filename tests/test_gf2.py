@@ -259,7 +259,8 @@ class TestRank:
     def test_berman_spanning_set(self):
         # Rank of the n=3, m=2 weight-{1,2} indicator set equals the family
         # dimension formula value, 8.
-        from bermanpir.berman import all_tuples, c_vector, tuple_weight
+        from bermanpir.berman import c_vector
+        from oracles import all_tuples, tuple_weight
 
         rows = [c_vector(3, 2, t) for t in all_tuples(3, 2) if 1 <= tuple_weight(t) <= 2]
         assert len(rows) == 8

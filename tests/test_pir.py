@@ -370,7 +370,8 @@ class TestSchedule:
         for storage, retrieval, _ in pairs:
             d = derive_scheme(SchemeConfig(storage, retrieval))
             e = all_products_star(d.storage_code, d.retrieval_code)
-            family_basis = BitMatrix.from_rows(berman.basis_vectors(pir.predict_star(storage, retrieval).dual), d.n_s)
+            words = berman.basis_words(pir.predict_star(storage, retrieval).dual)
+            family_basis = BitMatrix(len(words), d.n_s, words)
             for h in (family_basis, d.parity):
                 assert all((row & w).bit_count() % 2 == 0 for row in h.row_words for w in e.generator.row_words)
                 assert h.rows == rank(h) == d.n_s - e.dimension, (storage.name, retrieval.name)
@@ -1402,9 +1403,9 @@ class TestProtocolInvariants:
         assert proc.stdout == "ProtocolInvariantError\n"
 
     @staticmethod
-    def flipped_row(vectors, row, coord):
-        """``vectors`` with bit ``coord`` of vector ``row`` flipped."""
-        return tuple(BitVector(v.length, v.word ^ (1 << coord if i == row else 0)) for i, v in enumerate(vectors))
+    def flipped_row(words, row, coord):
+        """``words`` with bit ``coord`` of word ``row`` flipped."""
+        return tuple(w ^ (1 << coord if i == row else 0) for i, w in enumerate(words))
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -1431,12 +1432,12 @@ class TestProtocolInvariants:
 
             monkeypatch.setattr(pir, "star_codes", star)
         elif corrupt == "parity":
-            real_basis = pir.basis_vectors
+            real_basis = pir.basis_words
             outside = min(set(range(9)) - set(berman.weight_set(perp)))
             def basis(p):
                 return self.flipped_row(real_basis(p), 0, outside) if p == perp else real_basis(p)
 
-            monkeypatch.setattr(pir, "basis_vectors", basis)
+            monkeypatch.setattr(pir, "basis_words", basis)
         else:
             real_set = pir.weight_set
             moved = storage if corrupt == "iteration set" else perp

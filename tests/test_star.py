@@ -11,13 +11,11 @@ from bermanpir import checks, star
 from bermanpir.berman import (
     BermanParams,
     CodeKind,
-    all_tuples,
     build,
     c_vector,
     d_vector,
     families,
     reed_muller_code,
-    tuple_weight,
 )
 from bermanpir.codes import LinearCode
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch
@@ -38,11 +36,13 @@ from oracles import (
     OverlappingSupport,
     PreconditionViolated,
     all_products_star,
+    all_tuples,
     berman_basis_identity,
     disjoint_support_product,
     staged_mixed_products,
     staged_parity_products,
     tuple_to_index,
+    tuple_weight,
 )
 
 #: Two lists of spanning rows, repeats and zero rows allowed, and their length.
@@ -122,6 +122,15 @@ class TestStarCodes:
         for p in members:
             for q in members:
                 assert star_codes(build(p), build(q)) == all_products_star(build(p), build(q)), (p.name, q.name)
+
+    @pytest.mark.parametrize("restrict", (True, False))
+    def test_a_full_span_is_the_shared_full_space(self, restrict):
+        # Either route stops at the full space and returns the one instance
+        # that the case table's full-space prediction names too.
+        code = build(BermanParams.parse("Ber(3,0,2)"))
+        with mock.patch.object(star, "_restriction_pays", lambda c, d: restrict):
+            product = star_codes(code, code)
+        assert product is LinearCode.full(9) is predicted_code(3, 2, FULL_SPACE)
 
     def test_full_rank_on_the_last_distinct_product(self):
         # The unit rows times 111 give e0, e1, e2 in that order, and only e2
