@@ -182,10 +182,11 @@ def _check_tuple(n: int, m: int, t: IndexTuple) -> None:
 # Construction paths.
 
 
-def _basis(params: BermanParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The coordinates and words of the family basis, the c(t) (Ber) or d(t)
-    (DBer) of each defining tuple t, in coordinate order: weight above r for
-    Ber, at most r for DBer.
+def basis(params: BermanParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The family basis, the c(t) (Ber) or d(t) (DBer) of each defining
+    tuple t, in coordinate order: weight above r for Ber, at most r for
+    DBer.  Returns the coordinates of the defining tuples, W(p), and the
+    basis words.
 
     One pass builds every word at once, least significant component first.
     Each word over the components seen so far carries its coordinate and
@@ -193,7 +194,14 @@ def _basis(params: BermanParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     each spreading every word (:func:`_spread`).  A DBer word is dropped
     once its weight passes r, a Ber word once the components left can no
     longer lift its weight past r.  Coordinates ``c + x * size``, for c
-    below ``size``, come out ascending."""
+    below ``size``, come out ascending.
+
+    Restricted to W(p), the family basis is a square matrix M with
+    ``M @ M = I``.  For DBer, entry (t, s) is 1 iff t precedes s, so entry
+    (t, u) of ``M @ M`` counts the s between t and u, of which there are
+    ``2^(weight(u) - weight(t))``; all of them lie in W(p).  It is odd iff
+    ``t = u``.  For Ber the order is reversed.  So W(p) is an information
+    set of the code, and M is its own inverse."""
     n, r = params.n, params.r
     berman = params.kind is CodeKind.BERMAN
     coords, weights, words, size = [0], [0], [1], 1
@@ -206,25 +214,6 @@ def _basis(params: BermanParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
         words = [w for x in range(n) if parts[x > 0] for w in _spread(parts[x > 0], x, size, n, berman)]
         size *= n
     return tuple(coords), tuple(words)
-
-
-def basis_words(params: BermanParams) -> tuple[int, ...]:
-    """The family basis as words, in coordinate order of the defining tuples
-    (:func:`_basis`)."""
-    return _basis(params)[1]
-
-
-def weight_set(params: BermanParams) -> tuple[int, ...]:
-    """W(p): the coordinates of the defining tuples, ascending, read off the
-    same pass as the basis (:func:`_basis`).
-
-    Restricted to W(p), the family basis is a square matrix M with
-    ``M @ M = I``.  For DBer, entry (t, s) is 1 iff t precedes s, so entry
-    (t, u) of ``M @ M`` counts the s between t and u, of which there are
-    ``2^(weight(u) - weight(t))``; all of them lie in W(p).  It is odd iff
-    ``t = u``.  For Ber the order is reversed.  So W(p) is an information
-    set of the code, and M is its own inverse."""
-    return _basis(params)[0]
 
 
 def length_beyond(n: int, m: int, limit: int) -> str | None:
@@ -265,11 +254,13 @@ def check_digits(params: BermanParams) -> None:
 @lru_cache(maxsize=None)
 def basis_span(params: BermanParams) -> LinearCode:
     """The span of the family basis, canonicalized by elimination of its
-    words (:func:`basis_words`) and not yet checked: its dimension is the
-    basis rank, which :func:`build` holds to the closed form."""
+    words (:func:`basis`), tagged with ``params`` as its member, and not yet
+    checked: its dimension is the basis rank, which :func:`build` holds to
+    the closed form."""
     check_length(params)
-    words = basis_words(params)
-    return LinearCode.from_generator(BitMatrix(len(words), params.length, words))
+    words = basis(params)[1]
+    code = LinearCode.from_generator(BitMatrix(len(words), params.length, words))
+    return LinearCode(code.length, code.generator, params)
 
 
 @lru_cache(maxsize=None)

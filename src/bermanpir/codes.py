@@ -12,13 +12,17 @@ live in ``tests/oracles.py``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .gf2 import BitMatrix, BitVector, LengthMismatch, nullspace_basis, reduce_word, row_reduce, span_table
 from .gf2 import invert_columns  # noqa: F401  benchmarks/tracer.py patches codes.invert_columns
+
+if TYPE_CHECKING:
+    from .berman import BermanParams
 
 #: Enumeration guard for brute-force minimum distance (2^24 codewords).
 MAX_BRUTE_FORCE_DIM = 24
@@ -46,10 +50,16 @@ class ProtocolInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearCode:
-    """A length-``length`` binary linear code with an RREF generator."""
+    """A length-``length`` binary linear code with an RREF generator.
+
+    ``member`` is the Berman family member the code was built as
+    (:func:`.berman.build`), or None for a code made any other way.  It
+    takes no part in equality, hashing or ``repr``: a code is its span.
+    """
 
     length: int
     generator: BitMatrix
+    member: BermanParams | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.generator.cols != self.length:

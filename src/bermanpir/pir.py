@@ -12,7 +12,7 @@ vector is the XOR over rows r of ``stored_r & Q_r``.  Every Berman code is
 invariant under the translations of ``Z_n^m``, so the schedule is an
 addition table: iteration a, one per coordinate of ``I_0 = W(C)``, recovers
 coordinate ``a + c`` of stripe c, one per coordinate of
-``J_0 = W((C * D)^perp)`` (see :func:`.berman.weight_set`).  The response
+``J_0 = W((C * D)^perp)`` (see :func:`.berman.basis`).  The response
 translated by -a, times the family basis H' of ``(C * D)^perp``, loses its
 random part and leaves the planted bits times ``M_E``, H' on ``J_0``, which
 is its own inverse.  After all iterations each stripe c holds C's codeword
@@ -39,7 +39,8 @@ Collusion resistance: any t servers see t columns of Q, and those are
 exactly uniform as long as every t-column projection of D is the full
 space, which holds up to ``t = d_min(D^perp) - 1``.  The check decides this
 exactly: by enumeration on small instances, otherwise from the distance of
-``D^perp``, brute-forced or read off the family member it equals.
+``D^perp``, brute-forced or, for a code built as a family member, read off
+the closed form of the dual member.
 
 All of a retrieval's randomness flows from a single 64-bit seed through
 NumPy's Philox counter-based generator (Philox 4x64 with 10 rounds); draw
@@ -62,14 +63,13 @@ import numpy as np
 from .berman import (
     BermanParams,
     CodeKind,
-    basis_words,
+    basis,
     build,
     check_digits,
     check_length,
     dimension_formula,
     min_distance_formula,
     translate,
-    weight_set,
 )
 from .codes import MAX_BRUTE_FORCE_DIM, InvalidInput, LinearCode, ProtocolInvariantError, TooLarge
 from .gf2 import (
@@ -272,7 +272,7 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     rate.  H' is the family basis of the member ``E^perp`` that the table
     names, ``n - dim E`` rows, and ``M_E`` is H' on ``J_0 = W(E^perp)``;
     ``B_C`` and ``M_C`` are the same for C on ``I_0 = W(C)`` (see
-    :func:`.berman.weight_set`).  The products ``M_E H'`` and ``M_C B_C``
+    :func:`.berman.basis`).  The products ``M_E H'`` and ``M_C B_C``
     are formed once, so decoding and reconstruction each multiply by one
     matrix.  Three checks, each on one table product, make ``M_E H'`` a
     parity-check matrix of E: it is the identity on ``J_0``, so
@@ -291,12 +291,12 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     n_s = c.length
     e = star_codes(c, d)
     perp = product.dual
-    iteration_set, stripe_set = weight_set(storage), weight_set(perp)
+    stripe_set, parity = _self_inverse_product(perp, "syndrome")
     if n_s - e.dimension != len(stripe_set) or Fraction(len(stripe_set), n_s) != r_pir:
         raise ProtocolInvariantError("constructed product dimension disagrees with the case table")
-    parity = _self_inverse_product(perp, stripe_set, "syndrome")
     if (parity @ e.generator.transpose()).limbs.any():
         raise ProtocolInvariantError("the syndrome map does not annihilate the product code")
+    iteration_set, systematic = _self_inverse_product(storage, "storage")
     n, m = storage.n, storage.m
     shifts, offsets = _digits(n, m, iteration_set), _digits(n, m, stripe_set)
     return SchemeDerived(
@@ -305,7 +305,7 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
         retrieval_code=d,
         product_code=e,
         parity=parity,
-        systematic=_self_inverse_product(storage, iteration_set, "storage"),
+        systematic=systematic,
         k_c=c.dimension,
         d_perp=len(stripe_set),
         t=t,
@@ -321,17 +321,17 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     )
 
 
-def _self_inverse_product(params: BermanParams, coords: tuple[int, ...], name: str) -> BitMatrix:
-    """``M B``, where B is the family basis of ``params``, its words
-    (:func:`.berman.basis_words`) taken as rows, and M is B on its weight
-    set ``coords``; raises :class:`ProtocolInvariantError` unless its
-    columns ``coords``, ``M @ M``, are the identity."""
-    words = basis_words(params)
-    basis = BitMatrix(len(words), params.length, words)
-    product = basis.take_columns(coords) @ basis
+def _self_inverse_product(params: BermanParams, name: str) -> tuple[tuple[int, ...], BitMatrix]:
+    """The weight set W of ``params`` and ``M B``, from one pass
+    (:func:`.berman.basis`): B is the family basis, its words taken as rows,
+    and M is B on W.  Raises :class:`ProtocolInvariantError` unless the
+    product's columns W, ``M @ M``, are the identity."""
+    coords, words = basis(params)
+    rows = BitMatrix(len(words), params.length, words)
+    product = rows.take_columns(coords) @ rows
     if product.take_columns(coords) != BitMatrix.identity(len(coords)):
         raise ProtocolInvariantError(f"the {name} basis on its weight set is not its own inverse")
-    return product
+    return coords, product
 
 
 def _digits(n: int, m: int, coords: tuple[int, ...]) -> np.ndarray:
@@ -551,10 +551,15 @@ def verify_privacy_rank(retrieval_code: LinearCode, t: int) -> bool:
       :data:`EXHAUSTIVE_SUBSETS`;
     * the brute-force distance of ``D^perp``, while its dimension is within
       the guard :data:`.codes.MAX_BRUTE_FORCE_DIM`;
-    * the closed-form distance of the family member whose built code is
-      ``D^perp``, for a dual of the same length and dimension.
+    * the closed-form distance of ``D^perp``, for a code built as a family
+      member (:attr:`.codes.LinearCode.member`): its dual is that member's
+      dual.
 
-    A code none of them decides (a long code outside the families) raises
+    The last two take ``D^perp`` as the built dual member, once one product
+    shows that it annihilates D and that the dimensions add up to the
+    length, and otherwise raise :class:`ProtocolInvariantError`; a code not
+    built as a member is eliminated for its dual.  A code none of the
+    routes decides (a long code made any other way) raises
     :class:`TooLarge`.
     """
     return _privacy_verdict(retrieval_code, t)[0]
@@ -568,29 +573,19 @@ def _privacy_verdict(retrieval_code: LinearCode, t: int) -> tuple[bool, str]:
     if comb(n_s, t) <= EXHAUSTIVE_SUBSETS:
         cols = retrieval_code.column_words
         return all(_projection_rank(cols, subset) == t for subset in combinations(range(n_s), t)), "exhaustive"
-    dual = retrieval_code.dual()
+    member = retrieval_code.member
+    if member is None:
+        dual = retrieval_code.dual()
+    else:
+        dual = build(member.dual)
+        generator = retrieval_code.generator
+        if generator.rows + dual.dimension != n_s or (generator @ dual.generator.transpose()).limbs.any():
+            raise ProtocolInvariantError(f"{member.dual.name} is not the dual of the code built as {member.name}")
     if dual.dimension <= MAX_BRUTE_FORCE_DIM:
         return dual.dimension == 0 or dual.min_distance_bruteforce() > t, "dual-distance"
-    member = _family_member(dual)
     if member is None:
         raise TooLarge(f"{n_s}-coordinate code outside the families: no exact privacy route for t = {t}")
-    return member.is_zero_code or min_distance_formula(member) > t, "family"
-
-
-def _family_member(code: LinearCode) -> BermanParams | None:
-    """The family member whose built code equals ``code``, or None: members
-    of every shape ``n^m`` equal to its length, of the same dimension."""
-    length = code.length
-    for m in range(length.bit_length() - 1, 0, -1):
-        n = round(length ** (1 / m))
-        if n < 2 or n**m != length:
-            continue
-        for kind in CodeKind:
-            for r in range(m + 1):
-                member = BermanParams(kind, n, m, r)
-                if dimension_formula(member) == code.dimension and build(member) == code:
-                    return member
-    return None
+    return member.dual.is_zero_code or min_distance_formula(member.dual) > t, "family"
 
 
 def _worst_case_columns(retrieval_code: LinearCode, t: int, prefer: int) -> tuple[int, ...]:

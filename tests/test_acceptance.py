@@ -12,7 +12,7 @@ from fractions import Fraction
 from bermanpir.berman import (
     BermanParams,
     CodeKind,
-    basis_words,
+    basis,
     build,
     dimension_formula,
     min_distance_formula,
@@ -90,7 +90,7 @@ def test_criterion_1_tables():
 @criterion("2 closed forms vs brute force", 120)
 def test_criterion_2_closed_forms():
     for params in sweep_params():
-        words = basis_words(params)
+        words = basis(params)[1]
         got_rank = rank(BitMatrix(len(words), params.length, words)) if words else 0
         assert got_rank == dimension_formula(params), params.name
         if params.is_zero_code:

@@ -15,8 +15,8 @@ from bermanpir.berman import (
     MAX_LENGTH,
     BermanParams,
     CodeKind,
+    basis,
     basis_span,
-    basis_words,
     build,
     c_vector,
     check_digits,
@@ -30,7 +30,6 @@ from bermanpir.berman import (
     reed_muller_code,
     transitivity_witness,
     translate,
-    weight_set,
 )
 from bermanpir.codes import LinearCode, ProtocolInvariantError, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch
@@ -187,8 +186,7 @@ class TestBasisPass:
     @staticmethod
     def check(params):
         want = tuple_basis(params)
-        assert weight_set(params) == tuple(coord for coord, _ in want), params.name
-        assert basis_words(params) == tuple(word for _, word in want), params.name
+        assert basis(params) == (tuple(coord for coord, _ in want), tuple(word for _, word in want)), params.name
 
     @pytest.mark.parametrize("n, m", BASIS_SHAPES)
     def test_matches_the_tuple_basis(self, n, m):
@@ -220,7 +218,7 @@ class TestBuild:
         for n in (2, 3, 4):
             for m in (1, 2, 3):
                 for params in family(n, m):
-                    words = basis_words(params)
+                    words = basis(params)[1]
                     got = rank(BitMatrix(len(words), params.length, words)) if words else 0
                     assert got == dimension_formula(params) == len(words)
 
@@ -230,6 +228,15 @@ class TestBuild:
         monkeypatch.setattr(berman, "dimension_formula", lambda p: 0)
         with pytest.raises(ProtocolInvariantError, match="basis rank disagrees"):
             build.__wrapped__(params)
+
+    def test_build_records_its_member(self):
+        # The member is kept beside the span, not as part of it.
+        params = BermanParams.parse("DBer(3,1,2)")
+        code = build(params)
+        copy = LinearCode(code.length, code.generator)
+        assert code.member == params and copy.member is None
+        assert code == copy and hash(code) == hash(copy) and repr(code) == repr(copy)
+        assert pickle.loads(pickle.dumps(code)).member == params
 
     def test_size_guard(self):
         # Length exactly at the guard builds; the next length up is refused.
@@ -304,7 +311,7 @@ class TestClosedForms:
             for params in family(n, m):
                 if params.is_zero_code:
                     continue
-                weights = {w.bit_count() for w in basis_words(params)}
+                weights = {w.bit_count() for w in basis(params)[1]}
                 assert min_distance_formula(params) in weights, params.name
 
 
@@ -428,11 +435,10 @@ class TestWeightSet:
         checked = 0
         for n, m in shapes_up_to(256):
             for params in family(n, m):
-                coords = weight_set(params)
+                coords, words = basis(params)
                 assert len(coords) == dimension_formula(params)
                 if not coords:
                     continue
-                words = basis_words(params)
                 square = BitMatrix(len(words), params.length, words).take_columns(coords)
                 assert square @ square == BitMatrix.identity(len(coords)), params.name
                 checked += 1
@@ -440,6 +446,6 @@ class TestWeightSet:
 
     def test_weights_of_the_set(self):
         for params in family(3, 3):
-            weights = {tuple_weight(index_to_tuple(3, 3, i)) for i in weight_set(params)}
+            weights = {tuple_weight(index_to_tuple(3, 3, i)) for i in basis(params)[0]}
             expected = range(params.r + 1, 4) if params.kind is CodeKind.BERMAN else range(params.r + 1)
             assert weights == set(expected), params.name

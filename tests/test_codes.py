@@ -93,10 +93,10 @@ class TestEqual:
         assert code == code
 
     def test_span_is_order_free(self):
-        from bermanpir.berman import basis_words
+        from bermanpir.berman import basis
 
         params = BermanParams.parse("DBer(2,1,3)")
-        shuffled = [BitVector(8, w) for w in reversed(basis_words(params))]
+        shuffled = [BitVector(8, w) for w in reversed(basis(params)[1])]
         assert LinearCode.from_spanning_set(8, shuffled) == build(params)
 
     def test_distinct_dimensions_differ(self):

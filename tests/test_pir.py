@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bermanpir import berman, cli, gf2, pir
+from bermanpir import berman, cli, codes, gf2, pir
 from bermanpir.berman import BermanParams, CodeKind, build
 from bermanpir.codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, draw_bit_limbs
@@ -345,9 +345,9 @@ class TestSchedule:
             d = derive_scheme(config)
             n, m = config.storage.n, config.storage.m
             perp = pir.predict_star(config.storage, config.retrieval).dual
-            shifts = [berman.index_to_tuple(n, m, i) for i in berman.weight_set(config.storage)]
+            shifts = [berman.index_to_tuple(n, m, i) for i in berman.basis(config.storage)[0]]
             assert d.schedule.iteration_shifts == tuple(shifts)
-            shifts = [berman.index_to_tuple(n, m, i) for i in berman.weight_set(perp)]
+            shifts = [berman.index_to_tuple(n, m, i) for i in berman.basis(perp)[0]]
             assert d.schedule.stripe_shifts == tuple(shifts)
             assert (d.s_iterations, d.b) == (d.k_c, d.d_perp)
             assert len(d.schedule.coords) == d.s_iterations
@@ -370,7 +370,7 @@ class TestSchedule:
         for storage, retrieval, _ in pairs:
             d = derive_scheme(SchemeConfig(storage, retrieval))
             e = all_products_star(d.storage_code, d.retrieval_code)
-            words = berman.basis_words(pir.predict_star(storage, retrieval).dual)
+            words = berman.basis(pir.predict_star(storage, retrieval).dual)[1]
             family_basis = BitMatrix(len(words), d.n_s, words)
             for h in (family_basis, d.parity):
                 assert all((row & w).bit_count() % 2 == 0 for row in h.row_words for w in e.generator.row_words)
@@ -447,8 +447,8 @@ class TestScheduleRegression:
             d = derive_scheme(SchemeConfig(storage, retrieval))
             n, m = storage.n, storage.m
             schedule = d.schedule
-            iteration_set = berman.weight_set(storage)
-            stripe_set = berman.weight_set(pir.predict_star(storage, retrieval).dual)
+            iteration_set = berman.basis(storage)[0]
+            stripe_set = berman.basis(pir.predict_star(storage, retrieval).dual)[0]
 
             def moved(coords, shift):
                 return tuple(
@@ -945,6 +945,56 @@ class TestPrivacyRank:
         with pytest.raises(TooLarge):
             pir._privacy_verdict(broken, 7)
 
+    @staticmethod
+    def forbid_dual_elimination(monkeypatch):
+        def eliminate(*args):
+            raise AssertionError("a privacy route eliminated a dual")
+
+        monkeypatch.setattr(LinearCode, "dual", eliminate)
+        monkeypatch.setattr(gf2, "nullspace_basis", eliminate)
+        monkeypatch.setattr(codes, "nullspace_basis", eliminate)
+
+    def test_built_code_is_decided_from_its_member(self, monkeypatch):
+        # The member a code was built as names its dual, so neither route
+        # that needs D^perp eliminates it.
+        self.forbid_dual_elimination(monkeypatch)
+        code = build(P("DBer(2,3,8)"))
+        assert pir._privacy_verdict(code, 15) == (True, "family")
+        assert pir._privacy_verdict(code, 16) == (False, "family")
+        assert pir._privacy_verdict(build(P("Ber(3,1,3)")), 8) == (True, "dual-distance")
+
+    def test_member_whose_dual_fails_the_check_is_refused(self):
+        code = build(P("DBer(2,3,8)"))
+        # Same dimension, but no longer annihilated by Ber(2,3,8).
+        broken = duplicate_column(code)
+        assert broken.dimension == code.dimension
+        # Annihilated by Ber(2,2,8), which is too large to be the dual.
+        mislabelled = LinearCode(code.length, code.generator, P("DBer(2,2,8)"))
+        for tagged in (LinearCode(broken.length, broken.generator, code.member), mislabelled):
+            with pytest.raises(ProtocolInvariantError, match="is not the dual"):
+                pir._privacy_verdict(tagged, 15)
+
+    def test_untagged_code_has_no_family_route(self):
+        code = build(P("DBer(2,3,8)"))
+        copy = LinearCode(code.length, code.generator)
+        assert copy == code and copy.member is None
+        with pytest.raises(TooLarge):
+            pir._privacy_verdict(copy, 15)
+
+    @pytest.mark.slow
+    def test_family_route_at_4096_coordinates(self, monkeypatch):
+        # The retrieval code of DBer(2,6,12) x DBer(2,1,12), t = 3: its dual
+        # Ber(2,1,12) has 4083 rows and distance 4, and is built, not
+        # eliminated.
+        self.forbid_dual_elimination(monkeypatch)
+        code = build(P("DBer(2,1,12)"))
+        assert pir._privacy_verdict(code, 3) == (True, "family")
+        assert pir._privacy_verdict(code, 4) == (False, "family")
+        # Its storage code's dual Ber(2,6,12) has distance 2^7.
+        code = build(P("DBer(2,6,12)"))
+        assert pir._privacy_verdict(code, 127) == (True, "family")
+        assert pir._privacy_verdict(code, 128) == (False, "family")
+
     def test_ladder_pairs_are_decided_exactly(self, ladder):
         routes = {}
         for storage, retrieval, t in ladder:
@@ -1432,19 +1482,21 @@ class TestProtocolInvariants:
 
             monkeypatch.setattr(pir, "star_codes", star)
         elif corrupt == "parity":
-            real_basis = pir.basis_words
-            outside = min(set(range(9)) - set(berman.weight_set(perp)))
+            real_basis = pir.basis
+            outside = min(set(range(9)) - set(real_basis(perp)[0]))
             def basis(p):
-                return self.flipped_row(real_basis(p), 0, outside) if p == perp else real_basis(p)
+                coords, words = real_basis(p)
+                return (coords, self.flipped_row(words, 0, outside)) if p == perp else (coords, words)
 
-            monkeypatch.setattr(pir, "basis_words", basis)
+            monkeypatch.setattr(pir, "basis", basis)
         else:
-            real_set = pir.weight_set
+            real_basis = pir.basis
             moved = storage if corrupt == "iteration set" else perp
             def first_coordinates(p):
-                return tuple(range(len(real_set(p)))) if p == moved else real_set(p)
+                coords, words = real_basis(p)
+                return (tuple(range(len(coords))) if p == moved else coords), words
 
-            monkeypatch.setattr(pir, "weight_set", first_coordinates)
+            monkeypatch.setattr(pir, "basis", first_coordinates)
 
         def no_privacy_check(*args):
             raise AssertionError("privacy check ran before derivation")
