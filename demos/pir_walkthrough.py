@@ -9,6 +9,7 @@ Run: python3 demos/pir_walkthrough.py
 
 from bermanpir import (
     BermanParams,
+    BitMatrix,
     BitVector,
     SchemeConfig,
     derive_scheme,
@@ -50,7 +51,7 @@ transcript = run_retrieval(config, demand=0)
 rng = philox_generator(config.seed)
 draw_bit_limbs(rng, config.files, derived.b, derived.k_c)
 for it, response in enumerate(transcript.responses):
-    query = gen_queries(derived, config.files, 0, range(it, it + 1), rng)
+    query = BitMatrix.from_limbs(gen_queries(derived, config.files, 0, range(it, it + 1), rng)[0], derived.n_s)
     print(f"iteration {it}:")
     print(f"  query column to server 0: {query.transpose().row(0)}")
     print(f"  responses from all servers: {response}")

@@ -20,12 +20,14 @@ on ``I_0 + c``; translated back it is read through ``M_C``, the family basis
 of C on ``I_0``, also its own inverse.  So ``b = d_perp`` and ``S = k_C``,
 and neither step eliminates anything once the pair is derived.
 
-The bulk work runs on NumPy limb arrays (see :mod:`.gf2`): the queries of a
-run of consecutive iterations are drawn straight into one table product with
-D's generator, so its tables are built once per run and the message bits are
-never held.  The run is answered in place: its limbs are ANDed with the
-stored limbs where they lie and XOR-folded over each query's rows, so no
-second run-sized array is held, which would double the run's transient heap.
+A retrieval runs five stages: encode, query, respond, decode and
+reconstruct, each one public function.  The bulk work runs on NumPy limb
+arrays (see :mod:`.gf2`): the queries of a run of consecutive iterations are
+drawn straight into one table product with D's generator, so its tables are
+built once per run and the message bits are never held.  The run is
+answered in place: its limbs are ANDed with the stored limbs where they lie
+and XOR-folded over each query's rows, so no second run-sized array is held,
+which would double the run's transient heap.
 The schedule and the stripe readout are read-only int32 tables, formed once
 per pair one tuple component at a time, so a run's coordinates are a slice,
 the planted bits one gather, and reconstruction reads each stripe's file bits
@@ -402,10 +404,11 @@ def encode_storage(derived: SchemeDerived, library: BitMatrix) -> BitMatrix:
 
 def gen_queries(
     derived: SchemeDerived, files: int, demand: int, iterations: range, rng: np.random.Generator
-) -> BitMatrix:
-    """The query matrices Q of a run of consecutive iterations, stacked: rows
-    ``i*M*b`` to ``(i+1)*M*b`` are the query of ``iterations[i]``, and
-    column j of each goes to server j.
+) -> np.ndarray:
+    """The query matrices Q of a run of consecutive iterations, as one
+    writable limb array of shape ``(len(iterations), M*b, W)``: entry i is
+    the query of ``iterations[i]``, one row of W limbs per file row, and bit
+    j of each row goes to server j.
 
     Every row starts as an independent uniform codeword of the retrieval
     code.  Each iteration, in order, draws one row-major batch of
@@ -418,51 +421,48 @@ def gen_queries(
     each stripe p of each iteration i, bit ``coords[i, p]`` of the demanded
     file's stripe-p row of that iteration's query is flipped, all of the
     run's bits by one fancy-index XOR over the run's slice of ``coords``:
-    each row holds one of them, so no two share a limb.  A run over
-    :data:`MAX_BATCH_BITS` raises :class:`TooLarge` before the draw.
+    each row holds one of them, so no two share a limb.  Before anything
+    is drawn, a demand outside ``0..M-1`` raises :class:`InvalidInput`, a
+    range that is not a step-1 range within ``0..S`` raises
+    :class:`IndexError`, and a run over :data:`MAX_BATCH_BITS` raises
+    :class:`TooLarge`.
+
+    :func:`respond_all` overwrites the array it is given, so a
+    :class:`~.gf2.BitMatrix` built on any part of it must not outlive that
+    call: :meth:`~.gf2.BitMatrix.from_limbs` makes only its own view
+    read-only, not the array behind it.
     """
-    return BitMatrix.from_limbs(_draw_run(derived, files, demand, iterations, rng), derived.n_s)
-
-
-def _draw_run(
-    derived: SchemeDerived, files: int, demand: int, iterations: range, rng: np.random.Generator
-) -> np.ndarray:
-    """The limbs of :func:`gen_queries`' matrix, still writable, so that
-    :func:`run_retrieval` can answer the run in place."""
     if not 0 <= demand < files:
         raise InvalidInput("demand index out of range")
-    g_d = derived.retrieval_code.generator
+    if iterations.step != 1 or not 0 <= iterations.start <= iterations.stop <= derived.s_iterations:
+        raise IndexError(f"iterations {iterations} are not a step-1 range within 0..{derived.s_iterations}")
     _check_batch_size(derived, files, len(iterations))
     b, rows = derived.b, files * derived.b
-    limbs = draw_product(rng, len(iterations), rows, g_d.limbs)
+    limbs = draw_product(rng, len(iterations), rows, derived.retrieval_code.generator.limbs)
     planted = np.arange(len(iterations))[:, None] * rows + derived.file_row(demand, np.arange(b))
     coords = derived.schedule.coords[iterations.start : iterations.stop]
     limbs[planted, coords >> 6] ^= np.uint64(1) << (coords & 63).astype(np.uint64)
-    return limbs
+    return limbs.reshape(len(iterations), rows, limbs.shape[1])
 
 
-def _answer_run(queries: np.ndarray, stored: np.ndarray) -> np.ndarray:
-    """The response limbs of a run of queries, one row per query.
+def respond_all(stored: BitMatrix, queries: np.ndarray, cols: int) -> list[BitVector]:
+    """Every server's answer to each query of a run of ``cols``-column
+    queries, as :func:`gen_queries` returns it: limbs of shape
+    ``(iterations, rows, W)``.  Queries whose rows, columns or limbs per row
+    differ from the stored matrix's raise :class:`~.gf2.LengthMismatch`.
 
-    ``queries`` holds the run's query limbs, shape ``(iterations, M*b, W)``,
-    and is overwritten: each query is ANDed with the stored limbs in place,
-    then XOR-folded over its rows.  Folding in place holds no second
-    run-sized array; a second one would double the retrieval's transient
-    heap, and with it the page faults of every run."""
-    np.bitwise_and(queries, stored, out=queries)
-    return np.bitwise_xor.reduce(queries, axis=1)
-
-
-def respond_all(stored: BitMatrix, q: BitMatrix) -> BitVector:
-    """Every server's answer.  Bit ``i`` is the inner product of stored
-    column ``i`` and query column ``i``, so the whole vector is one parity
-    fold over rows: the XOR of ``stored_r & q_r``, on limbs.  It is the
-    one-query case of the fold that answers each run of
-    :func:`run_retrieval`."""
-    if (stored.rows, stored.cols) != (q.rows, q.cols):
-        raise LengthMismatch(f"stored {stored.rows} x {stored.cols} != query {q.rows} x {q.cols}")
-    folded = _answer_run(q.limbs[None].copy(), stored.limbs)
-    return BitVector(q.cols, limbs_to_words(folded)[0])
+    Bit ``i`` of a response is the inner product of stored column ``i`` and
+    query column ``i``, so each response is one parity fold over rows: the
+    XOR of ``stored_r & q_r``.  ``queries`` is overwritten: ANDed with the
+    stored limbs in place, then XOR-folded over each query's rows.  A second
+    run-sized array would double the retrieval's transient heap, and with it
+    the page faults of every run."""
+    if cols != stored.cols or queries.shape[1:] != stored.limbs.shape:
+        raise LengthMismatch(
+            f"stored {stored.rows} x {stored.cols} != queries of {cols} columns on limbs {queries.shape[1:]}"
+        )
+    np.bitwise_and(queries, stored.limbs, out=queries)
+    return [BitVector(cols, word) for word in limbs_to_words(np.bitwise_xor.reduce(queries, axis=1))]
 
 
 def decode_iteration(derived: SchemeDerived, iteration: int, response: BitVector) -> int:
@@ -729,25 +729,26 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     library over :data:`MAX_BATCH_BITS` raises :class:`TooLarge` before
     anything is drawn.
 
-    The S iterations are cut into runs of consecutive iterations, each as
-    long as :data:`MAX_BATCH_BITS` allows, and each run's queries are drawn
-    as :func:`gen_queries` draws them; the draws are the same one batch per
+    The stages run in order: :func:`encode_storage`, then, per run,
+    :func:`gen_queries` and :func:`respond_all`, then per iteration
+    :func:`decode_iteration`, and last :func:`reconstruct_file`.  The S
+    iterations are cut into runs of consecutive iterations, each as long as
+    :data:`MAX_BATCH_BITS` allows; the draws are the same one batch per
     iteration in order, however the runs fall.  A retrieval holds one run
     of queries at a time and keeps only the response vectors.  One
     :func:`~.gf2.take_bits` call first gathers the S*b planted bits, the
     demanded stripes' stored bits at every entry of ``coords``, in one
-    ``ravel`` of it.  Each run is answered in place: the drawn limbs are
-    ANDed with the stored limbs and XOR-folded over each query's rows, the
-    fold that :func:`respond_all` applies to one query, so no second
-    run-sized array is ever held.  Every iteration is then decoded by
-    :func:`decode_iteration` on its own, and checks, in this order, that
-    the response vector minus its planted bits lies in the product code and
-    that the decoded word equals them; the run's coordinate rows come out
-    in one ``tolist``, and one pass over each iteration's set planted bits
-    builds both the word they embed and the decoded word they should give.
-    A wrong decoded word names its iteration, its lowest wrong stripe and
-    that stripe's coordinate.  Last, the achieved rate is read off
-    what the retrieval produced: the rebuilt file's ``b*k_C`` bits over the
+    ``ravel`` of it.  Each run's queries go straight into
+    :func:`respond_all`, which folds them in place, so no second run-sized
+    array is ever held and the queries are freed once the fold returns.
+    Every iteration is then decoded on its own, and checks, in this order,
+    that the response vector minus its planted bits lies in the product
+    code and that the decoded word equals them; the run's coordinate rows
+    come out in one ``tolist``, and one pass over each iteration's set
+    planted bits builds both the word they embed and the decoded word they
+    should give.  A wrong decoded word names its iteration, its lowest wrong
+    stripe and that stripe's coordinate.  Last, the achieved rate is read
+    off what the retrieval produced: the rebuilt file's ``b*k_C`` bits over the
     summed lengths of the kept responses, the downloaded bits.  A failed
     check, or an achieved rate that strays from the derived one, raises
     :class:`ProtocolInvariantError`.
@@ -759,28 +760,25 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     rng = philox_generator(config.seed)
     b, k_c, n_s = derived.b, derived.k_c, derived.n_s
     library = BitMatrix.from_limbs(draw_bit_limbs(rng, config.files, b, k_c), k_c)
-    stored = encode_storage(derived, library).limbs
+    stored = encode_storage(derived, library)
 
     coords = derived.schedule.coords
     s_iterations = len(coords)
     first = derived.file_row(demand, 0)
-    planted = take_bits(stored, np.tile(np.arange(first, first + b), s_iterations), coords.ravel())
+    planted = take_bits(stored.limbs, np.tile(np.arange(first, first + b), s_iterations), coords.ravel())
     run = MAX_BATCH_BITS // _query_bits(derived, config.files)
     responses, recovered = [], []
     for start in range(0, s_iterations, run):
         iterations = range(start, min(start + run, s_iterations))
-        queries = _draw_run(derived, config.files, demand, iterations, rng)
-        folded = _answer_run(queries.reshape(len(iterations), *stored.shape), stored)
-        del queries  # hold one run of queries at a time
+        answers = respond_all(stored, gen_queries(derived, config.files, demand, iterations, rng), n_s)
         rows = coords[iterations.start : iterations.stop].tolist()
-        for it, response_word, row in zip(iterations, limbs_to_words(folded), rows):
-            response = BitVector(n_s, response_word)
+        for it, response, row in zip(iterations, answers, rows):
             word = decode_iteration(derived, it, response)
             embed_word = expected = 0
             for p in compress(range(b), planted[it * b : (it + 1) * b]):
                 embed_word |= 1 << row[p]
                 expected |= 1 << p
-            if not derived.product_code.contains(BitVector(n_s, response_word ^ embed_word)):
+            if not derived.product_code.contains(BitVector(n_s, response.word ^ embed_word)):
                 raise ProtocolInvariantError(f"iteration {it}: response residue left the product code")
             wrong = word ^ expected
             if wrong:

@@ -7,6 +7,7 @@ import importlib.util
 from pathlib import Path
 
 from bermanpir import checks, pir
+from bermanpir.berman import BermanParams
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -29,6 +30,24 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is original for owner, attr, original in patched)
+
+
+def test_a_traced_retrieval_records_every_protocol_stage():
+    # A retrieval runs each stage through its public function, so every
+    # stage's layer records a call and its self time is the stage's own.
+    bench_tracer = load("bench_tracer", "tracer.py")
+    layers = [f"pir.{stage}" for stage in
+              ("encode_storage", "gen_queries", "respond_all", "decode_iteration", "reconstruct_file")]
+    assert set(layers) <= set(bench_tracer.NAMES)
+    config = pir.SchemeConfig(BermanParams.parse("DBer(2,1,6)"), BermanParams.parse("DBer(2,2,6)"), files=2, seed=1)
+    tracer = bench_tracer.Tracer()
+    tracer.install()
+    try:
+        pir.run_retrieval(config, 1)
+    finally:
+        tracer.uninstall()
+    summary = bench_tracer.summarize(tracer.arrays())
+    assert {layer: summary[layer]["calls"] >= 1 for layer in layers} == dict.fromkeys(layers, True)
 
 
 def test_retrieve_worker_accepts_a_correct_run(monkeypatch):

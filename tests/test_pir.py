@@ -112,12 +112,25 @@ def sorted_plan(row):
     return [[row[p] for p in order], order]
 
 
+def query_matrix(d, files, demand, iterations, rng):
+    """The queries of one :func:`gen_queries` run, stacked in iteration
+    order as one matrix."""
+    limbs = gen_queries(d, files, demand, iterations, rng)
+    return BitMatrix.from_limbs(limbs.reshape(-1, limbs.shape[2]), d.n_s)
+
+
+def respond(stored, q):
+    """:func:`respond_all`'s answer to the one query matrix ``q``."""
+    (response,) = respond_all(stored, q.limbs[None].copy(), q.cols)
+    return response
+
+
 def regenerated_queries(d, files, seed, demand):
     """Every query of one retrieval, stacked as one run: the documented
     stream draws the M files first, then one batch per iteration."""
     rng = philox_generator(seed)
     draw_bit_limbs(rng, files, d.b, d.k_c)
-    return gen_queries(d, files, demand, range(d.s_iterations), rng)
+    return query_matrix(d, files, demand, range(d.s_iterations), rng)
 
 
 def check_schedule(schedule, g_c, h, b, k_c, d_perp, s_iterations):
@@ -609,14 +622,14 @@ class TestEncodeStorage:
 class TestQueries:
     def test_deterministic(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
-        q1 = gen_queries(d, 2, 1, range(0, 1), philox_generator(42))
-        q2 = gen_queries(d, 2, 1, range(0, 1), philox_generator(42))
+        q1 = query_matrix(d, 2, 1, range(0, 1), philox_generator(42))
+        q2 = query_matrix(d, 2, 1, range(0, 1), philox_generator(42))
         assert q1 == q2
 
     def test_embedding_structure(self):
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
         demand = 1
-        q = gen_queries(d, 2, demand, range(0, 1), philox_generator(7))
+        q = query_matrix(d, 2, demand, range(0, 1), philox_generator(7))
         from oracles import random_bits
 
         # The random part, redrawn from the same Philox seed.
@@ -636,7 +649,7 @@ class TestQueries:
 
     def test_random_rows_are_retrieval_codewords(self):
         d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)", files=2))
-        q = gen_queries(d, 2, 0, range(0, 1), philox_generator(13))
+        q = query_matrix(d, 2, 0, range(0, 1), philox_generator(13))
         planted = planted_words(d, 0, 2, 0)
         for word, embed in zip(q.row_words, planted):
             assert d.retrieval_code.contains(BitVector(q.cols, word ^ embed))
@@ -647,6 +660,22 @@ class TestQueries:
             with pytest.raises(ValueError):
                 gen_queries(d, 2, demand, range(0, 1), philox_generator(0))
 
+    def test_refuses_iterations_outside_the_schedule(self, monkeypatch):
+        # S = 7: a run past the end, one wholly beyond it, one before the
+        # start and one with a step are each refused before any draw.
+        d = derive_scheme(cfg("DBer(2,1,6)", "DBer(2,2,6)"))
+        assert d.s_iterations == 7
+        assert gen_queries(d, 1, 0, range(6, 7), philox_generator(0)).shape == (1, d.b, 1)
+        assert gen_queries(d, 1, 0, range(7, 7), philox_generator(0)).shape == (0, d.b, 1)
+
+        def no_draw(*args):
+            raise AssertionError("drew before the range check")
+
+        monkeypatch.setattr(pir, "draw_product", no_draw)
+        for iterations in (range(6, 10), range(7, 8), range(-2, 0), range(0, 4, 2)):
+            with pytest.raises(IndexError):
+                gen_queries(d, 1, 0, iterations, philox_generator(0))
+
     def test_one_run_equals_single_iterations(self):
         # 3 files of 22 stripes draw 363 32-bit words per iteration, so every
         # other iteration starts on a carried half of a Philox output.
@@ -654,10 +683,10 @@ class TestQueries:
         s = d.s_iterations
         assert s > 1
         rng = philox_generator(17)
-        run = gen_queries(d, 3, 2, range(0, s), rng)
+        run = query_matrix(d, 3, 2, range(0, s), rng)
         after_run = rng.integers(0, 1 << 32, dtype=np.uint32)
         rng = philox_generator(17)
-        single = [gen_queries(d, 3, 2, range(it, it + 1), rng) for it in range(s)]
+        single = [query_matrix(d, 3, 2, range(it, it + 1), rng) for it in range(s)]
         assert run.rows == 3 * d.b * s
         assert run.row_words == tuple(w for q in single for w in q.row_words)
         assert rng.integers(0, 1 << 32, dtype=np.uint32) == after_run
@@ -744,26 +773,28 @@ class TestLoopOracle:
 
 class TestRespond:
     @given(
+        st.integers(0, 3),
         st.integers(0, 20),
         st.integers(0, 70),
         st.integers(0, 2**32 - 1),
     )
-    def test_respond_all_matches_per_server_loop(self, rows, n_s, seed):
+    def test_respond_all_matches_per_server_loop(self, queries, rows, n_s, seed):
         from oracles import per_server_responses, random_bits
 
         rng = np.random.default_rng(seed)
         stored = BitMatrix(rows, n_s, random_bits(rng, rows, n_s))
-        q = BitMatrix(rows, n_s, random_bits(rng, rows, n_s))
-        assert respond_all(stored, q) == per_server_responses(stored, q)
+        run = [BitMatrix(rows, n_s, random_bits(rng, rows, n_s)) for _ in range(queries)]
+        limbs = np.array([q.limbs for q in run], dtype=np.uint64).reshape(queries, *stored.limbs.shape)
+        assert respond_all(stored, limbs, n_s) == [per_server_responses(stored, q) for q in run]
 
     def test_respond_all_shape_check(self):
         # Same number of entries, transposed shape: still rejected.
         with pytest.raises(LengthMismatch):
-            respond_all(zeros(3, 2), zeros(2, 3))
+            respond(zeros(3, 2), zeros(2, 3))
 
     def test_zero_query(self):
         stored = BitMatrix.from_rows([BitVector.from01("1011"), BitVector.from01("0110")], 4)
-        assert respond_all(stored, zeros(2, 4)) == BitVector(4)
+        assert respond(stored, zeros(2, 4)) == BitVector(4)
 
     def test_unit_query_reads_a_bit(self):
         stored = BitMatrix.from_rows([BitVector.from01("1011"), BitVector.from01("0110")], 4)
@@ -771,14 +802,14 @@ class TestRespond:
             for i in range(4):
                 q = BitMatrix(2, 4, tuple(1 << i if row == r else 0 for row in range(2)))
                 expected = BitVector(4, (stored.row_words[r] >> i & 1) << i)
-                assert respond_all(stored, q) == expected
+                assert respond(stored, q) == expected
 
     def test_length_check(self):
         q = zeros(2, 3)
         with pytest.raises(LengthMismatch):
-            respond_all(zeros(5, 3), q)  # rows differ
+            respond(zeros(5, 3), q)  # rows differ
         with pytest.raises(LengthMismatch):
-            respond_all(zeros(2, 4), q)  # columns differ
+            respond(zeros(2, 4), q)  # columns differ
 
 
 class TestDecode:
@@ -786,7 +817,7 @@ class TestDecode:
         d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)", files=2))
         stored = encode_storage(d, zeros(2 * d.b, d.k_c))
         q = gen_queries(d, 2, 0, range(0, 1), philox_generator(3))
-        r = respond_all(stored, q)
+        (r,) = respond_all(stored, q, d.n_s)
         assert decode_iteration(d, 0, r) == 0
 
     def test_recovers_ground_truth(self):
@@ -797,7 +828,7 @@ class TestDecode:
         encoded = library @ d.storage_code.generator
         demand = 1
         q = gen_queries(d, 2, demand, range(0, 1), rng)
-        r = respond_all(stored, q)
+        (r,) = respond_all(stored, q, d.n_s)
         word = decode_iteration(d, 0, r)
         assert word >> d.b == 0
         for stripe, coord in enumerate(d.schedule.coords[0]):
@@ -811,7 +842,7 @@ class TestDecode:
             got = []
             for it in range(d.s_iterations):
                 q = gen_queries(d, 2, 0, range(it, it + 1), philox_generator(seed + it))
-                got.append(decode_iteration(d, it, respond_all(stored, q)))
+                got.append(decode_iteration(d, it, respond_all(stored, q, d.n_s)[0]))
             recovered.append(got)
         assert recovered[0] == recovered[1]
 
@@ -1173,20 +1204,26 @@ class TestRunRetrieval:
         # and the transcript is byte-identical to the one-run retrieval.
         config = cfg("DBer(2,1,6)", "DBer(2,2,6)", files=5, seed=2**63 + 12345)
         d = derive_scheme(config)
-        runs = []
-        honest = pir._draw_run
+        runs, answered = [], []
+        honest_queries, honest_respond = pir.gen_queries, pir.respond_all
 
         def recording(derived, files, demand, iterations, rng):
             runs.append(len(iterations))
-            return honest(derived, files, demand, iterations, rng)
+            return honest_queries(derived, files, demand, iterations, rng)
 
-        monkeypatch.setattr(pir, "_draw_run", recording)
+        def answering(stored, queries, cols):
+            answered.append(len(queries))
+            return honest_respond(stored, queries, cols)
+
+        monkeypatch.setattr(pir, "gen_queries", recording)
+        monkeypatch.setattr(pir, "respond_all", answering)
         whole = run_retrieval(config, 3)
-        assert runs == [d.s_iterations] == [7]
+        assert runs == answered == [d.s_iterations] == [7]
         runs.clear()
+        answered.clear()
         monkeypatch.setattr(pir, "MAX_BATCH_BITS", 2 * pir._query_bits(d, 5))
         split = run_retrieval(config, 3)
-        assert runs == [2, 2, 2, 1]
+        assert runs == answered == [2, 2, 2, 1]
         assert split.to_json() == whole.to_json()
 
     def test_retrieval_holds_one_run_of_queries(self):
@@ -1331,15 +1368,13 @@ class TestRunRetrieval:
 
 def flip_first_response_bit(monkeypatch):
     """Make every server response vector arrive with coordinate 0 flipped:
-    the fold that answers each run, and so every query, flips it."""
-    honest = pir._answer_run
+    :func:`respond_all`, which answers each run, flips it in every response."""
+    honest = pir.respond_all
 
-    def flipped(queries, stored):
-        folded = honest(queries, stored)
-        folded[:, 0] ^= np.uint64(1)
-        return folded
+    def flipped(stored, queries, cols):
+        return [BitVector(r.length, r.word ^ 1) for r in honest(stored, queries, cols)]
 
-    monkeypatch.setattr(pir, "_answer_run", flipped)
+    monkeypatch.setattr(pir, "respond_all", flipped)
 
 
 FLIPPED_SIMULATE = """
