@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import log10
 
-from .codes import InvalidInput, LinearCode, ProtocolInvariantError, TooLarge
+from .codes import InvalidInput, LinearCode, ProtocolInvariantError, TooLarge, whole_number
 from .gf2 import BitMatrix, BitVector, LengthMismatch
 
 IndexTuple = tuple[int, ...]
@@ -51,7 +51,12 @@ _NAME_RE = re.compile(r"^(Ber|DBer)\(([0-9]+),([0-9]+),([0-9]+)\)$")
 
 @dataclass(frozen=True)
 class BermanParams:
-    """One family member: kind, alphabet size n >= 2, depth m >= 1, order r."""
+    """One family member: kind, alphabet size n >= 2, depth m >= 1, order r.
+
+    The fields are held normalised, so two members that compare equal name
+    the same code: ``kind`` as a :class:`CodeKind` (``"Ber"`` becomes
+    ``CodeKind.BERMAN``), and n, m and r as Python ints.  Any other kind, a
+    bool, or a number that is not an integer raises :class:`InvalidInput`."""
 
     kind: CodeKind
     n: int
@@ -59,6 +64,12 @@ class BermanParams:
     r: int
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "kind", CodeKind(self.kind))
+        except ValueError:
+            raise InvalidInput(f"kind must be Ber or DBer, got {self.kind!r}") from None
+        for name in ("n", "m", "r"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
         if self.n < 2:
             raise InvalidInput("n must be at least 2")
         if self.m < 1:
@@ -97,12 +108,11 @@ class BermanParams:
         m = _NAME_RE.match(text.strip())
         if m is None:
             raise InvalidInput(f"cannot parse code name {text!r}; expected Ber(n,r,m) or DBer(n,r,m)")
-        kind = CodeKind.BERMAN if m.group(1) == "Ber" else CodeKind.DUAL_BERMAN
         try:  # a number past the int-to-string digit limit
             n, r, depth = (int(m.group(i)) for i in (2, 3, 4))
         except ValueError as exc:
             raise InvalidInput(str(exc)) from exc
-        return cls(kind, n, depth, r)
+        return cls(CodeKind(m.group(1)), n, depth, r)
 
     def __str__(self) -> str:
         return self.name
@@ -252,27 +262,24 @@ def check_digits(params: BermanParams) -> None:
 
 
 @lru_cache(maxsize=None)
-def basis_span(params: BermanParams) -> LinearCode:
-    """The span of the family basis, canonicalized by elimination of its
-    words (:func:`basis`), tagged with ``params`` as its member, and not yet
-    checked: its dimension is the basis rank, which :func:`build` holds to
-    the closed form."""
+def build(params: BermanParams) -> LinearCode:
+    """The code spanned by the family basis (:func:`basis`), canonicalized by
+    one elimination of its words and tagged with ``params`` as its member
+    (:attr:`.codes.LinearCode.member`).  This is each member's one
+    constructor and one cache, and it holds only checked codes: a length
+    over :data:`MAX_LENGTH` is refused before the basis is formed
+    (:func:`check_length`), and a rank other than :func:`dimension_formula`
+    raises :class:`ProtocolInvariantError`, naming the member, the rank and
+    the formula.  The basis words are formed again on each miss, not kept:
+    one pass forms them cheaply, and at 4096 coordinates they take up to
+    2 MB."""
     check_length(params)
     words = basis(params)[1]
     code = LinearCode.from_generator(BitMatrix(len(words), params.length, words))
+    rank, formula = code.dimension, dimension_formula(params)
+    if rank != formula:
+        raise ProtocolInvariantError(f"{params.name}: basis rank {rank} disagrees with the closed form {formula}")
     return LinearCode(code.length, code.generator, params)
-
-
-@lru_cache(maxsize=None)
-def build(params: BermanParams) -> LinearCode:
-    """The code spanned by the family basis, canonicalized: :func:`basis_span`
-    once its dimension is checked against :func:`dimension_formula`.  The
-    basis words are formed again on each miss, not kept: one pass forms
-    them cheaply, and at 4096 coordinates they take up to 2 MB."""
-    code = basis_span(params)
-    if code.dimension != dimension_formula(params):
-        raise ProtocolInvariantError(f"{params.name}: basis rank disagrees with the closed form")
-    return code
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from typing import Callable, Iterator
 
 from . import berman, star
 from .berman import BermanParams, CodeKind
-from .codes import MAX_BRUTE_FORCE_DIM, InvalidInput, LinearCode, TooLarge
+from .codes import MAX_BRUTE_FORCE_DIM, InvalidInput, LinearCode, ProtocolInvariantError, TooLarge
 from .star import star_pairs, verify_star_case
 
 
@@ -34,9 +34,14 @@ MAX_SWEEP_LENGTH = 512
 
 
 def _dimension(p: BermanParams) -> VerifyCase:
-    got = berman.basis_span(p).dimension
-    want = berman.dimension_formula(p)
-    return VerifyCase(f"dimension {p.name}", got == want, f"rank {got}, formula {want}")
+    """:func:`.berman.build` checks the rank against the closed form, so its
+    refusal is the failed case, with the refusal's text as the detail."""
+    name = f"dimension {p.name}"
+    try:
+        got = berman.build(p).dimension
+    except ProtocolInvariantError as exc:
+        return VerifyCase(name, False, str(exc))
+    return VerifyCase(name, True, f"rank {got}, formula {berman.dimension_formula(p)}")
 
 
 def _distance(p: BermanParams) -> VerifyCase:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import index
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,6 +39,14 @@ class ZeroCode(ValueError):
 
 class InvalidInput(ValueError):
     """A code name, a parameter or an option value outside its documented range."""
+
+
+def whole_number(value: object, what: str) -> int:
+    """``value`` as a Python int, through :func:`operator.index`; a bool, or
+    anything that is not an integer, raises :class:`InvalidInput`."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidInput(f"{what} must be an integer, got {value!r}")
+    return index(value)
 
 
 class TooLarge(ValueError):

@@ -53,8 +53,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress, product
@@ -73,7 +73,7 @@ from .berman import (
     min_distance_formula,
     translate,
 )
-from .codes import MAX_BRUTE_FORCE_DIM, InvalidInput, LinearCode, ProtocolInvariantError, TooLarge
+from .codes import MAX_BRUTE_FORCE_DIM, InvalidInput, LinearCode, ProtocolInvariantError, TooLarge, whole_number
 from .gf2 import (
     BitMatrix,
     BitVector,
@@ -112,7 +112,9 @@ def philox_generator(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Storage/retrieval pair, library size, and the master RNG seed."""
+    """Storage/retrieval pair, library size, and the master RNG seed.  Files
+    and seed are held as Python ints; a bool or a number that is not an
+    integer raises :class:`InvalidInput`."""
 
     storage: BermanParams
     retrieval: BermanParams
@@ -120,6 +122,8 @@ class SchemeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("files", "seed"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
         if self.files < 1:
             raise InvalidInput("need at least one file")
         if not 0 <= self.seed < 2**64:
@@ -184,7 +188,7 @@ def closed_form_triple(storage: BermanParams, retrieval: BermanParams) -> tuple[
     return _rates(storage, retrieval, product)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Schedule:
     """The addition table of two weight sets of ``Z_n^m``: ``coords[i, p]``
     is the coordinate where iteration i meets stripe p, the tuple
@@ -198,33 +202,30 @@ class Schedule:
     stay information sets, and addition commutes, so both views cover the
     same coordinates.
 
-    ``coords`` is one read-only int32 array of S rows and b columns, so a
-    run of iterations is a slice of it and all its coordinates one
-    ``ravel``.  Two schedules are equal when their shifts and tables are;
-    the hash reads the shifts alone, which fix the table."""
+    ``coords`` is formed from the shifts when the schedule is made
+    (:func:`_sum_table`): one read-only int32 array of S rows and b columns,
+    so a run of iterations is a slice of it and all its coordinates one
+    ``ravel``.  It is not a field, so equality and hashing read the shifts
+    alone, which fix it, and no schedule holds a table its shifts
+    contradict."""
 
     n: int
     iteration_shifts: tuple[tuple[int, ...], ...]
     stripe_shifts: tuple[tuple[int, ...], ...]
-    coords: np.ndarray
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.iteration_shifts == other.iteration_shifts
-            and self.stripe_shifts == other.stripe_shifts
-            and np.array_equal(self.coords, other.coords)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.iteration_shifts, self.stripe_shifts))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coords", _sum_table(self.n, self.iteration_shifts, self.stripe_shifts))
 
 
 @dataclass(frozen=True)
 class SchemeDerived:
-    """Everything the storage/retrieval pair fixes; files and seed play no part."""
+    """Everything the storage/retrieval pair fixes; files and seed play no part.
+
+    ``readout[p, r]`` is the coordinate of stripe p's translated codeword
+    that holds bit r of its file row (:func:`reconstruct_file`): C's RREF
+    pivots minus stripe p's shift, a read-only int32 :func:`_sum_table`.  It
+    is formed from the schedule and C when the derivation is made, and is
+    not a field, so equality and hashing read only what fixes it."""
 
     n_s: int
     storage_code: LinearCode
@@ -238,11 +239,11 @@ class SchemeDerived:
     r_st: Fraction
     r_pir: Fraction
     schedule: Schedule
-    #: ``readout[p, r]``: the coordinate of stripe p's translated codeword
-    #: that holds bit r of its file row (:func:`reconstruct_file`).  A
-    #: read-only int32 array that the schedule and C fix, so it plays no
-    #: part in equality.
-    readout: np.ndarray = field(compare=False)
+
+    def __post_init__(self) -> None:
+        n, offsets = self.schedule.n, self.schedule.stripe_shifts
+        pivots = _digits(n, len(offsets[0]), self.storage_code.information_set())
+        object.__setattr__(self, "readout", _sum_table(n, -np.array(offsets, dtype=np.int32) % n, pivots))
 
     @property
     def b(self) -> int:
@@ -283,7 +284,8 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     ``M_C @ M_C = I``.  Each raises :class:`ProtocolInvariantError`, even
     under ``python -O``.  The schedule is the addition table of ``I_0`` and
     ``J_0``, so ``S = k_C`` and ``b = d_perp``; the stripe readout is the
-    table of C's RREF pivots minus ``J_0`` (both by :func:`_sum_table`).
+    table of C's RREF pivots minus ``J_0``.  Each is formed from those
+    shifts when the schedule and the derivation are made (:func:`_sum_table`).
     """
     product = _product(storage, retrieval)
     check_length(storage)
@@ -300,7 +302,6 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
         raise ProtocolInvariantError("the syndrome map does not annihilate the product code")
     iteration_set, systematic = _self_inverse_product(storage, "storage")
     n, m = storage.n, storage.m
-    shifts, offsets = _digits(n, m, iteration_set), _digits(n, m, stripe_set)
     return SchemeDerived(
         n_s=n_s,
         storage_code=c,
@@ -313,13 +314,7 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
         t=t,
         r_st=r_st,
         r_pir=r_pir,
-        schedule=Schedule(
-            n=n,
-            iteration_shifts=tuple(map(tuple, shifts.tolist())),
-            stripe_shifts=tuple(map(tuple, offsets.tolist())),
-            coords=_sum_table(n, shifts, offsets),
-        ),
-        readout=_sum_table(n, -offsets % n, _digits(n, m, c.information_set())),
+        schedule=Schedule(n, _digits(n, m, iteration_set), _digits(n, m, stripe_set)),
     )
 
 
@@ -336,21 +331,23 @@ def _self_inverse_product(params: BermanParams, name: str) -> tuple[tuple[int, .
     return coords, product
 
 
-def _digits(n: int, m: int, coords: tuple[int, ...]) -> np.ndarray:
-    """The coordinates' tuples of ``Z_n^m``, one int32 row of m digits each,
-    most significant first."""
+def _digits(n: int, m: int, coords: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The coordinates' tuples of ``Z_n^m``, m digits each, most significant
+    first."""
     place = n ** np.arange(m - 1, -1, -1)
-    return (np.asarray(coords, dtype=np.int64)[:, None] // place % n).astype(np.int32)
+    return tuple(map(tuple, (np.asarray(coords, dtype=np.int64)[:, None] // place % n).tolist()))
 
 
-def _sum_table(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _sum_table(n: int, rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> np.ndarray:
     """The read-only int32 table whose entry ``[i, j]`` is the coordinate of
-    the digit tuples ``rows[i] + cols[j]``, added componentwise mod n.
+    the digit tuples ``rows[i] + cols[j]``, added componentwise mod n; each
+    side is a sequence of tuples or an int array of them.
 
     The table is built one component at a time, most significant first:
     each step multiplies it by n and adds one digit sum, so nothing beside
     it is larger than one table of int32 digits.  (All components at once
     would form a table of m-digit tuples, and a copy of it, in int64.)"""
+    rows, cols = np.asarray(rows, dtype=np.int32), np.asarray(cols, dtype=np.int32)
     table = np.zeros((len(rows), len(cols)), dtype=np.int32)
     for component in range(rows.shape[1]):
         digit = np.add.outer(rows[:, component], cols[:, component])
@@ -422,16 +419,17 @@ def gen_queries(
     file's stripe-p row of that iteration's query is flipped, all of the
     run's bits by one fancy-index XOR over the run's slice of ``coords``:
     each row holds one of them, so no two share a limb.  Before anything
-    is drawn, a demand outside ``0..M-1`` raises :class:`InvalidInput`, a
-    range that is not a step-1 range within ``0..S`` raises
-    :class:`IndexError`, and a run over :data:`MAX_BATCH_BITS` raises
-    :class:`TooLarge`.
+    is drawn, a demand that is not an integer in ``0..M-1`` raises
+    :class:`InvalidInput`, a range that is not a step-1 range within
+    ``0..S`` raises :class:`IndexError`, and a run over
+    :data:`MAX_BATCH_BITS` raises :class:`TooLarge`.
 
     :func:`respond_all` overwrites the array it is given, so a
     :class:`~.gf2.BitMatrix` built on any part of it must not outlive that
     call: :meth:`~.gf2.BitMatrix.from_limbs` makes only its own view
     read-only, not the array behind it.
     """
+    demand = whole_number(demand, "demand")
     if not 0 <= demand < files:
         raise InvalidInput("demand index out of range")
     if iterations.step != 1 or not 0 <= iterations.start <= iterations.stop <= derived.s_iterations:
@@ -683,9 +681,18 @@ class Transcript:
         return "".join(self.iter_json())
 
     def iter_json(self) -> Iterator[str]:
-        """:meth:`to_json` in pieces, so a writer need not hold the whole text.
-        Each iteration lists its coordinates ascending, ``"J"``, and in that
-        order each with its stripe, ``"assignments"``."""
+        """:meth:`to_json` in pieces, so a writer need not hold the whole text,
+        nor any iteration's lists but the one it writes.  Each iteration lists
+        its coordinates ascending, ``"J"``, and in that order each with its
+        stripe, ``"assignments"``.
+
+        The payload is encoded first with no iterations.  The only text
+        before its ``"iterations": []`` is the two member names, which cannot
+        hold it, so its first match is that key.  The ``[]`` is then filled
+        an iteration at a time, each encoded on its own by the same encoder
+        and indented four more spaces, as the list's items at depth 2, so the
+        text is the one the whole payload encodes to."""
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
         payload = {
             "config": {
                 "storage": self.config.storage.name,
@@ -701,19 +708,20 @@ class Transcript:
                 "b": self.b,
                 "S": self.s_iterations,
             },
-            "iterations": [
-                {
-                    "J": sorted(row),
-                    "assignments": sorted(([p, coord] for p, coord in enumerate(row)), key=lambda pair: pair[1]),
-                    "responses_hex": response.to_hex(),
-                }
-                for row, response in zip(map(np.ndarray.tolist, self.schedule.coords), self.responses)
-            ],
+            "iterations": [],
             "reconstructed_ok": self.reconstructed_ok,
             "achieved_rate": float(self.achieved_rate),
         }
-        yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-        yield "\n"
+        head, tail = encoder.encode(payload).split('"iterations": []', 1)
+        yield head + '"iterations": ['
+        for i, (row, response) in enumerate(zip(map(np.ndarray.tolist, self.schedule.coords), self.responses)):
+            iteration = {
+                "J": sorted(row),
+                "assignments": sorted(([p, coord] for p, coord in enumerate(row)), key=lambda pair: pair[1]),
+                "responses_hex": response.to_hex(),
+            }
+            yield ("," if i else "") + "\n    " + encoder.encode(iteration).replace("\n", "\n    ")
+        yield ("\n  ]" if self.responses else "]") + tail + "\n"
 
 
 def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
@@ -753,6 +761,7 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     check, or an achieved rate that strays from the derived one, raises
     :class:`ProtocolInvariantError`.
     """
+    demand = whole_number(demand, "demand")
     if not 0 <= demand < config.files:
         raise InvalidInput("demand index out of range")
     derived = derive_scheme(config)

@@ -43,12 +43,18 @@ tests that compare against them: the rank of a matrix, the coordinate index
 of a tuple, the tuples in coordinate order, a tuple's weight and the partial
 order on tuples, a code's projection and text form, and the paper's two
 constructive star-product identities.
+
+The child environment is the one every test that starts a fresh interpreter
+gives it: this checkout's ``src`` importable, and every warning an error, as
+``-W error`` makes it in the test process itself.
 """
 
+import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, inf
+from pathlib import Path
 
 import numpy as np
 
@@ -59,6 +65,15 @@ from bermanpir.codes import LinearCode, ProtocolInvariantError
 from bermanpir.gf2 import BitMatrix, LengthMismatch, row_reduce
 from bermanpir.pir import ZeroRate, derive_scheme, scheme_row
 from bermanpir.star import star_vectors, verify_star_case
+
+
+def child_env(*paths):
+    """The environment of a fresh interpreter that imports ``paths``, then
+    this checkout's ``src``, then the parent's ``PYTHONPATH``, and turns
+    every warning into an error (``PYTHONWARNINGS=error``)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [*map(str, paths), str(src), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p), PYTHONWARNINGS="error")
 
 
 class OverlappingSupport(ValueError):

@@ -6,17 +6,17 @@ import math
 import pickle
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bermanpir import berman
+from bermanpir import berman, checks
 from bermanpir.berman import (
     MAX_LENGTH,
     BermanParams,
     CodeKind,
     basis,
-    basis_span,
     build,
     c_vector,
     check_digits,
@@ -31,7 +31,7 @@ from bermanpir.berman import (
     transitivity_witness,
     translate,
 )
-from bermanpir.codes import LinearCode, ProtocolInvariantError, TooLarge
+from bermanpir.codes import InvalidInput, LinearCode, ProtocolInvariantError, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch
 from bermanpir.pir import philox_generator
 from oracles import (
@@ -81,6 +81,30 @@ class TestParams:
         for text in ("Ber(3,0)", "Foo(2,1,1)", "Ber(1,0,1)", "DBer(2,3,2)", "ber(2,1,2)"):
             with pytest.raises(ValueError):
                 BermanParams.parse(text)
+
+    def test_fields_are_normalised(self):
+        # A kind given as its text, and integers of other types, are held as
+        # CodeKind and int, so equal members are the same member.
+        p = BermanParams("Ber", np.int64(2), 3, np.int32(2))
+        assert p.kind is CodeKind.BERMAN and p.name == "Ber(2,2,3)"
+        assert [type(v) for v in (p.n, p.m, p.r)] == [int, int, int]
+        assert p == BermanParams.parse("Ber(2,2,3)") and repr(p) == repr(BermanParams.parse("Ber(2,2,3)"))
+
+    @pytest.mark.parametrize(
+        "fields", (("Foo", 2, 3, 2), (None, 2, 3, 2), ("Ber", 2.0, 3, 2), ("Ber", 2, 3, True), ("Ber", 2, "3", 2))
+    )
+    def test_refuses_other_kinds_and_non_integers(self, fields):
+        with pytest.raises(InvalidInput):
+            BermanParams(*fields)
+
+    def test_a_kind_given_as_text_builds_its_own_member(self):
+        # Equal members share build's cache entry, so the one built first
+        # must be the same code: a text kind once built the dual family's
+        # 7-dimensional code into the entry of Ber(2,2,3), whose dimension is 1.
+        build.cache_clear()
+        text_kind = build(BermanParams("Ber", 2, 3, 2))
+        assert build(BermanParams.parse("Ber(2,2,3)")) is text_kind
+        assert text_kind.dimension == 1 == dimension_formula(BermanParams.parse("Ber(2,2,3)"))
 
     def test_extreme_members(self):
         assert BermanParams.parse("Ber(3,2,2)").is_zero_code
@@ -222,12 +246,17 @@ class TestBuild:
                     got = rank(BitMatrix(len(words), params.length, words)) if words else 0
                     assert got == dimension_formula(params) == len(words)
 
-    def test_build_is_the_checked_basis_span(self, monkeypatch):
+    def test_build_refuses_a_rank_off_the_formula(self, monkeypatch):
+        # A member whose basis rank is not the closed form is never built,
+        # and the verify dimension case reports the refusal as its detail.
         params = BermanParams.parse("DBer(3,1,2)")
-        assert build(params) is basis_span(params)
         monkeypatch.setattr(berman, "dimension_formula", lambda p: 0)
-        with pytest.raises(ProtocolInvariantError, match="basis rank disagrees"):
+        message = "DBer(3,1,2): basis rank 5 disagrees with the closed form 0"
+        with pytest.raises(ProtocolInvariantError) as refused:
             build.__wrapped__(params)
+        assert str(refused.value) == message
+        monkeypatch.setattr(berman, "build", build.__wrapped__)
+        assert checks._dimension(params) == checks.VerifyCase("dimension DBer(3,1,2)", False, message)
 
     def test_build_records_its_member(self):
         # The member is kept beside the span, not as part of it.

@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from oracles import child_env
 
 from bermanpir import berman, checks, cli, gf2, pir
 from bermanpir.berman import BermanParams
@@ -593,12 +594,9 @@ class TestClosedStdout:
 
     @staticmethod
     def run_cli(argv, **popen):
-        root = Path(__file__).resolve().parent.parent
-        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
         return subprocess.run(
             [sys.executable, "-c", "from bermanpir.cli import main; raise SystemExit(main())", *argv],
-            stderr=subprocess.PIPE, text=True, env=env, timeout=120, **popen,
+            stderr=subprocess.PIPE, text=True, env=child_env(), timeout=120, **popen,
         )
 
     @staticmethod

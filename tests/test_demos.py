@@ -1,12 +1,12 @@
 """The demos' stdout, pinned byte for byte by SHA-256."""
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from oracles import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,11 +20,9 @@ ROOT = Path(__file__).resolve().parent.parent
     ),
 )
 def test_demo_stdout_digest(demo, digest):
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
-        capture_output=True, env=env, cwd=ROOT, timeout=300,
+        capture_output=True, env=child_env(), cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == digest

@@ -6,12 +6,12 @@ their home modules define."""
 
 import ast
 import importlib
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from oracles import child_env
 
 import bermanpir
 
@@ -113,12 +113,10 @@ def test_no_import_through_the_package_root(module):
 
 def modules_after(code):
     """The modules loaded once ``code`` has run in a fresh interpreter."""
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     script = f"{code}\nimport sys\nsys.stderr.write('\\n'.join(sys.modules))\n"
     proc = subprocess.run(
         [sys.executable, "-c", script], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True, env=env, timeout=120, check=True,
+        text=True, env=child_env(), timeout=120, check=True,
     )
     return set(proc.stderr.splitlines())
 

@@ -2,10 +2,10 @@
 responses, decoding, reconstruction, privacy checks, end-to-end runs."""
 
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 import time
@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import child_env
 
 from bermanpir import berman, cli, codes, gf2, pir
 from bermanpir.berman import BermanParams, CodeKind, build
-from bermanpir.codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge
+from bermanpir.codes import MAX_BRUTE_FORCE_DIM, InvalidInput, LinearCode, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, draw_bit_limbs
 from bermanpir.pir import (
     ProtocolInvariantError,
@@ -156,13 +157,6 @@ def duplicate_column(code):
     return LinearCode.from_generator(BitMatrix(code.dimension, code.length, words))
 
 
-def child_env():
-    """The environment of a fresh interpreter that imports this checkout's ``src``."""
-    root = Path(__file__).resolve().parent.parent
-    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-
-
 def simulate_with_peak(*args, address_space=None):
     """``bermanpir simulate`` with ``args`` in a fresh interpreter: the
     finished process and the child's own peak RSS in KiB.  With
@@ -177,6 +171,10 @@ def simulate_with_peak(*args, address_space=None):
     )
     return proc, int(proc.stderr.splitlines()[-1])
 
+
+#: SHA-256 of the JSON transcript of ``simulate DBer(2,5,12)×DBer(2,0,12)``
+#: at seed 0, demand 0.
+LARGEST_TRANSCRIPT_SHA256 = "499c40c1ed9e3526c603cf4251bb712ea952e2006a3a5d94b635f8e6a311394c"
 
 #: Warm retrievals of ``retrieve_wide``'s pair in one process; prints the
 #: minor page faults of the last 200.
@@ -397,12 +395,27 @@ class TestTables:
     def test_equal_schedules_compare_and_hash_equal(self):
         schedule = derive_scheme(cfg("DBer(2,1,6)", "DBer(2,2,6)")).schedule
         assert schedule.coords.dtype == np.int32
-        twin = pir.Schedule(schedule.n, schedule.iteration_shifts, schedule.stripe_shifts, schedule.coords.copy())
+        twin = pir.Schedule(schedule.n, schedule.iteration_shifts, schedule.stripe_shifts)
         assert twin == schedule and hash(twin) == hash(schedule)
-        coords = schedule.coords.copy()
-        coords[3, 5] ^= 1
-        other = pir.Schedule(schedule.n, schedule.iteration_shifts, schedule.stripe_shifts, coords)
-        assert other != schedule
+        assert np.array_equal(twin.coords, schedule.coords)
+
+    @pytest.mark.parametrize("pair", (("DBer(2,1,6)", "DBer(2,2,6)"), ("Ber(3,1,3)", "DBer(3,0,3)")))
+    def test_tables_are_formed_from_the_shifts(self, pair):
+        # Neither table is a field: each is the sum table of the shifts that
+        # fix it, read-only, and formed again for a schedule made anew.
+        d = derive_scheme(cfg(*pair))
+        schedule, n = d.schedule, d.schedule.n
+        assert [f.name for f in dataclasses.fields(schedule)] == ["n", "iteration_shifts", "stripe_shifts"]
+        assert "readout" not in {f.name for f in dataclasses.fields(d)}
+        coords = pir._sum_table(n, schedule.iteration_shifts, schedule.stripe_shifts)
+        pivots = [[c // n**l % n for l in reversed(range(len(schedule.stripe_shifts[0])))]
+                  for c in d.storage_code.information_set()]
+        negated = [[-x % n for x in shift] for shift in schedule.stripe_shifts]
+        for table, want in ((schedule.coords, coords), (d.readout, pir._sum_table(n, negated, pivots))):
+            assert table.dtype == np.int32 and np.array_equal(table, want) and not table.flags.writeable
+        remade = dataclasses.replace(d, schedule=pir.Schedule(n, schedule.iteration_shifts, schedule.stripe_shifts))
+        assert remade == d and remade.schedule.coords is not schedule.coords
+        assert np.array_equal(remade.readout, d.readout) and not remade.readout.flags.writeable
 
     def test_tables_are_read_only(self):
         d = derive_scheme(cfg("DBer(2,1,6)", "DBer(2,2,6)"))
@@ -419,6 +432,32 @@ class TestTables:
         assert second is not first
         assert second == first and hash(second) == hash(first)
         assert np.array_equal(second.readout, first.readout)
+
+
+class TestSchemeConfig:
+    """Files, seed and demand are integers: a float seed was keyed by Philox
+    as its integer part while the transcript recorded the float."""
+
+    @pytest.mark.parametrize(
+        "field, value", (("files", 2.5), ("files", True), ("seed", 1.5), ("seed", True), ("seed", "1"))
+    )
+    def test_refuses_files_and_seed_that_are_not_integers(self, field, value):
+        with pytest.raises(InvalidInput, match=f"^{field} must be an integer"):
+            cfg("DBer(2,1,3)", "DBer(2,1,3)", **{field: value})
+
+    def test_holds_files_and_seed_as_int(self):
+        config = cfg("DBer(2,1,3)", "DBer(2,1,3)", files=np.int64(2), seed=np.uint64(2**63))
+        assert (type(config.files), type(config.seed), config.seed) == (int, int, 2**63)
+        assert json.loads(run_retrieval(config, 1).to_json())["config"]["seed"] == 2**63
+
+    @pytest.mark.parametrize("demand", (True, 1.0, 0.5, "0"))
+    def test_refuses_a_demand_that_is_not_an_integer(self, demand):
+        config = cfg("DBer(2,1,3)", "DBer(2,1,3)", files=2)
+        d = derive_scheme(config)
+        with pytest.raises(InvalidInput, match="^demand must be an integer"):
+            run_retrieval(config, demand)
+        with pytest.raises(InvalidInput, match="^demand must be an integer"):
+            gen_queries(d, 2, demand, range(0, 1), philox_generator(0))
 
 
 class TestScheduleRegression:
@@ -547,9 +586,6 @@ class TestScheduleRegression:
     def test_widest_pair_reconstructs_within_a_memory_limit(self, tmp_path):
         # 4096 servers: 3969 stripes over 127 iterations, in a fresh
         # interpreter with 3 GB of address space and two minutes.
-        root = Path(__file__).resolve().parent.parent
-        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
         script = (
             "import resource; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
             "from bermanpir.cli import main; raise SystemExit(main())"
@@ -558,7 +594,7 @@ class TestScheduleRegression:
         proc = subprocess.run(
             [sys.executable, "-c", script, "simulate", "--storage", "DBer(64,1,2)", "--retrieval", "DBer(64,0,2)",
              "--format", "json", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=child_env(), timeout=120,
         )
         assert proc.returncode == cli.EXIT_OK, proc.stderr
         summary = json.loads(proc.stdout)
@@ -1176,6 +1212,30 @@ class TestRunRetrieval:
         b = run_retrieval(cfg("DBer(2,1,3)", "DBer(2,1,3)", files=2, seed=9), 1)
         assert a.to_json() == b.to_json()
 
+    def test_iter_json_encodes_one_iteration_at_a_time(self):
+        # The head comes out before any response is encoded, and each later
+        # piece encodes one more; the pieces join to the one-shot encoding.
+        transcript = run_retrieval(cfg("DBer(2,1,3)", "DBer(2,1,3)", files=2, seed=9), 1)
+        encoded = []
+
+        class Spy:
+            def __init__(self, response):
+                self.response = response
+
+            def to_hex(self):
+                encoded.append(self.response)
+                return self.response.to_hex()
+
+        spied = dataclasses.replace(transcript, responses=tuple(map(Spy, transcript.responses)))
+        pieces, seen = [], []
+        for piece in spied.iter_json():
+            pieces.append(piece)
+            seen.append(len(encoded))
+        s = transcript.s_iterations
+        assert seen == [*range(s + 1), s]
+        whole = json.JSONEncoder(indent=2, sort_keys=True).encode(json.loads(transcript.to_json())) + "\n"
+        assert "".join(pieces) == transcript.to_json() == whole
+
     def test_response_residue_checked(self):
         # Every run exercises the in-simulator response-algebra check.
         run_retrieval(cfg("DBer(3,0,3)", "Ber(3,1,3)", files=2, seed=11), 1)
@@ -1255,6 +1315,24 @@ class TestRunRetrieval:
             '"DBer(2,5,12)","DBer(2,0,12)",1,0,0,4096,1,2510,1586,True,0.613,0.613,True\n'
         )
         assert peak_kb < 350 << 10
+
+    @pytest.mark.slow
+    def test_largest_json_transcript_streams_within_a_memory_bound(self, tmp_path):
+        # The 261 MB JSON transcript of the largest schedule is written an
+        # iteration at a time.  Building every iteration's lists before the
+        # first byte peaked at 673 MB.
+        out = tmp_path / "transcript.json"
+        proc, peak_kb = simulate_with_peak(
+            "--storage", "DBer(2,5,12)", "--retrieval", "DBer(2,0,12)", "--format", "json", "--out", str(out)
+        )
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["reconstructed_ok"] is True
+        digest = hashlib.sha256()
+        with out.open("rb") as handle:
+            for block in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(block)
+        assert (out.stat().st_size, digest.hexdigest()) == (260_883_049, LARGEST_TRANSCRIPT_SHA256)
+        assert peak_kb < 400 << 10
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor page faults")
     def test_warm_retrievals_take_no_page_faults(self):
@@ -1444,13 +1522,12 @@ class TestProtocolInvariants:
 
     @staticmethod
     def run_optimized(script, *args):
-        """``script`` in a fresh ``python -O`` with the repo and ``src`` importable."""
+        """``script`` in a fresh ``python -O`` with the repo, its tests and
+        ``src`` importable."""
         root = Path(__file__).resolve().parent.parent
-        path = [str(root), str(root / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
         return subprocess.run(
             [sys.executable, "-O", "-c", script, *args],
-            capture_output=True, text=True, env=env, cwd=root, timeout=300,
+            capture_output=True, text=True, env=child_env(root, root / "tests"), cwd=root, timeout=300,
         )
 
     def test_checks_survive_python_O(self):
