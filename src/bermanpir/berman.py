@@ -16,6 +16,10 @@ suite cross-checks them against each other:
   once by shifted copies, rather than a tuple or a coordinate at a time,
 * a recursive membership test that splits a vector into its n blocks,
 * closed-form dimension and minimum-distance formulas.
+
+Members are interned (:class:`BermanParams`): each is one object for the
+life of the process, so every cache keyed by members, here and in
+:mod:`.star`, :mod:`.checks` and :mod:`.pir`, looks it up by identity.
 """
 
 from __future__ import annotations
@@ -49,33 +53,58 @@ class CodeKind(str, Enum):
 _NAME_RE = re.compile(r"^(Ber|DBer)\(([0-9]+),([0-9]+),([0-9]+)\)$")
 
 
-@dataclass(frozen=True)
+#: Every member made in this process, keyed by its normalised fields.  A
+#: plain dict, whose lookup runs in C, and it is never emptied: members are
+#: four small fields, and :func:`dimension_formula`'s cache keeps every member
+#: it sees alive as well.
+_MEMBERS: dict[tuple[CodeKind, int, int, int], BermanParams] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class BermanParams:
     """One family member: kind, alphabet size n >= 2, depth m >= 1, order r.
 
-    The fields are held normalised, so two members that compare equal name
-    the same code: ``kind`` as a :class:`CodeKind` (``"Ber"`` becomes
-    ``CodeKind.BERMAN``), and n, m and r as Python ints.  Any other kind, a
-    bool, or a number that is not an integer raises :class:`InvalidInput`."""
+    The fields are held normalised: ``kind`` as a :class:`CodeKind` (``"Ber"``
+    becomes ``CodeKind.BERMAN``), and n, m and r as Python ints.  Any other
+    kind, a bool, or a number that is not an integer raises
+    :class:`InvalidInput`.
+
+    Members are interned: ``BermanParams(...)`` returns the one instance made
+    in this process for its normalised fields, however they were given, so
+    two members name the same code iff they are the same object, and
+    equality and hashing are by identity.  Pickling, :mod:`copy` and
+    :func:`dataclasses.replace` return that instance too.  The table keeps
+    every member made for the life of the process."""
 
     kind: CodeKind
     n: int
     m: int
     r: int
 
-    def __post_init__(self) -> None:
+    def __new__(cls, kind: CodeKind | str, n: int, m: int, r: int) -> BermanParams:
+        # Exact types only: True == 1 and 2.0 == 2 would find an int's member.
+        if kind.__class__ is CodeKind and n.__class__ is int and m.__class__ is int and r.__class__ is int:
+            member = _MEMBERS.get((kind, n, m, r))
+            if member is not None:
+                return member
         try:
-            object.__setattr__(self, "kind", CodeKind(self.kind))
+            kind = CodeKind(kind)
         except ValueError:
-            raise InvalidInput(f"kind must be Ber or DBer, got {self.kind!r}") from None
-        for name in ("n", "m", "r"):
-            object.__setattr__(self, name, whole_number(getattr(self, name), name))
-        if self.n < 2:
+            raise InvalidInput(f"kind must be Ber or DBer, got {kind!r}") from None
+        n, m, r = whole_number(n, "n"), whole_number(m, "m"), whole_number(r, "r")
+        if n < 2:
             raise InvalidInput("n must be at least 2")
-        if self.m < 1:
+        if m < 1:
             raise InvalidInput("m must be at least 1")
-        if not 0 <= self.r <= self.m:
+        if not 0 <= r <= m:
             raise InvalidInput("r must satisfy 0 <= r <= m")
+        member = object.__new__(cls)
+        for name, value in (("kind", kind), ("n", n), ("m", m), ("r", r)):
+            object.__setattr__(member, name, value)
+        return _MEMBERS.setdefault((kind, n, m, r), member)
+
+    def __reduce__(self) -> tuple[type[BermanParams], tuple[CodeKind, int, int, int]]:
+        return BermanParams, (self.kind, self.n, self.m, self.r)
 
     @property
     def length(self) -> int:
@@ -89,19 +118,18 @@ class BermanParams:
     def is_full_space(self) -> bool:
         return self.kind is CodeKind.DUAL_BERMAN and self.r == self.m
 
-    @property
+    @cached_property
     def dual(self) -> BermanParams:
+        """The member of the other kind at the same n, m and r, kept after its
+        first use."""
         other = CodeKind.DUAL_BERMAN if self.kind is CodeKind.BERMAN else CodeKind.BERMAN
         return BermanParams(other, self.n, self.m, self.r)
 
     @cached_property
     def name(self) -> str:
         """``Kind(n,r,m)``, formed on first use and kept outside the fields,
-        so equality, hashing, ``repr`` and pickles see only the fields."""
+        so ``repr`` and pickles see only the fields."""
         return f"{self.kind.value}({self.n},{self.r},{self.m})"
-
-    def __getstate__(self) -> dict[str, object]:
-        return {"kind": self.kind, "n": self.n, "m": self.m, "r": self.r}
 
     @classmethod
     def parse(cls, text: str) -> BermanParams:

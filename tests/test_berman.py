@@ -1,6 +1,7 @@
 """Family constructions: index conventions, basis vectors, the recursion,
 the closed forms, and the structural properties they must satisfy."""
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -34,6 +35,7 @@ from bermanpir.berman import (
 from bermanpir.codes import InvalidInput, LinearCode, ProtocolInvariantError, TooLarge
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch
 from bermanpir.pir import philox_generator
+from bermanpir.star import predict_star, star_pairs
 from oracles import (
     all_tuples,
     dimension_by_binomials,
@@ -68,8 +70,8 @@ class TestParams:
             assert BermanParams.parse(text).name == text
 
     def test_name_is_kept_outside_the_fields(self):
-        # The name is formed once, and equality, hashing, repr and pickles
-        # still see only the four fields.
+        # The name is formed once, and repr and pickles still see only the
+        # four fields.
         p, fresh = BermanParams.parse("DBer(5,2,3)"), BermanParams(CodeKind.DUAL_BERMAN, 5, 3, 2)
         before = (hash(p), repr(p), pickle.dumps(p))
         assert p.name == "DBer(5,2,3)" and p.name is p.name
@@ -91,9 +93,22 @@ class TestParams:
         assert p == BermanParams.parse("Ber(2,2,3)") and repr(p) == repr(BermanParams.parse("Ber(2,2,3)"))
 
     @pytest.mark.parametrize(
-        "fields", (("Foo", 2, 3, 2), (None, 2, 3, 2), ("Ber", 2.0, 3, 2), ("Ber", 2, 3, True), ("Ber", 2, "3", 2))
+        "fields",
+        (
+            ("Foo", 2, 3, 2),
+            (None, 2, 3, 2),
+            ("Ber", 2.0, 3, 2),
+            ("Ber", 2, 3, True),
+            ("Ber", 2, "3", 2),
+            ("Ber", 2, 3, 1.0),
+            ("Ber", np.float64(2), 3, 2),
+        ),
     )
     def test_refuses_other_kinds_and_non_integers(self, fields):
+        # The members these fields equal (True == 1, 2.0 == 2) are interned
+        # first, so the refusal cannot rest on the order the tests run in.
+        for text in ("Ber(2,2,3)", "Ber(2,1,3)"):
+            BermanParams.parse(text)
         with pytest.raises(InvalidInput):
             BermanParams(*fields)
 
@@ -105,6 +120,30 @@ class TestParams:
         text_kind = build(BermanParams("Ber", 2, 3, 2))
         assert build(BermanParams.parse("Ber(2,2,3)")) is text_kind
         assert text_kind.dimension == 1 == dimension_formula(BermanParams.parse("Ber(2,2,3)"))
+
+    def test_equal_members_are_one_object(self):
+        p = BermanParams.parse("Ber(2,2,3)")
+        assert p is BermanParams("Ber", 2, 3, 2) is BermanParams(CodeKind.BERMAN, 2, 3, 2)
+        assert p is BermanParams(r=2, m=3, n=2, kind="Ber")
+        assert p is BermanParams("Ber", np.int64(2), np.uint8(3), np.int32(2))
+        assert p.dual.dual is p and p.dual is p.dual is BermanParams.parse("DBer(2,2,3)")
+        assert p is next(block for block in families(2, 3) if block[0].m == 3)[2]
+        assert BermanParams.__eq__ is object.__eq__ and BermanParams.__hash__ is object.__hash__
+
+    def test_predicted_members_are_the_interned_ones(self):
+        for p, q in star_pairs(3, 3):
+            predicted = predict_star(p, q)
+            if isinstance(predicted, BermanParams):
+                assert predicted is BermanParams.parse(predicted.name)
+
+    def test_copies_are_the_member_itself(self):
+        p = BermanParams.parse("DBer(5,2,3)")
+        assert pickle.loads(pickle.dumps(p)) is p
+        assert copy.copy(p) is p and copy.deepcopy(p) is p and copy.deepcopy([p, p]) == [p, p]
+        assert dataclasses.replace(p) is p
+        assert dataclasses.replace(p, r=1) is BermanParams.parse("DBer(5,1,3)")
+        with pytest.raises(InvalidInput):
+            dataclasses.replace(p, r=True)
 
     def test_extreme_members(self):
         assert BermanParams.parse("Ber(3,2,2)").is_zero_code

@@ -589,6 +589,32 @@ class TestUsageErrors:
         assert json.loads(lines[0]) == {"error": "ArgumentError", "message": message}
 
 
+class TestHashSeed:
+    """Members hash by identity, so a set of them iterates in an order set by
+    memory addresses, and text keys in one set by ``PYTHONHASHSEED``; no
+    output may depend on either."""
+
+    @staticmethod
+    def output_under(seed, argv, out):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from bermanpir.cli import main; raise SystemExit(main())", *argv, "--out", out],
+            capture_output=True, text=True, env=dict(child_env(), PYTHONHASHSEED=str(seed)), timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        return out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["verify", "--nmax", "3", "--mmax", "3", "--format", "json"],
+            ["simulate", "--storage", "Ber(3,1,3)", "--retrieval", "DBer(3,0,3)", "--files", "3", "--seed", "11",
+             "--demand", "2", "--format", "json"],
+        ),
+    )
+    def test_output_does_not_depend_on_the_hash_seed(self, argv, tmp_path):
+        assert self.output_under(0, argv, tmp_path / "0.out") == self.output_under(1, argv, tmp_path / "1.out")
+
+
 class TestClosedStdout:
     SIMULATE = ["simulate", "--storage", "DBer(3,0,2)", "--retrieval", "DBer(3,1,2)"]
 
