@@ -446,4 +446,5 @@ def transitivity_witness(params: BermanParams, a: int, b: int) -> bool:
     code = build(params)
     n, m = params.n, params.m
     shift = tuple(y - x for x, y in zip(index_to_tuple(n, m, a), index_to_tuple(n, m, b)))
-    return all(code.contains(BitVector(code.length, translate(w, n, shift))) for w in code.generator.row_words)
+    rows = tuple(translate(w, n, shift) for w in code.generator.row_words)
+    return code.contains_rows(BitMatrix(len(rows), code.length, rows))

@@ -54,9 +54,7 @@ def _containment(p: BermanParams) -> VerifyCase:
     """Ber(r) within Ber(r-1), and DBer(r-1) within DBer(r)."""
     lower = BermanParams(p.kind, p.n, p.m, p.r - 1)
     inner, outer = (p, lower) if p.kind is CodeKind.BERMAN else (lower, p)
-    outer_code = berman.build(outer)
-    inner_code = berman.build(inner)
-    ok = all(outer_code.contains(inner_code.generator.row(i)) for i in range(inner_code.dimension))
+    ok = berman.build(outer).contains_rows(berman.build(inner).generator)
     return VerifyCase(f"containment {inner.name} within {outer.name}", ok)
 
 

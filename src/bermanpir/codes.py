@@ -2,7 +2,9 @@
 
 Because every code stores the RREF of its generator with zero rows dropped,
 two codes span the same space iff they compare equal, and membership tests
-reduce a word against at most ``dim`` pivot rows.
+reduce a word against at most ``dim`` pivot rows, one vector
+(:meth:`LinearCode.contains`) or a matrix of rows
+(:meth:`LinearCode.contains_rows`) at a time.
 
 Only what the package, its demos and its benchmark harness call is defined
 here; the projection and text form of a code that the tests compare against
@@ -101,9 +103,22 @@ class LinearCode:
         return cls(length, BitMatrix.identity(length))
 
     def contains(self, v: BitVector) -> bool:
+        """Whether ``v`` is a codeword; a vector of another length raises
+        :class:`.gf2.LengthMismatch`.  :meth:`contains_rows` tests a whole
+        matrix of rows at once."""
         if v.length != self.length:
             raise LengthMismatch(f"{v.length} != {self.length}")
         return reduce_word(v.word, self._pivots) == 0
+
+    def contains_rows(self, m: BitMatrix) -> bool:
+        """Whether every row of ``m`` is a codeword, so true for a zero-row
+        matrix.  Each row word is reduced against the pivot rows, with no
+        vector made per row; a matrix of another width raises
+        :class:`.gf2.LengthMismatch`, as :meth:`contains` does."""
+        if m.cols != self.length:
+            raise LengthMismatch(f"{m.cols} != {self.length}")
+        pivots = self._pivots
+        return not any(reduce_word(w, pivots) for w in m.row_words)
 
     @cached_property
     def _pivots(self) -> dict[int, int]:

@@ -36,10 +36,15 @@ doubling steps run once per product, not once per group.
 Transposes and column selections unpack to a 0/1 array, index it, and pack.
 
 Row reduction has one kernel, :func:`_eliminate`, which brings whole rows to
-reduced row-echelon form: :func:`row_reduce` and :func:`nullspace_basis`
-read that form, and :func:`invert_columns` reads an inverse off the RREF of
-``[A | I]``.  Each operation has one implementation: ``left_mul`` is a
-one-row product and ``column_word`` a row of the transpose.
+reduced row-echelon form in two steps: each row is reduced against the
+pivot rows kept so far (:func:`reduce_word`), and one back-substitution
+(:func:`back_substitute`) clears the pivot columns above each kept row.
+:func:`row_reduce` and :func:`nullspace_basis` read that form, and
+:func:`invert_columns` reads an inverse off the RREF of ``[A | I]``.  A
+caller that already holds reduced pivot rows, as :func:`.star.star_codes`
+does, takes the second step alone.  Each operation has one implementation:
+``left_mul`` is a one-row product and ``column_word`` a row of the
+transpose.
 
 The module defines only what the package, its demos and its benchmark
 harness call.  Operations that only the tests need (rank, a dot product, a
@@ -500,30 +505,42 @@ def _eliminate(words: list[int]) -> list[int]:
     the pivot columns come back strictly increasing.
 
     Each row is reduced against the pivot rows kept so far, keyed by their
-    lowest set bit, until it either finds a new pivot or vanishes.  One
-    back-substitution pass, highest pivot first, then clears every pivot
-    column above its own row: it walks only the set bits of ``w & later``,
-    the row's bits in the pivot columns above its own.  Each of those pivot
-    rows is already reduced, so it has no bit in any other of those columns,
-    and XORing it in clears its own bit and leaves the rest of the walk as
-    it was.
+    lowest set bit, until it either finds a new pivot or vanishes
+    (:func:`reduce_word`); :func:`back_substitute` then brings the kept rows
+    to reduced row-echelon form.
     """
     basis: dict[int, int] = {}
     for w in words:
         if w := reduce_word(w, basis):
             basis[w & -w] = w
-    lows = sorted(basis)
+    rref = back_substitute(basis)
+    words[:] = [*rref, *[0] * (len(words) - len(rref))]
+    return [(w & -w).bit_length() - 1 for w in rref]
+
+
+def back_substitute(basis: dict[int, int]) -> tuple[int, ...]:
+    """The reduced row-echelon rows of the pivot rows ``basis``, lowest pivot
+    first.  ``basis`` maps each row's lowest set bit to the row, each row
+    reduced (:func:`reduce_word`) against the rows inserted before it, as
+    the first step of :func:`_eliminate` leaves them; it is not changed.
+
+    One pass, highest pivot first, clears every pivot column above each
+    row's own: it walks only the set bits of ``w & later``, the row's bits
+    in the pivot columns above its own.  Each of those pivot rows is already
+    reduced, so it has no bit in any other of those columns, and XORing it
+    in clears its own bit and leaves the rest of the walk as it was.
+    """
+    done: dict[int, int] = {}
     later = 0
-    for low in reversed(lows):
+    for low in sorted(basis, reverse=True):
         w = basis[low]
         hits = w & later
         while hits:
-            w ^= basis[hits & -hits]
+            w ^= done[hits & -hits]
             hits &= hits - 1
-        basis[low] = w
+        done[low] = w
         later |= low
-    words[:] = [basis[low] for low in lows] + [0] * (len(words) - len(lows))
-    return [low.bit_length() - 1 for low in lows]
+    return tuple(reversed(done.values()))
 
 
 def reduce_word(word: int, pivots: dict[int, int]) -> int:

@@ -528,9 +528,13 @@ def _projection_rank(cols: tuple[int, ...], subset: tuple[int, ...]) -> int:
     return len(pivots)
 
 
-def _check_collusion_size(t: int, n_s: int) -> None:
+def _check_collusion_size(t: int, n_s: int) -> int:
+    """``t`` as a Python int (:func:`.codes.whole_number`) once it lies in
+    ``0..n_s``; otherwise raises :class:`InvalidInput`."""
+    t = whole_number(t, "t")
     if not 0 <= t <= n_s:
-        raise ValueError(f"t must lie in 0..{n_s}, got {t}")
+        raise InvalidInput(f"t must lie in 0..{n_s}, got {t}")
+    return t
 
 
 #: Most coordinate subsets the privacy checks enumerate one by one.
@@ -567,7 +571,7 @@ def _privacy_verdict(retrieval_code: LinearCode, t: int) -> tuple[bool, str]:
     """:func:`verify_privacy_rank`'s verdict and the route that decided it:
     ``exhaustive``, ``dual-distance`` or ``family``."""
     n_s = retrieval_code.length
-    _check_collusion_size(t, n_s)
+    t = _check_collusion_size(t, n_s)
     if comb(n_s, t) <= EXHAUSTIVE_SUBSETS:
         cols = retrieval_code.column_words
         return all(_projection_rank(cols, subset) == t for subset in combinations(range(n_s), t)), "exhaustive"
@@ -614,7 +618,7 @@ def verify_privacy_empirical(config: SchemeConfig, t: int) -> float:
     :func:`derive_scheme`, so a pair the scheme does not support raises as
     derivation does.
     """
-    _check_collusion_size(t, config.storage.length)
+    t = _check_collusion_size(t, config.storage.length)
     rows = config.files
     if rows * t > 12:
         raise TooLarge("joint query alphabet exceeds the enumeration guard")

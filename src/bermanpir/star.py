@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .berman import BermanParams, CodeKind, build, families
 from .codes import LinearCode
-from .gf2 import BitMatrix, BitVector, LengthMismatch, reduce_word
+from .gf2 import BitMatrix, BitVector, LengthMismatch, back_substitute, reduce_word
 
 
 class ParamMismatch(ValueError):
@@ -68,8 +68,12 @@ def star_codes(c: LinearCode, d: LinearCode) -> LinearCode:
     kept the span is the whole space, whose RREF is the identity: the
     remaining vectors are skipped, no back-substitution is needed, and the
     one shared :meth:`.LinearCode.full` is returned.
-    Otherwise the kept vectors are brought to the canonical RREF, so the
-    result depends neither on the route nor on the order of the vectors.
+    Otherwise the kept vectors form the pivot dict that the first step of
+    row reduction builds, each reduced against those kept before it, so the
+    canonical RREF comes from these pivots by the one back-substitution
+    (:func:`.gf2.back_substitute`), with no second elimination.  The result
+    depends neither on the route nor on the order of the vectors, and is,
+    byte for byte, ``LinearCode.from_generator`` of the products.
     """
     if c.length != d.length:
         raise LengthMismatch(f"{c.length} != {d.length}")
@@ -99,7 +103,8 @@ def star_codes(c: LinearCode, d: LinearCode) -> LinearCode:
                     pivots[w & -w] = w
                     if len(pivots) == length:
                         return LinearCode.full(length)
-    return LinearCode.from_generator(BitMatrix(len(pivots), length, tuple(pivots.values())))
+    rows = back_substitute(pivots)
+    return LinearCode(length, BitMatrix(len(rows), length, rows))
 
 
 def _restricted_basis(a: int, cols: tuple[int, ...], k: int) -> Iterable[int]:

@@ -1,12 +1,25 @@
 """LinearCode behaviour: spans, duals, distances, projections, information
 sets, and the serialization format."""
 
+from functools import reduce
+from operator import xor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bermanpir.berman import BermanParams, CodeKind, build, c_vector, min_distance_formula
+from bermanpir.berman import (
+    BermanParams,
+    CodeKind,
+    build,
+    c_vector,
+    families,
+    index_to_tuple,
+    min_distance_formula,
+    translate,
+    transitivity_witness,
+)
 from bermanpir.codes import MAX_BRUTE_FORCE_DIM, LinearCode, TooLarge, ZeroCode
 from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, bits_to_limbs, invert_columns, limbs_to_words
 from oracles import all_tuples, code_to_text, exhaustive_span, project_columns, tuple_weight
@@ -60,6 +73,55 @@ class TestContains:
         # Exhaustive span oracle at length 9.
         words = exhaustive_span(9, [code.generator.row(i) for i in range(code.dimension)])
         assert v.word not in words
+
+
+@st.composite
+def codes_and_matrices(draw):
+    """A code of length 1 to 130 and a matrix of its width whose rows are
+    codewords (sums of generator rows) or arbitrary words."""
+    length = draw(st.integers(1, 130))
+    word = st.integers(0, (1 << length) - 1)
+    words = draw(st.lists(word, max_size=8))
+    code = LinearCode.from_generator(BitMatrix(len(words), length, tuple(words)))
+    gens = code.generator.row_words
+    codeword = st.lists(st.sampled_from(gens), max_size=4).map(lambda ws: reduce(xor, ws, 0)) if gens else st.just(0)
+    rows = draw(st.lists(word | codeword, max_size=6))
+    return code, BitMatrix(len(rows), length, tuple(rows))
+
+
+def witness_per_row(p, a, b):
+    """:func:`transitivity_witness` with one :meth:`LinearCode.contains` per
+    translated generator row."""
+    code = build(p)
+    shift = tuple(y - x for x, y in zip(index_to_tuple(p.n, p.m, a), index_to_tuple(p.n, p.m, b)))
+    return all(code.contains(BitVector(code.length, translate(w, p.n, shift))) for w in code.generator.row_words)
+
+
+class TestContainsRows:
+    @given(codes_and_matrices())
+    @example((LinearCode.full(130), BitMatrix(1, 130, (1 << 129,))))
+    @example((LinearCode.zero(65), BitMatrix(2, 65, (0, 1 << 64))))
+    def test_agrees_with_contains_per_row(self, drawn):
+        code, m = drawn
+        assert code.contains_rows(m) is all(code.contains(m.row(i)) for i in range(m.rows))
+
+    def test_zero_rows(self):
+        assert LinearCode.zero(5).contains_rows(BitMatrix(0, 5))
+        assert build(BermanParams.parse("Ber(3,1,2)")).contains_rows(BitMatrix(0, 9))
+
+    def test_wrong_width(self):
+        code = build(BermanParams.parse("Ber(3,1,2)"))
+        for cols in (0, 8, 10):
+            with pytest.raises(LengthMismatch):
+                code.contains_rows(BitMatrix(0, cols))
+
+    def test_transitivity_witness_matches_per_row(self):
+        for members in families(64, 6):
+            if members[0].length > 64:
+                continue
+            for p in members:
+                for b in range(p.length):
+                    assert transitivity_witness(p, 0, b) is witness_per_row(p, 0, b), (p.name, b)
 
 
 class TestFull:

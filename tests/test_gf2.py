@@ -14,11 +14,13 @@ from bermanpir.gf2 import (
     BitVector,
     LengthMismatch,
     Singular,
+    back_substitute,
     bits_to_limbs,
     draw_bit_limbs,
     invert_columns,
     limbs_to_words,
     nullspace_basis,
+    reduce_word,
     row_reduce,
     words_to_limbs,
 )
@@ -205,6 +207,40 @@ class TestEliminationKernel:
         if len(cols) < m.rows:
             return
         assert outcome(invert_columns, m, cols) == outcome(invert_columns, m, cols, reference=True)
+
+
+@st.composite
+def word_lists(draw):
+    """Up to 40 words of 1 to 130 bits, dense or with at most three bits
+    each, so pivot rows are inserted in no particular column order."""
+    cols = draw(st.integers(1, 130))
+    if draw(st.booleans()):
+        word = st.integers(0, (1 << cols) - 1)
+    else:
+        word = st.lists(st.integers(0, cols - 1), max_size=3).map(lambda bits: sum(1 << b for b in set(bits)))
+    return cols, draw(st.lists(word, max_size=40))
+
+
+class TestBackSubstitute:
+    """The second step of the kernel on its own: the pivot rows that
+    :func:`reduce_word` leaves, brought to the RREF that the column sweep
+    gives for the same words."""
+
+    @given(word_lists())
+    @example((2, [0b10, 0b01]))  # pivots inserted highest first
+    @example((3, [0b110, 0b011]))  # one pivot column above another row's pivot
+    @example((130, [1 << 129 | 1 << 64 | 1, 1 << 64, 1 << 129]))  # across the 64-bit boundary
+    @example((5, []))  # no rows
+    def test_matches_row_reduce(self, drawn):
+        cols, words = drawn
+        basis = {}
+        for w in words:
+            if w := reduce_word(w, basis):
+                basis[w & -w] = w
+        kept = dict(basis)
+        rref, pivots = outcome(row_reduce, BitMatrix(len(words), cols, tuple(words)), reference=True)
+        assert back_substitute(basis) == rref.row_words[: len(pivots)]
+        assert basis == kept
 
 
 def dense_unitriangular(n, seed):

@@ -1094,6 +1094,17 @@ class TestPrivacyRank:
         with pytest.raises(ValueError, match="t must lie in 0..4"):
             verify_privacy_rank(build(P("DBer(2,1,2)")), t)
 
+    @pytest.mark.parametrize("t", (True, 2.0))
+    def test_t_that_is_no_integer(self, t):
+        with pytest.raises(InvalidInput, match="t must be an integer"):
+            verify_privacy_rank(build(P("DBer(2,1,2)")), t)
+
+    def test_numpy_integer_t(self):
+        code = build(P("DBer(2,1,2)"))
+        assert verify_privacy_rank(code, np.int64(3)) is verify_privacy_rank(code, 3)
+        with pytest.raises(InvalidInput, match="t must lie in 0..4, got 5"):
+            verify_privacy_rank(code, np.int64(5))
+
     def test_every_supported_pair_up_to_36_servers(self):
         checked = 0
         for storage, retrieval, t in supported_pairs(SHAPES_UP_TO_36):
@@ -1167,6 +1178,15 @@ class TestPrivacyEmpirical:
     def test_out_of_range_t(self, t):
         with pytest.raises(ValueError, match="t must lie in 0..4"):
             verify_privacy_empirical(cfg("DBer(2,0,2)", "DBer(2,1,2)"), t)
+
+    @pytest.mark.parametrize("t", (True, 2.0))
+    def test_t_that_is_no_integer(self, t):
+        with pytest.raises(InvalidInput, match="t must be an integer"):
+            verify_privacy_empirical(cfg("DBer(2,0,2)", "DBer(2,1,2)"), t)
+
+    def test_numpy_integer_t(self):
+        config = cfg("DBer(2,0,2)", "DBer(2,1,2)")
+        assert verify_privacy_empirical(config, np.int64(3)) == verify_privacy_empirical(config, 3)
 
     def test_zero_rate_pair(self):
         with pytest.raises(ZeroRate):

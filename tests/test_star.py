@@ -1,13 +1,14 @@
 """Star products: vector algebra, code products, the predicted-case table,
 and the constructive identities behind it."""
 
+from contextlib import ExitStack
 from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bermanpir import checks, star
+from bermanpir import checks, codes, gf2, star
 from bermanpir.berman import (
     BermanParams,
     CodeKind,
@@ -186,8 +187,25 @@ def forced_route(restrict):
     return mock.patch.object(star, "_restriction_pays", lambda c, d: restrict)
 
 
+def no_second_elimination():
+    """Make every whole elimination raise: :func:`star.star_codes` brings its
+    own pivot rows to RREF with :func:`gf2.back_substitute` alone."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("star_codes ran a second elimination")
+
+    stack = ExitStack()
+    stack.enter_context(mock.patch.object(codes, "row_reduce", refuse))
+    stack.enter_context(mock.patch.object(gf2, "_eliminate", refuse))
+    stack.enter_context(mock.patch.object(LinearCode, "from_generator", refuse))
+    return stack
+
+
 class TestStarRoutes:
-    """Both routes of :func:`star_codes` against every pairwise product."""
+    """Both routes of :func:`star_codes` against every pairwise product,
+    reduced before every elimination is refused.  Codes compare by their
+    generators' row words, so each product is byte for byte the one
+    ``LinearCode.from_generator`` gives."""
 
     @given(star_factors())
     @example((LinearCode.full(6), LinearCode.from_generator(BitMatrix(2, 6, (0b111111, 0b101010)))))
@@ -198,11 +216,17 @@ class TestStarRoutes:
             LinearCode.from_generator(BitMatrix(2, 5, (0b11110, 0b01010))),
         )
     )
+    @example(  # pivots found highest first on the product loop
+        (
+            LinearCode.from_generator(BitMatrix(2, 4, (0b0101, 0b0010))),
+            LinearCode.from_generator(BitMatrix(1, 4, (0b1110,))),
+        )
+    )
     def test_random_codes_on_each_route(self, factors):
         c, d = factors
         want = all_products_star(c, d)
         for restrict in (True, False):
-            with forced_route(restrict):
+            with forced_route(restrict), no_second_elimination():
                 assert star_codes(c, d) == want, restrict
                 assert star_codes(d, c) == want, restrict
 
@@ -215,7 +239,7 @@ class TestStarRoutes:
                 for d in members[i:]:
                     want = all_products_star(c, d)
                     for restrict in (True, False):
-                        with forced_route(restrict):
+                        with forced_route(restrict), no_second_elimination():
                             assert star_codes(c, d) == want, (shape[0].n, shape[0].m, restrict)
 
     def test_default_sweep_takes_both_routes(self, monkeypatch):
