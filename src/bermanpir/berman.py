@@ -17,6 +17,12 @@ suite cross-checks them against each other:
 * a recursive membership test that splits a vector into its n blocks,
 * closed-form dimension and minimum-distance formulas.
 
+:func:`build` brings the basis to its RREF by one back-substitution, with
+no elimination: the DBer words are in echelon form as they stand, and the
+Ber words once reflected (:func:`reflect`).  Its pivots are W(p), or W(p)
+reflected, so the derivation reads each member's generator that is the
+identity on W(p) off that one cached RREF.
+
 Members are interned (:class:`BermanParams`): each is one object for the
 life of the process, so every cache keyed by members, here and in
 :mod:`.star`, :mod:`.checks` and :mod:`.pir`, looks it up by identity.
@@ -34,7 +40,7 @@ from itertools import combinations
 from math import log10
 
 from .codes import InvalidInput, LinearCode, ProtocolInvariantError, TooLarge, whole_number
-from .gf2 import BitMatrix, BitVector, LengthMismatch
+from .gf2 import BitMatrix, BitVector, LengthMismatch, back_substitute
 
 IndexTuple = tuple[int, ...]
 
@@ -234,12 +240,16 @@ def basis(params: BermanParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
     longer lift its weight past r.  Coordinates ``c + x * size``, for c
     below ``size``, come out ascending.
 
-    Restricted to W(p), the family basis is a square matrix M with
-    ``M @ M = I``.  For DBer, entry (t, s) is 1 iff t precedes s, so entry
-    (t, u) of ``M @ M`` counts the s between t and u, of which there are
-    ``2^(weight(u) - weight(t))``; all of them lie in W(p).  It is odd iff
-    ``t = u``.  For Ber the order is reversed.  So W(p) is an information
-    set of the code, and M is its own inverse."""
+    The word of t has t as its lowest set bit (DBer) or its highest (Ber),
+    so the words are independent and W(p) is an information set of the
+    code; :func:`build` checks this.  Restricted to W(p), the family basis
+    is a square matrix M with ``M @ M = I``.  For DBer, entry (t, s) is 1
+    iff t precedes s, so entry (t, u) of ``M @ M`` counts the s between t
+    and u, of which there are ``2^(weight(u) - weight(t))``; all of them
+    lie in W(p).  It is odd iff ``t = u``.  For Ber the order is reversed.
+    So M is its own inverse, and ``M B`` is the generator that is the
+    identity on W(p), which the derivation reads off :func:`build`'s RREF
+    (:func:`reflect`)."""
     n, r = params.n, params.r
     berman = params.kind is CodeKind.BERMAN
     coords, weights, words, size = [0], [0], [1], 1
@@ -291,23 +301,52 @@ def check_digits(params: BermanParams) -> None:
 
 @lru_cache(maxsize=None)
 def build(params: BermanParams) -> LinearCode:
-    """The code spanned by the family basis (:func:`basis`), canonicalized by
-    one elimination of its words and tagged with ``params`` as its member
-    (:attr:`.codes.LinearCode.member`).  This is each member's one
-    constructor and one cache, and it holds only checked codes: a length
-    over :data:`MAX_LENGTH` is refused before the basis is formed
-    (:func:`check_length`), and a rank other than :func:`dimension_formula`
-    raises :class:`ProtocolInvariantError`, naming the member, the rank and
-    the formula.  The basis words are formed again on each miss, not kept:
-    one pass forms them cheaply, and at 4096 coordinates they take up to
-    2 MB."""
+    """The code spanned by the family basis (:func:`basis`), brought to RREF
+    by one back-substitution of its words in echelon form (:func:`reflect`,
+    :func:`.gf2.back_substitute`), with no elimination, and tagged with
+    ``params`` as its member (:attr:`.codes.LinearCode.member`).  This is
+    each member's one constructor and one cache, and it holds only checked
+    codes: a length over :data:`MAX_LENGTH` is refused before the basis is
+    formed (:func:`check_length`); a count of basis words other than
+    :func:`dimension_formula` raises :class:`ProtocolInvariantError`, naming
+    the member, the count and the formula, and so does a word whose lowest
+    set bit, once in echelon form, is not its own coordinate of W(p)
+    (reflected for Ber).  Distinct lowest set bits make the words
+    independent, so this proves the rank, and that W(p) is an information
+    set.  The basis words are formed again on each miss, not kept: one pass
+    forms them cheaply, and at 4096 coordinates they take up to 2 MB."""
     check_length(params)
-    words = basis(params)[1]
-    code = LinearCode.from_generator(BitMatrix(len(words), params.length, words))
-    rank, formula = code.dimension, dimension_formula(params)
+    coords, words = reflect(params, *basis(params))
+    rank, formula = len(words), dimension_formula(params)
     if rank != formula:
         raise ProtocolInvariantError(f"{params.name}: basis rank {rank} disagrees with the closed form {formula}")
-    return LinearCode(code.length, code.generator, params)
+    pivots = {w & -w: w for w in words}
+    if list(pivots) != [1 << c for c in coords]:
+        raise ProtocolInvariantError(f"{params.name}: the basis words are not in echelon form with pivots W(p)")
+    return LinearCode(params.length, BitMatrix(rank, params.length, back_substitute(pivots)), params)
+
+
+def reflect(
+    params: BermanParams, coords: tuple[int, ...], words: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``coords`` and ``words`` of the member ``params`` as they stand for
+    DBer, and for Ber under the reflection ``j -> n^m - 1 - j``, both in
+    reverse order, so ascending coordinates stay ascending.  It is its own
+    inverse.
+
+    A DBer word d(t) has lowest set bit t, and a Ber word c(t) highest set
+    bit t, so the family basis comes out in echelon form, with pivots W(p)
+    for DBer and W(p) reflected for Ber.  The reflection maps each digit x
+    to ``n - 1 - x``, a negation and then a translation, both automorphisms
+    of every member, so it maps the member onto itself.  A code has only
+    one generator that is the identity on a given information set, so the
+    same map takes the RREF to the generator that is the identity on W(p),
+    ``M B`` (see :func:`basis`)."""
+    if params.kind is CodeKind.DUAL_BERMAN:
+        return coords, words
+    length = params.length
+    rows = (int(f"{w:0{length}b}"[::-1], 2) for w in reversed(words))
+    return tuple(length - 1 - c for c in reversed(coords)), tuple(rows)
 
 
 @lru_cache(maxsize=None)

@@ -40,9 +40,10 @@ reduced row-echelon form in two steps: each row is reduced against the
 pivot rows kept so far (:func:`reduce_word`), and one back-substitution
 (:func:`back_substitute`) clears the pivot columns above each kept row.
 :func:`row_reduce` and :func:`nullspace_basis` read that form, and
-:func:`invert_columns` reads an inverse off the RREF of ``[A | I]``.  A
-caller that already holds reduced pivot rows, as :func:`.star.star_codes`
-does, takes the second step alone.  Each operation has one implementation:
+:func:`invert_columns` reads an inverse off the RREF of ``[A | I]``.  Two
+callers take the second step alone: :func:`.star.star_codes`, which holds
+reduced pivot rows, and :func:`.berman.build`, whose basis words, reflected
+for Ber, are already in echelon form.  Each operation has one implementation:
 ``left_mul`` is a one-row product and ``column_word`` a row of the
 transpose.
 
@@ -520,9 +521,9 @@ def _eliminate(words: list[int]) -> list[int]:
 
 def back_substitute(basis: dict[int, int]) -> tuple[int, ...]:
     """The reduced row-echelon rows of the pivot rows ``basis``, lowest pivot
-    first.  ``basis`` maps each row's lowest set bit to the row, each row
-    reduced (:func:`reduce_word`) against the rows inserted before it, as
-    the first step of :func:`_eliminate` leaves them; it is not changed.
+    first.  ``basis`` maps each row's lowest set bit to the row, so its rows
+    are in echelon form, as the first step of :func:`_eliminate` leaves
+    them or as :func:`.berman.build` finds them; it is not changed.
 
     One pass, highest pivot first, clears every pivot column above each
     row's own: it walks only the set bits of ``w & later``, the row's bits

@@ -65,12 +65,12 @@ import numpy as np
 from .berman import (
     BermanParams,
     CodeKind,
-    basis,
     build,
     check_digits,
     check_length,
     dimension_formula,
     min_distance_formula,
+    reflect,
     translate,
 )
 from .codes import MAX_BRUTE_FORCE_DIM, InvalidInput, LinearCode, ProtocolInvariantError, TooLarge, whole_number
@@ -275,14 +275,16 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     rate.  H' is the family basis of the member ``E^perp`` that the table
     names, ``n - dim E`` rows, and ``M_E`` is H' on ``J_0 = W(E^perp)``;
     ``B_C`` and ``M_C`` are the same for C on ``I_0 = W(C)`` (see
-    :func:`.berman.basis`).  The products ``M_E H'`` and ``M_C B_C``
-    are formed once, so decoding and reconstruction each multiply by one
-    matrix.  Three checks, each on one table product, make ``M_E H'`` a
-    parity-check matrix of E: it is the identity on ``J_0``, so
-    ``M_E @ M_E = I`` and its rows are independent; it annihilates E's
-    generator; and ``M_C B_C`` is the identity on ``I_0``, so
-    ``M_C @ M_C = I``.  Each raises :class:`ProtocolInvariantError`, even
-    under ``python -O``.  The schedule is the addition table of ``I_0`` and
+    :func:`.berman.basis`).  ``M_E H'`` and ``M_C B_C`` are the generators
+    of ``E^perp`` and C that are the identity on ``J_0`` and ``I_0``, read
+    off each member's cached RREF (:func:`_on_weight_set`), so no basis is
+    formed twice and decoding and reconstruction each multiply by one
+    matrix.  :func:`.berman.build` has checked that each W is an
+    information set, so ``M_E H'`` has independent rows; it is a
+    parity-check matrix of E once it has ``n - dim E`` rows, as the case
+    table says, and annihilates E's generator, one table product.  Each
+    check raises :class:`ProtocolInvariantError`, even under
+    ``python -O``.  The schedule is the addition table of ``I_0`` and
     ``J_0``, so ``S = k_C`` and ``b = d_perp``; the stripe readout is the
     table of C's RREF pivots minus ``J_0``.  Each is formed from those
     shifts when the schedule and the derivation are made (:func:`_sum_table`).
@@ -295,12 +297,12 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     n_s = c.length
     e = star_codes(c, d)
     perp = product.dual
-    stripe_set, parity = _self_inverse_product(perp, "syndrome")
+    stripe_set, parity = _on_weight_set(perp)
     if n_s - e.dimension != len(stripe_set) or Fraction(len(stripe_set), n_s) != r_pir:
         raise ProtocolInvariantError("constructed product dimension disagrees with the case table")
     if (parity @ e.generator.transpose()).limbs.any():
         raise ProtocolInvariantError("the syndrome map does not annihilate the product code")
-    iteration_set, systematic = _self_inverse_product(storage, "storage")
+    iteration_set, systematic = _on_weight_set(storage)
     n, m = storage.n, storage.m
     return SchemeDerived(
         n_s=n_s,
@@ -318,17 +320,13 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     )
 
 
-def _self_inverse_product(params: BermanParams, name: str) -> tuple[tuple[int, ...], BitMatrix]:
-    """The weight set W of ``params`` and ``M B``, from one pass
-    (:func:`.berman.basis`): B is the family basis, its words taken as rows,
-    and M is B on W.  Raises :class:`ProtocolInvariantError` unless the
-    product's columns W, ``M @ M``, are the identity."""
-    coords, words = basis(params)
-    rows = BitMatrix(len(words), params.length, words)
-    product = rows.take_columns(coords) @ rows
-    if product.take_columns(coords) != BitMatrix.identity(len(coords)):
-        raise ProtocolInvariantError(f"the {name} basis on its weight set is not its own inverse")
-    return coords, product
+def _on_weight_set(params: BermanParams) -> tuple[tuple[int, ...], BitMatrix]:
+    """W(params) and the generator of ``build(params)`` that is the identity
+    on it, ``M B`` for the family basis B and M, B on W: its cached RREF, as
+    it stands or reflected (:func:`.berman.reflect`)."""
+    code = build(params)
+    coords, words = reflect(params, code.information_set(), code.generator.row_words)
+    return coords, BitMatrix(len(words), params.length, words)
 
 
 def _digits(n: int, m: int, coords: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -419,10 +417,10 @@ def gen_queries(
     file's stripe-p row of that iteration's query is flipped, all of the
     run's bits by one fancy-index XOR over the run's slice of ``coords``:
     each row holds one of them, so no two share a limb.  Before anything
-    is drawn, a demand that is not an integer in ``0..M-1`` raises
-    :class:`InvalidInput`, a range that is not a step-1 range within
-    ``0..S`` raises :class:`IndexError`, and a run over
-    :data:`MAX_BATCH_BITS` raises :class:`TooLarge`.
+    is drawn, files that are not a positive integer, or a demand that is
+    not an integer in ``0..M-1``, raise :class:`InvalidInput`, a range that
+    is not a step-1 range within ``0..S`` raises :class:`IndexError`, and a
+    run over :data:`MAX_BATCH_BITS` raises :class:`TooLarge`.
 
     :func:`respond_all` overwrites the array it is given, so a
     :class:`~.gf2.BitMatrix` built on any part of it must not outlive that
@@ -430,7 +428,7 @@ def gen_queries(
     read-only, not the array behind it.
     """
     demand = whole_number(demand, "demand")
-    if not 0 <= demand < files:
+    if not 0 <= demand < whole_number(files, "files"):  # also refuses fewer than one file
         raise InvalidInput("demand index out of range")
     if iterations.step != 1 or not 0 <= iterations.start <= iterations.stop <= derived.s_iterations:
         raise IndexError(f"iterations {iterations} are not a step-1 range within 0..{derived.s_iterations}")
@@ -473,11 +471,12 @@ def decode_iteration(derived: SchemeDerived, iteration: int, response: BitVector
     the translation-invariant product code, which H' annihilates.  So
     ``H' r' = M_E x`` for the planted bits x, and ``x = M_E (H' r')``, since
     ``M_E`` is its own inverse: one product with the derived ``M_E H'``.
-    An iteration outside ``0..S-1`` raises :class:`IndexError`.
+    An iteration that is not an integer raises :class:`InvalidInput`, and
+    one outside ``0..S-1`` :class:`IndexError`.
     """
     if response.length != derived.n_s:
         raise LengthMismatch(f"{response.length} != {derived.n_s}")
-    if not 0 <= iteration < derived.s_iterations:
+    if not 0 <= whole_number(iteration, "iteration") < derived.s_iterations:
         raise IndexError(f"iteration {iteration} outside 0..{derived.s_iterations - 1}")
     schedule = derived.schedule
     back = [-x for x in schedule.iteration_shifts[iteration]]

@@ -36,7 +36,10 @@ bit at a time, and ``v @ M`` as the XOR of the rows of M that v selects.
 
 The tuple basis forms the family basis one defining tuple at a time, by
 ``c_vector`` or ``d_vector``, from an enumeration of every coordinate tuple;
-the library's one-pass basis is checked against it.
+the library's one-pass basis is checked against it.  The self-inverse
+product forms a member's generator that is the identity on W(p) as ``M @ B``,
+the family basis times itself restricted to W(p), for the one that the
+derivation reads off ``build``'s RREF to be checked against.
 
 The remaining references are operations no command runs, kept here for the
 tests that compare against them: the rank of a matrix, the coordinate index
@@ -123,6 +126,15 @@ def tuple_basis(params):
     tuple at a time: c(t) for Ber, d(t) for DBer."""
     vector = c_vector if params.kind is CodeKind.BERMAN else d_vector
     return [(index, vector(params.n, params.m, t).word) for index, t in defining_tuples(params)]
+
+
+def self_inverse_product(params):
+    """W(p) and ``M @ B``: the family basis B, its words taken as rows, times
+    M, B on W(p).  Since ``M @ M = I``, it is the generator of the member
+    that is the identity on W(p)."""
+    coords, words = berman.basis(params)
+    rows = BitMatrix(len(words), params.length, words)
+    return coords, rows.take_columns(coords) @ rows
 
 
 def precedes(j, i):

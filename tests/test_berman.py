@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bermanpir import berman, checks
+from bermanpir import berman, checks, codes, gf2, pir
 from bermanpir.berman import (
     MAX_LENGTH,
     BermanParams,
@@ -29,11 +29,12 @@ from bermanpir.berman import (
     min_distance_formula,
     recursive_membership,
     reed_muller_code,
+    reflect,
     transitivity_witness,
     translate,
 )
 from bermanpir.codes import InvalidInput, LinearCode, ProtocolInvariantError, TooLarge
-from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch
+from bermanpir.gf2 import BitMatrix, BitVector, LengthMismatch, row_reduce
 from bermanpir.pir import philox_generator
 from bermanpir.star import predict_star, star_pairs
 from oracles import (
@@ -46,6 +47,7 @@ from oracles import (
     precedes,
     rank,
     recursion_distance,
+    self_inverse_product,
     tuple_basis,
     tuple_to_index,
     tuple_weight,
@@ -494,6 +496,78 @@ class TestTranslation:
             assert translate(word, n, shift) == per_bit_translation(word, n, shift), (n, m, shift)
             # Negative components are taken mod n, so -shift undoes shift.
             assert translate(translate(word, n, shift), n, [-x for x in shift]) == word
+
+
+def check_against_elimination(params):
+    """``build``'s RREF against ``row_reduce`` of the basis words, and the
+    derivation's generator that is the identity on W(p) against ``M @ B``."""
+    coords, words = basis(params)
+    # Any order of the words has the same RREF.  Reversed, each Ber(n,0,1)
+    # word e_0 + e_t meets one pivot row, not a chain of t - 1 of them.
+    rref, pivots = row_reduce(BitMatrix(len(words), params.length, words[::-1]))
+    assert build(params).generator.row_words == rref.row_words[: len(pivots)], params.name
+    if words:
+        assert pir._on_weight_set(params) == (coords, self_inverse_product(params)[1]), params.name
+
+
+class TestOneBackSubstitution:
+    """Each member's RREF is one back-substitution of its basis words,
+    reflected for Ber, and its generator that is the identity on W(p) is read
+    off that RREF; both are checked against elimination and ``M @ B``."""
+
+    def test_every_member_up_to_512_coordinates(self):
+        checked = 0
+        for n, m in shapes_up_to(512):
+            for params in family(n, m):
+                check_against_elimination(params)
+                checked += 1
+        assert checked == 2348
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n, m", ((2, 12), (64, 2), (16, 3), (4075, 1)))
+    def test_every_member_at_the_top_band(self, n, m):
+        for params in family(n, m):
+            check_against_elimination(params)
+
+    def test_build_eliminates_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("build ran an elimination")
+
+        monkeypatch.setattr(gf2, "_eliminate", refuse)
+        monkeypatch.setattr(codes, "row_reduce", refuse)
+        for n, m in ((2, 4), (3, 3), (5, 2)):
+            for params in family(n, m):
+                assert build.__wrapped__(params) == build(params), params.name
+
+    def test_reflect_is_its_own_inverse(self):
+        # Ber words reversed bit by bit and listed in reverse order; DBer as
+        # they stand.
+        params = BermanParams.parse("Ber(3,1,3)")
+        coords, words = basis(params)
+        reflected = reflect(params, coords, words)
+        assert reflected[0] == tuple(26 - c for c in reversed(coords))
+        assert reflected[1] == tuple(sum(1 << 26 - j for j in range(27) if w >> j & 1) for w in reversed(words))
+        assert reflect(params, *reflected) == (coords, words)
+        assert reflect(params.dual, *basis(params.dual)) == basis(params.dual)
+
+    def test_a_cold_derivation_forms_each_basis_once(self, monkeypatch):
+        storage, retrieval = BermanParams.parse("DBer(2,1,6)"), BermanParams.parse("DBer(2,2,6)")
+        real_basis, calls = berman.basis, []
+
+        def spy(p):
+            calls.append(p)
+            return real_basis(p)
+
+        monkeypatch.setattr(berman, "basis", spy)
+        pir._derive.cache_clear()
+        build.cache_clear()
+        try:
+            pir._derive(storage, retrieval)
+        finally:
+            pir._derive.cache_clear()
+            build.cache_clear()
+        perp = predict_star(storage, retrieval).dual
+        assert sorted(calls, key=str) == sorted([storage, retrieval, perp], key=str)
 
 
 class TestWeightSet:

@@ -605,10 +605,11 @@ class TestScheduleRegression:
     @pytest.mark.parametrize(
         "storage, retrieval",
         # The slowest pairs of a stratified census of 1025-4096 servers: the
-        # longest derive (elimination chains on 4075 servers), the longest
-        # run (4017 iterations) and the longest privacy verdict (the family
-        # route).  Each took about 8 s and at most 150 MB on a 2-CPU host, so
-        # the bounds are 60 s and 300 MB, under 3 GB of address space.
+        # widest m = 1 pair, 4075 servers (its derive takes 0.4 s), the
+        # longest run (4017 iterations) and the longest privacy verdict (the
+        # family route).  They took 7.0, 12.2 and 9.1 s and peaked at 75, 91
+        # and 203 MB on a 2-CPU host, so the bounds are 60 s and 300 MB,
+        # under 3 GB of address space.
         (("Ber(4075,0,1)", "DBer(4075,0,1)"), ("DBer(2,9,12)", "Ber(2,11,12)"), ("DBer(2,6,12)", "DBer(2,1,12)")),
     )
     def test_top_band_census(self, storage, retrieval):
@@ -695,6 +696,20 @@ class TestQueries:
         for demand in (-1, 2):
             with pytest.raises(ValueError):
                 gen_queries(d, 2, demand, range(0, 1), philox_generator(0))
+
+    @pytest.mark.parametrize("files", (True, 1.0, 0, -1))
+    def test_refuses_files_that_are_not_a_positive_integer(self, files):
+        # True once drew the queries of one file.  With fewer than one file
+        # no demand is in range.
+        d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)"))
+        message = "^demand index out of range" if type(files) is int else "^files must be an integer"
+        with pytest.raises(InvalidInput, match=message):
+            gen_queries(d, files, 0, range(0, 1), philox_generator(0))
+
+    def test_files_given_as_a_numpy_integer(self):
+        d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)"))
+        want = gen_queries(d, 1, 0, range(0, 1), philox_generator(0))
+        assert np.array_equal(gen_queries(d, np.int64(1), 0, range(0, 1), philox_generator(0)), want)
 
     def test_refuses_iterations_outside_the_schedule(self, monkeypatch):
         # S = 7: a run past the end, one wholly beyond it, one before the
@@ -896,6 +911,18 @@ class TestDecode:
         for it in (-1, d.s_iterations):
             with pytest.raises(IndexError):
                 decode_iteration(d, it, response)
+
+    @pytest.mark.parametrize("iteration", (True, 1.0))
+    def test_refuses_an_iteration_that_is_not_an_integer(self, iteration):
+        # True once decoded iteration 1; 1.0 failed inside a tuple index.
+        d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)"))
+        with pytest.raises(InvalidInput, match="^iteration must be an integer"):
+            decode_iteration(d, iteration, BitVector(d.n_s))
+
+    def test_iteration_given_as_a_numpy_integer(self):
+        d = derive_scheme(cfg("Ber(3,1,2)", "DBer(3,0,2)"))
+        response = BitVector(d.n_s, 0b1011)
+        assert decode_iteration(d, np.int64(1), response) == decode_iteration(d, 1, response)
 
 
 class TestReconstruct:
@@ -1589,6 +1616,9 @@ class TestProtocolInvariants:
         """``words`` with bit ``coord`` of word ``row`` flipped."""
         return tuple(w ^ (1 << coord if i == row else 0) for i, w in enumerate(words))
 
+    #: build's refusal of basis words whose pivots are not W(p).
+    NOT_ECHELON = r"the basis words are not in echelon form with pivots W\(p\)"
+
     @pytest.mark.parametrize(
         "corrupt, message",
         (
@@ -1596,15 +1626,22 @@ class TestProtocolInvariants:
             ("star_codes", "product dimension disagrees"),
             # A bit of H' off its weight set: H' no longer annihilates E.
             ("parity", "does not annihilate"),
-            # I_0, then J_0, moved to the first coordinates: M_C, then M_E, is
-            # not its own inverse.
-            ("iteration set", "storage basis on its weight set is not its own inverse"),
-            ("stripe set", "syndrome basis on its weight set is not its own inverse"),
+            # I_0, then J_0, moved to the first coordinates: build refuses the
+            # member, since its basis words no longer have W(p) as their
+            # lowest set bits once reflected (Ber) or as they stand (DBer).
+            pytest.param("iteration set", rf"^Ber\(3,1,2\): {NOT_ECHELON}", id="iteration set-storage W(p)"),
+            pytest.param("stripe set", rf"^DBer\(3,1,2\): {NOT_ECHELON}", id="stripe set-syndrome W(p)"),
+            # A bit of B_C off its weight set: C is another code, whose product
+            # with D the syndrome map of the case table's E^perp rejects.
+            ("storage", "does not annihilate"),
         ),
     )
     def test_derivation_checks_refuse_a_broken_pair(self, corrupt, message, monkeypatch, capsys):
+        # The derivation reads H', M_E, B_C and M_C off build's cache, so each
+        # broken basis goes in through berman.basis on a cleared cache.
         storage, retrieval = P("Ber(3,1,2)"), P("DBer(3,0,2)")
         perp = pir.predict_star(storage, retrieval).dual
+        real_basis = berman.basis
         if corrupt == "star_codes":
             real_star = pir.star_codes
 
@@ -1613,28 +1650,30 @@ class TestProtocolInvariants:
                 return LinearCode(e.length, BitMatrix(e.dimension - 1, e.length, e.generator.row_words[1:]))
 
             monkeypatch.setattr(pir, "star_codes", star)
-        elif corrupt == "parity":
-            real_basis = pir.basis
-            outside = min(set(range(9)) - set(real_basis(perp)[0]))
+        elif corrupt in ("parity", "storage"):
+            broken = perp if corrupt == "parity" else storage
+            outside = min(set(range(9)) - set(real_basis(broken)[0]))
+
             def basis(p):
                 coords, words = real_basis(p)
-                return (coords, self.flipped_row(words, 0, outside)) if p == perp else (coords, words)
+                return (coords, self.flipped_row(words, 0, outside)) if p == broken else (coords, words)
 
-            monkeypatch.setattr(pir, "basis", basis)
+            monkeypatch.setattr(berman, "basis", basis)
         else:
-            real_basis = pir.basis
             moved = storage if corrupt == "iteration set" else perp
+
             def first_coordinates(p):
                 coords, words = real_basis(p)
                 return (tuple(range(len(coords))) if p == moved else coords), words
 
-            monkeypatch.setattr(pir, "basis", first_coordinates)
+            monkeypatch.setattr(berman, "basis", first_coordinates)
 
         def no_privacy_check(*args):
             raise AssertionError("privacy check ran before derivation")
 
         monkeypatch.setattr(cli, "verify_privacy_rank", no_privacy_check)
         pir._derive.cache_clear()
+        build.cache_clear()
         try:
             with pytest.raises(ProtocolInvariantError, match=message):
                 derive_scheme(SchemeConfig(storage, retrieval))
@@ -1642,6 +1681,7 @@ class TestProtocolInvariants:
             assert cli.main(argv) == cli.EXIT_VERIFY_FAILED
         finally:
             pir._derive.cache_clear()
+            build.cache_clear()
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "ProtocolInvariantError"
