@@ -221,16 +221,18 @@ class Schedule:
 class SchemeDerived:
     """Everything the storage/retrieval pair fixes; files and seed play no part.
 
-    ``readout[p, r]`` is the coordinate of stripe p's translated codeword
-    that holds bit r of its file row (:func:`reconstruct_file`): C's RREF
-    pivots minus stripe p's shift, a read-only int32 :func:`_sum_table`.  It
-    is formed from the schedule and C when the derivation is made, and is
-    not a field, so equality and hashing read only what fixes it."""
+    The product code E is held once, as its syndrome map ``parity``
+    (``M_E H'``), whose kernel the derivation proves is E; no RREF of E
+    outlives the derivation.  ``readout[p, r]`` is the coordinate of stripe
+    p's translated codeword that holds bit r of its file row
+    (:func:`reconstruct_file`): C's RREF pivots minus stripe p's shift, a
+    read-only int32 :func:`_sum_table`.  It is formed from the schedule and
+    C when the derivation is made, and is not a field, so equality and
+    hashing read only what fixes it."""
 
     n_s: int
     storage_code: LinearCode
     retrieval_code: LinearCode
-    product_code: LinearCode
     parity: BitMatrix  # M_E H': a parity-check matrix of C*D, the identity on J_0
     systematic: BitMatrix  # M_C B_C: a generator of C, the identity on I_0
     k_c: int
@@ -282,12 +284,14 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
     matrix.  :func:`.berman.build` has checked that each W is an
     information set, so ``M_E H'`` has independent rows; it is a
     parity-check matrix of E once it has ``n - dim E`` rows, as the case
-    table says, and annihilates E's generator, one table product.  Each
-    check raises :class:`ProtocolInvariantError`, even under
-    ``python -O``.  The schedule is the addition table of ``I_0`` and
-    ``J_0``, so ``S = k_C`` and ``b = d_perp``; the stripe readout is the
-    table of C's RREF pivots minus ``J_0``.  Each is formed from those
-    shifts when the schedule and the derivation are made (:func:`_sum_table`).
+    table says, and annihilates E's generator, one table product.  So its
+    kernel is E, and it is the one form of E kept: the RREF that
+    :func:`.star.star_codes` forms for these checks is dropped.  Each check
+    raises :class:`ProtocolInvariantError`, even under ``python -O``.  The
+    schedule is the addition table of ``I_0`` and ``J_0``, so ``S = k_C``
+    and ``b = d_perp``; the stripe readout is the table of C's RREF pivots
+    minus ``J_0``.  Each is formed from those shifts when the schedule and
+    the derivation are made (:func:`_sum_table`).
     """
     product = _product(storage, retrieval)
     check_length(storage)
@@ -308,7 +312,6 @@ def _derive(storage: BermanParams, retrieval: BermanParams) -> SchemeDerived:
         n_s=n_s,
         storage_code=c,
         retrieval_code=d,
-        product_code=e,
         parity=parity,
         systematic=systematic,
         k_c=c.dimension,
@@ -417,19 +420,23 @@ def gen_queries(
     file's stripe-p row of that iteration's query is flipped, all of the
     run's bits by one fancy-index XOR over the run's slice of ``coords``:
     each row holds one of them, so no two share a limb.  Before anything
-    is drawn, files that are not a positive integer, or a demand that is
-    not an integer in ``0..M-1``, raise :class:`InvalidInput`, a range that
-    is not a step-1 range within ``0..S`` raises :class:`IndexError`, and a
-    run over :data:`MAX_BATCH_BITS` raises :class:`TooLarge`.
+    is drawn, files that are not a positive integer, a demand that is not an
+    integer in ``0..M-1``, or iterations that are not a ``range`` raise
+    :class:`InvalidInput`; a range that is not a step-1 range within
+    ``0..S`` raises :class:`IndexError`, and a run over
+    :data:`MAX_BATCH_BITS` raises :class:`TooLarge`.  Files are held as a
+    Python int from then on, so a NumPy integer cannot wrap in the sizes.
 
     :func:`respond_all` overwrites the array it is given, so a
     :class:`~.gf2.BitMatrix` built on any part of it must not outlive that
     call: :meth:`~.gf2.BitMatrix.from_limbs` makes only its own view
     read-only, not the array behind it.
     """
-    demand = whole_number(demand, "demand")
-    if not 0 <= demand < whole_number(files, "files"):  # also refuses fewer than one file
+    demand, files = whole_number(demand, "demand"), whole_number(files, "files")
+    if not 0 <= demand < files:  # also refuses fewer than one file
         raise InvalidInput("demand index out of range")
+    if not isinstance(iterations, range):
+        raise InvalidInput(f"iterations must be a range, not {type(iterations).__name__}")
     if iterations.step != 1 or not 0 <= iterations.start <= iterations.stop <= derived.s_iterations:
         raise IndexError(f"iterations {iterations} are not a step-1 range within 0..{derived.s_iterations}")
     _check_batch_size(derived, files, len(iterations))
@@ -754,15 +761,16 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
     array is ever held and the queries are freed once the fold returns.
     Every iteration is then decoded on its own, and checks, in this order,
     that the response vector minus its planted bits lies in the product
-    code and that the decoded word equals them; the run's coordinate rows
-    come out in one ``tolist``, and one pass over each iteration's set
-    planted bits builds both the word they embed and the decoded word they
-    should give.  A wrong decoded word names its iteration, its lowest wrong
-    stripe and that stripe's coordinate.  Last, the achieved rate is read
-    off what the retrieval produced: the rebuilt file's ``b*k_C`` bits over the
-    summed lengths of the kept responses, the downloaded bits.  A failed
-    check, or an achieved rate that strays from the derived one, raises
-    :class:`ProtocolInvariantError`.
+    code, as a zero syndrome under ``M_E H'``, whose kernel the derivation
+    proves is E, and that the decoded word equals them; the run's
+    coordinate rows come out in one ``tolist``, and one pass over each
+    iteration's set planted bits builds both the word they embed and the
+    decoded word they should give.  A wrong decoded word names its
+    iteration, its lowest wrong stripe and that stripe's coordinate.  Last,
+    the achieved rate is read off what the retrieval produced: the rebuilt
+    file's ``b*k_C`` bits over the summed lengths of the kept responses, the
+    downloaded bits.  A failed check, or an achieved rate that strays from
+    the derived one, raises :class:`ProtocolInvariantError`.
     """
     demand = whole_number(demand, "demand")
     if not 0 <= demand < config.files:
@@ -790,7 +798,7 @@ def run_retrieval(config: SchemeConfig, demand: int) -> Transcript:
             for p in compress(range(b), planted[it * b : (it + 1) * b]):
                 embed_word |= 1 << row[p]
                 expected |= 1 << p
-            if not derived.product_code.contains(BitVector(n_s, response.word ^ embed_word)):
+            if derived.parity.mul_vector(BitVector(n_s, response.word ^ embed_word)).word:
                 raise ProtocolInvariantError(f"iteration {it}: response residue left the product code")
             wrong = word ^ expected
             if wrong:

@@ -44,6 +44,7 @@ from bermanpir.pir import (
     verify_privacy_empirical,
     verify_privacy_rank,
 )
+from bermanpir.star import star_codes
 
 
 P = BermanParams.parse
@@ -276,9 +277,11 @@ class TestDeriveScheme:
             assert d.b * d.k_c == d.s_iterations * d.d_perp
             assert d.r_pir == Fraction(d.d_perp, d.n_s)
             assert d.r_st == Fraction(d.k_c, d.n_s)
-            # Parity annihilates the product code.
-            product = d.parity @ d.product_code.generator.transpose()
-            assert all(w == 0 for w in product.row_words)
+            # The kernel of the syndrome map is the product code, so a zero
+            # syndrome is membership in C * D.
+            assert LinearCode.from_generator(gf2.nullspace_basis(d.parity)) == star_codes(
+                d.storage_code, d.retrieval_code
+            )
 
     def test_zero_rate_propagates(self):
         # Raised on every call, not only the first: failures are not cached.
@@ -624,6 +627,27 @@ class TestScheduleRegression:
         assert elapsed < 60
         assert peak_kb < 300 << 10
 
+    @pytest.mark.slow
+    def test_top_band_largest_admissible_batch(self):
+        # The batch guard admits 41 files of 794 stripes on 4096 servers, so
+        # each run is one iteration: 2510 query draws.  On a 2-CPU host it
+        # reconstructed in 26.4 s at a 226 MB peak (38.1 s when each residue
+        # was reduced against an RREF of C * D), and the whole test took
+        # 37.0 s within the slow run, so the bound is 90 s.  One file more is
+        # refused by the guard before anything is drawn.
+        pair = ("--storage", "DBer(2,6,12)", "--retrieval", "DBer(2,1,12)", "--format", "csv")
+        start = time.perf_counter()
+        proc, peak_kb = simulate_with_peak(*pair, "--files", "41", address_space=3 << 30)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        (summary,) = csv.DictReader(proc.stdout.splitlines())
+        assert summary["reconstructed_ok"] == summary["privacy_rank_ok"] == "True"
+        assert elapsed < 90
+        assert peak_kb < 300 << 10
+        proc, _ = simulate_with_peak(*pair, "--files", "42", address_space=3 << 30)
+        assert proc.returncode == cli.EXIT_PARSE
+        assert json.loads(proc.stderr.splitlines()[0])["error"] == "TooLarge"
+
 
 class TestEncodeStorage:
     def test_zero_files(self):
@@ -726,6 +750,30 @@ class TestQueries:
         for iterations in (range(6, 10), range(7, 8), range(-2, 0), range(0, 4, 2)):
             with pytest.raises(IndexError):
                 gen_queries(d, 1, 0, iterations, philox_generator(0))
+
+    def test_files_given_as_a_large_numpy_integer_are_refused_by_size(self, monkeypatch):
+        # As a NumPy integer these counts once wrapped in the size guard's
+        # product and failed in NumPy (2**58) or in the fancy index (2**62).
+        d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)"))
+
+        def no_draw(*args):
+            raise AssertionError("drew before the size guard")
+
+        monkeypatch.setattr(pir, "draw_product", no_draw)
+        for files in (np.int64(2**58), np.int64(2**62)):
+            with pytest.raises(TooLarge, match=f"^{int(files)} files of 4 stripes"):
+                gen_queries(d, files, 0, range(0, 1), philox_generator(0))
+
+    @pytest.mark.parametrize("iterations", ([0], (0, 1), 0, None))
+    def test_refuses_iterations_that_are_not_a_range(self, iterations, monkeypatch):
+        d = derive_scheme(cfg("DBer(3,0,2)", "DBer(3,1,2)"))
+
+        def no_draw(*args):
+            raise AssertionError("drew before the range check")
+
+        monkeypatch.setattr(pir, "draw_product", no_draw)
+        with pytest.raises(InvalidInput, match="^iterations must be a range"):
+            gen_queries(d, 1, 0, iterations, philox_generator(0))
 
     def test_one_run_equals_single_iterations(self):
         # 3 files of 22 stripes draw 363 32-bit words per iteration, so every
@@ -1286,6 +1334,20 @@ class TestRunRetrieval:
     def test_response_residue_checked(self):
         # Every run exercises the in-simulator response-algebra check.
         run_retrieval(cfg("DBer(3,0,3)", "Ber(3,1,3)", files=2, seed=11), 1)
+
+    @pytest.mark.parametrize(
+        "storage, retrieval, files", (("DBer(2,1,6)", "DBer(2,2,6)", 256), ("Ber(3,1,3)", "DBer(3,0,3)", 3))
+    )
+    def test_residue_is_checked_by_its_syndrome_not_by_membership(self, storage, retrieval, files, monkeypatch):
+        # No retrieval reduces a word against an RREF of the product code:
+        # the residue's syndrome under M_E H' decides it.
+        config = cfg(storage, retrieval, files=files, seed=3)
+
+        def no_membership(*args):
+            raise AssertionError("a retrieval tested membership in a code")
+
+        monkeypatch.setattr(codes.LinearCode, "contains", no_membership)
+        assert run_retrieval(config, files - 1).reconstructed_ok
 
     @pytest.mark.parametrize(
         "storage, retrieval, files, seed, demand, digest",
